@@ -43,12 +43,23 @@ Bytes SessionKeys::key_for(NodeId a, NodeId b) const {
 }
 
 crypto::MacTag SessionKeys::tag(NodeId a, NodeId b, ByteView data) const {
-  return crypto::mac_tag(key_for(a, b), data);
+  if (b < a) std::swap(a, b);
+  auto it = pair_keys_.find({a, b});
+  if (it == pair_keys_.end()) {
+    it = pair_keys_.emplace(std::pair(a, b), crypto::HmacKey(key_for(a, b))).first;
+  }
+  return it->second.tag(data);
 }
 
 bool SessionKeys::verify(NodeId a, NodeId b, ByteView data,
                          const crypto::MacTag& tag) const {
-  return crypto::mac_verify(key_for(a, b), data, tag);
+  if (b < a) std::swap(a, b);
+  const auto it = pair_keys_.find({a, b});
+  if (it != pair_keys_.end()) return it->second.verify(data, tag);
+  crypto::HmacKey key(key_for(a, b));
+  if (!key.verify(data, tag)) return false;
+  pair_keys_.emplace(std::pair(a, b), key);
+  return true;
 }
 
 }  // namespace itdos::bft

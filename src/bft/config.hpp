@@ -6,6 +6,7 @@
 // view-change certificates additionally use signatures.
 #pragma once
 
+#include <map>
 #include <vector>
 
 #include "batch/former.hpp"
@@ -67,22 +68,30 @@ struct BftConfig {
 
 /// Pairwise MAC keys between all parties (replicas and clients). Derived
 /// from a deployment master secret; stands in for the session-key exchange
-/// a production deployment would run.
+/// a production deployment would run. Each pair's HMAC midstates are
+/// derived once and cached for the life of this object (DESIGN.md §6j).
 class SessionKeys {
  public:
-  // itdos-lint: allow(BUF-001) key-material sink, moved into place; not a message-path payload
-  explicit SessionKeys(Bytes master_secret) : master_(std::move(master_secret)) {}
+  explicit SessionKeys(ByteView master_secret) : master_(master_secret) {}
 
-  /// Symmetric key shared by nodes `a` and `b` (order-independent).
+  /// Symmetric key shared by nodes `a` and `b` (order-independent), derived
+  /// afresh on each call. The key agent and GM channels seal with it.
   Bytes key_for(NodeId a, NodeId b) const;
 
-  /// MAC tag over `data` with the (a, b) pairwise key.
+  /// MAC tag over `data` with the (a, b) pairwise key. Caches the pair.
   crypto::MacTag tag(NodeId a, NodeId b, ByteView data) const;
 
+  /// Caches the pair only once `tag` has verified under it, so a sender
+  /// that spoofs node ids cannot grow the cache.
   bool verify(NodeId a, NodeId b, ByteView data, const crypto::MacTag& tag) const;
 
+  /// Node pairs whose MAC key is cached.
+  std::size_t cached_pairs() const { return pair_keys_.size(); }
+
  private:
-  Bytes master_;
+  crypto::HmacKey master_;
+  // Keyed by (min, max) node id; ordered (DET-002).
+  mutable std::map<std::pair<NodeId, NodeId>, crypto::HmacKey> pair_keys_;
 };
 
 }  // namespace itdos::bft

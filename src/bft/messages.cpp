@@ -93,8 +93,6 @@ Result<RequestMsg> RequestMsg::decode(const BufView& data) {
   return msg;
 }
 
-Digest RequestMsg::digest() const { return crypto::sha256(ByteView(encode())); }
-
 Bytes PrePrepareMsg::encode() const {
   cdr::Encoder enc(kWire);
   enc.write_uint64(view.value);

@@ -44,7 +44,6 @@ struct RequestMsg {
   bool operator==(const RequestMsg&) const = default;
   Bytes encode() const;
   static Result<RequestMsg> decode(const BufView& data);
-  Digest digest() const;
 };
 
 /// Primary's ordering proposal; carries the full request (piggybacked).

@@ -1,15 +1,36 @@
 #include "crypto/cipher.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace itdos::crypto {
 
+namespace {
+
+/// SHA-256 state after absorbing pad64(k_enc), k_enc zero-padded to a block.
+Sha256 absorb_padded(ByteView k_enc) {
+  std::array<std::uint8_t, kBlockSize> block{};
+  std::copy(k_enc.begin(), k_enc.end(), block.begin());
+  Sha256 prefix;
+  prefix.update(ByteView(block.data(), block.size()));
+  return prefix;
+}
+
+}  // namespace
+
+SymmetricKey::SymmetricKey() : SymmetricKey(Raw{}) {}
+
+SymmetricKey::SymmetricKey(const Raw& bytes)
+    : bytes_(bytes),
+      keystream_prefix_(absorb_padded(derive_key(view(), "itdos.enc", {}))),
+      mac_(derive_key(view(), "itdos.mac", {})) {}
+
 SymmetricKey SymmetricKey::from_bytes(ByteView b) {
   assert(b.size() >= kSymmetricKeySize);
-  SymmetricKey k;
-  std::memcpy(k.bytes.data(), b.data(), kSymmetricKeySize);
-  return k;
+  Raw bytes;
+  std::copy_n(b.begin(), kSymmetricKeySize, bytes.begin());
+  return SymmetricKey(bytes);
 }
 
 std::string SymmetricKey::fingerprint() const {
@@ -24,22 +45,10 @@ Nonce make_nonce(std::uint64_t sender, std::uint64_t counter) {
   return n;
 }
 
-namespace {
-
-/// Derives independent encryption and MAC subkeys so the CTR keystream and
-/// the authentication tag never share key material.
-Bytes enc_subkey(const SymmetricKey& key) {
-  return derive_key(key.view(), "itdos.enc", {});
-}
-Bytes mac_subkey(const SymmetricKey& key) {
-  return derive_key(key.view(), "itdos.mac", {});
-}
-
-}  // namespace
-
 void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
                        std::span<std::uint8_t> data) {
-  const Bytes ek = enc_subkey(key);
+  Sha256 prefix = key.keystream_prefix();
+  prefix.update(ByteView(nonce.data(), nonce.size()));
   std::uint64_t block_index = 0;
   std::size_t offset = 0;
   while (offset < data.size()) {
@@ -47,19 +56,13 @@ void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
     for (int i = 0; i < 8; ++i) {
       counter_bytes[i] = static_cast<std::uint8_t>(block_index >> (i * 8));
     }
-    const Digest keystream =
-        hmac_sha256(ek, {ByteView(nonce.data(), nonce.size()), ByteView(counter_bytes, 8)});
+    // 20 buffered bytes plus padding fit one block: one compression each.
+    const Digest keystream = Sha256(prefix).update(ByteView(counter_bytes, 8)).finish();
     const std::size_t take = std::min(data.size() - offset, keystream.size());
     for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
     offset += take;
     ++block_index;
   }
-}
-
-Bytes ctr_crypt(const SymmetricKey& key, const Nonce& nonce, ByteView data) {
-  Bytes out(data.begin(), data.end());
-  ctr_crypt_inplace(key, nonce, out);
-  return out;
 }
 
 Bytes seal(const SymmetricKey& key, const Nonce& nonce, ByteView aad, ByteView plaintext) {
@@ -73,8 +76,7 @@ Bytes seal(const SymmetricKey& key, const Nonce& nonce, ByteView aad, ByteView p
   ctr_crypt_inplace(key, nonce, std::span<std::uint8_t>(out).subspan(kNonceSize));
   const ByteView ciphertext(out.data() + kNonceSize, plaintext.size());
 
-  const Bytes mk = mac_subkey(key);
-  const Digest d = hmac_sha256(mk, {ByteView(nonce.data(), nonce.size()), aad, ciphertext});
+  const Digest d = key.mac_key().mac({ByteView(nonce.data(), nonce.size()), aad, ciphertext});
   append(out, ByteView(d.data(), kMacTagSize));
   return out;
 }
@@ -88,12 +90,15 @@ Result<Bytes> open(const SymmetricKey& key, ByteView aad, ByteView sealed) {
   const ByteView ciphertext = sealed.subspan(kNonceSize, sealed.size() - kSealOverhead);
   const ByteView tag = sealed.subspan(sealed.size() - kMacTagSize);
 
-  const Bytes mk = mac_subkey(key);
-  const Digest d = hmac_sha256(mk, {ByteView(nonce.data(), nonce.size()), aad, ciphertext});
+  const Digest d = key.mac_key().mac({ByteView(nonce.data(), nonce.size()), aad, ciphertext});
   if (!constant_time_equal(ByteView(d.data(), kMacTagSize), tag)) {
     return error(Errc::kAuthFailure, "seal tag mismatch");
   }
-  return ctr_crypt(key, nonce, ciphertext);
+  // The sealed frame stays shared, so the plaintext gets its own buffer and
+  // is decrypted in place there.
+  Bytes plaintext(ciphertext.begin(), ciphertext.end());
+  ctr_crypt_inplace(key, nonce, plaintext);
+  return plaintext;
 }
 
 }  // namespace itdos::crypto

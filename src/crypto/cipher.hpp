@@ -1,9 +1,19 @@
 // Symmetric confidentiality for ITDOS connections (§3.5).
 //
 // Substitution note (see DESIGN.md §4): the paper cites DES [12]; we provide
-// a CTR-mode stream cipher whose keystream blocks are SHA-256 compressions of
-// (key || nonce || counter), plus encrypt-then-MAC sealing. The interface
-// mirrors a real AEAD so a production cipher could be swapped in.
+// a CTR-mode stream cipher on SHA-256 plus encrypt-then-MAC sealing. The
+// interface mirrors a real AEAD so a production cipher could be swapped in.
+//
+// The construction, for a 32-byte communication key K and a 12-byte nonce:
+//   k_enc = HMAC-SHA256(K, "itdos.enc"),  k_mac = HMAC-SHA256(K, "itdos.mac")
+//   keystream block i = SHA-256(pad64(k_enc) || nonce || LE64(i)), i = 0, 1, ...
+//   ciphertext = plaintext XOR keystream (the last block truncated)
+//   sealed = nonce || ciphertext || first 16 bytes of
+//            HMAC-SHA256(k_mac, nonce || aad || ciphertext)
+// pad64 zero-pads k_enc to one 64-byte SHA-256 block. Every keystream input
+// is exactly 84 bytes (so length extension does not apply), and the key
+// caches the state after pad64(k_enc): each 32-byte block costs one
+// compression. DESIGN.md §6j gives the key schedule and the PRF assumption.
 #pragma once
 
 #include <cstdint>
@@ -17,17 +27,36 @@ namespace itdos::crypto {
 inline constexpr std::size_t kSymmetricKeySize = 32;
 inline constexpr std::size_t kNonceSize = 12;
 
-/// A symmetric communication key (the paper's "communication key").
-struct SymmetricKey {
-  std::array<std::uint8_t, kSymmetricKeySize> bytes{};
-
-  bool operator==(const SymmetricKey&) const = default;
+/// A symmetric communication key (the paper's "communication key"). Its two
+/// subkeys are derived and absorbed into SHA-256 state once, when the key is
+/// made, so sealing and opening pay only for the message's own bytes.
+class SymmetricKey {
+ public:
+  /// The all-zero key, a placeholder; real keys come from from_bytes.
+  SymmetricKey();
 
   static SymmetricKey from_bytes(ByteView b);
-  ByteView view() const { return ByteView(bytes.data(), bytes.size()); }
+  ByteView view() const { return ByteView(bytes_.data(), bytes_.size()); }
+
+  /// Keys compare by their bytes; the cached state is a function of them.
+  bool operator==(const SymmetricKey& other) const { return bytes_ == other.bytes_; }
 
   /// First 8 hex chars — safe to log, identifies (not reveals) the key.
   std::string fingerprint() const;
+
+  /// SHA-256 state after absorbing pad64(k_enc): every keystream block
+  /// starts from a copy of it.
+  const Sha256& keystream_prefix() const { return keystream_prefix_; }
+  /// The tag key, k_mac.
+  const HmacKey& mac_key() const { return mac_; }
+
+ private:
+  using Raw = std::array<std::uint8_t, kSymmetricKeySize>;
+  explicit SymmetricKey(const Raw& bytes);
+
+  Raw bytes_;
+  Sha256 keystream_prefix_;
+  HmacKey mac_;
 };
 
 using Nonce = std::array<std::uint8_t, kNonceSize>;
@@ -37,16 +66,13 @@ using Nonce = std::array<std::uint8_t, kNonceSize>;
 /// counters strictly increase, which guarantees uniqueness.
 Nonce make_nonce(std::uint64_t sender, std::uint64_t counter);
 
-/// Raw CTR keystream XOR (encrypt == decrypt). Exposed for tests/benches.
-Bytes ctr_crypt(const SymmetricKey& key, const Nonce& nonce, ByteView data);
-
-/// CTR keystream XOR applied in place — the zero-copy seal path transforms
-/// the marshal buffer directly instead of producing a second buffer.
+/// CTR keystream XOR applied in place (encrypt == decrypt). The seal path
+/// transforms the marshal buffer directly instead of producing a second one.
 void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
                        std::span<std::uint8_t> data);
 
 /// Sealed message: nonce || ciphertext || tag, where
-/// tag = HMAC(mac_subkey, nonce || aad || ciphertext) truncated.
+/// tag = HMAC(k_mac, nonce || aad || ciphertext) truncated.
 Bytes seal(const SymmetricKey& key, const Nonce& nonce, ByteView aad, ByteView plaintext);
 
 /// Opens a sealed message; kAuthFailure if the tag does not verify.

@@ -1,69 +1,64 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace itdos::crypto {
 
-namespace {
-constexpr std::size_t kBlockSize = 64;
-
-struct PaddedKeys {
-  std::array<std::uint8_t, kBlockSize> ipad;
-  std::array<std::uint8_t, kBlockSize> opad;
-};
-
-PaddedKeys pad_key(ByteView key) {
-  std::array<std::uint8_t, kBlockSize> k{};
+HmacKey::HmacKey(ByteView key) {
+  std::array<std::uint8_t, kBlockSize> block{};
   if (key.size() > kBlockSize) {
     const Digest d = sha256(key);
-    std::memcpy(k.data(), d.data(), d.size());
+    std::copy(d.begin(), d.end(), block.begin());
   } else {
-    std::memcpy(k.data(), key.data(), key.size());
+    std::copy(key.begin(), key.end(), block.begin());
   }
-  PaddedKeys out;
-  for (std::size_t i = 0; i < kBlockSize; ++i) {
-    out.ipad[i] = k[i] ^ 0x36;
-    out.opad[i] = k[i] ^ 0x5c;
-  }
-  return out;
-}
-}  // namespace
-
-Digest hmac_sha256(ByteView key, ByteView data) {
-  return hmac_sha256(key, {data});
+  for (std::uint8_t& b : block) b ^= 0x36;
+  inner_.update(ByteView(block.data(), block.size()));
+  for (std::uint8_t& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.update(ByteView(block.data(), block.size()));
 }
 
-Digest hmac_sha256(ByteView key, std::initializer_list<ByteView> segments) {
-  const PaddedKeys keys = pad_key(key);
-  Sha256 inner;
-  inner.update(ByteView(keys.ipad.data(), keys.ipad.size()));
+Digest HmacKey::mac(std::initializer_list<ByteView> segments) const {
+  Sha256 inner = inner_;
   for (ByteView seg : segments) inner.update(seg);
   const Digest inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(ByteView(keys.opad.data(), keys.opad.size()));
-  outer.update(digest_view(inner_digest));
-  return outer.finish();
+  Sha256 outer = outer_;
+  return outer.update(digest_view(inner_digest)).finish();
 }
 
-MacTag mac_tag(ByteView key, ByteView data) {
-  const Digest d = hmac_sha256(key, data);
-  MacTag tag;
-  std::memcpy(tag.data(), d.data(), tag.size());
-  return tag;
+MacTag HmacKey::tag(ByteView data) const {
+  const Digest d = mac(data);
+  MacTag t;
+  std::memcpy(t.data(), d.data(), t.size());
+  return t;
 }
 
-bool mac_verify(ByteView key, ByteView data, const MacTag& tag) {
-  const MacTag expected = mac_tag(key, data);
+bool HmacKey::verify(ByteView data, const MacTag& tag) const {
+  const MacTag expected = this->tag(data);
   return constant_time_equal(ByteView(expected.data(), expected.size()),
                              ByteView(tag.data(), tag.size()));
 }
 
+Digest hmac_sha256(ByteView key, ByteView data) { return HmacKey(key).mac(data); }
+
+Digest hmac_sha256(ByteView key, std::initializer_list<ByteView> segments) {
+  return HmacKey(key).mac(segments);
+}
+
+MacTag mac_tag(ByteView key, ByteView data) { return HmacKey(key).tag(data); }
+
+bool mac_verify(ByteView key, ByteView data, const MacTag& tag) {
+  return HmacKey(key).verify(data, tag);
+}
+
+Bytes derive_key(const HmacKey& key, std::string_view label, ByteView info) {
+  return digest_bytes(key.mac(
+      {ByteView(reinterpret_cast<const std::uint8_t*>(label.data()), label.size()), info}));
+}
+
 Bytes derive_key(ByteView key, std::string_view label, ByteView info) {
-  const Digest d = hmac_sha256(
-      key, {ByteView(reinterpret_cast<const std::uint8_t*>(label.data()), label.size()),
-            info});
-  return digest_bytes(d);
+  return derive_key(HmacKey(key), label, info);
 }
 
 }  // namespace itdos::crypto

@@ -8,20 +8,42 @@
 
 namespace itdos::crypto {
 
-/// HMAC-SHA256 over `data` with `key` (any key length).
+/// Truncated MAC tag as carried on the wire (16 bytes is ample here).
+inline constexpr std::size_t kMacTagSize = 16;
+using MacTag = std::array<std::uint8_t, kMacTagSize>;
+
+/// An HMAC-SHA256 key with its ipad and opad blocks already absorbed. The
+/// two midstates are computed once, when the key is made; each MAC copies
+/// them and pays only for its own data plus one outer compression. Hold one
+/// of these for any key used more than once.
+class HmacKey {
+ public:
+  explicit HmacKey(ByteView key);  // any key length
+
+  Digest mac(ByteView data) const { return mac({data}); }
+  /// MAC over the concatenation of `segments` (no concatenation copy).
+  Digest mac(std::initializer_list<ByteView> segments) const;
+
+  /// `mac` truncated to the wire tag, and its constant-time check.
+  MacTag tag(ByteView data) const;
+  bool verify(ByteView data, const MacTag& tag) const;
+
+ private:
+  Sha256 inner_;  // after absorbing key ^ ipad
+  Sha256 outer_;  // after absorbing key ^ opad
+};
+
+/// One-shot HMAC-SHA256 over `data` with `key` (any key length).
 Digest hmac_sha256(ByteView key, ByteView data);
 
 /// HMAC with multiple data segments (avoids concatenation copies).
 Digest hmac_sha256(ByteView key, std::initializer_list<ByteView> segments);
 
-/// Truncated MAC tag as carried on the wire (16 bytes is ample here).
-inline constexpr std::size_t kMacTagSize = 16;
-using MacTag = std::array<std::uint8_t, kMacTagSize>;
-
 MacTag mac_tag(ByteView key, ByteView data);
 bool mac_verify(ByteView key, ByteView data, const MacTag& tag);
 
 /// HKDF-style key derivation: out = HMAC(key, label || info).
+Bytes derive_key(const HmacKey& key, std::string_view label, ByteView info);
 Bytes derive_key(ByteView key, std::string_view label, ByteView info);
 
 }  // namespace itdos::crypto

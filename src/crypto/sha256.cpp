@@ -72,6 +72,7 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 Sha256& Sha256::update(ByteView data) {
+  if (data.empty()) return *this;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -96,16 +97,22 @@ Sha256& Sha256::update(ByteView data) {
 }
 
 Digest Sha256::finish() {
+  // Padding: 0x80, zeros up to the 8-byte length field, then the message
+  // length in bits, big-endian. A tail of more than 55 bytes leaves no room
+  // for the length and spills into one extra block.
+  constexpr std::size_t kLengthAt = kBlockSize - 8;
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(ByteView(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kLengthAt) {
+    std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
+    compress(buffer_.data());
+    buffered_ = 0;
   }
-  update(ByteView(len_bytes, 8));
+  std::memset(buffer_.data() + buffered_, 0, kLengthAt - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kLengthAt + i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
+  }
+  compress(buffer_.data());
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -11,10 +11,13 @@
 namespace itdos::crypto {
 
 inline constexpr std::size_t kDigestSize = 32;
+inline constexpr std::size_t kBlockSize = 64;  // one compression-function input
 
 using Digest = std::array<std::uint8_t, kDigestSize>;
 
-/// Incremental SHA-256.
+/// Incremental SHA-256. Copyable: a copy taken after absorbing a key block
+/// is a reusable midstate, so keyed constructions (HmacKey, the cipher's
+/// keystream) hash their key once and copy the state per message.
 class Sha256 {
  public:
   Sha256();

@@ -5,7 +5,7 @@
 namespace itdos::crypto {
 
 Signature SigningKey::sign(ByteView message) const {
-  const Digest d = hmac_sha256(secret_, message);
+  const Digest d = key_.mac(message);
   Signature sig;
   std::copy(d.begin(), d.end(), sig.begin());
   return sig;
@@ -18,7 +18,7 @@ SigningKey Keystore::issue(NodeId owner, Rng& rng) {
 }
 
 void Keystore::register_key(const SigningKey& key) {
-  verify_keys_[key.owner_] = key.secret_;
+  verify_keys_.insert_or_assign(key.owner_, key.key_);
 }
 
 Status Keystore::verify(NodeId signer, ByteView message, const Signature& sig) const {
@@ -26,7 +26,7 @@ Status Keystore::verify(NodeId signer, ByteView message, const Signature& sig) c
   if (it == verify_keys_.end()) {
     return error(Errc::kNotFound, "unknown signer node " + signer.to_string());
   }
-  const Digest d = hmac_sha256(it->second, message);
+  const Digest d = it->second.mac(message);
   if (!constant_time_equal(ByteView(d.data(), d.size()),
                            ByteView(sig.data(), sig.size()))) {
     return error(Errc::kAuthFailure, "signature mismatch for node " + signer.to_string());

@@ -32,8 +32,7 @@ using Signature = std::array<std::uint8_t, kSignatureSize>;
 /// secret material.
 class SigningKey {
  public:
-  // itdos-lint: allow(BUF-001) key-material sink, moved into place; not a message-path payload
-  SigningKey(NodeId owner, Bytes secret) : owner_(owner), secret_(std::move(secret)) {}
+  SigningKey(NodeId owner, ByteView secret) : owner_(owner), key_(secret) {}
   SigningKey(SigningKey&&) = default;
   SigningKey& operator=(SigningKey&&) = default;
   SigningKey(const SigningKey&) = delete;
@@ -46,7 +45,7 @@ class SigningKey {
  private:
   friend class Keystore;
   NodeId owner_;
-  Bytes secret_;
+  HmacKey key_;
 };
 
 /// Trusted verification authority — the PKI stand-in. One Keystore instance
@@ -70,7 +69,7 @@ class Keystore {
  private:
   // Ordered map (DET-002): key material must never be iterated in hash
   // order anywhere near signing or share-distribution code.
-  std::map<NodeId, Bytes> verify_keys_;
+  std::map<NodeId, HmacKey> verify_keys_;
 };
 
 /// A message plus its signature and signer identity — the unit the paper's

@@ -32,7 +32,7 @@ std::optional<cdr::Value> reply_ballot_value(ByteView plain_giop, RequestId rid)
 
 void ConnTable::install(const ConnRecord& record, const crypto::SymmetricKey& key) {
   Entry& entry = entries_[record.conn.value];
-  entry.keys[record.epoch.value] = key;
+  entry.keys.insert_or_assign(record.epoch.value, key);
   if (counters::after_eq(record.epoch.value, entry.record.epoch.value)) entry.record = record;
   // Epoch hygiene: discard keys older than the retained window so frames
   // sealed before an expulsion long past cannot be replayed indefinitely.

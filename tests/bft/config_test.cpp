@@ -100,5 +100,40 @@ TEST(SessionKeysTest, TagVerifyRoundTrip) {
   EXPECT_FALSE(keys.verify(NodeId(1), NodeId(2), tampered, tag));
 }
 
+TEST(SessionKeysTest, CachedTagMatchesDerivedKeyInBothOrders) {
+  SessionKeys keys(to_bytes("master"));
+  const Bytes msg = to_bytes("commit body");
+  const crypto::MacTag expected = crypto::mac_tag(keys.key_for(NodeId(3), NodeId(7)), msg);
+  EXPECT_EQ(keys.tag(NodeId(7), NodeId(3), msg), expected);  // fills the cache
+  EXPECT_EQ(keys.tag(NodeId(3), NodeId(7), msg), expected);  // served from it
+  EXPECT_EQ(keys.cached_pairs(), 1u);
+  EXPECT_TRUE(keys.verify(NodeId(3), NodeId(7), msg, expected));
+  EXPECT_TRUE(keys.verify(NodeId(7), NodeId(3), msg, expected));
+
+  // verify() alone fills the cache too, in either order, once the MAC checks.
+  SessionKeys fresh(to_bytes("master"));
+  EXPECT_TRUE(fresh.verify(NodeId(7), NodeId(3), msg, expected));
+  EXPECT_EQ(fresh.cached_pairs(), 1u);
+  EXPECT_EQ(fresh.tag(NodeId(3), NodeId(7), msg), expected);
+  EXPECT_EQ(fresh.cached_pairs(), 1u);
+}
+
+TEST(SessionKeysTest, FailedVerifyLeavesCacheUnchanged) {
+  SessionKeys keys(to_bytes("master"));
+  const Bytes msg = to_bytes("prepare body");
+  const crypto::MacTag genuine = keys.tag(NodeId(1), NodeId(2), msg);
+  ASSERT_EQ(keys.cached_pairs(), 1u);
+  // A sender spoofing node ids: its tags verify under none of those pairs.
+  for (std::uint64_t spoofed = 100; spoofed < 120; ++spoofed) {
+    EXPECT_FALSE(keys.verify(NodeId(spoofed), NodeId(2), msg, genuine));
+  }
+  EXPECT_EQ(keys.cached_pairs(), 1u);
+  crypto::MacTag forged = genuine;
+  forged[0] ^= 1;
+  EXPECT_FALSE(keys.verify(NodeId(1), NodeId(2), msg, forged));
+  EXPECT_TRUE(keys.verify(NodeId(2), NodeId(1), msg, genuine));
+  EXPECT_EQ(keys.cached_pairs(), 1u);
+}
+
 }  // namespace
 }  // namespace itdos::bft

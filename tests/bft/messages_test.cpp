@@ -23,15 +23,15 @@ TEST(BftMessagesTest, RequestRoundTrip) {
   EXPECT_EQ(back.value(), msg);
 }
 
-TEST(BftMessagesTest, RequestDigestIsStable) {
+TEST(BftMessagesTest, RequestEncodeIsDeterministic) {
   RequestMsg msg;
   msg.client = NodeId(1);
   msg.timestamp = 1;
   msg.payload = to_bytes("x");
-  EXPECT_EQ(msg.digest(), msg.digest());
+  EXPECT_EQ(msg.encode(), msg.encode());
   RequestMsg other = msg;
   other.timestamp = 2;
-  EXPECT_NE(msg.digest(), other.digest());
+  EXPECT_NE(msg.encode(), other.encode());
 }
 
 TEST(BftMessagesTest, PrePrepareRoundTrip) {

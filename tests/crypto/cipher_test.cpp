@@ -8,44 +8,47 @@ namespace itdos::crypto {
 namespace {
 
 SymmetricKey test_key(std::uint8_t fill = 0x42) {
-  SymmetricKey k;
-  k.bytes.fill(fill);
-  return k;
+  return SymmetricKey::from_bytes(Bytes(kSymmetricKeySize, fill));
+}
+
+Bytes ctr(const SymmetricKey& key, const Nonce& nonce, Bytes data) {
+  ctr_crypt_inplace(key, nonce, data);
+  return data;
 }
 
 TEST(CipherTest, CtrRoundTrip) {
   const SymmetricKey key = test_key();
   const Nonce nonce = make_nonce(1, 1);
   const Bytes plaintext = to_bytes("attack at dawn");
-  const Bytes ct = ctr_crypt(key, nonce, plaintext);
+  const Bytes ct = ctr(key, nonce, plaintext);
   EXPECT_NE(ct, plaintext);
-  EXPECT_EQ(ctr_crypt(key, nonce, ct), plaintext);
+  EXPECT_EQ(ctr(key, nonce, ct), plaintext);
 }
 
 TEST(CipherTest, CtrEmptyPlaintext) {
-  EXPECT_TRUE(ctr_crypt(test_key(), make_nonce(0, 0), {}).empty());
+  EXPECT_TRUE(ctr(test_key(), make_nonce(0, 0), {}).empty());
 }
 
 TEST(CipherTest, CtrLargeMultiBlock) {
   Rng rng(1);
   const Bytes plaintext = rng.next_bytes(10000);
   const Nonce nonce = make_nonce(9, 9);
-  const Bytes ct = ctr_crypt(test_key(), nonce, plaintext);
+  const Bytes ct = ctr(test_key(), nonce, plaintext);
   ASSERT_EQ(ct.size(), plaintext.size());
-  EXPECT_EQ(ctr_crypt(test_key(), nonce, ct), plaintext);
+  EXPECT_EQ(ctr(test_key(), nonce, ct), plaintext);
 }
 
 TEST(CipherTest, DistinctNoncesDistinctKeystreams) {
   const Bytes zeros(64, 0);
-  const Bytes ks1 = ctr_crypt(test_key(), make_nonce(1, 1), zeros);
-  const Bytes ks2 = ctr_crypt(test_key(), make_nonce(1, 2), zeros);
+  const Bytes ks1 = ctr(test_key(), make_nonce(1, 1), zeros);
+  const Bytes ks2 = ctr(test_key(), make_nonce(1, 2), zeros);
   EXPECT_NE(ks1, ks2);
 }
 
 TEST(CipherTest, DistinctKeysDistinctKeystreams) {
   const Bytes zeros(64, 0);
-  EXPECT_NE(ctr_crypt(test_key(0x01), make_nonce(1, 1), zeros),
-            ctr_crypt(test_key(0x02), make_nonce(1, 1), zeros));
+  EXPECT_NE(ctr(test_key(0x01), make_nonce(1, 1), zeros),
+            ctr(test_key(0x02), make_nonce(1, 1), zeros));
 }
 
 TEST(CipherTest, NonceEncodesSenderAndCounter) {
@@ -104,40 +107,82 @@ TEST(SealTest, RejectsTruncatedBuffer) {
   EXPECT_EQ(open(test_key(), {}, truncated).status().code(), Errc::kMalformedMessage);
 }
 
-TEST(CipherTest, InPlaceKeystreamMatchesCopyingPath) {
-  // The zero-copy seal path XORs the marshal buffer directly; it must
-  // produce byte-for-byte the same transform as the copying ctr_crypt.
-  Rng rng(7);
-  for (const std::size_t size : {0u, 1u, 31u, 32u, 33u, 4096u}) {
-    const Bytes plaintext = rng.next_bytes(size);
-    const Nonce nonce = make_nonce(5, size);
-    Bytes in_place(plaintext);
-    ctr_crypt_inplace(test_key(), nonce, in_place);
-    EXPECT_EQ(in_place, ctr_crypt(test_key(), nonce, plaintext)) << size;
-  }
-}
-
 TEST(SealTest, SingleBufferSealMatchesReferenceComposition) {
-  // Reference = the pre-zero-copy construction: encrypt into a SEPARATE
-  // buffer, then concatenate nonce || ciphertext || truncated MAC. The
-  // in-place seal must emit identical wire bytes (old peers keep opening
-  // new frames and vice versa).
+  // Reference built from first principles, one-shot hashes only: keystream
+  // block i = SHA-256(pad64(k_enc) || nonce || LE64(i)), ciphertext =
+  // plaintext XOR keystream, tag = HMAC(k_mac, nonce || aad || ciphertext)
+  // truncated. The single-buffer seal with cached midstates must match it.
   const SymmetricKey key = test_key(0x21);
   const Nonce nonce = make_nonce(6, 44);
+  const ByteView nonce_view(nonce.data(), nonce.size());
   const Bytes aad = to_bytes("routing header");
+  Bytes pad64 = derive_key(key.view(), "itdos.enc", {});
+  pad64.resize(kBlockSize, 0);
+  const Bytes k_mac = derive_key(key.view(), "itdos.mac", {});
   Rng rng(11);
   for (const std::size_t size : {0u, 1u, 100u, 5000u}) {
     const Bytes plaintext = rng.next_bytes(size);
-    const Bytes ciphertext = ctr_crypt(key, nonce, plaintext);
+    Bytes ciphertext = plaintext;
+    for (std::size_t block = 0; block * kDigestSize < size; ++block) {
+      Bytes input = pad64;
+      append(input, nonce_view);
+      for (int i = 0; i < 8; ++i) input.push_back(static_cast<std::uint8_t>(block >> (i * 8)));
+      ASSERT_EQ(input.size(), 84u);
+      const Digest keystream = sha256(ByteView(input));
+      for (std::size_t i = 0; i < kDigestSize && block * kDigestSize + i < size; ++i) {
+        ciphertext[block * kDigestSize + i] ^= keystream[i];
+      }
+    }
     Bytes reference;
-    append(reference, ByteView(nonce.data(), nonce.size()));
+    append(reference, nonce_view);
     append(reference, ciphertext);
-    const Bytes mk = derive_key(key.view(), "itdos.mac", {});
-    const Digest tag =
-        hmac_sha256(mk, {ByteView(nonce.data(), nonce.size()), aad, ciphertext});
+    const Digest tag = hmac_sha256(k_mac, {nonce_view, aad, ciphertext});
     append(reference, ByteView(tag.data(), kMacTagSize));
     EXPECT_EQ(seal(key, nonce, aad, plaintext), reference) << size;
   }
+}
+
+TEST(SealTest, PinnedWireFormatKnownAnswers) {
+  // Sealed bytes for key 00..1f, make_nonce(0x01020304, 0x1122334455667788),
+  // AAD "itdos-kat" and plaintext byte i = i mod 256, computed with Python's
+  // hashlib/hmac from the construction in cipher.hpp. Any change here is a
+  // wire-format change. The 5000-byte case pins the SHA-256 of its 5028
+  // sealed bytes instead of their hex.
+  Bytes raw(kSymmetricKeySize);
+  for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = static_cast<std::uint8_t>(i);
+  const SymmetricKey key = SymmetricKey::from_bytes(raw);
+  const Nonce nonce = make_nonce(0x01020304, 0x1122334455667788ULL);
+  const Bytes aad = to_bytes("itdos-kat");
+  const auto sealed_of = [&](std::size_t size) {
+    Bytes plaintext(size);
+    for (std::size_t i = 0; i < size; ++i) plaintext[i] = static_cast<std::uint8_t>(i);
+    return seal(key, nonce, aad, plaintext);
+  };
+  const std::vector<std::pair<std::size_t, std::string>> known = {
+      {0, "0403020188776655443322110d4f3f91841d24feae3fc311eae91101"},
+      {1, "040302018877665544332211396b9299acbc20b81a099d3b4d75f703ab"},
+      {31,
+       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
+       "0218de9f43f7c4ec2df92768bb959f7f07313c2c5085"},
+      {32,
+       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
+       "0218de9f43f7acaa4489c5ca2f25614b62693b12abc610"},
+      {33,
+       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
+       "0218de9f43f7ac1dc06121043d4aa7099b1bd392d746a9b5"},
+      {100,
+       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
+       "0218de9f43f7ac1de3f4837baf4f3f4ea8f9b0a808292c0f900e1555eb7b72952e23951b0b"
+       "ec4dacc36528f94615da6f0c50a0c32e4839f85a922f0fd3d8f668741161bce31d096cf99e"
+       "13921adba78a460a4b0708904e3682204c"},
+  };
+  for (const auto& [size, hex] : known) {
+    EXPECT_EQ(hex_encode(sealed_of(size)), hex) << size;
+  }
+  const Bytes large = sealed_of(5000);
+  ASSERT_EQ(large.size(), 5000 + kSealOverhead);
+  EXPECT_EQ(hex_encode(digest_view(sha256(ByteView(large)))),
+            "e58724187d4d92aa811ad91dc93fe2048c329b3de661a45bea68ea2b17c6a8d3");
 }
 
 TEST(SealTest, FingerprintStableAndShort) {

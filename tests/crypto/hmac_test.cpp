@@ -32,6 +32,33 @@ TEST(HmacTest, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(HmacTest, CachedKeyMatchesRfc4231) {
+  // The same RFC 4231 cases 1-3 and 6 through one HmacKey each, MAC'd twice:
+  // the midstates must survive a use unchanged.
+  const struct {
+    Bytes key;
+    Bytes data;
+    const char* expected;
+  } cases[] = {
+      {Bytes(20, 0x0b), to_bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {Bytes(131, 0xaa), to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const auto& c : cases) {
+    const HmacKey key(c.key);
+    EXPECT_EQ(hex(key.mac(c.data)), c.expected);
+    EXPECT_EQ(hex(key.mac(c.data)), c.expected);
+    // Split into three segments at arbitrary points.
+    const ByteView data(c.data);
+    EXPECT_EQ(hex(key.mac({data.first(3), data.subspan(3, 5), data.subspan(8)})), c.expected);
+  }
+}
+
 TEST(HmacTest, SegmentedMatchesConcatenated) {
   const Bytes key = to_bytes("segmented-key");
   const Bytes a = to_bytes("part-one|");

@@ -53,6 +53,32 @@ TEST(Sha256Test, ExactBlockSizeInputs) {
   }
 }
 
+TEST(Sha256Test, PaddingBoundaryKnownAnswers) {
+  // Message byte i = 7i + 1 (mod 256). Digests from Python's hashlib. The
+  // lengths straddle the one-block / two-block padding split at 55/56 bytes
+  // and the block edges; each is also fed one byte at a time.
+  const std::pair<std::size_t, const char*> known[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"},
+      {55, "16fa57a0a3423a715d594516339f36189d6b5f93754a9714fef202616a9fabfe"},
+      {56, "c37b44e5f1b18554b36966f4f8e08bfbf3164c4b6c10374d12d89850892073c5"},
+      {57, "12b234922502022f755ab8550a3d4e202ad39c81d961a4f59ec39d5fd83d15a7"},
+      {63, "bbba992d2c85af960fb2987a1fd05e0aa82a3db3c740dd8982a9e273b75e36a3"},
+      {64, "66bd4633ed6f71c4ecfa4763bf7ba1c8ec7612de9aa6c0578a7b675207c71e0b"},
+      {65, "9f7dc47107b750a1f3d35db5d9547f24ef40da5b731b9540d4f43710a154f6c9"},
+      {119, "a3ed307b730fa77c07531300c6e4a282330011d4d4caf6bb7b63ae05950f4b66"},
+      {120, "8e3b15d9fea7472655aa069620b7f8c2e55ee1499f763200a7515fe826e99d20"},
+  };
+  for (const auto& [len, expected] : known) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    EXPECT_EQ(hex(sha256(ByteView(msg))), expected) << "len=" << len;
+    Sha256 incremental;
+    for (const std::uint8_t b : msg) incremental.update(ByteView(&b, 1));
+    EXPECT_EQ(hex(incremental.finish()), expected) << "byte-at-a-time len=" << len;
+  }
+}
+
 TEST(Sha256Test, DigestBytesMatchesDigest) {
   const Digest d = sha256("abc");
   const Bytes b = digest_bytes(d);

@@ -282,7 +282,7 @@ TEST_F(ItdosSystemTest, TwoClientsIndependentKeys) {
   const auto* key_b = bob.party().conn_table().key_for(conn_b, KeyEpoch(1));
   ASSERT_NE(key_a, nullptr);
   ASSERT_NE(key_b, nullptr);
-  EXPECT_NE(key_a->bytes, key_b->bytes);
+  EXPECT_NE(*key_a, *key_b);
   // Alice never received Bob's connection key.
   EXPECT_EQ(alice.party().conn_table().find(conn_b), nullptr);
 }
