@@ -59,6 +59,22 @@ void BM_Layer_Unmarshal(benchmark::State& state) {
 }
 BENCHMARK(BM_Layer_Unmarshal)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 
+void BM_Sha256(benchmark::State& state) {
+  // The compression kernel under every MAC, seal and digest: a one-shot
+  // digest hands all whole blocks to the kernel in one call.
+  const Bytes data(static_cast<std::size_t>(state.range(0)), 0x5a);
+  auto& reg = BenchReport::instance().registry();
+  telemetry::Histogram& hist = reg.histogram("fig2.sha256_ns");
+  telemetry::Counter& ops = reg.counter("fig2.sha256_ops");
+  for (auto _ : state) {
+    ScopedHostTimer timer(hist);
+    benchmark::DoNotOptimize(crypto::sha256(ByteView(data)));
+    ops.inc();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * data.size()));
+}
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(16384);
+
 void BM_Layer_Seal(benchmark::State& state) {
   const Bytes plain = cdr::encode_giop(
       cdr::GiopMessage(request_of_size(static_cast<std::size_t>(state.range(0)))));

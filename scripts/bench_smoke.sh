@@ -40,7 +40,7 @@ cd "${WORK_DIR}"
 # counters AND at least one latency histogram.
 BENCHES=(
   "fig1_end_to_end:BM_Fig1EndToEnd/1/"
-  "fig2_stack_breakdown:BM_Layer_Marshal/64\$|BM_Layer_Mac/"
+  "fig2_stack_breakdown:BM_Layer_Marshal/64\$|BM_Layer_Mac/|BM_Sha256/"
   "fig3_connection_establishment:BM_Fig3WarmConnection/1/"
   "e1_group_size_scaling:BM_E1OrderingCost/1/|BM_E1BatchPipelineSweep"
   "e2_voting:BM_E2ExactUnmarshalled/4\$"

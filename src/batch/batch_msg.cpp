@@ -20,7 +20,10 @@ Bytes BatchMsg::encode() const {
 }
 
 BufView BatchMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena);
+  // Entry count, then per entry at most 3 pad + 4 length + the bytes.
+  std::size_t bound = 8;
+  for (const BufView& entry : entries) bound += entry.size() + 8;
+  cdr::Encoder enc(kWire, &arena, bound);
   encode_fields(*this, enc);
   return enc.take_view();
 }

@@ -366,7 +366,14 @@ Bytes Envelope::encode() const {
 }
 
 BufView Envelope::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena);
+  // Upper bound on the encoded size, with every alignment pad at its worst:
+  // type, pad, sender, body length (pad), body, auth count (pad), then the
+  // auth entries of node + tag, whose first node pads to 8 and whose 24-byte
+  // stride keeps the rest aligned; the signature flag and signature last.
+  const std::size_t auth_bytes = auth.empty() ? 0 : 7 + auth.size() * (8 + crypto::kMacTagSize);
+  const std::size_t bound = 1 + 7 + 8 + 3 + 4 + body.size() + 3 + 4 + auth_bytes + 1 +
+                            (signature ? crypto::kSignatureSize : 0);
+  cdr::Encoder enc(kWire, &arena, bound);
   encode_envelope_fields(*this, enc);
   return enc.take_view();
 }

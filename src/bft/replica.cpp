@@ -803,9 +803,9 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
 }
 
 void Replica::take_checkpoint(std::uint64_t seq) {
-  const Bytes snapshot = make_snapshot();
+  Bytes snapshot = make_snapshot();
   const Digest digest = checkpoint_digest(seq, snapshot);
-  pending_snapshots_[seq] = snapshot;
+  pending_snapshots_[seq] = std::move(snapshot);
   CheckpointMsg msg;
   msg.seq = SeqNum(seq);
   msg.state_digest = digest;

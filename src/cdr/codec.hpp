@@ -29,9 +29,13 @@ class Encoder {
  public:
   /// With an arena, the marshal buffer is a recycled chunk and take_view()
   /// seals it back into that arena — the single-marshal-step discipline.
-  explicit Encoder(ByteOrder order = native_byte_order(), Arena* arena = nullptr)
+  /// `size_hint`, when non-zero, is an upper bound on the encoded size: the
+  /// chunk is sized to it, so the encode never reallocates and a small
+  /// message does not pin a large chunk.
+  explicit Encoder(ByteOrder order = native_byte_order(), Arena* arena = nullptr,
+                   std::size_t size_hint = 0)
       : order_(order), arena_(arena) {
-    if (arena_) buffer_ = arena_->acquire();
+    if (arena_) buffer_ = arena_->acquire(size_hint);
   }
 
   ByteOrder order() const { return order_; }

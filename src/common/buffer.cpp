@@ -32,7 +32,7 @@ Arena::Arena(std::size_t chunk_reserve, std::size_t max_pooled)
 }
 
 Bytes Arena::acquire(std::size_t reserve_hint) {
-  const std::size_t want = std::max(reserve_hint, state_->chunk_reserve);
+  const std::size_t want = reserve_hint > 0 ? reserve_hint : state_->chunk_reserve;
   // LIFO scan from the top for a chunk big enough; most traffic is
   // similarly sized, so the top usually fits.
   for (auto it = state_->pool.rbegin(); it != state_->pool.rend(); ++it) {

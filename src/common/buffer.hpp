@@ -59,11 +59,14 @@ class BufView;
 /// after the Arena itself is gone (the pool state is refcounted).
 class Arena {
  public:
-  /// `chunk_reserve` is the capacity fresh chunks start with; `max_pooled`
-  /// bounds how many idle chunks the pool retains.
+  /// `chunk_reserve` is the capacity un-hinted acquires start with;
+  /// `max_pooled` bounds how many idle chunks the pool retains.
   explicit Arena(std::size_t chunk_reserve = 4096, std::size_t max_pooled = 64);
 
   /// A chunk with at least `reserve_hint` capacity (recycled if available).
+  /// A fresh chunk gets exactly `reserve_hint`, or `chunk_reserve` when the
+  /// hint is 0: encoders that know their size pass it, so a 150-byte
+  /// message holds a 150-byte chunk rather than a 4 KiB one.
   Bytes acquire(std::size_t reserve_hint = 0);
 
   /// Seals `storage` into an immutable refcounted view spanning all of it.

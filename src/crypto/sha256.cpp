@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#include "crypto/sha256_kernel.hpp"
+
+#if ITDOS_SHA_NI_KERNEL
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace itdos::crypto {
 
 namespace {
@@ -23,53 +30,147 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+/// The kernel every Sha256 uses. Constant-initialised to the portable loop,
+/// so a hash taken during another file's static initialisation is still
+/// correct; this file's dynamic initialisation then switches it once, from
+/// CPUID, to the fastest kernel. Both give identical bytes.
+constinit detail::CompressFn compress_blocks = detail::compress_portable;
+
+detail::CompressFn select_kernel() {
+#if ITDOS_SHA_NI_KERNEL
+  if (detail::sha_ni_available()) return detail::compress_sha_ni;
+#endif
+  return detail::compress_portable;
+}
+
+[[maybe_unused]] const bool kKernelSelected = (compress_blocks = select_kernel(), true);
+
 }  // namespace
+
+namespace detail {
+
+void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += kBlockSize) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(data[i * 4]) << 24) | (std::uint32_t(data[i * 4 + 1]) << 16) |
+             (std::uint32_t(data[i * 4 + 2]) << 8) | std::uint32_t(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if ITDOS_SHA_NI_KERNEL
+
+bool sha_ni_available() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx >> 9) & 1;
+  const bool sse41 = (ecx >> 19) & 1;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx >> 29) & 1;
+  return sha && ssse3 && sse41;
+}
+
+// The SHA extensions work on the state as two lanes, ABEF and CDGH.
+// sha256rnds2 runs two rounds; its round inputs (message word plus round
+// constant) come from the low 64 bits of the third operand. W[j] below is
+// message words 4j..4j+3. W[0..3] are the block's 16 big-endian words;
+// W[j] for j >= 4 is msg2(msg1(W[j-4], W[j-3]) + alignr(W[j-1], W[j-2]),
+// W[j-1]), kept in a 4-slot ring: the msg1 half is taken three groups
+// early, into the slot W[j-4] frees.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(Sha256State& state,
+                                                                  const std::uint8_t* data,
+                                                                  std::size_t blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // Lane names run from the high lane down, as in Intel's documentation.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      __m128i& cur = w[j & 3];
+      if (j < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)), byte_swap);
+      }
+      const __m128i k =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants.data() + 4 * j));
+      const __m128i wk = _mm_add_epi32(cur, k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (j >= 3 && j <= 14) {  // W[j+1], while the rounds retire
+        __m128i& next = w[(j + 1) & 3];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, w[(j - 1) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (j >= 1 && j <= 12) {  // msg1 half of W[j+3]
+        __m128i& prev = w[(j - 1) & 3];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool sha_ni_available() { return false; }
+
+#endif
+
+}  // namespace detail
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[i * 4]) << 24) | (std::uint32_t(block[i * 4 + 1]) << 16) |
-           (std::uint32_t(block[i * 4 + 2]) << 8) | std::uint32_t(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
 
 Sha256& Sha256::update(ByteView data) {
   if (data.empty()) return *this;
@@ -81,13 +182,15 @@ Sha256& Sha256::update(ByteView data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == buffer_.size()) {
-      compress(buffer_.data());
+      compress_blocks(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (data.size() - offset >= 64) {
-    compress(data.data() + offset);
-    offset += 64;
+  // Every whole block left goes to the kernel in one call.
+  const std::size_t blocks = (data.size() - offset) / kBlockSize;
+  if (blocks > 0) {
+    compress_blocks(state_, data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -105,14 +208,14 @@ Digest Sha256::finish() {
   buffer_[buffered_++] = 0x80;
   if (buffered_ > kLengthAt) {
     std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
-    compress(buffer_.data());
+    compress_blocks(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, kLengthAt - buffered_);
   for (int i = 0; i < 8; ++i) {
     buffer_[kLengthAt + i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
   }
-  compress(buffer_.data());
+  compress_blocks(state_, buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -31,8 +31,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -1,0 +1,40 @@
+// SHA-256 compression kernels behind crypto::Sha256 (internal header: only
+// sha256.cpp and the kernel cross-check tests include it).
+//
+// A kernel absorbs `blocks` consecutive 64-byte blocks into `state`, in
+// order. Every kernel produces the same state for the same input; they
+// differ only in speed. The portable loop runs everywhere and is the test
+// reference. On x86-64 the SHA-NI kernel (SHA extensions, SSSE3, SSE4.1)
+// keeps the working state in two registers across all blocks. Sha256
+// picks one kernel at static initialisation from CPUID (DESIGN.md §6j).
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define ITDOS_SHA_NI_KERNEL 1
+#else
+#define ITDOS_SHA_NI_KERNEL 0
+#endif
+
+namespace itdos::crypto::detail {
+
+using Sha256State = std::array<std::uint32_t, 8>;
+using CompressFn = void (*)(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
+
+/// The FIPS 180-4 round loop in plain C++.
+void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
+
+#if ITDOS_SHA_NI_KERNEL
+/// The SHA-NI kernel. Call it only when sha_ni_available() is true.
+void compress_sha_ni(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
+#endif
+
+/// Whether this CPU runs compress_sha_ni: CPUID leaf 7 EBX bit 29 (SHA)
+/// plus leaf 1 ECX bits 9 (SSSE3) and 19 (SSE4.1). Always false on builds
+/// without the kernel.
+bool sha_ni_available();
+
+}  // namespace itdos::crypto::detail

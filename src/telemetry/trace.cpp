@@ -94,6 +94,33 @@ std::string_view trace_kind_name(TraceKind kind) {
   return "unknown";
 }
 
+namespace {
+
+/// The idle event block passed from a destroyed Tracer to the next one. Never
+/// destroyed, so a Tracer may die during static destruction; unguarded, as
+/// the simulator is single-threaded (like BufStats).
+std::vector<TraceEvent>& idle_events() {
+  static auto* idle = new std::vector<TraceEvent>();
+  return *idle;
+}
+
+}  // namespace
+
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
+  const std::size_t reserve = std::min(capacity_, kReserveEvents);
+  std::vector<TraceEvent>& idle = idle_events();
+  if (idle.capacity() >= reserve) events_.swap(idle);
+  events_.reserve(reserve);
+}
+
+Tracer::~Tracer() {
+  std::vector<TraceEvent>& idle = idle_events();
+  if (events_.capacity() <= kReserveEvents && events_.capacity() > idle.capacity()) {
+    events_.clear();
+    idle.swap(events_);
+  }
+}
+
 void Tracer::record(SimTime t, TraceKind kind, NodeId node, std::uint64_t trace, std::uint64_t a,
                     std::uint64_t b) {
   if (events_.size() >= capacity_) {

@@ -100,8 +100,24 @@ constexpr std::uint64_t trace_id(ConnectionId conn, RequestId rid) {
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 18;
+  static constexpr std::size_t kReserveEvents = 1 << 16;
 
-  explicit Tracer(std::size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
+  /// Reserves min(capacity, kReserveEvents) events up front, so the log
+  /// never doubles (briefly holding the old and new buffers at once) below
+  /// that size; a fresh block's pages stay untouched until events land in
+  /// them. Reserving the whole default capacity would put a 12 MiB block in
+  /// the heap for runs that record far fewer events. The block is the idle
+  /// one the last destroyed Tracer left, when there is one.
+  explicit Tracer(std::size_t capacity = kDefaultCapacity);
+
+  /// Leaves the event block, emptied, for the next Tracer, unless it grew
+  /// past kReserveEvents. A process that tears deployments down and builds
+  /// new ones (bench repetitions, test fixtures) thereby allocates the block
+  /// once instead of freeing and re-allocating 3 MiB per deployment, which
+  /// fragments the heap.
+  ~Tracer();
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   void record(SimTime t, TraceKind kind, NodeId node, std::uint64_t trace, std::uint64_t a = 0,
               std::uint64_t b = 0);

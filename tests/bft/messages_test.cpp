@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "batch/batch_msg.hpp"
 #include "common/rng.hpp"
 
 namespace itdos::bft {
@@ -217,6 +218,70 @@ TEST(BftMessagesTest, FuzzedEnvelopesNeverCrash) {
     if (decoded.is_ok() && decoded.value().type == MsgType::kNewView) {
       (void)NewViewMsg::decode(decoded.value().body);  // must not crash
     }
+  }
+}
+
+// Pools one fresh chunk of `capacity` bytes; returns its storage address.
+const std::uint8_t* pool_chunk(Arena& arena, std::size_t capacity) {
+  Bytes chunk = arena.acquire(capacity);
+  const std::uint8_t* data = chunk.data();
+  (void)arena.seal(std::move(chunk));  // the view drops at once: chunk pooled
+  return data;
+}
+
+// An arena encode must size its chunk to the message: at least the encoded
+// size, so the encode never reallocates, and at most size + 128, so a small
+// message does not pin a large chunk. Probed through the pool: a chunk of
+// size + 128 is taken and written in place (same data pointer); a chunk of
+// size - 1 is passed over (it is still pooled while the encoded view lives).
+template <typename EncodeInto>
+void expect_chunk_fits(const EncodeInto& encode_into, std::size_t size) {
+  {
+    Arena arena;
+    const std::uint8_t* roomy = pool_chunk(arena, size + 128);
+    const BufView wire = encode_into(arena);
+    EXPECT_EQ(wire.size(), size);
+    EXPECT_EQ(wire.data(), roomy) << "hint above size + 128, or the encode reallocated";
+  }
+  {
+    Arena arena;
+    (void)pool_chunk(arena, size - 1);
+    const BufView wire = encode_into(arena);
+    EXPECT_EQ(arena.pooled(), 1u) << "hint below the encoded size";
+  }
+}
+
+TEST(BftMessagesTest, EnvelopeEncodeIntoSizesItsChunk) {
+  for (int t = 1; t <= 10; ++t) {
+    for (const std::size_t body_size : {0u, 1u, 2u, 3u, 5u, 150u, 1001u}) {
+      for (const std::size_t auth_count : {0u, 1u, 3u, 4u, 7u}) {
+        for (const bool signed_env : {false, true}) {
+          Envelope env;
+          env.type = static_cast<MsgType>(t);
+          env.sender = NodeId(3);
+          env.body = Bytes(body_size, 0x5a);
+          for (std::size_t i = 0; i < auth_count; ++i) {
+            crypto::MacTag tag;
+            tag.fill(static_cast<std::uint8_t>(i));
+            env.auth.emplace_back(NodeId(i + 1), tag);
+          }
+          if (signed_env) env.signature = crypto::Signature{};
+          SCOPED_TRACE(testing::Message() << msg_type_name(env.type) << " body=" << body_size
+                                          << " auth=" << auth_count << " signed=" << signed_env);
+          expect_chunk_fits([&env](Arena& arena) { return env.encode_into(arena); },
+                            env.encode().size());
+        }
+      }
+    }
+  }
+}
+
+TEST(BftMessagesTest, BatchEncodeIntoSizesItsChunk) {
+  batch::BatchMsg batch;
+  for (const std::size_t entry_size : {1u, 2u, 3u, 300u, 5u, 64u}) {
+    batch.entries.emplace_back(Bytes(entry_size, 0x3c));
+    expect_chunk_fits([&batch](Arena& arena) { return batch.encode_into(arena); },
+                      batch.encode().size());
   }
 }
 

@@ -24,11 +24,14 @@ TEST(Sha256Test, TwoBlockMessage) {
 }
 
 TEST(Sha256Test, MillionAs) {
+  constexpr const char* kExpected =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
   Sha256 h;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(hex(h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  EXPECT_EQ(hex(h.finish()), kExpected);
+  // One update: all 15625 whole blocks go to the kernel in a single call.
+  EXPECT_EQ(hex(sha256(std::string(1'000'000, 'a'))), kExpected);
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {

@@ -65,6 +65,24 @@ TEST(TracerTest, ClearResetsEventsAndDropCount) {
   EXPECT_EQ(tracer.events().size(), 1u);
 }
 
+TEST(TracerTest, ReservesOnceAndHandsTheBlockToTheNextTracer) {
+  const TraceEvent* block = nullptr;
+  {
+    Tracer first;
+    ASSERT_GE(first.events().capacity(), Tracer::kReserveEvents);
+    first.record(SimTime{1}, TraceKind::kNetDrop, NodeId(1), 0);
+    block = first.events().data();
+  }
+  // Had `first` freed its block, an allocation of the same size would
+  // likely take that address.
+  std::vector<TraceEvent> bystander;
+  bystander.reserve(Tracer::kReserveEvents);
+  Tracer second;
+  EXPECT_EQ(second.events().data(), block);  // no fresh 3 MiB allocation
+  EXPECT_TRUE(second.events().empty());
+  EXPECT_EQ(second.dropped(), 0u);
+}
+
 TEST(TracerTest, ExportJsonlFixedFieldOrder) {
   Tracer tracer;
   tracer.record(SimTime{3000}, TraceKind::kBftCommit, NodeId(4),
