@@ -54,18 +54,19 @@ Client& Cluster::add_client() {
 
 Result<Bytes> Cluster::invoke_sync(Client& client, BufView payload,
                                    std::int64_t timeout_ns) {
-  std::optional<Result<Bytes>> outcome;
+  // The slot outlives this frame: after a timeout return the completion can
+  // still fire, and must not write into a dead stack frame.
+  auto outcome = std::make_shared<std::optional<Result<Bytes>>>();
   client.invoke(std::move(payload),
-                [&outcome](Result<Bytes> result) { outcome = std::move(result); });
+                [outcome](Result<Bytes> result) { *outcome = std::move(result); });
   const SimTime deadline = sim_.now() + timeout_ns;
-  while (!outcome && sim_.now() < deadline) {
+  while (!outcome->has_value() && sim_.now() < deadline) {
     if (!sim_.step()) break;
-    if (sim_.now() > deadline) break;
   }
-  if (!outcome) {
+  if (!outcome->has_value()) {
     return error(Errc::kUnavailable, "invocation did not complete in time");
   }
-  return std::move(*outcome);
+  return std::move(**outcome);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ struct TimeWindow {
 /// window is open. Effects compose per packet: corruption mutates the
 /// payload, then the drop/duplicate/delay dice roll independently.
 struct LinkFault {
-  NodeId from_node;
-  std::optional<NodeId> to_node;  // nullopt: every destination
-  TimeWindow window;
+  NodeId from_node{};
+  std::optional<NodeId> to_node{};  // nullopt: every destination
+  TimeWindow window{};
   double drop = 0.0;               // P(packet silently vanishes)
   double duplicate = 0.0;          // P(an extra delayed copy is injected)
   double corrupt = 0.0;            // P(one payload byte is flipped)
@@ -56,8 +56,8 @@ struct LinkFault {
 /// A network partition that forms at `form` and heals at `heal`; while it
 /// holds, no packet crosses between side_a and side_b.
 struct PartitionWindow {
-  std::set<NodeId> side_a;
-  std::set<NodeId> side_b;
+  std::set<NodeId> side_a{};
+  std::set<NodeId> side_b{};
   SimTime form{0};
   SimTime heal{0};
 };
@@ -68,7 +68,7 @@ struct PartitionWindow {
 /// window (0 = never).
 struct ReplicaFault {
   int rank = 0;
-  TimeWindow window;
+  TimeWindow window{};
   bool silent = false;
   bool corrupt_macs = false;
   bool equivocate = false;
@@ -121,7 +121,7 @@ struct GmFault {
 /// laggard. Each retarget is traced (adversary.retarget), so the duel
 /// between this adversary and the response controller is replayable.
 struct AdaptiveFault {
-  TimeWindow window;
+  TimeWindow window{};
   std::int64_t interval_ns = millis(50);  // retarget cadence
   // Degradation applied to the current target's OUTBOUND traffic.
   double drop = 0.0;
@@ -146,16 +146,18 @@ enum class InjectKind : std::uint64_t {
   kAdaptiveRetarget = 12,
 };
 
-/// The adversary's full script for one run.
+/// The adversary's full script for one run. Every member has a default, so
+/// a plan can be written as designated-initializer data naming only the
+/// faults it injects.
 struct FaultPlan {
   std::uint64_t seed = 1;  // drives the injector's OWN dice, not the sim's
-  std::vector<LinkFault> link_faults;
-  std::vector<PartitionWindow> partitions;
-  std::vector<ReplicaFault> replica_faults;
-  std::vector<ElementFault> element_faults;
-  std::vector<GmFault> gm_faults;
-  std::vector<ClientFault> client_faults;
-  std::vector<AdaptiveFault> adaptive_faults;
+  std::vector<LinkFault> link_faults{};
+  std::vector<PartitionWindow> partitions{};
+  std::vector<ReplicaFault> replica_faults{};
+  std::vector<ElementFault> element_faults{};
+  std::vector<GmFault> gm_faults{};
+  std::vector<ClientFault> client_faults{};
+  std::vector<AdaptiveFault> adaptive_faults{};
 
   /// When the last injected fault is over: the oracle's liveness check
   /// demands every correct-client request completes after this point.

@@ -1,11 +1,15 @@
-// Canned fault scenarios: one call builds a deployment, arms a FaultPlan,
-// drives a client workload through the fault window, and returns what the
-// oracles saw. Each (name, seed) pair is fully deterministic, so the
-// returned trace JSONL is byte-stable across runs — tests/fault/ sweeps
-// these as ctest cases and scripts/soak.sh sweeps random seeds.
+// Canned fault scenarios. Each is a row of one table in scenario.cpp: a
+// deployment (BFT cluster, one ITDOS domain, or the 2-shard bank), a
+// FaultPlan, and a drive function. One runner takes every row through the
+// same path: build the deployment, arm the plan, watch every member the plan
+// leaves correct, drive the client workload through the fault window, and
+// report what the oracles saw. Each (name, seed) pair is fully
+// deterministic, so the returned trace JSONL is byte-stable across runs —
+// tests/fault/ sweeps these as ctest cases, tests/fault/trace_golden.txt
+// pins their seed-4242 digests, and scripts/soak.sh sweeps random seeds.
 //
-// DESIGN.md ("Fault model & oracles") maps each scenario to the paper
-// section whose claim it stresses.
+// DESIGN.md §6b ("Fault model & oracles") maps each scenario to the paper
+// section whose claim it stresses and describes the runner.
 #pragma once
 
 #include <string>

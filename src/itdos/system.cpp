@@ -144,6 +144,10 @@ DomainElement& ItdosSystem::element(DomainId domain, int rank) {
   return *elements_.at(domain).at(rank);
 }
 
+bool ItdosSystem::element_up(DomainId domain, int rank) const {
+  return elements_.at(domain).at(rank) != nullptr;
+}
+
 int ItdosSystem::domain_n(DomainId domain) const {
   return static_cast<int>(elements_.at(domain).size());
 }
@@ -213,17 +217,19 @@ Result<cdr::Value> ItdosSystem::invoke_sync(ItdosClient& client,
                                             const std::string& operation,
                                             cdr::Value arguments,
                                             std::int64_t timeout_ns) {
-  std::optional<Result<cdr::Value>> outcome;
+  // The slot outlives this frame: after a timeout return the completion can
+  // still fire, and must not write into a dead stack frame.
+  auto outcome = std::make_shared<std::optional<Result<cdr::Value>>>();
   client.orb().invoke(ref, operation, std::move(arguments),
-                      [&outcome](Result<cdr::Value> r) { outcome = std::move(r); });
+                      [outcome](Result<cdr::Value> r) { *outcome = std::move(r); });
   const SimTime deadline = sim_.now() + timeout_ns;
-  while (!outcome && sim_.now() < deadline) {
+  while (!outcome->has_value() && sim_.now() < deadline) {
     if (!sim_.step()) break;
   }
-  if (!outcome) {
+  if (!outcome->has_value()) {
     return error(Errc::kUnavailable, "ITDOS invocation did not complete in time");
   }
-  return std::move(*outcome);
+  return std::move(**outcome);
 }
 
 }  // namespace itdos::core

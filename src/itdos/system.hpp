@@ -84,6 +84,9 @@ class ItdosSystem {
   GmElement& gm_element(int index) { return *gm_elements_.at(index); }
   int gm_n() const { return static_cast<int>(gm_elements_.size()); }
   DomainElement& element(DomainId domain, int rank);
+  /// False while a crashed slot waits for its replacement; element() must
+  /// not be called on such a slot.
+  bool element_up(DomainId domain, int rank) const;
   int domain_n(DomainId domain) const;
 
   /// Builds an object reference for an object key in a domain.

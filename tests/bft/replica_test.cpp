@@ -31,6 +31,23 @@ TEST(BftClusterTest, SingleInvocationCompletes) {
   EXPECT_EQ(to_string(result.value()), "VAL:5");
 }
 
+TEST(BftClusterTest, TimedOutInvokeSyncToleratesTheLateCompletion) {
+  Cluster cluster(fast_options(), counter_factory());
+  Client& client = cluster.add_client();
+  // One nanosecond is far shorter than a round trip: the call gives up with
+  // its request still in flight.
+  const Result<Bytes> timed_out = cluster.invoke_sync(client, to_bytes("add:5"), 1);
+  ASSERT_FALSE(timed_out.is_ok());
+  EXPECT_EQ(timed_out.status().code(), Errc::kUnavailable);
+
+  // Draining delivers the late completion after invoke_sync has returned;
+  // the next call sees the first increment already applied.
+  cluster.sim().run_for(millis(500));
+  const Result<Bytes> next = cluster.invoke_sync(client, to_bytes("add:7"));
+  ASSERT_TRUE(next.is_ok()) << next.status().to_string();
+  EXPECT_EQ(to_string(next.value()), "VAL:12");
+}
+
 TEST(BftClusterTest, HotPathRecyclesArenaChunks) {
   // Envelope marshaling goes through Simulator::arena(); once the first
   // round's frames are delivered and dropped, later rounds must reuse

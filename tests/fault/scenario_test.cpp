@@ -185,6 +185,17 @@ TEST(FaultScenarioDetail, ControllerAdjustsUnderAdaptiveAdversary) {
             std::string::npos);
 }
 
+TEST(FaultScenarioDetail, ResultSurvivesASlotWhoseRecoveryGaveUp) {
+  // At seed 28 every fresh identity for rank 1 misses its onboarding
+  // deadline and the manager gives up, leaving that slot crashed at the end
+  // of the run. The result is still filled: the crashed slot counts no
+  // discards.
+  const ScenarioResult result = run_scenario("proactive_rejuvenation", 28);
+  EXPECT_EQ(result.recoveries_aborted, 3u) << describe(result);
+  ASSERT_EQ(result.element_discards.size(), 4u);
+  EXPECT_EQ(result.element_discards[1], 0u);
+}
+
 TEST(FaultScenarioDetail, AdaptiveScenarioTracesAreByteStablePerSeed) {
   // The adversary aims off live gauges and the controller actuates off live
   // histograms — both still have to replay byte-identically from the seed.

@@ -42,18 +42,25 @@ void print_violations(const itdos::fault::ScenarioResult& result) {
   }
 }
 
+/// Writes the run's trace JSONL to `trace_path` (skipped when empty).
+/// Returns false, after saying why, when the file cannot be opened.
+bool write_trace(const itdos::fault::ScenarioResult& result,
+                 const std::string& trace_path) {
+  if (trace_path.empty()) return true;
+  std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::cerr << "cannot write trace to " << trace_path << "\n";
+    return false;
+  }
+  out << result.trace_jsonl;
+  return true;
+}
+
 int run_one(const std::string& name, std::uint64_t seed,
             const std::string& trace_path) {
   const itdos::fault::ScenarioResult result =
       itdos::fault::run_scenario(name, seed);
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write trace to " << trace_path << "\n";
-      return 2;
-    }
-    out << result.trace_jsonl;
-  }
+  if (!write_trace(result, trace_path)) return 2;
   std::cout << result.name << " seed=" << result.seed << " completed "
             << result.requests_completed << "/" << result.requests_sent
             << " expulsions=" << result.expulsions
@@ -77,14 +84,7 @@ int probe(std::uint64_t seed, const std::string& trace_path) {
   // a healthy oracle MUST flag the stalled requests.
   const itdos::fault::ScenarioResult result =
       itdos::fault::run_silent_replicas(2, seed);
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write trace to " << trace_path << "\n";
-      return 2;
-    }
-    out << result.trace_jsonl;
-  }
+  if (!write_trace(result, trace_path)) return 2;
   std::cout << result.name << " seed=" << result.seed << " completed "
             << result.requests_completed << "/" << result.requests_sent
             << " violations=" << result.violations.size() << "\n";

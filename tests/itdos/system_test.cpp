@@ -79,6 +79,29 @@ TEST_F(ItdosSystemTest, EndToEndInvocation) {
   EXPECT_EQ(client.party().stats().votes_decided, 1u);
 }
 
+TEST_F(ItdosSystemTest, TimedOutInvokeSyncToleratesTheLateCompletion) {
+  ItdosSystem system(fast_options());
+  const DomainId domain = add_calculator_domain(system);
+  ItdosClient& client = system.add_client();
+  const orb::ObjectRef ref =
+      system.object_ref(domain, ObjectId(1), "IDL:itdos/Calculator:1.0");
+
+  // One nanosecond is far shorter than a round trip: the call gives up with
+  // its request still in flight.
+  const Result<Value> timed_out =
+      system.invoke_sync(client, ref, "add", int_args({40, 2}), 1);
+  ASSERT_FALSE(timed_out.is_ok());
+  EXPECT_EQ(timed_out.status().code(), Errc::kUnavailable);
+
+  // Draining delivers the late completion after invoke_sync has returned.
+  system.settle();
+  const Result<Value> next =
+      system.invoke_sync(client, ref, "add", int_args({1, 2}));
+  ASSERT_TRUE(next.is_ok()) << next.status().to_string();
+  EXPECT_EQ(next.value().as_int64(), 3);
+  EXPECT_EQ(client.party().stats().votes_decided, 2u);
+}
+
 TEST_F(ItdosSystemTest, HeterogeneousElementsVoteDespiteDifferentWireBytes) {
   ItdosSystem system(fast_options());
   const DomainId domain = add_calculator_domain(system);
