@@ -21,15 +21,12 @@ void Encoder::write_octet(std::uint8_t v) { buffer_.push_back(v); }
 
 void Encoder::write_uint(std::uint64_t v, std::size_t width) {
   align(width);
-  if (order_ == ByteOrder::kLittleEndian) {
-    for (std::size_t i = 0; i < width; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-    }
-  } else {
-    for (std::size_t i = width; i-- > 0;) {
-      buffer_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-    }
+  std::uint8_t bytes[8] = {};
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::size_t shift = order_ == ByteOrder::kLittleEndian ? i : width - 1 - i;
+    bytes[i] = static_cast<std::uint8_t>(v >> (shift * 8));
   }
+  buffer_.insert(buffer_.end(), bytes, bytes + width);
 }
 
 void Encoder::write_float(float v) {
@@ -46,7 +43,7 @@ void Encoder::write_double(double v) {
 
 void Encoder::write_string(std::string_view s) {
   write_uint32(static_cast<std::uint32_t>(s.size() + 1));
-  for (char c : s) buffer_.push_back(static_cast<std::uint8_t>(c));
+  append(buffer_, ByteView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
   buffer_.push_back(0);  // CDR strings are NUL-terminated on the wire
 }
 

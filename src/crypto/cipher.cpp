@@ -1,6 +1,7 @@
 #include "crypto/cipher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -8,13 +9,40 @@ namespace itdos::crypto {
 
 namespace {
 
-/// SHA-256 state after absorbing pad64(k_enc), k_enc zero-padded to a block.
-Sha256 absorb_padded(ByteView k_enc) {
+// Keystream block i hashes pad64(k_enc) || nonce || LE64(i), 84 bytes. The
+// key holds the state after the first 64; the second block is the rest plus
+// SHA-256 padding: nonce || LE64(i) || 0x80 || zeros || BE64(84 * 8).
+constexpr std::size_t kCounterAt = kNonceSize;
+constexpr std::size_t kPaddingAt = kCounterAt + 8;
+constexpr std::uint64_t kKeystreamInputBits = (kBlockSize + kPaddingAt) * 8;
+
+/// Stores `v` in 8 bytes, least significant first.
+void store_le64(std::uint8_t* out, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (i * 8));
+  }
+}
+
+/// The host-order word whose memory bytes are `v` big-endian: a digest word
+/// as it appears in the digest.
+std::uint32_t digest_word(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return (v >> 24) | ((v >> 8) & 0xff00) | ((v << 8) & 0xff0000) | (v << 24);
+  } else {
+    return v;
+  }
+}
+
+/// The chaining state after absorbing pad64(k_enc), k_enc zero-padded to a
+/// block.
+detail::Sha256State absorb_padded(ByteView k_enc) {
   std::array<std::uint8_t, kBlockSize> block{};
   std::copy(k_enc.begin(), k_enc.end(), block.begin());
-  Sha256 prefix;
-  prefix.update(ByteView(block.data(), block.size()));
-  return prefix;
+  detail::Sha256State state = detail::kInitialState;
+  detail::selected_kernel()(state, block.data(), 1);
+  return state;
 }
 
 }  // namespace
@@ -23,7 +51,7 @@ SymmetricKey::SymmetricKey() : SymmetricKey(Raw{}) {}
 
 SymmetricKey::SymmetricKey(const Raw& bytes)
     : bytes_(bytes),
-      keystream_prefix_(absorb_padded(derive_key(view(), "itdos.enc", {}))),
+      keystream_midstate_(absorb_padded(derive_key(view(), "itdos.enc", {}))),
       mac_(derive_key(view(), "itdos.mac", {})) {}
 
 SymmetricKey SymmetricKey::from_bytes(ByteView b) {
@@ -45,35 +73,60 @@ Nonce make_nonce(std::uint64_t sender, std::uint64_t counter) {
   return n;
 }
 
-void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
-                       std::span<std::uint8_t> data) {
-  Sha256 prefix = key.keystream_prefix();
-  prefix.update(ByteView(nonce.data(), nonce.size()));
-  std::uint64_t block_index = 0;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    std::uint8_t counter_bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      counter_bytes[i] = static_cast<std::uint8_t>(block_index >> (i * 8));
+void ctr_crypt(const SymmetricKey& key, const Nonce& nonce, ByteView in,
+               std::span<std::uint8_t> out) {
+  detail::ctr_crypt_with(detail::selected_kernel(), key, nonce, in, out);
+}
+
+void detail::ctr_crypt_with(CompressFn kernel, const SymmetricKey& key, const Nonce& nonce,
+                            ByteView in, std::span<std::uint8_t> out) {
+  assert(out.size() == in.size());
+  std::array<std::uint8_t, kBlockSize> block{};
+  std::memcpy(block.data(), nonce.data(), kNonceSize);
+  block[kPaddingAt] = 0x80;
+  for (int i = 0; i < 8; ++i) {
+    block[kBlockSize - 1 - i] = static_cast<std::uint8_t>(kKeystreamInputBits >> (i * 8));
+  }
+  // Two copies of the block, each block's counter patched one compression
+  // ahead. A kernel's 16-byte loads that straddle a just-stored counter
+  // cannot be forwarded from the store and wait for it to commit, which
+  // serialises the compressions (on a 2.0 GHz Xeon with SHA-NI, 512 blocks
+  // took 38 us that way and 25 us this way).
+  std::array<std::uint8_t, kBlockSize> blocks[2] = {block, block};
+  std::uint64_t index = 0;
+  for (std::size_t offset = 0; offset < in.size(); offset += kDigestSize, ++index) {
+    store_le64(blocks[(index + 1) & 1].data() + kCounterAt, index + 1);
+    Sha256State state = key.keystream_midstate();
+    kernel(state, blocks[index & 1].data(), 1);
+    std::uint32_t keystream[8] = {};
+    for (int w = 0; w < 8; ++w) keystream[w] = digest_word(state[w]);
+
+    const std::uint8_t* src = in.data() + offset;
+    std::uint8_t* dst = out.data() + offset;
+    const std::size_t take = std::min(in.size() - offset, kDigestSize);
+    if (take == kDigestSize) {
+      for (int w = 0; w < 8; ++w) {
+        std::uint32_t word = 0;
+        std::memcpy(&word, src + 4 * w, 4);
+        word ^= keystream[w];
+        std::memcpy(dst + 4 * w, &word, 4);
+      }
+    } else {
+      const auto* pad = reinterpret_cast<const std::uint8_t*>(keystream);
+      for (std::size_t i = 0; i < take; ++i) dst[i] = src[i] ^ pad[i];
     }
-    // 20 buffered bytes plus padding fit one block: one compression each.
-    const Digest keystream = Sha256(prefix).update(ByteView(counter_bytes, 8)).finish();
-    const std::size_t take = std::min(data.size() - offset, keystream.size());
-    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
-    offset += take;
-    ++block_index;
   }
 }
 
 Bytes seal(const SymmetricKey& key, const Nonce& nonce, ByteView aad, ByteView plaintext) {
-  // Single-buffer seal: nonce and plaintext are written once, the ciphertext
-  // transform and the MAC both run over that buffer in place. `reserve`
-  // covers the tag, so no append below reallocates.
+  // Single-buffer seal: the nonce is written once and the keystream XOR
+  // writes the ciphertext straight after it; the MAC runs over that buffer
+  // in place. `reserve` covers the tag, so nothing below reallocates.
   Bytes out;
   out.reserve(kSealOverhead + plaintext.size());
   append(out, ByteView(nonce.data(), nonce.size()));
-  append(out, plaintext);
-  ctr_crypt_inplace(key, nonce, std::span<std::uint8_t>(out).subspan(kNonceSize));
+  out.resize(kNonceSize + plaintext.size());
+  ctr_crypt(key, nonce, plaintext, std::span<std::uint8_t>(out).subspan(kNonceSize));
   const ByteView ciphertext(out.data() + kNonceSize, plaintext.size());
 
   const Digest d = key.mac_key().mac({ByteView(nonce.data(), nonce.size()), aad, ciphertext});
@@ -94,10 +147,9 @@ Result<Bytes> open(const SymmetricKey& key, ByteView aad, ByteView sealed) {
   if (!constant_time_equal(ByteView(d.data(), kMacTagSize), tag)) {
     return error(Errc::kAuthFailure, "seal tag mismatch");
   }
-  // The sealed frame stays shared, so the plaintext gets its own buffer and
-  // is decrypted in place there.
-  Bytes plaintext(ciphertext.begin(), ciphertext.end());
-  ctr_crypt_inplace(key, nonce, plaintext);
+  // The sealed frame stays shared, so the plaintext gets its own buffer.
+  Bytes plaintext(ciphertext.size());
+  ctr_crypt(key, nonce, ciphertext, plaintext);
   return plaintext;
 }
 

@@ -11,9 +11,14 @@
 //   sealed = nonce || ciphertext || first 16 bytes of
 //            HMAC-SHA256(k_mac, nonce || aad || ciphertext)
 // pad64 zero-pads k_enc to one 64-byte SHA-256 block. Every keystream input
-// is exactly 84 bytes (so length extension does not apply), and the key
-// caches the state after pad64(k_enc): each 32-byte block costs one
-// compression. DESIGN.md §6j gives the key schedule and the PRF assumption.
+// is exactly 84 bytes (so length extension does not apply). The key caches
+// the chaining state after pad64(k_enc), so the second, padded block is
+// nonce || LE64(i) || 0x80 || zeros || BE64(672) and differs between blocks
+// only in the counter: each 32-byte block of keystream is one call of the
+// CPU-selected compression kernel on a copy of the cached state. A nonce
+// must never repeat under one key, across element incarnations too.
+// DESIGN.md §6j gives the key schedule, the block template and the PRF
+// assumption.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,7 @@
 #include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/sha256_kernel.hpp"
 
 namespace itdos::crypto {
 
@@ -44,9 +50,9 @@ class SymmetricKey {
   /// First 8 hex chars — safe to log, identifies (not reveals) the key.
   std::string fingerprint() const;
 
-  /// SHA-256 state after absorbing pad64(k_enc): every keystream block
-  /// starts from a copy of it.
-  const Sha256& keystream_prefix() const { return keystream_prefix_; }
+  /// SHA-256 chaining state after absorbing pad64(k_enc): every keystream
+  /// block is one compression from a copy of it.
+  const detail::Sha256State& keystream_midstate() const { return keystream_midstate_; }
   /// The tag key, k_mac.
   const HmacKey& mac_key() const { return mac_; }
 
@@ -55,21 +61,31 @@ class SymmetricKey {
   explicit SymmetricKey(const Raw& bytes);
 
   Raw bytes_;
-  Sha256 keystream_prefix_;
+  detail::Sha256State keystream_midstate_;
   HmacKey mac_;
 };
 
 using Nonce = std::array<std::uint8_t, kNonceSize>;
 
-/// Deterministic per-message nonce from (sender, request counter). Nonces
-/// must never repeat under one key; ITDOS keys are per-connection-epoch and
-/// counters strictly increase, which guarantees uniqueness.
+/// Deterministic per-message nonce from (sender, counter). Nonces must never
+/// repeat under one key. ITDOS keys are per connection epoch, and the counter
+/// is a value the sender seals only one plaintext under: the request id for
+/// requests and replies, the queue index for state bundles. A counter kept
+/// in memory would restart with a replacement element that keeps its
+/// predecessor's identity and keys.
 Nonce make_nonce(std::uint64_t sender, std::uint64_t counter);
 
-/// CTR keystream XOR applied in place (encrypt == decrypt). The seal path
-/// transforms the marshal buffer directly instead of producing a second one.
-void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
-                       std::span<std::uint8_t> data);
+/// CTR mode (encrypt == decrypt): out = in XOR keystream. `out` is as long
+/// as `in`, and is either `in` itself or does not overlap it.
+void ctr_crypt(const SymmetricKey& key, const Nonce& nonce, ByteView in,
+               std::span<std::uint8_t> out);
+
+namespace detail {
+/// ctr_crypt on a given compression kernel; ctr_crypt passes
+/// selected_kernel(), and the keystream tests pass each kernel by name.
+void ctr_crypt_with(CompressFn kernel, const SymmetricKey& key, const Nonce& nonce,
+                    ByteView in, std::span<std::uint8_t> out);
+}  // namespace detail
 
 /// Sealed message: nonce || ciphertext || tag, where
 /// tag = HMAC(k_mac, nonce || aad || ciphertext) truncated.

@@ -49,6 +49,8 @@ detail::CompressFn select_kernel() {
 
 namespace detail {
 
+CompressFn selected_kernel() { return compress_blocks; }
+
 void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
   for (; blocks > 0; --blocks, data += kBlockSize) {
     std::uint32_t w[64];
@@ -168,9 +170,7 @@ bool sha_ni_available() { return false; }
 
 }  // namespace detail
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : state_(detail::kInitialState) {}
 
 Sha256& Sha256::update(ByteView data) {
   if (data.empty()) return *this;

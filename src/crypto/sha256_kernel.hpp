@@ -1,12 +1,14 @@
-// SHA-256 compression kernels behind crypto::Sha256 (internal header: only
-// sha256.cpp and the kernel cross-check tests include it).
+// SHA-256 compression kernels (internal to src/crypto: sha256.cpp runs
+// Sha256 on them, cipher.cpp runs the CTR keystream on them, and the kernel
+// and keystream cross-check tests call each kernel by name).
 //
 // A kernel absorbs `blocks` consecutive 64-byte blocks into `state`, in
 // order. Every kernel produces the same state for the same input; they
 // differ only in speed. The portable loop runs everywhere and is the test
 // reference. On x86-64 the SHA-NI kernel (SHA extensions, SSSE3, SSE4.1)
-// keeps the working state in two registers across all blocks. Sha256
-// picks one kernel at static initialisation from CPUID (DESIGN.md §6j).
+// keeps the working state in two registers across all blocks. One kernel
+// is picked at static initialisation from CPUID, and selected_kernel()
+// returns it (DESIGN.md §6j).
 #pragma once
 
 #include <array>
@@ -24,6 +26,10 @@ namespace itdos::crypto::detail {
 using Sha256State = std::array<std::uint32_t, 8>;
 using CompressFn = void (*)(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
 
+/// FIPS 180-4 initial hash value H(0).
+inline constexpr Sha256State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
 /// The FIPS 180-4 round loop in plain C++.
 void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
 
@@ -36,5 +42,9 @@ void compress_sha_ni(Sha256State& state, const std::uint8_t* data, std::size_t b
 /// plus leaf 1 ECX bits 9 (SSSE3) and 19 (SSE4.1). Always false on builds
 /// without the kernel.
 bool sha_ni_available();
+
+/// The kernel Sha256 runs on: the portable loop until sha256.cpp's static
+/// initialisation has run, then the fastest kernel this CPU supports.
+CompressFn selected_kernel();
 
 }  // namespace itdos::crypto::detail

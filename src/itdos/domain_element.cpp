@@ -415,8 +415,12 @@ void DomainElement::seal_and_send_reply(ConnectionId conn, RequestId rid,
   direct.plain_signature = smiop_key_.sign(DirectReplyMsg::signed_region(
       conn, rid, info_.smiop_node, epoch, digest));
   const Bytes aad = seal_aad(conn, rid, epoch, /*is_reply=*/true);
+  // The nonce is a function of (element, rid), never a counter: this element
+  // seals one reply per rid under a (conn, epoch) key, and a replacement that
+  // keeps its identity and the connection's key must not restart a sequence
+  // its predecessor already used (DESIGN.md §6j).
   direct.sealed_giop = crypto::seal(
-      *key, crypto::make_nonce(info_.smiop_node.value, reply_nonce_++), aad, plain);
+      *key, crypto::make_nonce(info_.smiop_node.value, rid.value), aad, plain);
   // One wire frame, shared by every recipient (the fan-out below bumps the
   // refcount, it does not copy).
   const BufView wire = direct.encode();
@@ -627,8 +631,10 @@ void DomainElement::send_state_bundle(NodeId requester) {
   msg.consumed_index = queue_->consumed_index();
   const auto channel = crypto::SymmetricKey::from_bytes(
       keys_.key_for(info_.smiop_node, requester));
+  // The pairwise channel key lasts the whole deployment, so the nonce comes
+  // from the sync point's queue position, which outlives this element.
   msg.sealed_bundle =
-      crypto::seal(channel, crypto::make_nonce(info_.smiop_node.value, bundle_nonce_++),
+      crypto::seal(channel, crypto::make_nonce(info_.smiop_node.value, msg.consumed_index),
                    /*aad=*/{}, plain_bytes);
   net_.send(info_.smiop_node, requester, msg.encode());
   ++stats_.bundles_sent;

@@ -145,7 +145,6 @@ class DomainElement {
   std::optional<ConnectionId> waiting_key_;  // stalled on this connection
   std::map<std::uint64_t, std::uint64_t> last_rid_;  // conn -> last executed rid
   std::map<std::pair<std::uint64_t, std::uint64_t>, Vote> request_votes_;
-  std::uint64_t reply_nonce_ = 1;
   std::uint64_t consumed_since_ack_ = 0;
 
   // Replacement bootstrap: bundle tallies keyed by (consumed index, bundle
@@ -156,7 +155,6 @@ class DomainElement {
   };
   std::map<std::pair<std::uint64_t, crypto::Digest>, BundleOffer> bundle_offers_;
   std::optional<std::pair<std::uint64_t, Bytes>> pending_install_;  // awaiting queue
-  std::uint64_t bundle_nonce_ = 1;
 
   // Large-message reassembly (§4): buffers keyed (conn, origin, rid). Each
   // buffered chunk is a view retaining its queue entry's chunk — buffering

@@ -173,8 +173,15 @@ void ItdosSystem::crash_element(DomainId domain, int rank) {
 DomainElement& ItdosSystem::replace_element(DomainId domain, int rank) {
   auto& slot = elements_.at(domain).at(rank);
   slot.reset();  // ensure the predecessor is gone
-  const DomainInfo* info = directory_->find_domain(domain);
-  const ElementInfo& element = info->elements.at(rank);
+  // The SMIOP identity survives, but the queue-management client gets a
+  // fresh endpoint: a new bft::Client restarts its timestamps at 1, and the
+  // replicas would answer a reused timestamp (the predecessor's acks, or an
+  // earlier incarnation's sync point) from their reply cache instead of
+  // ordering the new sync point.
+  ElementInfo element = directory_->find_domain(domain)->elements.at(rank);
+  element.self_client_node = allocator_->next();
+  // elements_.at() above already validated domain and rank.
+  (void)directory_->replace_element(domain, rank, element);
   slot = std::make_unique<DomainElement>(
       net_, directory_, domain, rank, keys_,
       keystore_->issue(element.bft_node, key_rng_),

@@ -77,6 +77,51 @@ TEST_P(CodecOrderTest, EmptyStringHasNulOnly) {
   EXPECT_EQ(dec.read_string().value(), "");
 }
 
+/// `v`'s low `width` bytes in `order`, built one byte at a time.
+Bytes wire_uint(ByteOrder order, std::uint64_t v, std::size_t width) {
+  Bytes out;
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::size_t byte = order == ByteOrder::kBigEndian ? width - 1 - i : i;
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * byte)));
+  }
+  return out;
+}
+
+TEST_P(CodecOrderTest, StringWireBytesMatchHandBuilt) {
+  // An octet first, so the length is written after three pad bytes.
+  for (const std::size_t length : {0u, 1u, 4095u, 16384u}) {
+    std::string s(length, '\0');
+    for (std::size_t i = 0; i < length; ++i) s[i] = static_cast<char>('a' + i % 26);
+    Encoder enc(GetParam());
+    enc.write_octet(0x7f);
+    enc.write_string(s);
+
+    Bytes expected{0x7f, 0, 0, 0};
+    append(expected, wire_uint(GetParam(), length + 1, 4));
+    for (const char c : s) expected.push_back(static_cast<std::uint8_t>(c));
+    expected.push_back(0);
+    EXPECT_EQ(enc.buffer(), expected) << "length " << length;
+  }
+}
+
+TEST_P(CodecOrderTest, IntegerWireBytesMatchHandBuilt) {
+  Encoder enc(GetParam());
+  enc.write_octet(1);
+  enc.write_uint16(0xa1b2);
+  enc.write_uint32(0xc3d4e5f6);
+  enc.write_octet(2);
+  enc.write_uint64(0x0102030405060708ULL);
+  enc.write_int32(-2);
+
+  Bytes expected{1, 0};
+  append(expected, wire_uint(GetParam(), 0xa1b2, 2));
+  append(expected, wire_uint(GetParam(), 0xc3d4e5f6, 4));
+  append(expected, Bytes{2, 0, 0, 0, 0, 0, 0, 0});
+  append(expected, wire_uint(GetParam(), 0x0102030405060708ULL, 8));
+  append(expected, wire_uint(GetParam(), 0xfffffffe, 4));
+  EXPECT_EQ(enc.buffer(), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothOrders, CodecOrderTest,
                          ::testing::Values(ByteOrder::kBigEndian,
                                            ByteOrder::kLittleEndian),

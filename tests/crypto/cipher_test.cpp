@@ -12,7 +12,7 @@ SymmetricKey test_key(std::uint8_t fill = 0x42) {
 }
 
 Bytes ctr(const SymmetricKey& key, const Nonce& nonce, Bytes data) {
-  ctr_crypt_inplace(key, nonce, data);
+  ctr_crypt(key, nonce, data, data);
   return data;
 }
 

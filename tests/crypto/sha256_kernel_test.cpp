@@ -14,10 +14,8 @@ namespace itdos::crypto {
 namespace {
 
 using detail::CompressFn;
+using detail::kInitialState;
 using detail::Sha256State;
-
-constexpr Sha256State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 constexpr const char* k448BitMessage = "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
 constexpr const char* k448BitDigest =

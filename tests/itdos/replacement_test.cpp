@@ -2,6 +2,13 @@
 // the extension features beyond the paper's implemented core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "itdos/smiop_msg.hpp"
 #include "itdos/system.hpp"
 
 namespace itdos::core {
@@ -108,6 +115,117 @@ TEST_F(ReplacementTest, ReplacedElementRejoinsWithState) {
   // And it executes new requests like any other element.
   EXPECT_GT(fresh.stats().requests_executed, 0u);
   EXPECT_GE(fresh.stats().bundles_received, 2u);  // f+1 certified
+}
+
+TEST_F(ReplacementTest, CrashReplacementNeverReusesASealNonce) {
+  // A crash replacement keeps its predecessor's SMIOP identity, the
+  // connection's key epoch and its pairwise channel keys, so a nonce drawn
+  // from a per-incarnation counter would restart where the predecessor's
+  // began. A nonce that seals two different ciphertexts under one key hands
+  // an eavesdropper the XOR of the two plaintexts. Element 1 answers rids
+  // under (conn 1, epoch 1) before its crash and after its replacement, and
+  // sends state bundles to element 2's identity from both incarnations
+  // (element 2 is replaced before and after element 1).
+  //
+  // Every sealed reply and state bundle, by (kind, key, nonce): a reply key
+  // is (conn, epoch), a bundle key the unordered pair of element nodes.
+  std::map<std::tuple<int, std::uint64_t, std::uint64_t, Bytes>, Bytes> ciphertexts;
+  std::vector<std::string> reused;
+  std::size_t replies = 0;
+  std::size_t bundles = 0;
+  const auto record = [&](int kind, std::uint64_t a, std::uint64_t b, ByteView sealed) {
+    const Bytes nonce(sealed.begin(), sealed.begin() + crypto::kNonceSize);
+    const Bytes ciphertext(sealed.begin() + crypto::kNonceSize,
+                           sealed.end() - crypto::kMacTagSize);
+    const auto [it, fresh] = ciphertexts.try_emplace({kind, a, b, nonce}, ciphertext);
+    if (!fresh && it->second != ciphertext) reused.push_back(hex_encode(ByteView(nonce)));
+  };
+  const auto watch = [&](const net::Packet& packet) {
+    const Result<SmiopType> type = smiop_type(packet.payload.bytes());
+    if (type.is_ok() && type.value() == SmiopType::kDirectReply) {
+      if (const Result<DirectReplyMsg> msg = DirectReplyMsg::decode(packet.payload);
+          msg.is_ok()) {
+        ++replies;
+        record(0, msg.value().conn.value, msg.value().epoch.value,
+               msg.value().sealed_giop.bytes());
+      }
+    } else if (type.is_ok() && type.value() == SmiopType::kStateBundle) {
+      if (const Result<StateBundleMsg> msg = StateBundleMsg::decode(packet.payload);
+          msg.is_ok()) {
+        ++bundles;
+        record(1, std::min(packet.from.value, packet.to.value),
+               std::max(packet.from.value, packet.to.value), msg.value().sealed_bundle.bytes());
+      }
+    }
+    return true;
+  };
+
+  ItdosSystem system;
+  const DomainId domain = add_persistent_domain(system);
+  ItdosClient& client = system.add_client();
+  const orb::ObjectRef ref =
+      system.object_ref(domain, ObjectId(1), "IDL:itdos/PCounter:1.0");
+  system.network().set_inbound_filter(client.smiop_node(), watch);
+  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+    system.network().set_inbound_filter(system.element(domain, rank).smiop_node(), watch);
+  }
+  std::int64_t expected = 0;
+  const auto add_tens = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(
+          system.invoke_sync(client, ref, "add", one_arg(10), seconds(10)).is_ok());
+      expected += 10;
+    }
+  };
+  const auto crash_and_replace = [&](int rank) {
+    system.crash_element(domain, rank);
+    add_tens(1);
+    DomainElement& fresh = system.replace_element(domain, rank);
+    add_tens(4);
+    system.settle();
+    ASSERT_TRUE(fresh.replacement_complete()) << "rank " << rank;
+  };
+
+  add_tens(5);
+  crash_and_replace(2);
+  crash_and_replace(1);
+  crash_and_replace(2);
+  const Result<Value> result =
+      system.invoke_sync(client, ref, "get", Value::sequence({}), seconds(10));
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().as_int64(), expected);
+  EXPECT_GE(replies, 60u);
+  EXPECT_GE(bundles, 9u);  // three replacements, three peers each
+  EXPECT_TRUE(reused.empty()) << reused.size() << " reused nonces, first: " << reused.front();
+}
+
+TEST_F(ReplacementTest, SlotCanBeCrashReplacedTwice) {
+  // Each incarnation gets a fresh queue-management client endpoint. With
+  // the predecessor's, the new BFT client would restart its timestamps at
+  // 1, and the replicas would answer the sync point from their reply cache
+  // (the predecessor's acks and first sync point used those timestamps)
+  // instead of ordering it.
+  ItdosSystem system;
+  const DomainId domain = add_persistent_domain(system);
+  ItdosClient& client = system.add_client();
+  const orb::ObjectRef ref =
+      system.object_ref(domain, ObjectId(1), "IDL:itdos/PCounter:1.0");
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 10; ++i) {  // past ack_interval: every element acks
+      ASSERT_TRUE(
+          system.invoke_sync(client, ref, "add", one_arg(1), seconds(10)).is_ok());
+    }
+    system.crash_element(domain, 1);
+    DomainElement& fresh = system.replace_element(domain, 1);
+    ASSERT_TRUE(system.invoke_sync(client, ref, "add", one_arg(1), seconds(10)).is_ok());
+    system.settle();
+    ASSERT_TRUE(fresh.replacement_complete()) << "round " << round;
+    EXPECT_GE(fresh.stats().bundles_received, 2u);
+  }
+  const Result<Value> result =
+      system.invoke_sync(client, ref, "get", Value::sequence({}), seconds(10));
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().as_int64(), 22);
 }
 
 TEST_F(ReplacementTest, ReplacementRestoresVotingStrength) {
