@@ -1,5 +1,7 @@
 #include "bft/messages.hpp"
 
+#include <cstring>
+
 #include "crypto/sha256.hpp"
 
 namespace itdos::bft {
@@ -8,37 +10,38 @@ namespace {
 
 constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
 
+// An authenticator entry: node id then MAC tag.
+constexpr std::size_t kAuthEntrySize = 8 + crypto::kMacTagSize;
+
 void write_digest(cdr::Encoder& enc, const Digest& d) {
   enc.write_raw(crypto::digest_view(d));
-}
-
-Result<Digest> read_digest(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kDigestSize));
-  Digest d;
-  std::copy(raw.begin(), raw.end(), d.begin());
-  return d;
 }
 
 void write_mac_tag(cdr::Encoder& enc, const crypto::MacTag& t) {
   enc.write_raw(ByteView(t.data(), t.size()));
 }
 
-Result<crypto::MacTag> read_mac_tag(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kMacTagSize));
-  crypto::MacTag t;
-  std::copy(raw.begin(), raw.end(), t.begin());
-  return t;
-}
-
 void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
   enc.write_raw(ByteView(s.data(), s.size()));
 }
 
-Result<crypto::Signature> read_signature(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kSignatureSize));
-  crypto::Signature s;
-  std::copy(raw.begin(), raw.end(), s.begin());
-  return s;
+Result<Digest> read_digest(cdr::Decoder& dec) { return dec.read_array<crypto::kDigestSize>(); }
+
+/// The little-endian u64 at `at` in a body whose size was checked.
+std::uint64_t load_le64(ByteView data, std::size_t at) {
+  const std::uint8_t* p = data.data() + at;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+/// The digest at `at` in a body whose size was checked; one copy, as a
+/// Decoder read of the digest would count it.
+Digest load_digest(ByteView data, std::size_t at) {
+  BufStats::note_copy(crypto::kDigestSize);
+  Digest d{};
+  std::memcpy(d.data(), data.data() + at, d.size());
+  return d;
 }
 
 Status check_exhausted(const cdr::Decoder& dec, const char* what) {
@@ -129,18 +132,20 @@ Bytes encode_phase(const T& msg) {
   return enc.take();
 }
 
+// PREPARE and COMMIT bodies have one fixed layout, every field already
+// 8-aligned: view at 0, seq at 8, digest at 16, replica at 48.
+constexpr std::size_t kPhaseSize = 56;
+
 template <typename T>
 Result<T> decode_phase(ByteView data, const char* what) {
-  cdr::Decoder dec(data, kWire);
+  if (data.size() != kPhaseSize) {
+    return error(Errc::kMalformedMessage, std::string(what) + " body is not 56 bytes");
+  }
   T msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, what));
+  msg.view = ViewId(load_le64(data, 0));
+  msg.seq = SeqNum(load_le64(data, 8));
+  msg.req_digest = load_digest(data, 16);
+  msg.replica = NodeId(load_le64(data, 48));
   return msg;
 }
 }  // namespace
@@ -189,14 +194,15 @@ Bytes CheckpointMsg::encode() const {
 }
 
 Result<CheckpointMsg> CheckpointMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
+  // Fixed layout: seq at 0, digest at 8, replica at 40.
+  constexpr std::size_t kCheckpointSize = 48;
+  if (data.size() != kCheckpointSize) {
+    return error(Errc::kMalformedMessage, "CHECKPOINT body is not 48 bytes");
+  }
   CheckpointMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.state_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "CHECKPOINT"));
+  msg.seq = SeqNum(load_le64(data, 0));
+  msg.state_digest = load_digest(data, 8);
+  msg.replica = NodeId(load_le64(data, 40));
   return msg;
 }
 
@@ -282,7 +288,7 @@ Result<NewViewMsg> NewViewMsg::decode(const BufView& data) {
     SignedViewChange svc;
     ITDOS_ASSIGN_OR_RETURN(BufView vc_body, dec.read_bytes_view());
     ITDOS_ASSIGN_OR_RETURN(svc.msg, ViewChangeMsg::decode(vc_body));
-    ITDOS_ASSIGN_OR_RETURN(svc.signature, read_signature(dec));
+    ITDOS_ASSIGN_OR_RETURN(svc.signature, dec.read_array<crypto::kSignatureSize>());
     msg.view_changes.push_back(std::move(svc));
   }
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t pp_count, dec.read_uint32());
@@ -370,7 +376,7 @@ BufView Envelope::encode_into(Arena& arena) const {
   // type, pad, sender, body length (pad), body, auth count (pad), then the
   // auth entries of node + tag, whose first node pads to 8 and whose 24-byte
   // stride keeps the rest aligned; the signature flag and signature last.
-  const std::size_t auth_bytes = auth.empty() ? 0 : 7 + auth.size() * (8 + crypto::kMacTagSize);
+  const std::size_t auth_bytes = auth.empty() ? 0 : 7 + auth.size() * kAuthEntrySize;
   const std::size_t bound = 1 + 7 + 8 + 3 + 4 + body.size() + 3 + 4 + auth_bytes + 1 +
                             (signature ? crypto::kSignatureSize : 0);
   cdr::Encoder enc(kWire, &arena, bound);
@@ -391,16 +397,21 @@ Result<Envelope> Envelope::decode(const BufView& data) {
   env.sender = NodeId(sender);
   ITDOS_ASSIGN_OR_RETURN(env.body, dec.read_bytes_view());
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t auth_count, dec.read_uint32());
-  ITDOS_RETURN_IF_ERROR(check_count(dec, auth_count, "envelope"));
+  // Each entry is 24 bytes on the wire (node id, tag): bound the count by
+  // the bytes left before reserving, so a claimed count cannot make an
+  // unauthenticated sender's envelope allocate more than it sent.
+  if (std::uint64_t{auth_count} * kAuthEntrySize > dec.remaining()) {
+    return error(Errc::kMalformedMessage, "hostile count in envelope");
+  }
   env.auth.reserve(auth_count);
   for (std::uint32_t i = 0; i < auth_count; ++i) {
     ITDOS_ASSIGN_OR_RETURN(std::uint64_t node, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(crypto::MacTag tag, read_mac_tag(dec));
+    ITDOS_ASSIGN_OR_RETURN(crypto::MacTag tag, dec.read_array<crypto::kMacTagSize>());
     env.auth.emplace_back(NodeId(node), tag);
   }
   ITDOS_ASSIGN_OR_RETURN(bool has_sig, dec.read_boolean());
   if (has_sig) {
-    ITDOS_ASSIGN_OR_RETURN(env.signature, read_signature(dec));
+    ITDOS_ASSIGN_OR_RETURN(env.signature, dec.read_array<crypto::kSignatureSize>());
   }
   ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "envelope"));
   return env;

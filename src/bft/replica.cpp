@@ -58,6 +58,7 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
                  std::unique_ptr<StateMachine> app)
     : Process(net, id),
       config_(std::move(config)),
+      self_rank_(config_.rank_of(id)),
       keys_(keys),
       signing_key_(std::move(signing_key)),
       keystore_(std::move(keystore)),
@@ -510,8 +511,7 @@ void Replica::handle_pre_prepare(const Envelope& env) {
     // view-change forever (uncommitted entries are exactly the ones a
     // new-view certificate may not carry).
     entry.pre_prepare.reset();
-    entry.prepares.clear();
-    entry.commits.clear();
+    entry.votes.clear();
   }
   if (entry.pre_prepare && entry.pre_prepare->req_digest != pp.req_digest) {
     // Conflicting proposal for (view, seq): Byzantine primary. Keep the
@@ -528,7 +528,7 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   prepare.seq = pp.seq;
   prepare.req_digest = pp.req_digest;
   prepare.replica = id();
-  entry.prepares[id()] = pp.req_digest;
+  votes_of(entry, self_rank_).prepare = pp.req_digest;
   multicast_authenticated(MsgType::kPrepare, prepare.encode());
   metrics_.prepares_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftPrepare, id(), entry.trace, view_.value, seq);
@@ -538,7 +538,8 @@ void Replica::handle_pre_prepare(const Envelope& env) {
 
 void Replica::handle_prepare(const Envelope& env) {
   if (in_view_change_) return;
-  if (config_.rank_of(env.sender) < 0) return;
+  const int rank = config_.rank_of(env.sender);
+  if (rank < 0) return;
   Result<PrepareMsg> decoded = PrepareMsg::decode(env.body);
   if (!decoded.is_ok()) {
     metrics_.malformed->inc();
@@ -548,15 +549,20 @@ void Replica::handle_prepare(const Envelope& env) {
   if (msg.view != view_ || msg.replica != env.sender) return;
   if (!in_window(msg.seq.value)) return;
   if (env.sender == config_.primary_for(view_)) return;  // primary never prepares
-  log_[msg.seq.value].prepares[msg.replica] = msg.req_digest;
+  votes_of(log_[msg.seq.value], rank).prepare = msg.req_digest;
   maybe_send_commit(msg.seq.value);
+}
+
+Replica::RankVotes& Replica::votes_of(LogEntry& entry, int rank) const {
+  if (entry.votes.empty()) entry.votes.resize(config_.replicas.size());
+  return entry.votes[static_cast<std::size_t>(rank)];
 }
 
 bool Replica::entry_prepared(const LogEntry& entry) const {
   if (!entry.pre_prepare) return false;
   int matching = 0;
-  for (const auto& [replica, digest] : entry.prepares) {
-    if (digest == entry.pre_prepare->req_digest) ++matching;
+  for (const RankVotes& votes : entry.votes) {
+    if (votes.prepare == entry.pre_prepare->req_digest) ++matching;
   }
   return matching >= 2 * config_.f;
 }
@@ -564,13 +570,14 @@ bool Replica::entry_prepared(const LogEntry& entry) const {
 void Replica::maybe_send_commit(std::uint64_t seq) {
   LogEntry& entry = log_[seq];
   if (!entry_prepared(entry)) return;
-  if (entry.commits.contains(id())) return;  // commit already sent
+  RankVotes& own = votes_of(entry, self_rank_);
+  if (own.commit) return;  // commit already sent
   CommitMsg commit;
   commit.view = view_;
   commit.seq = SeqNum(seq);
   commit.req_digest = entry.pre_prepare->req_digest;
   commit.replica = id();
-  entry.commits[id()] = commit.req_digest;
+  own.commit = commit.req_digest;
   multicast_authenticated(MsgType::kCommit, commit.encode());
   metrics_.commits_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftCommit, id(), entry.trace, view_.value, seq);
@@ -582,7 +589,8 @@ void Replica::maybe_send_commit(std::uint64_t seq) {
 
 void Replica::handle_commit(const Envelope& env) {
   if (in_view_change_) return;
-  if (config_.rank_of(env.sender) < 0) return;
+  const int rank = config_.rank_of(env.sender);
+  if (rank < 0) return;
   Result<CommitMsg> decoded = CommitMsg::decode(env.body);
   if (!decoded.is_ok()) {
     metrics_.malformed->inc();
@@ -595,7 +603,7 @@ void Replica::handle_commit(const Envelope& env) {
     return;
   }
   LogEntry& entry = log_[msg.seq.value];
-  entry.commits[msg.replica] = msg.req_digest;
+  votes_of(entry, rank).commit = msg.req_digest;
   if (entry_committed(entry)) {
     entry.committed = true;
     try_execute();
@@ -606,8 +614,8 @@ void Replica::handle_commit(const Envelope& env) {
 bool Replica::entry_committed(const LogEntry& entry) const {
   if (!entry_prepared(entry)) return false;
   int matching = 0;
-  for (const auto& [replica, digest] : entry.commits) {
-    if (digest == entry.pre_prepare->req_digest) ++matching;
+  for (const RankVotes& votes : entry.votes) {
+    if (votes.commit == entry.pre_prepare->req_digest) ++matching;
   }
   return matching >= config_.quorum();
 }
@@ -1340,8 +1348,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     LogEntry& entry = log_[seq];
     // Old-view prepares/commits must not count toward the new view.
     entry.pre_prepare = pp;
-    entry.prepares.clear();
-    entry.commits.clear();
+    entry.votes.clear();
     entry.committed = false;
     entry.trace = trace;
     entry.first_seen = now();
@@ -1352,7 +1359,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
       prepare.seq = pp.seq;
       prepare.req_digest = pp.req_digest;
       prepare.replica = id();
-      entry.prepares[id()] = pp.req_digest;
+      votes_of(entry, self_rank_).prepare = pp.req_digest;
       multicast_authenticated(MsgType::kPrepare, prepare.encode());
       metrics_.prepares_sent->inc();
     }

@@ -167,10 +167,15 @@ class Replica : public net::Process {
   void on_packet(const net::Packet& packet) override;
 
  private:
+  /// One replica's votes in a slot: the digests it prepared and committed.
+  struct RankVotes {
+    std::optional<Digest> prepare;
+    std::optional<Digest> commit;
+  };
+
   struct LogEntry {
     std::optional<PrePrepareMsg> pre_prepare;
-    std::map<NodeId, Digest> prepares;  // replica -> digest it prepared
-    std::map<NodeId, Digest> commits;
+    std::vector<RankVotes> votes;  // by replica rank; empty until the first vote
     bool committed = false;
     bool executed = false;
     std::uint64_t trace = 0;      // request-scoped trace id (0 = untraced)
@@ -215,6 +220,8 @@ class Replica : public net::Process {
   void execute_request(const RequestMsg& request, std::uint64_t seq);
   void update_inflight_gauge();
   void send_reply(const RequestMsg& request, const Bytes& result);
+  /// `rank`'s vote record in `entry`, sizing the table to n on first use.
+  RankVotes& votes_of(LogEntry& entry, int rank) const;
   bool entry_prepared(const LogEntry& entry) const;
   bool entry_committed(const LogEntry& entry) const;
   bool in_window(std::uint64_t seq) const;
@@ -253,6 +260,7 @@ class Replica : public net::Process {
   void on_request_timeout();
 
   BftConfig config_;
+  int self_rank_;  // config_.rank_of(id())
   const SessionKeys& keys_;
   crypto::SigningKey signing_key_;
   std::shared_ptr<const crypto::Keystore> keystore_;

@@ -163,6 +163,14 @@ Result<Bytes> Decoder::read_raw(std::size_t n) {
   return out;
 }
 
+Status Decoder::read_into(std::uint8_t* out, std::size_t n) {
+  if (remaining() < n) return error(Errc::kMalformedMessage, "truncated CDR bytes");
+  BufStats::note_copy(n);
+  std::memcpy(out, data_.data() + offset_, n);
+  offset_ += n;
+  return Status::ok();
+}
+
 Result<BufView> Decoder::read_bytes_view() {
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t len, read_uint32());
   return read_raw_view(len);

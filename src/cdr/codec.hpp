@@ -11,6 +11,7 @@
 // measured from the start of the encapsulation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -120,6 +121,16 @@ class Decoder {
   /// Reads `n` raw bytes without alignment.
   Result<Bytes> read_raw(std::size_t n);
 
+  /// `N` raw bytes, no alignment, straight into a fixed-size array (digests,
+  /// MAC tags, signatures) with no heap buffer. Counts as one copy in
+  /// BufStats, as read_raw does.
+  template <std::size_t N>
+  Result<std::array<std::uint8_t, N>> read_array() {
+    std::array<std::uint8_t, N> out{};
+    ITDOS_RETURN_IF_ERROR(read_into(out.data(), N));
+    return out;
+  }
+
   /// Counted byte sequence as a zero-copy sub-view of the decoded buffer
   /// (shares the chunk when the decoder was built from a BufView).
   Result<BufView> read_bytes_view();
@@ -132,6 +143,7 @@ class Decoder {
 
  private:
   Result<std::uint64_t> read_uint(std::size_t width);
+  Status read_into(std::uint8_t* out, std::size_t n);
 
   BufView owner_;
   ByteView data_;

@@ -84,9 +84,7 @@ void detail::ctr_crypt_with(CompressFn kernel, const SymmetricKey& key, const No
   std::array<std::uint8_t, kBlockSize> block{};
   std::memcpy(block.data(), nonce.data(), kNonceSize);
   block[kPaddingAt] = 0x80;
-  for (int i = 0; i < 8; ++i) {
-    block[kBlockSize - 1 - i] = static_cast<std::uint8_t>(kKeystreamInputBits >> (i * 8));
-  }
+  store_be64(block.data() + kBlockSize - 8, kKeystreamInputBits);
   // Two copies of the block, each block's counter patched one compression
   // ahead. A kernel's 16-byte loads that straddle a just-stored counter
   // cannot be forwarded from the store and wait for it to commit, which

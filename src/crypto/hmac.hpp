@@ -5,6 +5,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernel.hpp"
 
 namespace itdos::crypto {
 
@@ -12,10 +13,20 @@ namespace itdos::crypto {
 inline constexpr std::size_t kMacTagSize = 16;
 using MacTag = std::array<std::uint8_t, kMacTagSize>;
 
+class HmacKey;
+
+namespace detail {
+/// HmacKey::mac on a given compression kernel; mac passes selected_kernel(),
+/// and the HMAC cross-check tests pass each kernel by name.
+Digest hmac_with(CompressFn kernel, const HmacKey& key,
+                 std::initializer_list<ByteView> segments);
+}  // namespace detail
+
 /// An HMAC-SHA256 key with its ipad and opad blocks already absorbed. The
-/// two midstates are computed once, when the key is made; each MAC copies
-/// them and pays only for its own data plus one outer compression. Hold one
-/// of these for any key used more than once.
+/// two 8-word midstates are computed once, when the key is made; each MAC
+/// runs the kernel from the inner one over its own data, padded on the
+/// stack, then makes one outer compression. Hold one of these for any key
+/// used more than once.
 class HmacKey {
  public:
   explicit HmacKey(ByteView key);  // any key length
@@ -29,8 +40,11 @@ class HmacKey {
   bool verify(ByteView data, const MacTag& tag) const;
 
  private:
-  Sha256 inner_;  // after absorbing key ^ ipad
-  Sha256 outer_;  // after absorbing key ^ opad
+  friend Digest detail::hmac_with(detail::CompressFn kernel, const HmacKey& key,
+                                  std::initializer_list<ByteView> segments);
+
+  detail::Sha256State inner_;  // after absorbing key ^ ipad
+  detail::Sha256State outer_;  // after absorbing key ^ opad
 };
 
 /// One-shot HMAC-SHA256 over `data` with `key` (any key length).

@@ -212,18 +212,11 @@ Digest Sha256::finish() {
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, kLengthAt - buffered_);
-  for (int i = 0; i < 8; ++i) {
-    buffer_[kLengthAt + i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
-  }
+  detail::store_be64(buffer_.data() + kLengthAt, bit_length);
   compress_blocks(state_, buffer_.data(), 1);
 
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  Digest out{};
+  detail::store_digest(state_, out.data());
   return out;
 }
 

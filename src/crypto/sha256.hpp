@@ -15,9 +15,9 @@ inline constexpr std::size_t kBlockSize = 64;  // one compression-function input
 
 using Digest = std::array<std::uint8_t, kDigestSize>;
 
-/// Incremental SHA-256. Copyable: a copy taken after absorbing a key block
-/// is a reusable midstate, so keyed constructions (HmacKey, the cipher's
-/// keystream) hash their key once and copy the state per message.
+/// Incremental SHA-256. The keyed constructions (HmacKey, the cipher's
+/// keystream) keep only an 8-word midstate and drive the compression
+/// kernel themselves.
 class Sha256 {
  public:
   Sha256();

@@ -38,6 +38,21 @@ void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t
 void compress_sha_ni(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
 #endif
 
+/// Stores `v` in 8 bytes, most significant first: SHA-256's length field.
+inline void store_be64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (56 - i * 8));
+}
+
+/// Writes `state` out as a digest, each word big-endian.
+inline void store_digest(const Sha256State& state, std::uint8_t* out) {
+  for (int i = 0; i < 8; ++i) {
+    out[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+}
+
 /// Whether this CPU runs compress_sha_ni: CPUID leaf 7 EBX bit 29 (SHA)
 /// plus leaf 1 ECX bits 9 (SSSE3) and 19 (SSE4.1). Always false on builds
 /// without the kernel.

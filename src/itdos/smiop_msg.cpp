@@ -12,13 +12,6 @@ void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
   enc.write_raw(ByteView(s.data(), s.size()));
 }
 
-Result<crypto::Signature> read_signature(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kSignatureSize));
-  crypto::Signature s;
-  std::copy(raw.begin(), raw.end(), s.begin());
-  return s;
-}
-
 Status check_exhausted(const cdr::Decoder& dec, const char* what) {
   if (!dec.exhausted()) {
     return error(Errc::kMalformedMessage, std::string("trailing bytes in ") + what);
@@ -252,7 +245,7 @@ Result<DirectReplyMsg> DirectReplyMsg::decode(const BufView& data) {
   ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
   msg.epoch = KeyEpoch(epoch);
   ITDOS_ASSIGN_OR_RETURN(msg.sealed_giop, dec.read_bytes_view());
-  ITDOS_ASSIGN_OR_RETURN(msg.plain_signature, read_signature(dec));
+  ITDOS_ASSIGN_OR_RETURN(msg.plain_signature, dec.read_array<crypto::kSignatureSize>());
   ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "DirectReplyMsg"));
   return msg;
 }
@@ -405,7 +398,7 @@ Result<GmCommand> decode_gm_command(ByteView data) {
       ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
       entry.epoch = KeyEpoch(epoch);
       ITDOS_ASSIGN_OR_RETURN(entry.plain_giop, dec.read_bytes());
-      ITDOS_ASSIGN_OR_RETURN(entry.signature, read_signature(dec));
+      ITDOS_ASSIGN_OR_RETURN(entry.signature, dec.read_array<crypto::kSignatureSize>());
       change.proof.push_back(std::move(entry));
     }
     ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "ChangeRequestMsg"));

@@ -1,14 +1,23 @@
 #include "net/sim.hpp"
 
+#include <utility>
+
 namespace itdos::net {
 
 EventHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now_) t = now_;
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
   const std::uint64_t id = next_id_++;
-  queue_.push(Event{t, next_seq_++, id, std::move(fn)});
-  pending_ids_.insert(id);
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].id = id;
+  queue_.push(Entry{t, next_seq_++, slot});
   ++live_events_;
-  return EventHandle{id};
+  return EventHandle{id, slot};
 }
 
 EventHandle Simulator::schedule_after(std::int64_t delay_ns, std::function<void()> fn) {
@@ -16,23 +25,36 @@ EventHandle Simulator::schedule_after(std::int64_t delay_ns, std::function<void(
 }
 
 void Simulator::cancel(EventHandle handle) {
-  if (pending_ids_.erase(handle.id) == 0) return;  // fired or never scheduled
-  cancelled_.insert(handle.id);
+  if (handle.id == 0 || handle.slot >= slots_.size()) return;
+  Slot& slot = slots_[handle.slot];
+  // A different id means the event fired and a later one took its slot.
+  if (slot.id != handle.id || slot.cancelled) return;
+  slot.cancelled = true;
   --live_events_;
+}
+
+std::function<void()> Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::function<void()> fn = std::exchange(s.fn, nullptr);
+  s.id = 0;
+  s.cancelled = false;
+  free_slots_.push_back(slot);
+  return fn;
 }
 
 bool Simulator::step() {
   while (!queue_.empty()) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Entry top = queue_.top();
     queue_.pop();
-    if (cancelled_.erase(ev.id) > 0) {
-      continue;  // live_events_ already decremented at cancel()
-    }
-    pending_ids_.erase(ev.id);
-    now_ = ev.when;
+    const bool cancelled = slots_[top.slot].cancelled;
+    // The closure leaves its slot before it runs: a handler that schedules
+    // may take the freed slot or grow the table.
+    const std::function<void()> fn = release(top.slot);
+    if (cancelled) continue;  // live_events_ already decremented at cancel()
+    now_ = top.when;
     --live_events_;
     ++executed_;
-    ev.fn();
+    fn();
     return true;
   }
   return false;
@@ -47,12 +69,14 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t count = 0;
   while (!queue_.empty()) {
+    const Entry top = queue_.top();
     // Drop cancelled heads so their timestamps don't gate progress.
-    if (cancelled_.erase(queue_.top().id) > 0) {
+    if (slots_[top.slot].cancelled) {
       queue_.pop();
+      release(top.slot);
       continue;
     }
-    if (queue_.top().when > deadline) break;
+    if (top.when > deadline) break;
     step();
     ++count;
   }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -20,9 +19,12 @@
 
 namespace itdos::net {
 
-/// Handle for a scheduled event; allows cancellation (timers).
+/// Handle for a scheduled event; allows cancellation (timers). `slot` says
+/// where the event's closure lives; `id` tells this event from a later one
+/// that reuses the slot.
 struct EventHandle {
   std::uint64_t id = 0;
+  std::uint32_t slot = 0;
 };
 
 class Simulator {
@@ -73,19 +75,36 @@ class Simulator {
   std::size_t pending_events() const { return live_events_; }
   std::uint64_t events_executed() const { return executed_; }
 
+  /// Queue entries, cancelled ones not yet popped included.
+  std::size_t queued_entries() const { return queue_.size(); }
+  /// Closure slots ever allocated: never more than queued_entries() has
+  /// been at its highest.
+  std::size_t slot_count() const { return slots_.size(); }
+
  private:
-  struct Event {
+  // A queue entry names the slot holding its closure. Every entry owns its
+  // slot from schedule until it is popped, whether it then fires or was
+  // cancelled.
+  struct Entry {
     SimTime when;
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-    std::uint64_t id;
-    std::function<void()> fn;
+    std::uint32_t slot;
 
-    bool operator>(const Event& other) const {
+    bool operator>(const Entry& other) const {
       if (when != other.when) return when > other.when;
       // itdos-lint: allow(EPOCH-001) local event tiebreaker; seq is assigned by this simulator and cannot wrap within a run
       return seq > other.seq;
     }
   };
+
+  struct Slot {
+    std::function<void()> fn;
+    std::uint64_t id = 0;  // 0 while the slot is free
+    bool cancelled = false;
+  };
+
+  /// Takes the closure out of a popped entry's slot and frees the slot.
+  std::function<void()> release(std::uint32_t slot);
 
   SimTime now_;
   Rng rng_;
@@ -95,11 +114,9 @@ class Simulator {
   std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_events_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // Ordered sets (DET-002): lookup-only today, but nothing downstream may
-  // ever observe hash order from the scheduler.
-  std::set<std::uint64_t> pending_ids_;  // queued and not cancelled
-  std::set<std::uint64_t> cancelled_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace itdos::net

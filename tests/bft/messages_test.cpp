@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "batch/batch_msg.hpp"
 #include "common/rng.hpp"
 
@@ -70,6 +74,88 @@ TEST(BftMessagesTest, PrepareCommitRoundTrip) {
   commit.req_digest = digest_of(0x22);
   commit.replica = NodeId(3);
   EXPECT_EQ(CommitMsg::decode(commit.encode()).value(), commit);
+}
+
+/// `v` as 8 little-endian bytes appended to `out`.
+void put_le64(Bytes& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+}
+
+/// 32 digest bytes counting up from `first`.
+Digest counting_digest(std::uint8_t first) {
+  Digest d;
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = static_cast<std::uint8_t>(first + i);
+  return d;
+}
+
+TEST(BftMessagesTest, PhaseBodiesDecodeFromFixedOffsets) {
+  // view, seq, digest, replica at offsets 0, 8, 16 and 48, little-endian.
+  Bytes wire;
+  put_le64(wire, 0x0102030405060708ULL);
+  put_le64(wire, 0x1112131415161718ULL);
+  const Digest digest = counting_digest(0xa0);
+  append(wire, crypto::digest_view(digest));
+  put_le64(wire, 0x2122232425262728ULL);
+  ASSERT_EQ(wire.size(), 56u);
+
+  const PrepareMsg prep = PrepareMsg::decode(wire).value();
+  EXPECT_EQ(prep.view, ViewId(0x0102030405060708ULL));
+  EXPECT_EQ(prep.seq, SeqNum(0x1112131415161718ULL));
+  EXPECT_EQ(prep.req_digest, digest);
+  EXPECT_EQ(prep.replica, NodeId(0x2122232425262728ULL));
+  EXPECT_EQ(prep.encode(), wire);
+
+  const CommitMsg commit = CommitMsg::decode(wire).value();
+  EXPECT_EQ(commit.view, prep.view);
+  EXPECT_EQ(commit.seq, prep.seq);
+  EXPECT_EQ(commit.req_digest, digest);
+  EXPECT_EQ(commit.replica, prep.replica);
+  EXPECT_EQ(commit.encode(), wire);
+}
+
+TEST(BftMessagesTest, CheckpointBodyDecodesFromFixedOffsets) {
+  // seq, digest, replica at offsets 0, 8 and 40, little-endian.
+  Bytes wire;
+  put_le64(wire, 0x8070605040302010ULL);
+  const Digest digest = counting_digest(0x05);
+  append(wire, crypto::digest_view(digest));
+  put_le64(wire, 0x0000000000000003ULL);
+  ASSERT_EQ(wire.size(), 48u);
+
+  const CheckpointMsg msg = CheckpointMsg::decode(wire).value();
+  EXPECT_EQ(msg.seq, SeqNum(0x8070605040302010ULL));
+  EXPECT_EQ(msg.state_digest, digest);
+  EXPECT_EQ(msg.replica, NodeId(3));
+  EXPECT_EQ(msg.encode(), wire);
+}
+
+TEST(BftMessagesTest, FixedLayoutBodiesRejectAnyOtherSize) {
+  PrepareMsg prep;
+  prep.view = ViewId(1);
+  prep.seq = SeqNum(2);
+  prep.req_digest = digest_of(0x33);
+  prep.replica = NodeId(3);
+  CheckpointMsg checkpoint;
+  checkpoint.seq = SeqNum(16);
+  checkpoint.state_digest = digest_of(0x44);
+  checkpoint.replica = NodeId(2);
+
+  Bytes phase = prep.encode();
+  Bytes ckpt = checkpoint.encode();
+  ASSERT_EQ(phase.size(), 56u);
+  ASSERT_EQ(ckpt.size(), 48u);
+  phase.push_back(0);  // 57
+  ckpt.push_back(0);   // 49
+  EXPECT_EQ(PrepareMsg::decode(phase).status().code(), Errc::kMalformedMessage);
+  EXPECT_EQ(CommitMsg::decode(phase).status().code(), Errc::kMalformedMessage);
+  EXPECT_EQ(CheckpointMsg::decode(ckpt).status().code(), Errc::kMalformedMessage);
+  phase.resize(55);
+  ckpt.resize(47);
+  EXPECT_EQ(PrepareMsg::decode(phase).status().code(), Errc::kMalformedMessage);
+  EXPECT_EQ(CommitMsg::decode(phase).status().code(), Errc::kMalformedMessage);
+  EXPECT_EQ(CheckpointMsg::decode(ckpt).status().code(), Errc::kMalformedMessage);
+  EXPECT_FALSE(PrepareMsg::decode(ByteView{}).is_ok());
+  EXPECT_FALSE(CheckpointMsg::decode(ByteView{}).is_ok());
 }
 
 TEST(BftMessagesTest, ReplyRoundTrip) {
@@ -197,26 +283,100 @@ TEST(BftMessagesTest, EnvelopeRejectsHostileAuthCount) {
   EXPECT_FALSE(Envelope::decode(BufView(std::move(wire))).is_ok());
 }
 
+TEST(BftMessagesTest, EnvelopeRejectsAuthCountBeyondItsBytes) {
+  // An envelope whose auth count fits the bytes left one byte per entry but
+  // not at the 24 bytes each entry takes. It must be refused as a hostile
+  // count up front, before anything is reserved for the claimed entries,
+  // not by running out of bytes partway through them.
+  const auto wire_with = [](std::uint32_t count, std::uint64_t entries) {
+    cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
+    enc.write_octet(static_cast<std::uint8_t>(MsgType::kPrepare));
+    enc.write_uint64(1);
+    enc.write_bytes(ByteView{});
+    enc.write_uint32(count);
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      enc.write_uint64(i + 1);
+      enc.write_raw(Bytes(crypto::kMacTagSize, 0x6d));
+    }
+    enc.write_boolean(false);
+    return BufView(enc.take());
+  };
+  ASSERT_TRUE(Envelope::decode(wire_with(40, 40)).is_ok());
+  EXPECT_EQ(Envelope::decode(wire_with(40, 40)).value().auth.size(), 40u);
+  // 961 bytes follow the count: 40 entries and the signature flag.
+  for (const std::uint32_t hostile : {41u, 900u, 961u, 0xffffffffu}) {
+    const Result<Envelope> decoded = Envelope::decode(wire_with(hostile, 40));
+    ASSERT_FALSE(decoded.is_ok()) << hostile;
+    EXPECT_EQ(decoded.status().code(), Errc::kMalformedMessage);
+    EXPECT_NE(decoded.status().detail().find("hostile count"), std::string::npos)
+        << hostile << ": " << decoded.status().detail();
+  }
+}
+
 TEST(BftMessagesTest, FuzzedEnvelopesNeverCrash) {
-  Envelope env;
-  env.type = MsgType::kNewView;
-  env.sender = NodeId(1);
-  NewViewMsg nv;
-  nv.view = ViewId(2);
-  nv.primary = NodeId(1);
-  env.body = nv.encode();
+  // Byte flips anywhere in the wire (header, body, authenticators,
+  // signature) of a NEW-VIEW and of the three fixed-layout agreement
+  // messages; whatever still decodes as an envelope has its body decoded.
   crypto::Signature sig;
   sig.fill(1);
-  env.signature = sig;
-  const Bytes base = env.encode();
+  std::vector<Envelope> bases;
+  {
+    Envelope env;
+    env.type = MsgType::kNewView;
+    env.sender = NodeId(1);
+    NewViewMsg nv;
+    nv.view = ViewId(2);
+    nv.primary = NodeId(1);
+    env.body = nv.encode();
+    env.signature = sig;
+    bases.push_back(env);
+  }
+  PrepareMsg prep;
+  prep.view = ViewId(3);
+  prep.seq = SeqNum(17);
+  prep.req_digest = digest_of(0x5e);
+  prep.replica = NodeId(2);
+  CommitMsg commit;
+  commit.view = prep.view;
+  commit.seq = prep.seq;
+  commit.req_digest = prep.req_digest;
+  commit.replica = NodeId(3);
+  CheckpointMsg checkpoint;
+  checkpoint.seq = SeqNum(32);
+  checkpoint.state_digest = digest_of(0x7c);
+  checkpoint.replica = NodeId(4);
+  for (const auto& [type, body] : {std::pair{MsgType::kPrepare, prep.encode()},
+                                   std::pair{MsgType::kCommit, commit.encode()},
+                                   std::pair{MsgType::kCheckpoint, checkpoint.encode()}}) {
+    Envelope env;
+    env.type = type;
+    env.sender = NodeId(2);
+    env.body = BufView(Bytes(body));
+    for (std::uint64_t node = 1; node <= 4; ++node) {
+      crypto::MacTag tag;
+      tag.fill(static_cast<std::uint8_t>(node));
+      env.auth.emplace_back(NodeId(node), tag);
+    }
+    bases.push_back(env);
+  }
+
   Rng rng(123);
-  for (int trial = 0; trial < 2000; ++trial) {
-    Bytes mutated = base;
-    const std::size_t idx = rng.next_below(mutated.size());
-    mutated[idx] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
-    const auto decoded = Envelope::decode(BufView(std::move(mutated)));
-    if (decoded.is_ok() && decoded.value().type == MsgType::kNewView) {
-      (void)NewViewMsg::decode(decoded.value().body);  // must not crash
+  for (const Envelope& env : bases) {
+    const Bytes base = env.encode();
+    for (int trial = 0; trial < 2000; ++trial) {
+      Bytes mutated = base;
+      const std::size_t idx = rng.next_below(mutated.size());
+      mutated[idx] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      const auto decoded = Envelope::decode(BufView(std::move(mutated)));
+      if (!decoded.is_ok()) continue;
+      const BufView& body = decoded.value().body;
+      switch (decoded.value().type) {  // each must not crash
+        case MsgType::kNewView: (void)NewViewMsg::decode(body); break;
+        case MsgType::kPrepare: (void)PrepareMsg::decode(body); break;
+        case MsgType::kCommit: (void)CommitMsg::decode(body); break;
+        case MsgType::kCheckpoint: (void)CheckpointMsg::decode(body); break;
+        default: break;
+      }
     }
   }
 }

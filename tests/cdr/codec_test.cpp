@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -204,6 +205,24 @@ TEST(CodecTest, ReadRawExactAndOverflow) {
   EXPECT_EQ(dec.read_raw(6).value(), raw);
   Decoder dec2(raw, ByteOrder::kLittleEndian);
   EXPECT_EQ(dec2.read_raw(7).status().code(), Errc::kMalformedMessage);
+}
+
+TEST(CodecTest, ReadArrayExactOverflowAndCopyCount) {
+  // A fixed-size read lands in its array with no alignment, counts one copy
+  // of its bytes as read_raw does, and leaves the offset alone on failure.
+  const Bytes raw = to_bytes("xabcdef");
+  Decoder dec(raw, ByteOrder::kLittleEndian);
+  ASSERT_TRUE(dec.read_octet().is_ok());
+  BufStats::reset();
+  const auto four = dec.read_array<4>();
+  ASSERT_TRUE(four.is_ok());
+  EXPECT_EQ(four.value(), (std::array<std::uint8_t, 4>{'a', 'b', 'c', 'd'}));
+  EXPECT_EQ(BufStats::copies, 1u);
+  EXPECT_EQ(BufStats::bytes_copied, 4u);
+  EXPECT_EQ(dec.read_array<3>().status().code(), Errc::kMalformedMessage);
+  EXPECT_EQ(dec.remaining(), 2u);
+  EXPECT_EQ(BufStats::copies, 1u);
+  BufStats::reset();
 }
 
 TEST(CodecTest, TruncatedPaddingRejected) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace itdos::crypto {
 namespace {
 
@@ -57,6 +62,73 @@ TEST(HmacTest, CachedKeyMatchesRfc4231) {
     const ByteView data(c.data);
     EXPECT_EQ(hex(key.mac({data.first(3), data.subspan(3, 5), data.subspan(8)})), c.expected);
   }
+}
+
+/// RFC 2104 HMAC from a plain Sha256, with no midstates or kernel calls:
+/// the reference the kernel path is checked against.
+Digest textbook_hmac(ByteView key, ByteView data) {
+  Bytes block(kBlockSize, 0);
+  if (key.size() > kBlockSize) {
+    const Digest d = sha256(key);
+    std::copy(d.begin(), d.end(), block.begin());
+  } else {
+    std::copy(key.begin(), key.end(), block.begin());
+  }
+  Bytes ipad = block;
+  Bytes opad = block;
+  for (std::uint8_t& b : ipad) b ^= 0x36;
+  for (std::uint8_t& b : opad) b ^= 0x5c;
+  const Digest inner = Sha256().update(ByteView(ipad)).update(data).finish();
+  return Sha256().update(ByteView(opad)).update(digest_view(inner)).finish();
+}
+
+/// Runs detail::hmac_with on `kernel` over every length 0-300 (the padding
+/// edges 55/56/63/64/119/120 among them), whole and split into two and
+/// three segments at block-relative points, for short, block-sized and
+/// hashed keys, and compares each MAC with the textbook HMAC.
+void expect_matches_textbook(detail::CompressFn kernel, const std::string& name) {
+  Rng rng(0x4a4c);
+  const Bytes message = rng.next_bytes(300);
+  for (const std::size_t key_size : {0u, 20u, 64u, 65u, 131u}) {
+    const Bytes raw_key = rng.next_bytes(key_size);
+    const HmacKey key(raw_key);
+    for (std::size_t n = 0; n <= message.size(); ++n) {
+      const ByteView data = ByteView(message).first(n);
+      const Digest expected = textbook_hmac(raw_key, data);
+      SCOPED_TRACE(testing::Message() << name << " key " << key_size << " length " << n);
+      EXPECT_EQ(detail::hmac_with(kernel, key, {data}), expected);
+      std::vector<std::size_t> cuts;
+      for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                    std::size_t{55}, std::size_t{56}, std::size_t{63},
+                                    std::size_t{64}, n / 2, n > 0 ? n - 1 : 0, n}) {
+        if (cut <= n) cuts.push_back(cut);
+      }
+      for (const std::size_t a : cuts) {
+        EXPECT_EQ(detail::hmac_with(kernel, key, {data.first(a), data.subspan(a)}), expected)
+            << "split at " << a;
+        for (const std::size_t b : cuts) {
+          if (b < a) continue;
+          EXPECT_EQ(detail::hmac_with(kernel, key,
+                                      {data.first(a), data.subspan(a, b - a), data.subspan(b)}),
+                    expected)
+              << "split at " << a << ", " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(HmacTest, PortableKernelMatchesTextbook) {
+  expect_matches_textbook(detail::compress_portable, "portable");
+}
+
+TEST(HmacTest, ShaNiKernelMatchesTextbook) {
+#if ITDOS_SHA_NI_KERNEL
+  if (!detail::sha_ni_available()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  expect_matches_textbook(detail::compress_sha_ni, "sha-ni");
+#else
+  GTEST_SKIP() << "no SHA-NI kernel on this architecture";
+#endif
 }
 
 TEST(HmacTest, SegmentedMatchesConcatenated) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace itdos::net {
 namespace {
 
@@ -187,6 +191,90 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule_after(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+TEST(SimulatorTest, StaleHandleCannotCancelSlotReuser) {
+  // The first event fires and frees its slot; the next schedule takes that
+  // slot. Cancelling through the first, stale handle must leave it alone.
+  Simulator sim;
+  const EventHandle first = sim.schedule_after(10, [] {});
+  sim.run();
+  bool fired = false;
+  const EventHandle second = sim.schedule_after(10, [&] { fired = true; });
+  ASSERT_EQ(second.slot, first.slot);
+  ASSERT_NE(second.id, first.id);
+  sim.cancel(first);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTest, EqualTimestampsFifoAcrossRecycledSlots) {
+  // Free slots are taken last-freed first, so the slot order of a batch
+  // scheduled after a drain runs against its scheduling order; firing order
+  // must follow scheduling order regardless.
+  Simulator sim;
+  std::vector<EventHandle> warm;
+  for (int i = 0; i < 8; ++i) warm.push_back(sim.schedule_after(1, [] {}));
+  sim.cancel(warm[2]);
+  sim.cancel(warm[5]);
+  sim.run();
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    sim.schedule_at(SimTime{50}, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.slot_count(), 12u);  // eight recycled slots, four new
+  sim.run();
+  ASSERT_EQ(order.size(), 12u);
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SimulatorTest, HandlerSchedulesAndCancelsWhileRunning) {
+  // A handler schedules a child (which takes the handler's freed slot),
+  // cancels an event queued behind it, and cancels its own handle, now
+  // stale: the child holds that slot under a new id and must still fire.
+  Simulator sim;
+  std::vector<std::string> log;
+  EventHandle self{};
+  EventHandle victim{};
+  self = sim.schedule_at(SimTime{10}, [&] {
+    log.push_back("self");
+    const EventHandle child = sim.schedule_after(5, [&] { log.push_back("child"); });
+    EXPECT_EQ(child.slot, self.slot);
+    sim.cancel(victim);
+    sim.cancel(self);  // stale: the event is running
+    sim.schedule_after(1, [&] { log.push_back("grandchild"); });
+  });
+  victim = sim.schedule_at(SimTime{12}, [&] { log.push_back("victim"); });
+  sim.schedule_at(SimTime{20}, [&] { log.push_back("tail"); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"self", "grandchild", "child", "tail"}));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTest, RearmedTimerKeepsSlotTableBounded) {
+  // One long timer holds the oldest slot for the whole run while a short
+  // timer is cancelled and re-armed 100k times. The slot table must stay
+  // within the queue's high-water mark, not grow with the re-arm count.
+  Simulator sim;
+  int long_fired = 0;
+  sim.schedule_after(seconds(10), [&] { ++long_fired; });
+  int short_fired = 0;
+  EventHandle timer = sim.schedule_after(100, [&] { ++short_fired; });
+  std::size_t high_water = sim.queued_entries();
+  for (int i = 0; i < 100000; ++i) {
+    sim.cancel(timer);
+    timer = sim.schedule_after(100, [&] { ++short_fired; });
+    high_water = std::max(high_water, sim.queued_entries());
+    sim.run_for(10);
+  }
+  EXPECT_LE(sim.slot_count(), high_water);
+  EXPECT_LE(high_water, 16u);
+  EXPECT_EQ(short_fired, 0);
+  sim.run();
+  EXPECT_EQ(short_fired, 1);
+  EXPECT_EQ(long_fired, 1);
 }
 
 }  // namespace
