@@ -1,5 +1,6 @@
 #include "bft/messages.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/sha256.hpp"
@@ -118,6 +119,16 @@ Result<PrePrepareMsg> PrePrepareMsg::decode(const BufView& data) {
   ITDOS_ASSIGN_OR_RETURN(msg.request, dec.read_bytes_view());
   ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "PRE-PREPARE"));
   return msg;
+}
+
+Digest proposal_digest(ByteView request, bool is_batch) {
+  const std::uint8_t domain = is_batch ? 0x01 : 0x00;
+  return crypto::Sha256().update(ByteView(&domain, 1)).update(request).finish();
+}
+
+ByteView authenticated_region(MsgType type, ByteView body) {
+  if (type != MsgType::kPrePrepare) return body;
+  return body.first(std::min(body.size(), kPrePrepareHeaderSize));
 }
 
 namespace {

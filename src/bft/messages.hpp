@@ -52,8 +52,8 @@ struct RequestMsg {
 /// encoded batch::BatchMsg — several client requests agreed as one slot;
 /// the flag is on the wire (not content-sniffed) and travels with the
 /// proposal through view changes, so a batch is re-proposed as a batch.
-/// `req_digest` covers the flag via a domain byte (replica.cpp's
-/// proposal_digest): PREPARE/COMMIT carry only the digest, so an uncovered
+/// `req_digest` covers the flag via a domain byte (proposal_digest,
+/// below): PREPARE/COMMIT carry only the digest, so an uncovered
 /// flag would let an equivocating primary commit dual-decodable bytes under
 /// both framings at the same (view, seq, digest).
 struct PrePrepareMsg {
@@ -68,6 +68,26 @@ struct PrePrepareMsg {
   Bytes encode() const;
   static Result<PrePrepareMsg> decode(const BufView& data);
 };
+
+/// A PRE-PREPARE body's fixed header: view at 0, seq at 8, req_digest at
+/// 16, is_batch at 48 (padded to 52) and the request length at 52. The
+/// request bytes follow it.
+inline constexpr std::size_t kPrePrepareHeaderSize = 56;
+
+/// Digest binding a proposal's request bytes AND their framing: SHA-256 of
+/// a domain byte (1 for a batch, 0 for a single request) then the bytes.
+/// Bytes crafted to decode both as a BatchMsg and as a RequestMsg are easy
+/// to build (the batch header doubles as the outer client id); the domain
+/// byte makes the two framings distinct agreement values.
+Digest proposal_digest(ByteView request, bool is_batch);
+
+/// The part of a `type` body that its MAC authenticators cover. For a
+/// PRE-PREPARE that is the fixed header, the Castro-Liskov authenticator
+/// over <v, n, d>: the piggybacked request is bound by req_digest, which
+/// the receiving replica checks once against the decoded request. Every
+/// other body is covered whole. Senders, receivers and tests all MAC
+/// through this.
+ByteView authenticated_region(MsgType type, ByteView body);
 
 struct PrepareMsg {
   ViewId view;

@@ -21,19 +21,6 @@ Digest checkpoint_digest(std::uint64_t seq, ByteView snapshot) {
   return crypto::Sha256().update(ByteView(seq_bytes, 8)).update(snapshot).finish();
 }
 
-/// Digest binding a proposal's request bytes AND their framing. PREPARE and
-/// COMMIT carry only this digest, so the `is_batch` flag must be folded in:
-/// bytes crafted to decode both as a BatchMsg and as a RequestMsg are easy
-/// to build (the batch header doubles as the outer client id), and without
-/// the domain byte an equivocating primary could hand the same bytes to
-/// different backups with the flag flipped — both sets would prepare and
-/// commit the identical (view, seq, digest) yet execute divergent request
-/// sets. The domain byte makes the two framings distinct agreement values.
-Digest proposal_digest(ByteView request, bool is_batch) {
-  const std::uint8_t domain = is_batch ? 0x01 : 0x00;
-  return crypto::Sha256().update(ByteView(&domain, 1)).update(request).finish();
-}
-
 /// Timestamps a correct client could currently be using: clients number
 /// requests sequentially and pipeline at most kMaxPipelineDepth, so a live
 /// timestamp is never more than one sparse-window width past the client's
@@ -146,6 +133,11 @@ void Replica::on_packet(const net::Packet& packet) {
 }
 
 Status Replica::verify_envelope(const Envelope& env) const {
+  // A PRE-PREPARE's authenticators cover its fixed header; a body without a
+  // whole header carries nothing they could have covered.
+  if (env.type == MsgType::kPrePrepare && env.body.size() < kPrePrepareHeaderSize) {
+    return error(Errc::kAuthFailure, "PRE-PREPARE shorter than its authenticated header");
+  }
   if (env.signature) {
     return keystore_->verify(env.sender, env.body, *env.signature);
   }
@@ -153,7 +145,7 @@ Status Replica::verify_envelope(const Envelope& env) const {
   if (tag == nullptr) {
     return error(Errc::kAuthFailure, "no authenticator entry for this replica");
   }
-  if (!keys_.verify(env.sender, id(), env.body, *tag)) {
+  if (!keys_.verify(env.sender, id(), authenticated_region(env.type, env.body), *tag)) {
     return error(Errc::kAuthFailure, "bad MAC");
   }
   return Status::ok();
@@ -171,7 +163,7 @@ void Replica::multicast_authenticated(MsgType type, BufView body) {
   env.body = body;  // shares the chunk; encode() assembles the wire frame once
   for (NodeId replica : config_.replicas) {
     if (replica == id()) continue;
-    crypto::MacTag tag = keys_.tag(id(), replica, body);
+    crypto::MacTag tag = keys_.tag(id(), replica, authenticated_region(type, body));
     metrics_.macs_computed->inc();
     if (byz_.corrupt_macs) tag[0] ^= 0xFF;  // forged HMAC: receivers must reject
     env.auth.emplace_back(replica, tag);
@@ -197,7 +189,7 @@ void Replica::send_authenticated(NodeId to, MsgType type, BufView body) {
   env.type = type;
   env.sender = id();
   env.body = body;
-  crypto::MacTag tag = keys_.tag(id(), to, body);
+  crypto::MacTag tag = keys_.tag(id(), to, authenticated_region(type, body));
   metrics_.macs_computed->inc();
   if (byz_.corrupt_macs) tag[0] ^= 0xFF;
   env.auth.emplace_back(to, tag);
@@ -441,14 +433,19 @@ void Replica::handle_pre_prepare(const Envelope& env) {
     return;
   }
 
-  // Digest must bind the piggybacked request AND its framing (or be the
-  // null digest): proposal_digest covers is_batch, so the same bytes cannot
-  // be prepared both as a batch and as a single request.
+  // The authenticators cover only the header, so the digest is what binds
+  // the piggybacked request AND its framing (or is the null digest):
+  // proposal_digest covers is_batch, so the same bytes cannot be prepared
+  // both as a batch and as a single request. This runs however the
+  // envelope was authenticated, and a mismatch counts like a bad MAC.
+  const Digest bound =
+      pp.is_null_request() ? Digest{} : proposal_digest(ByteView(pp.request), pp.is_batch);
+  if (bound != pp.req_digest) {
+    metrics_.auth_failures->inc();
+    return;
+  }
   std::uint64_t trace = 0;
-  if (pp.is_null_request()) {
-    if (pp.req_digest != Digest{}) return;
-  } else {
-    if (proposal_digest(ByteView(pp.request), pp.is_batch) != pp.req_digest) return;
+  if (!pp.is_null_request()) {
     if (pp.is_batch) {
       // Every entry must be a decodable request — a batch is accepted (and
       // later executed) only as a whole.

@@ -15,9 +15,8 @@ inline constexpr std::size_t kBlockSize = 64;  // one compression-function input
 
 using Digest = std::array<std::uint8_t, kDigestSize>;
 
-/// Incremental SHA-256. The keyed constructions (HmacKey, the cipher's
-/// keystream) keep only an 8-word midstate and drive the compression
-/// kernel themselves.
+/// Incremental SHA-256. The keyed construction (HmacKey) keeps only an
+/// 8-word midstate and drives the compression kernel itself.
 class Sha256 {
  public:
   Sha256();

@@ -1,6 +1,6 @@
 // SHA-256 compression kernels (internal to src/crypto: sha256.cpp runs
-// Sha256 on them, cipher.cpp runs the CTR keystream on them, and the kernel
-// and keystream cross-check tests call each kernel by name).
+// Sha256 on them, hmac.cpp runs HmacKey on them, and the kernel and HMAC
+// cross-check tests call each kernel by name).
 //
 // A kernel absorbs `blocks` consecutive 64-byte blocks into `state`, in
 // order. Every kernel produces the same state for the same input; they

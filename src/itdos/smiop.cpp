@@ -437,6 +437,13 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
     return;
   }
   ConnState& state = *it->second;
+  // A reply for a request older than the one being voted on is a late
+  // reply the voter discards unused and unpenalized (§3.6), so it is handed
+  // over before any crypto: no key lookup, open, digest or signature check.
+  if (counters::before(msg.rid.value, state.voter->expected().value)) {
+    (void)state.voter->submit(msg.rid, Ballot{});  // counted as discarded
+    return;
+  }
   const crypto::SymmetricKey* key = table_.key_for(msg.conn, msg.epoch);
   if (key == nullptr) {
     metrics_.replies_rejected->inc();

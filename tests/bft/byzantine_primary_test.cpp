@@ -5,13 +5,16 @@
 // MAC keys — exactly the power a compromised replica has.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "batch/batch_msg.hpp"
 #include "bft/harness.hpp"
 #include "bft/messages.hpp"
 #include "bft/replica.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/signing.hpp"
 #include "net/process.hpp"
 
 namespace itdos::bft {
@@ -41,6 +44,30 @@ class RoguePrimary : public net::Process {
     send_body(rank, MsgType::kPrePrepare, pp.encode());
   }
 
+  /// A PRE-PREPARE body of any bytes, authenticated as the protocol does.
+  void send_pre_prepare_body(int rank, Bytes body) {
+    send_body(rank, MsgType::kPrePrepare, std::move(body));
+  }
+
+  /// Authenticates `pp` as the protocol does, then alters its body in
+  /// flight with `tamper`: the MAC entries are those of the honest bytes.
+  void send_tampered_pre_prepare(int rank, const PrePrepareMsg& pp,
+                                 const std::function<void(Bytes&)>& tamper) {
+    send_body(rank, MsgType::kPrePrepare, pp.encode(), tamper);
+  }
+
+  /// Signs `pp` with `key` in place of MAC authenticators, as replicas do
+  /// for VIEW-CHANGE and NEW-VIEW.
+  void send_signed_pre_prepare(int rank, const PrePrepareMsg& pp,
+                               const crypto::SigningKey& key) {
+    Envelope env;
+    env.type = MsgType::kPrePrepare;
+    env.sender = id();
+    env.body = BufView(pp.encode());
+    env.signature = key.sign(env.body);
+    send_to(cluster_.replica_id(rank), BufView(env.encode()));
+  }
+
   void send_commit(int rank, SeqNum seq, const Digest& digest) {
     CommitMsg commit;
     commit.view = ViewId(0);
@@ -54,14 +81,16 @@ class RoguePrimary : public net::Process {
   void on_packet(const net::Packet&) override {}  // drops everything
 
  private:
-  void send_body(int rank, MsgType type, Bytes body_bytes) {
+  void send_body(int rank, MsgType type, Bytes body_bytes,
+                 const std::function<void(Bytes&)>& tamper = nullptr) {
     const NodeId to = cluster_.replica_id(rank);
-    const BufView body(std::move(body_bytes));
     Envelope env;
     env.type = type;
     env.sender = id();
-    env.body = body;
-    env.auth.emplace_back(to, cluster_.keys().tag(id(), to, body));
+    env.auth.emplace_back(
+        to, cluster_.keys().tag(id(), to, authenticated_region(type, body_bytes)));
+    if (tamper) tamper(body_bytes);
+    env.body = BufView(std::move(body_bytes));
     send_to(to, BufView(env.encode()));
   }
 
@@ -228,6 +257,93 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
     EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
     EXPECT_GE(cluster.replica(rank).stats().malformed, 2u) << "rank " << rank;
   }
+}
+
+TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
+  // A PRE-PREPARE's MAC covers its 56-byte header; the request rides on
+  // the header's digest. Each forgery below must be rejected before the
+  // backup acts on it and counted as an authentication failure, exactly
+  // like a bad MAC; the honest proposal afterwards must still be accepted.
+  Cluster cluster(rogue_options(1, 7),
+                  [](int) { return std::make_unique<CounterStateMachine>(); });
+  cluster.crash_replica(0);
+  RoguePrimary rogue(cluster);
+
+  PrePrepareMsg pp;
+  pp.view = ViewId(0);
+  pp.seq = SeqNum(1);
+  pp.request = BufView(encode_request(7, 1, Bytes(64, 0xcd)));
+  pp.req_digest = framed_digest(ByteView(pp.request), false);
+  ASSERT_EQ(ByteView(authenticated_region(MsgType::kPrePrepare, pp.encode())).size(),
+            kPrePrepareHeaderSize);
+
+  PrePrepareMsg null_request = pp;
+  null_request.request = BufView();
+  Bytes short_body = pp.encode();
+  short_body.resize(kPrePrepareHeaderSize - 4);
+
+  const Replica& backup = cluster.replica(1);
+  const auto expect_rejected = [&](const char* what, const std::function<void()>& send) {
+    const std::uint64_t before = backup.stats().auth_failures;
+    send();
+    cluster.sim().run_for(millis(5));
+    EXPECT_EQ(backup.stats().auth_failures, before + 1) << what;
+    EXPECT_EQ(backup.stats().prepares_sent, 0u) << what;
+  };
+  expect_rejected("request altered after the MACs", [&] {
+    rogue.send_tampered_pre_prepare(1, pp, [](Bytes& body) {
+      body[kPrePrepareHeaderSize + 20] ^= 0x01;
+    });
+  });
+  expect_rejected("header altered", [&] {
+    rogue.send_tampered_pre_prepare(1, pp, [](Bytes& body) { body[8] ^= 0x01; });
+  });
+  expect_rejected("body shorter than the header",
+                  [&] { rogue.send_pre_prepare_body(1, short_body); });
+  expect_rejected("null request with a non-null digest",
+                  [&] { rogue.send_pre_prepare(1, null_request); });
+
+  const std::uint64_t before = backup.stats().auth_failures;
+  rogue.send_pre_prepare(1, pp);
+  cluster.sim().run_for(millis(5));
+  EXPECT_EQ(backup.stats().auth_failures, before);
+  EXPECT_EQ(backup.stats().prepares_sent, 1u);
+}
+
+TEST(ByzantinePrimaryTest, SignedPrePrepareStillBindsItsRequest) {
+  // A compromised primary also holds its signing key. Signing a PRE-PREPARE
+  // instead of MACing it must not let a request that does not match
+  // req_digest through: otherwise backups would agree on one digest while
+  // each executes whichever bytes it was sent.
+  Cluster cluster(rogue_options(1, 9),
+                  [](int) { return std::make_unique<CounterStateMachine>(); });
+  cluster.crash_replica(0);
+  RoguePrimary rogue(cluster);
+  // The Keystore is the PKI stand-in; re-issuing replica 0's key hands the
+  // rogue a key the backups accept as replica 0's own.
+  Rng key_rng(99);
+  const crypto::SigningKey key =
+      std::const_pointer_cast<crypto::Keystore>(cluster.keystore())
+          ->issue(cluster.replica_id(0), key_rng);
+
+  PrePrepareMsg pp;
+  pp.view = ViewId(0);
+  pp.seq = SeqNum(1);
+  pp.request = BufView(encode_request(7, 1, Bytes(64, 0xcd)));
+  pp.req_digest = framed_digest(ByteView(pp.request), false);
+  PrePrepareMsg altered = pp;
+  altered.request = BufView(encode_request(7, 1, Bytes(64, 0xce)));
+
+  const Replica& backup = cluster.replica(1);
+  rogue.send_signed_pre_prepare(1, altered, key);
+  cluster.sim().run_for(millis(5));
+  EXPECT_EQ(backup.stats().auth_failures, 1u);
+  EXPECT_EQ(backup.stats().prepares_sent, 0u);
+
+  rogue.send_signed_pre_prepare(1, pp, key);  // the signature itself is good
+  cluster.sim().run_for(millis(5));
+  EXPECT_EQ(backup.stats().auth_failures, 1u);
+  EXPECT_EQ(backup.stats().prepares_sent, 1u);
 }
 
 }  // namespace

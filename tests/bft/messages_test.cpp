@@ -60,6 +60,30 @@ TEST(BftMessagesTest, NullPrePrepare) {
   EXPECT_TRUE(back.value().is_null_request());
 }
 
+TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
+  // The header is everything but the request: the same 56 bytes for any
+  // request, and the request's digest is what binds the rest.
+  PrePrepareMsg msg;
+  msg.view = ViewId(3);
+  msg.seq = SeqNum(17);
+  msg.is_batch = true;
+  msg.request = to_bytes("encoded-request");
+  msg.req_digest = proposal_digest(ByteView(msg.request), true);
+  const Bytes body = msg.encode();
+  ASSERT_EQ(body.size(), kPrePrepareHeaderSize + msg.request.size());
+  const ByteView region = authenticated_region(MsgType::kPrePrepare, body);
+  EXPECT_EQ(Bytes(region.begin(), region.end()),
+            Bytes(body.begin(), body.begin() + kPrePrepareHeaderSize));
+  // The same bytes under the other framing are a different agreement value.
+  EXPECT_NE(proposal_digest(ByteView(msg.request), false), msg.req_digest);
+
+  // Every other body is authenticated whole.
+  PrepareMsg prep;
+  prep.view = ViewId(2);
+  const Bytes prep_body = prep.encode();
+  EXPECT_EQ(authenticated_region(MsgType::kPrepare, prep_body).size(), prep_body.size());
+}
+
 TEST(BftMessagesTest, PrepareCommitRoundTrip) {
   PrepareMsg prep;
   prep.view = ViewId(2);

@@ -12,7 +12,7 @@ SymmetricKey test_key(std::uint8_t fill = 0x42) {
 }
 
 Bytes ctr(const SymmetricKey& key, const Nonce& nonce, Bytes data) {
-  ctr_crypt(key, nonce, data, data);
+  detail::gcm_ctr(detail::selected_gcm_kernel(), key, nonce, data, data);
   return data;
 }
 
@@ -107,37 +107,79 @@ TEST(SealTest, RejectsTruncatedBuffer) {
   EXPECT_EQ(open(test_key(), {}, truncated).status().code(), Errc::kMalformedMessage);
 }
 
+/// x * y in GF(2^128), bit by bit as SP 800-38D Algorithm 1 states it:
+/// bit i of a block is bit 7 - i % 8 of byte i / 8.
+detail::AesBlock gf_multiply_reference(const detail::AesBlock& x, const detail::AesBlock& y) {
+  detail::AesBlock z{};
+  detail::AesBlock v = y;
+  for (int i = 0; i < 128; ++i) {
+    if ((x[static_cast<std::size_t>(i / 8)] >> (7 - i % 8)) & 1) {
+      for (std::size_t b = 0; b < 16; ++b) z[b] ^= v[b];
+    }
+    const bool lsb = (v[15] & 1) != 0;
+    for (std::size_t b = 15; b > 0; --b) {
+      v[b] = static_cast<std::uint8_t>((v[b] >> 1) | (v[b - 1] << 7));
+    }
+    v[0] >>= 1;
+    if (lsb) v[0] ^= 0xe1;
+  }
+  return z;
+}
+
 TEST(SealTest, SingleBufferSealMatchesReferenceComposition) {
-  // Reference built from first principles, one-shot hashes only: keystream
-  // block i = SHA-256(pad64(k_enc) || nonce || LE64(i)), ciphertext =
-  // plaintext XOR keystream, tag = HMAC(k_mac, nonce || aad || ciphertext)
-  // truncated. The single-buffer seal with cached midstates must match it.
+  // Reference built from SP 800-38D step by step, with only the AES block
+  // function taken from the library (the portable kernel, which the FIPS-197
+  // vector in gcm_kernel_test pins): k_enc = HMAC(K, "itdos.enc"),
+  // H = AES(0), J0 = nonce || 0^31 || 1, ciphertext block i = plaintext
+  // block i XOR AES(nonce || BE32(i + 2)), S = GHASH_H(aad padded ||
+  // ciphertext padded || BE64(aad bits) || BE64(ciphertext bits)) with the
+  // bitwise multiply above, tag = S XOR AES(J0). The single-buffer seal with
+  // the cached key schedule must match it.
   const SymmetricKey key = test_key(0x21);
   const Nonce nonce = make_nonce(6, 44);
   const ByteView nonce_view(nonce.data(), nonce.size());
   const Bytes aad = to_bytes("routing header");
-  Bytes pad64 = derive_key(key.view(), "itdos.enc", {});
-  pad64.resize(kBlockSize, 0);
-  const Bytes k_mac = derive_key(key.view(), "itdos.mac", {});
+  const detail::GcmKey k_enc = detail::make_gcm_key(derive_key(key.view(), "itdos.enc", {}));
+  const auto aes = [&](const detail::AesBlock& in) {
+    const detail::AesBlock zero{};
+    detail::AesBlock out{};
+    detail::kGcmPortable.ctr(k_enc, in, zero.data(), out.data(), out.size());
+    return out;
+  };
+  const auto counter = [&](std::uint32_t i) {
+    detail::AesBlock block{};
+    std::copy(nonce.begin(), nonce.end(), block.begin());
+    for (int b = 0; b < 4; ++b) block[12 + b] = static_cast<std::uint8_t>(i >> (24 - 8 * b));
+    return block;
+  };
+  const detail::AesBlock h = aes(detail::AesBlock{});
   Rng rng(11);
-  for (const std::size_t size : {0u, 1u, 100u, 5000u}) {
+  for (const std::size_t size : {0u, 1u, 16u, 100u, 5000u}) {
     const Bytes plaintext = rng.next_bytes(size);
     Bytes ciphertext = plaintext;
-    for (std::size_t block = 0; block * kDigestSize < size; ++block) {
-      Bytes input = pad64;
-      append(input, nonce_view);
-      for (int i = 0; i < 8; ++i) input.push_back(static_cast<std::uint8_t>(block >> (i * 8)));
-      ASSERT_EQ(input.size(), 84u);
-      const Digest keystream = sha256(ByteView(input));
-      for (std::size_t i = 0; i < kDigestSize && block * kDigestSize + i < size; ++i) {
-        ciphertext[block * kDigestSize + i] ^= keystream[i];
-      }
+    for (std::size_t i = 0; i < size; ++i) {
+      ciphertext[i] ^= aes(counter(static_cast<std::uint32_t>(i / 16 + 2)))[i % 16];
     }
+    detail::AesBlock s{};
+    const auto ghash = [&](ByteView data) {
+      for (std::size_t at = 0; at < data.size(); at += 16) {
+        for (std::size_t b = 0; b < 16 && at + b < data.size(); ++b) s[b] ^= data[at + b];
+        s = gf_multiply_reference(s, h);
+      }
+    };
+    ghash(aad);
+    ghash(ciphertext);
+    Bytes lengths(16, 0);
+    for (int b = 0; b < 8; ++b) {
+      lengths[7 - b] = static_cast<std::uint8_t>((aad.size() * 8) >> (8 * b));
+      lengths[15 - b] = static_cast<std::uint8_t>((size * 8) >> (8 * b));
+    }
+    ghash(lengths);
+    const detail::AesBlock mask = aes(counter(1));
     Bytes reference;
     append(reference, nonce_view);
     append(reference, ciphertext);
-    const Digest tag = hmac_sha256(k_mac, {nonce_view, aad, ciphertext});
-    append(reference, ByteView(tag.data(), kMacTagSize));
+    for (std::size_t b = 0; b < 16; ++b) reference.push_back(s[b] ^ mask[b]);
     EXPECT_EQ(seal(key, nonce, aad, plaintext), reference) << size;
   }
 }
@@ -145,9 +187,11 @@ TEST(SealTest, SingleBufferSealMatchesReferenceComposition) {
 TEST(SealTest, PinnedWireFormatKnownAnswers) {
   // Sealed bytes for key 00..1f, make_nonce(0x01020304, 0x1122334455667788),
   // AAD "itdos-kat" and plaintext byte i = i mod 256, computed with Python's
-  // hashlib/hmac from the construction in cipher.hpp. Any change here is a
-  // wire-format change. The 5000-byte case pins the SHA-256 of its 5028
-  // sealed bytes instead of their hex.
+  // cryptography AESGCM under k_enc = HMAC-SHA256(key, "itdos.enc"), from
+  // the construction in cipher.hpp. Any change here is a wire-format
+  // change; these were re-blessed when the seal became AES-256-GCM. The
+  // 5000-byte case pins the SHA-256 of its 5028 sealed bytes instead of
+  // their hex.
   Bytes raw(kSymmetricKeySize);
   for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = static_cast<std::uint8_t>(i);
   const SymmetricKey key = SymmetricKey::from_bytes(raw);
@@ -159,22 +203,31 @@ TEST(SealTest, PinnedWireFormatKnownAnswers) {
     return seal(key, nonce, aad, plaintext);
   };
   const std::vector<std::pair<std::size_t, std::string>> known = {
-      {0, "0403020188776655443322110d4f3f91841d24feae3fc311eae91101"},
-      {1, "040302018877665544332211396b9299acbc20b81a099d3b4d75f703ab"},
+      {0, "040302018877665544332211737eba906952f641c329fb89eaf8504c"},
+      {1, "0403020188776655443322114af683bd5355b34872f4defafa291e038d"},
+      {15,
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d446b422c969d1b0eed2173"
+       "9c023b9c325c"},
+      {16,
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a37de3b190631639180e"
+       "9cd283bb79b85f"},
+      {17,
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a31a4937f947f1334c6b"
+       "32f8ec3c7354d626"},
       {31,
-       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
-       "0218de9f43f7c4ec2df92768bb959f7f07313c2c5085"},
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a31a4da57695bfc1f014"
+       "acc17b4f396890698f9dafd38e144018819bb5af89ac"},
       {32,
-       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
-       "0218de9f43f7acaa4489c5ca2f25614b62693b12abc610"},
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a31a4da57695bfc1f014"
+       "acc17b4f3968f876fa4b9670f1304caecad3b732337d56"},
       {33,
-       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
-       "0218de9f43f7ac1dc06121043d4aa7099b1bd392d746a9b5"},
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a31a4da57695bfc1f014"
+       "acc17b4f3968f8f4cc738233551b5d63bd46373533278df6"},
       {100,
-       "04030201887766554433221139361411624a011dccdeb8b4c26b04cc9d5b5dcceab3898887"
-       "0218de9f43f7ac1de3f4837baf4f3f4ea8f9b0a808292c0f900e1555eb7b72952e23951b0b"
-       "ec4dacc36528f94615da6f0c50a0c32e4839f85a922f0fd3d8f668741161bce31d096cf99e"
-       "13921adba78a460a4b0708904e3682204c"},
+       "0403020188776655443322114a28ed97ea0039ec03d5b3dd6c2d44a31a4da57695bfc1f014"
+       "acc17b4f3968f8f4efdf486422e43daea83b41cf03536bdbe2fd0d9e2608889738a1046e9d"
+       "e3e727e586d71d46d58a7de4850b9adc9736dca3fb9f3e62546e6d8370d41e82c1c616045c"
+       "b7c719e862d3a61e5d0d6752d227f27064"},
   };
   for (const auto& [size, hex] : known) {
     EXPECT_EQ(hex_encode(sealed_of(size)), hex) << size;
@@ -182,7 +235,7 @@ TEST(SealTest, PinnedWireFormatKnownAnswers) {
   const Bytes large = sealed_of(5000);
   ASSERT_EQ(large.size(), 5000 + kSealOverhead);
   EXPECT_EQ(hex_encode(digest_view(sha256(ByteView(large)))),
-            "e58724187d4d92aa811ad91dc93fe2048c329b3de661a45bea68ea2b17c6a8d3");
+            "3dd7345aef1ecd6dea50f48df60628dc54484280671a11c5b4afe82697a05516");
 }
 
 TEST(SealTest, FingerprintStableAndShort) {

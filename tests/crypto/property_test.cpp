@@ -40,6 +40,31 @@ TEST_P(CryptoPropertyTest, SealedTamperAlwaysDetected) {
   }
 }
 
+TEST_P(CryptoPropertyTest, EveryBitFlipAndTruncationFailsOpen) {
+  // Exhaustive over one sealed message: flipping any single bit of the
+  // nonce, ciphertext, tag or AAD, or cutting any number of bytes off the
+  // end, must fail open with no plaintext returned.
+  Rng rng(GetParam() ^ 0xb17fULL);
+  const SymmetricKey key = SymmetricKey::from_bytes(rng.next_bytes(32));
+  const Bytes aad = rng.next_bytes(20);
+  const Bytes plaintext = rng.next_bytes(40);
+  const Bytes sealed = seal(key, make_nonce(rng.next_u64(), rng.next_u64()), aad, plaintext);
+  ASSERT_TRUE(open(key, aad, sealed).is_ok());
+  for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+    Bytes flipped = sealed;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(open(key, aad, flipped).is_ok()) << "sealed bit " << bit;
+  }
+  for (std::size_t bit = 0; bit < aad.size() * 8; ++bit) {
+    Bytes flipped = aad;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(open(key, flipped, sealed).is_ok()) << "aad bit " << bit;
+  }
+  for (std::size_t size = 0; size < sealed.size(); ++size) {
+    EXPECT_FALSE(open(key, aad, ByteView(sealed).first(size)).is_ok()) << "truncated to " << size;
+  }
+}
+
 TEST_P(CryptoPropertyTest, SignaturesNeverCrossVerify) {
   Rng rng(GetParam() ^ 0x51e4ULL);
   Keystore keystore;
@@ -87,7 +112,7 @@ TEST_P(CryptoPropertyTest, CtrKeystreamNeverRepeatsAcrossNonces) {
   std::set<Bytes> keystreams;
   for (std::uint64_t counter = 0; counter < 50; ++counter) {
     Bytes ks(64, 0);
-    ctr_crypt(key, make_nonce(1, counter), ks, ks);
+    detail::gcm_ctr(detail::selected_gcm_kernel(), key, make_nonce(1, counter), ks, ks);
     EXPECT_TRUE(keystreams.insert(ks).second) << "keystream repeated";
   }
 }

@@ -153,6 +153,41 @@ TEST_F(HostileTest, SpoofedDirectReplyRejectedByClient) {
   ASSERT_TRUE(echo(2).is_ok());
 }
 
+TEST_F(HostileTest, LateDirectReplyDiscardedBeforeAnyCrypto) {
+  // After rid 2 completes the client's voter is on rid 2, so a DirectReply
+  // for rid 1 is late: the voter discards it unused (§3.6), and the party
+  // hands it over without opening it. A garbage seal therefore counts as
+  // discarded, not as rejected.
+  ASSERT_TRUE(echo(1).is_ok());
+  ASSERT_TRUE(echo(2).is_ok());
+  system_.settle();  // the slowest element's genuine replies are in
+  const telemetry::Counter& discarded = system_.network().sim().telemetry().metrics().counter(
+      "vote." + client_.smiop_node().to_string() + ".discarded");
+  const NodeId element = system_.element(domain_, 0).smiop_node();
+  DirectReplyMsg late;
+  late.conn = ConnectionId(1);
+  late.rid = RequestId(1);
+  late.element = element;
+  late.epoch = KeyEpoch(1);
+  late.sealed_giop = to_bytes("garbage where the sealed reply should be");
+  late.plain_signature.fill(0xaa);
+  const std::uint64_t discarded_before = discarded.value();
+  const std::uint64_t rejected_before = client_.party().stats().replies_rejected;
+  system_.network().send(NodeId(777777), client_.smiop_node(), late.encode());
+  system_.settle();
+  EXPECT_EQ(discarded.value(), discarded_before + 1);
+  EXPECT_EQ(client_.party().stats().replies_rejected, rejected_before);
+
+  // A reply for a future rid still goes through every check.
+  DirectReplyMsg future = late;
+  future.rid = RequestId(3);
+  system_.network().send(NodeId(777777), client_.smiop_node(), future.encode());
+  system_.settle();
+  EXPECT_EQ(client_.party().stats().replies_rejected, rejected_before + 1);
+  EXPECT_EQ(discarded.value(), discarded_before + 1);
+  ASSERT_TRUE(echo(3).is_ok());
+}
+
 TEST_F(HostileTest, MaliciousClientCannotFrameCorrectElement) {
   // A malicious singleton client files a change_request against a CORRECT
   // element with a forged proof; the GM must reject it and the element must

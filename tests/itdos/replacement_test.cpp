@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "itdos/smiop_msg.hpp"
 #include "itdos/system.hpp"
+#include "recovery/recovery_manager.hpp"
 
 namespace itdos::core {
 namespace {
@@ -121,24 +123,38 @@ TEST_F(ReplacementTest, CrashReplacementNeverReusesASealNonce) {
   // A crash replacement keeps its predecessor's SMIOP identity, the
   // connection's key epoch and its pairwise channel keys, so a nonce drawn
   // from a per-incarnation counter would restart where the predecessor's
-  // began. A nonce that seals two different ciphertexts under one key hands
-  // an eavesdropper the XOR of the two plaintexts. Element 1 answers rids
-  // under (conn 1, epoch 1) before its crash and after its replacement, and
-  // sends state bundles to element 2's identity from both incarnations
-  // (element 2 is replaced before and after element 1).
+  // began. Under AES-GCM a nonce that seals two different ciphertexts under
+  // one key hands an eavesdropper the XOR of the two plaintexts and the
+  // means to forge tags. Element 1 answers rids under (conn 1, epoch 1)
+  // before its crash and after its replacement, and sends state bundles to
+  // element 2's identity from both incarnations (element 2 is replaced
+  // before and after element 1). A proactive rejuvenation then makes every
+  // GM element distribute fresh key shares from refreshed DPRF sub-keys.
   //
-  // Every sealed reply and state bundle, by (kind, key, nonce): a reply key
-  // is (conn, epoch), a bundle key the unordered pair of element nodes.
+  // Every sealed reply, state bundle and key share, by (kind, key, nonce):
+  // a reply key is (conn, epoch); a bundle or share key is the unordered
+  // pair of nodes whose channel key seals it.
   std::map<std::tuple<int, std::uint64_t, std::uint64_t, Bytes>, Bytes> ciphertexts;
   std::vector<std::string> reused;
   std::size_t replies = 0;
   std::size_t bundles = 0;
+  std::size_t shares = 0;
+  // GM elements draw share nonces from an in-memory counter. That is safe
+  // only because a GM element never restarts under an old identity (the
+  // system can crash a GM element but never replaces one): pin it by
+  // requiring every (GM sender, nonce) to be fresh across all recipients.
+  std::set<std::pair<std::uint64_t, Bytes>> share_nonces;
+  std::size_t repeated_share_nonces = 0;
   const auto record = [&](int kind, std::uint64_t a, std::uint64_t b, ByteView sealed) {
     const Bytes nonce(sealed.begin(), sealed.begin() + crypto::kNonceSize);
     const Bytes ciphertext(sealed.begin() + crypto::kNonceSize,
                            sealed.end() - crypto::kMacTagSize);
     const auto [it, fresh] = ciphertexts.try_emplace({kind, a, b, nonce}, ciphertext);
     if (!fresh && it->second != ciphertext) reused.push_back(hex_encode(ByteView(nonce)));
+  };
+  const auto pair_of = [](const net::Packet& packet) {
+    return std::pair(std::min(packet.from.value, packet.to.value),
+                     std::max(packet.from.value, packet.to.value));
   };
   const auto watch = [&](const net::Packet& packet) {
     const Result<SmiopType> type = smiop_type(packet.payload.bytes());
@@ -153,8 +169,17 @@ TEST_F(ReplacementTest, CrashReplacementNeverReusesASealNonce) {
       if (const Result<StateBundleMsg> msg = StateBundleMsg::decode(packet.payload);
           msg.is_ok()) {
         ++bundles;
-        record(1, std::min(packet.from.value, packet.to.value),
-               std::max(packet.from.value, packet.to.value), msg.value().sealed_bundle.bytes());
+        const auto [a, b] = pair_of(packet);
+        record(1, a, b, msg.value().sealed_bundle.bytes());
+      }
+    } else if (type.is_ok() && type.value() == SmiopType::kKeyShare) {
+      if (const Result<KeyShareMsg> msg = KeyShareMsg::decode(packet.payload); msg.is_ok()) {
+        ++shares;
+        const ByteView sealed = msg.value().sealed_share.bytes();
+        const auto [a, b] = pair_of(packet);
+        record(2, a, b, sealed);
+        const Bytes nonce(sealed.begin(), sealed.begin() + crypto::kNonceSize);
+        if (!share_nonces.emplace(packet.from.value, nonce).second) ++repeated_share_nonces;
       }
     }
     return true;
@@ -190,12 +215,35 @@ TEST_F(ReplacementTest, CrashReplacementNeverReusesASealNonce) {
   crash_and_replace(2);
   crash_and_replace(1);
   crash_and_replace(2);
+  const std::size_t shares_before_rejuvenation = shares;
+  const auto gm_nodes = [&] {
+    std::vector<NodeId> nodes;
+    for (const ElementInfo& gm : system.directory().gm().elements) nodes.push_back(gm.smiop_node);
+    return nodes;
+  };
+  const std::vector<NodeId> gm_before = gm_nodes();
+
+  recovery::RecoveryManager manager(system);
+  manager.recover_now(domain, 3);
+  system.network().set_inbound_filter(system.element(domain, 3).smiop_node(), watch);
+  system.settle();
+  ASSERT_EQ(manager.stats().completed, 1u);
+  add_tens(2);
+  EXPECT_EQ(gm_nodes(), gm_before);
+  for (const auto& [sender, nonce] : share_nonces) {
+    EXPECT_TRUE(std::find(gm_before.begin(), gm_before.end(), NodeId(sender)) != gm_before.end())
+        << "key share from non-GM node " << sender;
+  }
+
   const Result<Value> result =
       system.invoke_sync(client, ref, "get", Value::sequence({}), seconds(10));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().as_int64(), expected);
   EXPECT_GE(replies, 60u);
   EXPECT_GE(bundles, 9u);  // three replacements, three peers each
+  EXPECT_GT(shares_before_rejuvenation, 0u);
+  EXPECT_GT(shares, shares_before_rejuvenation);  // the rejuvenation rekeyed
+  EXPECT_EQ(repeated_share_nonces, 0u);
   EXPECT_TRUE(reused.empty()) << reused.size() << " reused nonces, first: " << reused.front();
 }
 
