@@ -121,12 +121,14 @@ BENCHMARK(BM_A2AckInterval)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 // ---------------------------------------------------------------------------
 
 void BM_A3FirewallAdmitValid(benchmark::State& state) {
-  core::FirewallProxy proxy;
+  telemetry::MetricsRegistry registry;
+  core::FirewallProxy proxy(registry, DomainId(1));
   bft::Envelope env;
   env.type = bft::MsgType::kPrepare;
   env.sender = NodeId(1);
   env.body = Bytes(static_cast<std::size_t>(state.range(0)), 0x5a);
-  const net::Packet packet{NodeId(1), NodeId(2), std::nullopt, env.encode()};
+  Arena arena;
+  const net::Packet packet{NodeId(1), NodeId(2), std::nullopt, env.encode_into(arena)};
   for (auto _ : state) {
     benchmark::DoNotOptimize(proxy.admit(packet));
   }
@@ -136,7 +138,8 @@ void BM_A3FirewallAdmitValid(benchmark::State& state) {
 BENCHMARK(BM_A3FirewallAdmitValid)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_A3FirewallRejectGarbage(benchmark::State& state) {
-  core::FirewallProxy proxy;
+  telemetry::MetricsRegistry registry;
+  core::FirewallProxy proxy(registry, DomainId(1));
   Rng rng(9);
   const net::Packet packet{NodeId(1), NodeId(2), std::nullopt,
                            rng.next_bytes(static_cast<std::size_t>(state.range(0)))};

@@ -130,12 +130,12 @@ class BenchReport {
           << ", \"p99\": " << hist.percentile(99.0) << "}";
       sep = ",";
     }
-    out << "\n  },\n";
+    out << "\n  }";
 
     // Latency-vs-offered-load curves (optional: only offered-load benches
     // record them; their absence keeps every older report schema-valid).
     if (!curves_.empty()) {
-      out << "  \"curves\": {";
+      out << ",\n  \"curves\": {";
       sep = "";
       for (const auto& [curve, points] : curves_) {
         out << sep << "\n    \"" << curve << "\": [";
@@ -157,23 +157,9 @@ class BenchReport {
         out << "\n    ]";
         sep = ",";
       }
-      out << "\n  },\n";
+      out << "\n  }";
     }
-
-    // Per-layer rollup: counter totals keyed on the first name segment
-    // ("bft", "smiop", "queue", "vote", "gm", "net", ...).
-    std::map<std::string, std::uint64_t> layers;
-    for (const auto& [cname, counter] : registry_.counters()) {
-      layers[cname.substr(0, cname.find('.'))] += counter.value();
-    }
-    out << "  \"layers\": {";
-    sep = "";
-    for (const auto& [layer, total] : layers) {
-      out << sep << "\n    \"" << layer << "\": " << total;
-      sep = ",";
-    }
-    out << "\n  }\n";
-    out << "}\n";
+    out << "\n}\n";
   }
 
  private:

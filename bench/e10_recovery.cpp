@@ -62,6 +62,11 @@ void BM_E10ExpelToRestored(benchmark::State& state) {
         });
     recovery::RecoveryManager manager(system);
     manager.watch();
+    std::int64_t mttr_ns = 0;
+    manager.add_listener([&mttr_ns](const recovery::RecoveryEvent& event) {
+      if (event.kind == recovery::RecoveryEvent::Kind::kCompleted) mttr_ns = event.mttr_ns;
+    });
+    const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
     system.element(domain, 2).set_reply_mutator([](cdr::ReplyMessage reply) {
       reply.result = cdr::Value::int64(666);
       return reply;
@@ -73,7 +78,7 @@ void BM_E10ExpelToRestored(benchmark::State& state) {
     // Keep request traffic flowing while the repair runs: MTTR is measured
     // under load (a quiescent domain would lean on the watchdog retry for
     // its ordered sync point and measure the deadline instead).
-    for (int i = 0; i < 30 && manager.stats().completed < 1; ++i) {
+    for (int i = 0; i < 30 && reg.counter_value("recovery.completed") < 1; ++i) {
       if (!system.invoke_sync(client, ref, "add", int_args(1, 1), seconds(30))
                .is_ok()) {
         state.SkipWithError("invocation failed");
@@ -81,11 +86,11 @@ void BM_E10ExpelToRestored(benchmark::State& state) {
       }
     }
     system.settle();
-    if (manager.stats().completed < 1) {
+    if (reg.counter_value("recovery.completed") < 1) {
       state.SkipWithError("recovery did not complete");
       return;
     }
-    total_mttr_ns += manager.stats().last_mttr_ns;
+    total_mttr_ns += mttr_ns;
     BenchReport::instance().harvest(system.sim());
   }
   state.counters["sim_ms_mttr"] = benchmark::Counter(
@@ -110,6 +115,10 @@ void BM_E10ProactiveRotation(benchmark::State& state) {
               ObjectId(1), std::make_shared<PersistentCalculator>());
         });
     recovery::RecoveryManager manager(system);
+    std::int64_t mttr_ns = 0;
+    manager.add_listener([&mttr_ns](const recovery::RecoveryEvent& event) {
+      if (event.kind == recovery::RecoveryEvent::Kind::kCompleted) mttr_ns = event.mttr_ns;
+    });
     core::ItdosClient& client = system.add_client();
     const orb::ObjectRef ref =
         system.object_ref(domain, ObjectId(1), "IDL:bench/Calc:1.0");
@@ -120,11 +129,11 @@ void BM_E10ProactiveRotation(benchmark::State& state) {
     }
     manager.recover_now(domain, 0);
     system.settle();
-    if (manager.stats().completed < 1) {
+    if (system.sim().telemetry().metrics().counter_value("recovery.completed") < 1) {
       state.SkipWithError("rotation did not complete");
       return;
     }
-    total_mttr_ns += manager.stats().last_mttr_ns;
+    total_mttr_ns += mttr_ns;
     BenchReport::instance().harvest(system.sim());
   }
   state.counters["sim_ms_rotation"] = benchmark::Counter(

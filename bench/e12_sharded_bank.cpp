@@ -165,8 +165,9 @@ void BM_E12TellerTransfer(benchmark::State& state) {
 
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
   for (auto _ : state) {
-    system.network().reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
     const Result<cdr::Value> result = system.invoke_sync(
         bank.client(), bank.teller_ref(), "transfer", cdr::Value(args),
@@ -177,7 +178,7 @@ void BM_E12TellerTransfer(benchmark::State& state) {
     }
     const std::int64_t elapsed = system.sim().now() - before;
     total_sim_ns += elapsed;
-    total_packets += system.network().stats().packets_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
     system.sim().telemetry().metrics().histogram("e12.transfer.latency_ns")
         .record(elapsed);
   }

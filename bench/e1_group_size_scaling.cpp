@@ -36,16 +36,18 @@ void BM_E1OrderingCost(benchmark::State& state) {
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
   std::uint64_t total_bytes = 0;
+  const telemetry::MetricsRegistry& reg = cluster.sim().telemetry().metrics();
   for (auto _ : state) {
-    cluster.network().reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
+    const std::uint64_t bytes_before = reg.counter_value("net.bytes_delivered");
     const SimTime before = cluster.sim().now();
     if (!cluster.invoke_sync(client, to_bytes("add:1")).is_ok()) {
       state.SkipWithError("invocation failed");
       return;
     }
     total_sim_ns += cluster.sim().now() - before;
-    total_packets += cluster.network().stats().packets_delivered;
-    total_bytes += cluster.network().stats().bytes_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
+    total_bytes += reg.counter_value("net.bytes_delivered") - bytes_before;
   }
   const auto iters = static_cast<double>(state.iterations());
   state.counters["n_replicas"] = benchmark::Counter(3.0 * f + 1);
@@ -162,8 +164,7 @@ void BM_E1BatchPipelineSweep(benchmark::State& state) {
     const auto& metrics = cluster.sim().telemetry().metrics();
     for (int rank = 0; rank < cluster.n(); ++rank) {
       macs += metrics.counter_value(
-          "bft." + std::to_string(cluster.replica_id(rank).value) +
-          ".macs_computed");
+          telemetry::metric_name("bft", cluster.replica_id(rank), "macs_computed"));
     }
     BenchReport::instance().registry().histogram("bft.macs_per_op").record(
         static_cast<std::int64_t>(macs / static_cast<std::uint64_t>(kTotal)));

@@ -151,16 +151,18 @@ void BM_E3RecoveryWireCost(benchmark::State& state) {
     }
     cluster.settle();
     cluster.network().heal_all_links();
-    cluster.network().reset_stats();
+    const telemetry::MetricsRegistry& reg = cluster.sim().telemetry().metrics();
+    const std::uint64_t bytes_before = reg.counter_value("net.bytes_delivered");
     for (int i = 0; i < 5; ++i) {
       (void)cluster.invoke_sync(client, to_bytes("x"));
     }
     cluster.settle();
-    if (cluster.replica(3).stats().state_transfers == 0) {
+    if (reg.counter_value(telemetry::metric_name("bft", cluster.replica_id(3),
+                                                 "state_transfers")) == 0) {
       state.SkipWithError("no state transfer happened");
       return;
     }
-    recovery_bytes_total += cluster.network().stats().bytes_delivered;
+    recovery_bytes_total += reg.counter_value("net.bytes_delivered") - bytes_before;
     BenchReport::instance().harvest(cluster.sim());
   }
   state.counters["recovery_wire_kb"] = benchmark::Counter(

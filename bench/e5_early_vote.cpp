@@ -74,8 +74,11 @@ void BM_E5WaitForAllBaseline(benchmark::State& state) {
   const std::uint64_t n = 3 * f + 1;
   std::int64_t total_sim_ns = 0;
   std::uint64_t gave_up = 0;
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
+  const std::string replies_name =
+      telemetry::metric_name("smiop", client.smiop_node(), "replies_received");
   for (auto _ : state) {
-    const std::uint64_t replies_before = client.party().stats().replies_received;
+    const std::uint64_t replies_before = reg.counter_value(replies_name);
     const SimTime before = system.sim().now();
     if (!system.invoke_sync(client, ref, "add", int_args(1, 1), seconds(30)).is_ok()) {
       state.SkipWithError("invocation failed");
@@ -83,11 +86,11 @@ void BM_E5WaitForAllBaseline(benchmark::State& state) {
     }
     // Keep running until ALL n replies arrived or the give-up horizon.
     const SimTime horizon = system.sim().now() + millis(100);
-    while (client.party().stats().replies_received - replies_before < n &&
+    while (reg.counter_value(replies_name) - replies_before < n &&
            system.sim().now() < horizon) {
       if (!system.sim().step()) break;
     }
-    if (client.party().stats().replies_received - replies_before < n) {
+    if (reg.counter_value(replies_name) - replies_before < n) {
       ++gave_up;
       total_sim_ns += horizon - before;
     } else {

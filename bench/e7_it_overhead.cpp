@@ -19,13 +19,15 @@ void BM_E7PlainIiop(benchmark::State& state) {
   net::Network net(sim, net::NetConfig{micros(20), micros(80), 0.0, 0.0});
   orb::Orb server_orb(DomainId(1),
                       std::make_unique<orb::IiopProtocol>(
-                          net, NodeId(11), orb::IiopDirectory{}));
+                          net, NodeId(11), orb::IiopDirectory{}),
+                      sim.telemetry().metrics(), NodeId(11));
   orb::IiopServer server(net, NodeId(1), server_orb);
   (void)server_orb.adapter().activate_with_key(ObjectId(1),
                                                std::make_shared<BenchCalculator>());
   orb::Orb client(DomainId(100),
                   std::make_unique<orb::IiopProtocol>(
-                      net, NodeId(2), orb::IiopDirectory{{DomainId(1), NodeId(1)}}));
+                      net, NodeId(2), orb::IiopDirectory{{DomainId(1), NodeId(1)}}),
+                  sim.telemetry().metrics(), NodeId(2));
   orb::ObjectRef ref;
   ref.domain = DomainId(1);
   ref.key = ObjectId(1);
@@ -33,8 +35,9 @@ void BM_E7PlainIiop(benchmark::State& state) {
 
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
+  const telemetry::MetricsRegistry& reg = sim.telemetry().metrics();
   for (auto _ : state) {
-    net.reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = sim.now();
     std::optional<Result<cdr::Value>> outcome;
     client.invoke(ref, "add", int_args(20, 22),
@@ -46,7 +49,7 @@ void BM_E7PlainIiop(benchmark::State& state) {
       return;
     }
     total_sim_ns += sim.now() - before;
-    total_packets += net.stats().packets_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
   }
   state.counters["sim_us_per_call"] = benchmark::Counter(
       static_cast<double>(total_sim_ns) / 1e3 / static_cast<double>(state.iterations()));
@@ -72,15 +75,16 @@ void BM_E7Itdos(benchmark::State& state) {
   }
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
   for (auto _ : state) {
-    system.network().reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
     if (!system.invoke_sync(client, ref, "add", int_args(20, 22), seconds(30)).is_ok()) {
       state.SkipWithError("ITDOS invocation failed");
       return;
     }
     total_sim_ns += system.sim().now() - before;
-    total_packets += system.network().stats().packets_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
   }
   state.counters["sim_us_per_call"] = benchmark::Counter(
       static_cast<double>(total_sim_ns) / 1e3 / static_cast<double>(state.iterations()));

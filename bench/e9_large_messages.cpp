@@ -27,8 +27,9 @@ void BM_E9PayloadSweep(benchmark::State& state) {
   auto& ops = BenchReport::instance().registry().counter("e9.ops");
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
   for (auto _ : state) {
-    system.network().reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
     const Result<cdr::Value> result = system.invoke_sync(
         client, ref, "echo", payload_of_size(payload), seconds(60));
@@ -38,7 +39,7 @@ void BM_E9PayloadSweep(benchmark::State& state) {
     }
     ops.inc();
     total_sim_ns += system.sim().now() - before;
-    total_packets += system.network().stats().packets_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
   }
   const auto iters = static_cast<double>(state.iterations());
   state.counters["sim_us_per_call"] =

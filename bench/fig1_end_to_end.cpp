@@ -29,8 +29,9 @@ void BM_Fig1EndToEnd(benchmark::State& state) {
 
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
   for (auto _ : state) {
-    system.network().reset_stats();
+    const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
     const Result<cdr::Value> result =
         system.invoke_sync(client, ref, "add", int_args(20, 22), seconds(30));
@@ -39,7 +40,7 @@ void BM_Fig1EndToEnd(benchmark::State& state) {
       return;
     }
     total_sim_ns += system.sim().now() - before;
-    total_packets += system.network().stats().packets_delivered;
+    total_packets += reg.counter_value("net.packets_delivered") - packets_before;
   }
   state.counters["sim_us_per_call"] = benchmark::Counter(
       static_cast<double>(total_sim_ns) / 1e3 / static_cast<double>(state.iterations()));

@@ -142,7 +142,8 @@ int main() {
   std::printf("\nledger elements voted on ordered request copies from the "
               "replicated teller:\n");
   std::printf("  ledger element 0 request-vote copies: %llu\n",
-              static_cast<unsigned long long>(
-                  system.element(ledger_domain, 0).stats().request_vote_copies));
+              static_cast<unsigned long long>(system.sim().telemetry().metrics().counter_value(
+                  telemetry::metric_name("element", system.element(ledger_domain, 0).smiop_node(),
+                                         "request_vote_copies"))));
   return 0;
 }

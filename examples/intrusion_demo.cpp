@@ -68,11 +68,13 @@ int main() {
 
   // --- step 3+4: detection, proof, expulsion, rekey ---
   system.settle();
-  const auto& stats = client.party().stats();
-  std::printf("[detect] dissenting replies observed : %llu\n",
-              static_cast<unsigned long long>(stats.faults_detected));
-  std::printf("[report] change_requests (with proof): %llu\n",
-              static_cast<unsigned long long>(stats.change_requests_sent));
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
+  const auto party = [&](std::string_view name) {
+    return static_cast<unsigned long long>(
+        reg.counter_value(telemetry::metric_name("smiop", client.smiop_node(), name)));
+  };
+  std::printf("[detect] dissenting replies observed : %llu\n", party("faults_detected"));
+  std::printf("[report] change_requests (with proof): %llu\n", party("change_requests_sent"));
   const bool expelled = system.gm_element(0).state().is_expelled(domain, intruder);
   std::printf("[expel]  Group Manager verdict       : %s\n",
               expelled ? "EXPELLED (proof verified by GM's unmarshalled vote)"

@@ -68,17 +68,18 @@ int main() {
                          Value::sequence({Value::int64(6), Value::int64(7)}));
   std::printf("mul(6, 7)    -> %s\n", product.value().to_string().c_str());
 
-  const auto& stats = client.party().stats();
+  // Every layer counts into the simulator's metrics registry.
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
+  const auto party = [&](std::string_view name) {
+    return static_cast<unsigned long long>(
+        reg.counter_value(telemetry::metric_name("smiop", client.smiop_node(), name)));
+  };
   std::printf("\nwhat happened under the hood:\n");
-  std::printf("  open_requests to the Group Manager : %llu\n",
-              static_cast<unsigned long long>(stats.opens_sent));
-  std::printf("  ordered requests sent              : %llu\n",
-              static_cast<unsigned long long>(stats.requests_sent));
-  std::printf("  replies received from elements     : %llu\n",
-              static_cast<unsigned long long>(stats.replies_received));
-  std::printf("  votes decided                      : %llu\n",
-              static_cast<unsigned long long>(stats.votes_decided));
+  std::printf("  open_requests to the Group Manager : %llu\n", party("opens_sent"));
+  std::printf("  ordered requests sent              : %llu\n", party("requests_sent"));
+  std::printf("  replies received from elements     : %llu\n", party("replies_received"));
+  std::printf("  votes decided                      : %llu\n", party("votes_decided"));
   std::printf("  network packets delivered          : %llu\n",
-              static_cast<unsigned long long>(system.network().stats().packets_delivered));
+              static_cast<unsigned long long>(reg.counter_value("net.packets_delivered")));
   return 0;
 }

@@ -113,8 +113,7 @@ def main():
         else:
             hists = len(report.get("histograms", {}))
             counters = len(report.get("counters", {}))
-            layers = ",".join(sorted(report.get("layers", {})))
-            print(f"OK   {report_path}: {counters} counters, {hists} histograms, layers [{layers}]")
+            print(f"OK   {report_path}: {counters} counters, {hists} histograms")
     return 1 if failed else 0
 
 

@@ -6,25 +6,15 @@ namespace {
 
 constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
 
-void encode_fields(const BatchMsg& msg, cdr::Encoder& enc) {
-  enc.write_uint32(static_cast<std::uint32_t>(msg.entries.size()));
-  for (const BufView& entry : msg.entries) enc.write_bytes(entry);
-}
-
 }  // namespace
-
-Bytes BatchMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  encode_fields(*this, enc);
-  return enc.take();
-}
 
 BufView BatchMsg::encode_into(Arena& arena) const {
   // Entry count, then per entry at most 3 pad + 4 length + the bytes.
   std::size_t bound = 8;
   for (const BufView& entry : entries) bound += entry.size() + 8;
   cdr::Encoder enc(kWire, &arena, bound);
-  encode_fields(*this, enc);
+  enc.write_uint32(static_cast<std::uint32_t>(entries.size()));
+  for (const BufView& entry : entries) enc.write_bytes(entry);
   return enc.take_view();
 }
 

@@ -28,9 +28,7 @@ struct BatchMsg {
 
   bool operator==(const BatchMsg&) const = default;
 
-  Bytes encode() const;
-
-  /// The hot path: one marshal into a recycled arena chunk.
+  /// One marshal into a recycled arena chunk.
   BufView encode_into(Arena& arena) const;
 
   /// Zero-copy: every entry is a sub-view sharing `data`'s chunk. Rejects

@@ -359,29 +359,6 @@ Result<StateResponseMsg> StateResponseMsg::decode(ByteView data) {
   return msg;
 }
 
-namespace {
-
-void encode_envelope_fields(const Envelope& env, cdr::Encoder& enc) {
-  enc.write_octet(static_cast<std::uint8_t>(env.type));
-  enc.write_uint64(env.sender.value);
-  enc.write_bytes(env.body);
-  enc.write_uint32(static_cast<std::uint32_t>(env.auth.size()));
-  for (const auto& [node, tag] : env.auth) {
-    enc.write_uint64(node.value);
-    write_mac_tag(enc, tag);
-  }
-  enc.write_boolean(env.signature.has_value());
-  if (env.signature) write_signature(enc, *env.signature);
-}
-
-}  // namespace
-
-Bytes Envelope::encode() const {
-  cdr::Encoder enc(kWire);
-  encode_envelope_fields(*this, enc);
-  return enc.take();
-}
-
 BufView Envelope::encode_into(Arena& arena) const {
   // Upper bound on the encoded size, with every alignment pad at its worst:
   // type, pad, sender, body length (pad), body, auth count (pad), then the
@@ -391,7 +368,16 @@ BufView Envelope::encode_into(Arena& arena) const {
   const std::size_t bound = 1 + 7 + 8 + 3 + 4 + body.size() + 3 + 4 + auth_bytes + 1 +
                             (signature ? crypto::kSignatureSize : 0);
   cdr::Encoder enc(kWire, &arena, bound);
-  encode_envelope_fields(*this, enc);
+  enc.write_octet(static_cast<std::uint8_t>(type));
+  enc.write_uint64(sender.value);
+  enc.write_bytes(body);
+  enc.write_uint32(static_cast<std::uint32_t>(auth.size()));
+  for (const auto& [node, tag] : auth) {
+    enc.write_uint64(node.value);
+    write_mac_tag(enc, tag);
+  }
+  enc.write_boolean(signature.has_value());
+  if (signature) write_signature(enc, *signature);
   return enc.take_view();
 }
 

@@ -209,11 +209,8 @@ struct Envelope {
   std::vector<std::pair<NodeId, crypto::MacTag>> auth;
   std::optional<crypto::Signature> signature;
 
-  Bytes encode() const;
-
-  /// Hot-path form: marshals into `arena` so the chunk's capacity recycles
-  /// when the last downstream view (net queue, BFT log) drops. encode()
-  /// allocates fresh storage instead — use it where the caller mutates.
+  /// Marshals into `arena` so the chunk's capacity recycles when the last
+  /// downstream view (net queue, BFT log) drops.
   BufView encode_into(Arena& arena) const;
 
   static Result<Envelope> decode(const BufView& data);

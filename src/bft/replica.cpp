@@ -54,22 +54,24 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
       former_(config_.batch) {
   assert(config_.validate().is_ok());
   assert(config_.is_replica(id));
-  const std::string prefix = "bft." + id.to_string() + ".";
   auto& reg = tel_->metrics();
-  metrics_.requests_received = &reg.counter(prefix + "requests_received");
-  metrics_.pre_prepares_sent = &reg.counter(prefix + "pre_prepares_sent");
-  metrics_.prepares_sent = &reg.counter(prefix + "prepares_sent");
-  metrics_.commits_sent = &reg.counter(prefix + "commits_sent");
-  metrics_.replies_sent = &reg.counter(prefix + "replies_sent");
-  metrics_.checkpoints_sent = &reg.counter(prefix + "checkpoints_sent");
-  metrics_.view_changes_sent = &reg.counter(prefix + "view_changes_sent");
-  metrics_.new_views_sent = &reg.counter(prefix + "new_views_sent");
-  metrics_.executed = &reg.counter(prefix + "executed");
-  metrics_.state_transfers = &reg.counter(prefix + "state_transfers");
-  metrics_.auth_failures = &reg.counter(prefix + "auth_failures");
-  metrics_.malformed = &reg.counter(prefix + "malformed");
-  metrics_.macs_computed = &reg.counter(prefix + "macs_computed");
-  metrics_.inflight = &reg.gauge(prefix + "inflight");
+  const auto counter = [&](std::string_view name) {
+    return &reg.counter(telemetry::metric_name("bft", id, name));
+  };
+  metrics_.requests_received = counter("requests_received");
+  metrics_.pre_prepares_sent = counter("pre_prepares_sent");
+  metrics_.prepares_sent = counter("prepares_sent");
+  metrics_.commits_sent = counter("commits_sent");
+  metrics_.replies_sent = counter("replies_sent");
+  metrics_.checkpoints_sent = counter("checkpoints_sent");
+  metrics_.view_changes_sent = counter("view_changes_sent");
+  metrics_.new_views_sent = counter("new_views_sent");
+  metrics_.executed = counter("executed");
+  metrics_.state_transfers = counter("state_transfers");
+  metrics_.auth_failures = counter("auth_failures");
+  metrics_.malformed = counter("malformed");
+  metrics_.macs_computed = counter("macs_computed");
+  metrics_.inflight = &reg.gauge(telemetry::metric_name("bft", id, "inflight"));
   metrics_.exec_latency_ns = &reg.histogram("bft.exec_latency_ns");
   metrics_.batch_size = &reg.histogram("batch.size");
   metrics_.batch_hold_ns = &reg.histogram("batch.hold_ns");
@@ -81,23 +83,6 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
   // Open the view-0 span: forensics segment a replica's timeline on
   // view.start / view.end pairs (see enter_view).
   tel_->trace(telemetry::TraceKind::kViewStart, id, 0, view_.value);
-}
-
-ReplicaStats Replica::stats() const {
-  return ReplicaStats{
-      .requests_received = metrics_.requests_received->value(),
-      .pre_prepares_sent = metrics_.pre_prepares_sent->value(),
-      .prepares_sent = metrics_.prepares_sent->value(),
-      .commits_sent = metrics_.commits_sent->value(),
-      .replies_sent = metrics_.replies_sent->value(),
-      .checkpoints_sent = metrics_.checkpoints_sent->value(),
-      .view_changes_sent = metrics_.view_changes_sent->value(),
-      .new_views_sent = metrics_.new_views_sent->value(),
-      .executed = metrics_.executed->value(),
-      .state_transfers = metrics_.state_transfers->value(),
-      .auth_failures = metrics_.auth_failures->value(),
-      .malformed = metrics_.malformed->value(),
-  };
 }
 
 // ---------------------------------------------------------------------------

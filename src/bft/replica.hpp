@@ -94,23 +94,6 @@ class TsWindow {
   std::set<std::uint64_t> sparse_;
 };
 
-/// Per-replica protocol statistics (benchmarks report these). A by-value
-/// view assembled from the telemetry registry's `bft.<node>.*` counters.
-struct ReplicaStats {
-  std::uint64_t requests_received = 0;
-  std::uint64_t pre_prepares_sent = 0;
-  std::uint64_t prepares_sent = 0;
-  std::uint64_t commits_sent = 0;
-  std::uint64_t replies_sent = 0;
-  std::uint64_t checkpoints_sent = 0;
-  std::uint64_t view_changes_sent = 0;
-  std::uint64_t new_views_sent = 0;
-  std::uint64_t executed = 0;
-  std::uint64_t state_transfers = 0;
-  std::uint64_t auth_failures = 0;
-  std::uint64_t malformed = 0;
-};
-
 class Replica : public net::Process {
  public:
   Replica(net::Network& net, NodeId id, BftConfig config, const SessionKeys& keys,
@@ -159,7 +142,6 @@ class Replica : public net::Process {
     execution_observer_ = std::move(observer);
   }
 
-  ReplicaStats stats() const;
   const StateMachine& app() const { return *app_; }
   StateMachine& app() { return *app_; }
 

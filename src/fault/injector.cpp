@@ -260,8 +260,7 @@ void FaultInjector::adaptive_tick(std::size_t index) {
     const auto& gauges = tel_->metrics().gauges();
     for (const core::ElementInfo& element : info->elements) {
       std::int64_t depth = 0;
-      const auto it =
-          gauges.find("queue." + element.smiop_node.to_string() + ".depth");
+      const auto it = gauges.find(telemetry::metric_name("queue", element.smiop_node, "depth"));
       if (it != gauges.end()) depth = it->second.value();
       if (depth > best_depth) {
         best_depth = depth;

@@ -91,6 +91,7 @@ struct Run {
   std::optional<recovery::ProactiveScheduler> scheduler;
   std::optional<control::ResponseController> controller;
   std::size_t overloads = 0;  // explicit OVERLOAD replies clients saw
+  std::int64_t last_mttr_ns = 0;  // from the latest kCompleted recovery event
 
   net::Simulator& sim() { return cluster ? cluster->sim() : system->sim(); }
 };
@@ -231,6 +232,7 @@ std::uint64_t sum_shed_gauges(const telemetry::MetricsRegistry& registry) {
 
 ScenarioResult report(const std::string& name, Run& run, Tally tally) {
   const telemetry::Hub& hub = run.sim().telemetry();
+  const telemetry::MetricsRegistry& reg = hub.metrics();
   ScenarioResult result;
   result.name = name;
   result.seed = run.seed;
@@ -241,7 +243,7 @@ ScenarioResult report(const std::string& name, Run& run, Tally tally) {
   result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
   result.membership_updates =
       hub.tracer().count(telemetry::TraceKind::kGmMembershipUpdate);
-  result.sheds = sum_shed_gauges(hub.metrics());
+  result.sheds = sum_shed_gauges(reg);
   result.overloads = run.overloads;
   result.adaptive_retargets = run.injector ? run.injector->retargets() : 0;
   if (run.system) {
@@ -251,15 +253,17 @@ ScenarioResult report(const std::string& name, Run& run, Tally tally) {
       // A slot whose recovery gave up stays crashed and has nothing to count.
       result.element_discards.push_back(
           run.system->element_up(run.target, rank)
-              ? run.system->element(run.target, rank).stats().entries_discarded
+              ? reg.counter_value(telemetry::metric_name(
+                    "element", run.system->element(run.target, rank).smiop_node(),
+                    "entries_discarded"))
               : 0);
     }
   }
   if (run.manager) {
-    result.recoveries_started = run.manager->stats().started;
-    result.recoveries_completed = run.manager->stats().completed;
-    result.recoveries_aborted = run.manager->stats().aborted;
-    result.last_mttr_ns = run.manager->stats().last_mttr_ns;
+    result.recoveries_started = reg.counter_value("recovery.started");
+    result.recoveries_completed = reg.counter_value("recovery.completed");
+    result.recoveries_aborted = reg.counter_value("recovery.aborted");
+    result.last_mttr_ns = run.last_mttr_ns;
   }
   if (run.controller) result.control_adjustments = run.controller->adjustments();
   result.trace_jsonl = hub.tracer().export_jsonl();
@@ -409,6 +413,11 @@ recovery::RecoveryManager& start_recovery(
       config ? run.manager.emplace(*run.system, *config) : run.manager.emplace(*run.system);
   manager.watch();
   run.oracle->watch_recovery(manager);
+  manager.add_listener([&run](const recovery::RecoveryEvent& event) {
+    if (event.kind == recovery::RecoveryEvent::Kind::kCompleted) {
+      run.last_mttr_ns = event.mttr_ns;
+    }
+  });
   return manager;
 }
 

@@ -83,6 +83,21 @@ DomainElement::DomainElement(net::Network& net,
       smiop_key_(std::move(smiop_key)),
       keystore_(std::move(keystore)) {
   const DomainInfo& domain_info = *directory_->find_domain(domain_);
+  auto& reg = net_.sim().telemetry().metrics();
+  const auto counter = [&](std::string_view name) {
+    return &reg.counter(telemetry::metric_name("element", info_.smiop_node, name));
+  };
+  metrics_.entries_consumed = counter("entries_consumed");
+  metrics_.entries_discarded = counter("entries_discarded");
+  metrics_.requests_executed = counter("requests_executed");
+  metrics_.request_vote_copies = counter("request_vote_copies");
+  metrics_.replies_sent = counter("replies_sent");
+  metrics_.key_waits = counter("key_waits");
+  metrics_.acks_sent = counter("acks_sent");
+  metrics_.bundles_sent = counter("bundles_sent");
+  metrics_.bundles_received = counter("bundles_received");
+  metrics_.requests_reassembled = counter("requests_reassembled");
+  metrics_.requests_shed = counter("requests_shed");
 
   PartyConfig party_config;
   party_config.smiop_node = info_.smiop_node;
@@ -92,7 +107,7 @@ DomainElement::DomainElement(net::Network& net,
   party_ = std::make_unique<SmiopParty>(net_, directory_, party_config, keys_,
                                         keystore_, std::move(allocator));
 
-  orb_ = std::make_unique<orb::Orb>(domain_, party_->make_protocol());
+  orb_ = std::make_unique<orb::Orb>(domain_, party_->make_protocol(), reg, info_.smiop_node);
   install(orb_->adapter(), rank_);
 
   endpoint_ = std::make_unique<Endpoint>(net_, info_.smiop_node, *this);
@@ -169,7 +184,7 @@ bool DomainElement::process_head(const BufView& entry) {
   if (const Result<QueueEntryKind> kind = queue_entry_kind(entry);
       kind.is_ok() && kind.value() == QueueEntryKind::kSyncPoint) {
     queue_->pop();
-    ++stats_.entries_consumed;
+    metrics_.entries_consumed->inc();
     ++consumed_since_ack_;
     maybe_send_ack();
     if (const Result<SyncPointMsg> sync = SyncPointMsg::decode(entry); sync.is_ok()) {
@@ -189,7 +204,7 @@ bool DomainElement::process_head(const BufView& entry) {
   if (!decoded.is_ok()) {
     // Deterministic discard: every element sees the same bytes.
     queue_->pop();
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
   const OrderedMsg msg = std::move(decoded).take();
@@ -202,7 +217,7 @@ bool DomainElement::process_head(const BufView& entry) {
       // Every element prunes on the same installs, so the discard is
       // identical across the domain.
       queue_->pop();
-      ++stats_.entries_discarded;
+      metrics_.entries_discarded->inc();
       return true;
     }
     // Unknown connection or epoch: the shares may still be in flight (a
@@ -213,7 +228,7 @@ bool DomainElement::process_head(const BufView& entry) {
     return false;
   }
   queue_->pop();
-  ++stats_.entries_consumed;
+  metrics_.entries_consumed->inc();
   ++consumed_since_ack_;
   maybe_send_ack();
   return process_sealed_request(msg);
@@ -224,31 +239,31 @@ bool DomainElement::process_head(const BufView& entry) {
 bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
   const crypto::SymmetricKey* key = party_->conn_table().key_for(msg.conn, msg.epoch);
   if (key == nullptr) {
-    ++stats_.entries_discarded;  // key revoked mid-flight; nothing to do
+    metrics_.entries_discarded->inc();  // key revoked mid-flight; nothing to do
     return true;
   }
   const auto conn_key = msg.conn.value;
   if (counters::before_eq(msg.rid.value, last_rid_[conn_key])) {
-    ++stats_.entries_discarded;  // stale or duplicate request id (§3.6)
+    metrics_.entries_discarded->inc();  // stale or duplicate request id (§3.6)
     return true;
   }
 
   const Bytes aad = seal_aad(msg.conn, msg.rid, msg.epoch, /*is_reply=*/false);
   Result<Bytes> plain = crypto::open(*key, aad, msg.sealed_giop);
   if (!plain.is_ok()) {
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
   Result<cdr::GiopMessage> parsed = cdr::parse_giop(plain.value());
   if (!parsed.is_ok() ||
       !std::holds_alternative<cdr::RequestMessage>(parsed.value())) {
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
   cdr::RequestMessage request =
       std::get<cdr::RequestMessage>(std::move(parsed).take());
   if (request.request_id != msg.rid) {
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
 
@@ -258,12 +273,12 @@ bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
     const ConnTable::Entry* conn_entry = party_->conn_table().find(msg.conn);
     if (conn_entry == nullptr ||
         conn_entry->record.client_domain != msg.origin_domain) {
-      ++stats_.entries_discarded;
+      metrics_.entries_discarded->inc();
       return true;
     }
     const DomainInfo* caller = directory_->find_domain(msg.origin_domain);
     if (caller == nullptr || caller->rank_of_smiop(msg.origin) < 0) {
-      ++stats_.entries_discarded;
+      metrics_.entries_discarded->inc();
       return true;
     }
     auto [it, created] = request_votes_.try_emplace(
@@ -273,14 +288,14 @@ bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
     ballot.source = msg.origin;
     ballot.raw = plain.value();
     ballot.value = request_ballot_value(request);
-    ++stats_.request_vote_copies;
+    metrics_.request_vote_copies->inc();
     const std::optional<VoteDecision> decision = it->second.add(std::move(ballot));
     if (!decision) return true;  // keep consuming copies
     request_votes_.erase(it);
     Result<cdr::GiopMessage> winner = cdr::parse_giop(decision->winner.raw);
     if (!winner.is_ok() ||
         !std::holds_alternative<cdr::RequestMessage>(winner.value())) {
-      ++stats_.entries_discarded;
+      metrics_.entries_discarded->inc();
       return true;
     }
     request = std::get<cdr::RequestMessage>(std::move(winner).take());
@@ -295,7 +310,7 @@ bool DomainElement::process_fragment(const BufView& entry) {
   Result<FragmentMsg> decoded = FragmentMsg::decode(entry);
   if (!decoded.is_ok()) {
     queue_->pop();
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
   const FragmentMsg fragment = std::move(decoded).take();
@@ -306,7 +321,7 @@ bool DomainElement::process_fragment(const BufView& entry) {
     return false;
   }
   queue_->pop();
-  ++stats_.entries_consumed;
+  metrics_.entries_consumed->inc();
   ++consumed_since_ack_;
   maybe_send_ack();
 
@@ -314,7 +329,7 @@ bool DomainElement::process_fragment(const BufView& entry) {
       std::make_tuple(fragment.conn.value, fragment.origin.value, fragment.rid.value);
   if (counters::before_eq(fragment.rid.value, last_rid_[fragment.conn.value])) {
     fragment_buffers_.erase(buffer_key);
-    ++stats_.entries_discarded;  // stale request id
+    metrics_.entries_discarded->inc();  // stale request id
     return true;
   }
   // Bound buffered reassembly state (hostile senders): deterministic
@@ -327,12 +342,12 @@ bool DomainElement::process_fragment(const BufView& entry) {
   if (buffer.total != 0 && buffer.total != fragment.total) {
     // Inconsistent totals: hostile; drop the whole buffer.
     fragment_buffers_.erase(buffer_key);
-    ++stats_.entries_discarded;
+    metrics_.entries_discarded->inc();
     return true;
   }
   buffer.total = fragment.total;
   if (!buffer.chunks.emplace(fragment.index, fragment.chunk).second) {
-    ++stats_.entries_discarded;  // duplicate index
+    metrics_.entries_discarded->inc();  // duplicate index
     return true;
   }
   if (buffer.chunks.size() < buffer.total) return true;  // keep collecting
@@ -357,14 +372,14 @@ bool DomainElement::process_fragment(const BufView& entry) {
     whole.sealed_giop = gather.seal();
   }
   fragment_buffers_.erase(buffer_key);
-  ++stats_.requests_reassembled;
+  metrics_.requests_reassembled->inc();
   return process_sealed_request(whole);
 }
 
 void DomainElement::begin_key_wait(ConnectionId conn) {
   if (waiting_key_) return;
   waiting_key_ = conn;
-  ++stats_.key_waits;
+  metrics_.key_waits->inc();
   party_->request_resend(conn, [this, conn](GmCommandResult result) {
     if (!waiting_key_ || *waiting_key_ != conn) return;
     if (!result.accepted) {
@@ -372,7 +387,7 @@ void DomainElement::begin_key_wait(ConnectionId conn) {
       // not entitled). Discard the entry deterministically and move on.
       waiting_key_.reset();
       queue_->pop();
-      ++stats_.entries_discarded;
+      metrics_.entries_discarded->inc();
       schedule_consume();
     }
     // Accepted: shares are on their way; the table subscription resumes us.
@@ -392,7 +407,7 @@ void DomainElement::execute_request(const OrderedMsg& meta,
 }
 
 void DomainElement::finish_request(OrderedMsg meta, cdr::ReplyMessage reply) {
-  ++stats_.requests_executed;
+  metrics_.requests_executed->inc();
   if (reply_mutator_) reply = reply_mutator_(std::move(reply));
   seal_and_send_reply(meta.conn, meta.rid, meta.epoch, std::move(reply));
 }
@@ -431,12 +446,12 @@ void DomainElement::seal_and_send_reply(ConnectionId conn, RequestId rid,
   if (entry == nullptr) return;
   if (is_singleton_domain(entry->record.client_domain)) {
     net_.send(info_.smiop_node, entry->record.client_node, wire);
-    ++stats_.replies_sent;
+    metrics_.replies_sent->inc();
   } else if (const DomainInfo* caller =
                  directory_->find_domain(entry->record.client_domain)) {
     for (NodeId recipient : caller->smiop_nodes()) {
       net_.send(info_.smiop_node, recipient, wire);
-      ++stats_.replies_sent;
+      metrics_.replies_sent->inc();
     }
   }
   ITDOS_DEBUG(kLog) << "element " << info_.smiop_node.to_string() << " replied on conn "
@@ -470,7 +485,7 @@ void DomainElement::handle_shed(const BufView& entry) {
   } else {
     return;
   }
-  ++stats_.requests_shed;
+  metrics_.requests_shed->inc();
   cdr::ReplyMessage reply;
   reply.request_id = rid;
   reply.status = cdr::ReplyStatus::kSystemException;
@@ -481,7 +496,7 @@ void DomainElement::handle_shed(const BufView& entry) {
 void DomainElement::maybe_send_ack() {
   if (consumed_since_ack_ < directory_->timing().ack_interval) return;
   consumed_since_ack_ = 0;
-  ++stats_.acks_sent;
+  metrics_.acks_sent->inc();
   self_client_->invoke(queue_->make_ack(info_.smiop_node).encode(),
                        [](Result<Bytes>) {});
 }
@@ -570,7 +585,7 @@ void DomainElement::handle_state_bundle(const StateBundleMsg& msg) {
       keys_.key_for(msg.element, info_.smiop_node));
   Result<Bytes> plain = crypto::open(channel, /*aad=*/{}, msg.sealed_bundle);
   if (!plain.is_ok()) return;
-  ++stats_.bundles_received;
+  metrics_.bundles_received->inc();
 
   const crypto::Digest digest = crypto::sha256(ByteView(plain.value()));
   BundleOffer& offer = bundle_offers_[{msg.consumed_index, digest}];
@@ -637,7 +652,7 @@ void DomainElement::send_state_bundle(NodeId requester) {
       crypto::seal(channel, crypto::make_nonce(info_.smiop_node.value, msg.consumed_index),
                    /*aad=*/{}, plain_bytes);
   net_.send(info_.smiop_node, requester, msg.encode());
-  ++stats_.bundles_sent;
+  metrics_.bundles_sent->inc();
 }
 
 }  // namespace itdos::core

@@ -18,20 +18,6 @@
 
 namespace itdos::core {
 
-struct ElementStats {
-  std::uint64_t entries_consumed = 0;
-  std::uint64_t entries_discarded = 0;   // malformed / unsealable / stale rid
-  std::uint64_t requests_executed = 0;
-  std::uint64_t request_vote_copies = 0; // ordered copies fed to request votes
-  std::uint64_t replies_sent = 0;
-  std::uint64_t key_waits = 0;           // stalls on a not-yet-keyed connection
-  std::uint64_t acks_sent = 0;
-  std::uint64_t bundles_sent = 0;        // replacement sync bundles produced
-  std::uint64_t bundles_received = 0;
-  std::uint64_t requests_reassembled = 0;  // large requests rebuilt (§4)
-  std::uint64_t requests_shed = 0;       // admission control sheds (§6f)
-};
-
 class DomainElement {
  public:
   /// Installs this element's servants. `rank` lets heterogeneous deployments
@@ -56,7 +42,6 @@ class DomainElement {
   bft::Replica& replica() { return *replica_; }
   const QueueStateMachine& queue() const { return *queue_; }
   SmiopParty& party() { return *party_; }
-  const ElementStats& stats() const { return stats_; }
 
   /// Test hook: a Byzantine element that alters every reply it produces
   /// (value corruption that survives MACs — the voter must catch it).
@@ -131,7 +116,22 @@ class DomainElement {
   std::unique_ptr<bft::Client> self_client_;  // queue-management acks
   std::unique_ptr<UpcallContext> context_;
 
-  ElementStats stats_;
+  // The `element.<smiop node>.*` counters, resolved once at construction. A
+  // crash replacement keeps its identity, so it counts on from its
+  // predecessor's totals.
+  struct {
+    telemetry::Counter* entries_consumed;
+    telemetry::Counter* entries_discarded;     // malformed / unsealable / stale rid
+    telemetry::Counter* requests_executed;
+    telemetry::Counter* request_vote_copies;   // ordered copies fed to request votes
+    telemetry::Counter* replies_sent;
+    telemetry::Counter* key_waits;             // stalls on a not-yet-keyed connection
+    telemetry::Counter* acks_sent;
+    telemetry::Counter* bundles_sent;          // replacement sync bundles produced
+    telemetry::Counter* bundles_received;
+    telemetry::Counter* requests_reassembled;  // large requests rebuilt (§4)
+    telemetry::Counter* requests_shed;         // admission control sheds (§6f)
+  } metrics_{};
   std::function<cdr::ReplyMessage(cdr::ReplyMessage)> reply_mutator_;
   std::function<Bytes(Bytes)> bundle_corruptor_;
 

@@ -35,13 +35,15 @@ GmStateMachine::GmStateMachine(std::shared_ptr<const SystemDirectory> directory,
       self_(self) {
   if (tel_ != nullptr) {
     telemetry::MetricsRegistry& reg = tel_->metrics();
-    const std::string prefix = "gm." + self_.to_string() + ".";
-    metrics_.opens = &reg.counter(prefix + "opens");
-    metrics_.resends = &reg.counter(prefix + "resends");
-    metrics_.change_requests = &reg.counter(prefix + "change_requests");
-    metrics_.expulsions = &reg.counter(prefix + "expulsions");
-    metrics_.rekeys = &reg.counter(prefix + "rekeys");
-    metrics_.membership_updates = &reg.counter(prefix + "membership_updates");
+    const auto counter = [&](std::string_view name) {
+      return &reg.counter(telemetry::metric_name("gm", self_, name));
+    };
+    metrics_.opens = counter("opens");
+    metrics_.resends = counter("resends");
+    metrics_.change_requests = counter("change_requests");
+    metrics_.expulsions = counter("expulsions");
+    metrics_.rekeys = counter("rekeys");
+    metrics_.membership_updates = counter("membership_updates");
   }
 }
 

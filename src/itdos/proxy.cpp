@@ -5,36 +5,44 @@
 
 namespace itdos::core {
 
-namespace {
-bool admit_impl(const FirewallProxy::Options& options, ProxyStats& stats,
-                const net::Packet& packet) {
+bool FirewallProxy::admit(const Options& options, const Counters& counters,
+                          const net::Packet& packet) {
   if (packet.payload.size() > options.max_message_bytes) {
-    ++stats.dropped_oversize;
+    counters.dropped_oversize->inc();
     return false;
   }
   if (options.allow_bft && bft::Envelope::decode(packet.payload).is_ok()) {
-    ++stats.admitted;
+    counters.admitted->inc();
     return true;
   }
   if (options.allow_smiop && parses_as_smiop(packet.payload)) {
-    ++stats.admitted;
+    counters.admitted->inc();
     return true;
   }
-  ++stats.dropped_malformed;
+  counters.dropped_malformed->inc();
   return false;
 }
-}  // namespace
+
+FirewallProxy::FirewallProxy(telemetry::MetricsRegistry& registry, DomainId domain)
+    : FirewallProxy(registry, domain, Options{}) {}
+
+FirewallProxy::FirewallProxy(telemetry::MetricsRegistry& registry, DomainId domain,
+                             Options options)
+    : options_(options),
+      counters_{&registry.counter(telemetry::metric_name("proxy", domain, "admitted")),
+                &registry.counter(telemetry::metric_name("proxy", domain, "dropped_malformed")),
+                &registry.counter(telemetry::metric_name("proxy", domain, "dropped_oversize"))} {}
 
 bool FirewallProxy::admit(const net::Packet& packet) {
-  return admit_impl(options_, *stats_, packet);
+  return admit(options_, counters_, packet);
 }
 
 void FirewallProxy::protect(net::Network& net, NodeId node) {
-  // Capture by value (options) / shared_ptr (stats): the filter stays valid
-  // even if this proxy object goes away before the node does.
+  // Capture by value: the filter stays valid even if this proxy object goes
+  // away before the node does (the counters live in the registry).
   net.set_inbound_filter(node,
-                         [options = options_, stats = stats_](const net::Packet& p) {
-                           return admit_impl(options, *stats, p);
+                         [options = options_, counters = counters_](const net::Packet& p) {
+                           return admit(options, counters, p);
                          });
 }
 

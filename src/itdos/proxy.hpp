@@ -8,17 +8,10 @@
 // Malformed floods from outside the enclave never reach the protocol stack.
 #pragma once
 
-#include <memory>
-
 #include "net/network.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace itdos::core {
-
-struct ProxyStats {
-  std::uint64_t admitted = 0;
-  std::uint64_t dropped_malformed = 0;
-  std::uint64_t dropped_oversize = 0;
-};
 
 class FirewallProxy {
  public:
@@ -28,8 +21,10 @@ class FirewallProxy {
     bool allow_smiop = true;  // key shares / direct replies
   };
 
-  FirewallProxy() = default;
-  explicit FirewallProxy(Options options) : options_(options) {}
+  /// Registers the `proxy.<domain>.*` counters in `registry`, which must
+  /// outlive every node this proxy protects.
+  FirewallProxy(telemetry::MetricsRegistry& registry, DomainId domain);
+  FirewallProxy(telemetry::MetricsRegistry& registry, DomainId domain, Options options);
 
   /// Guards `node`: installs this proxy as its enclave-boundary filter.
   void protect(net::Network& net, NodeId node);
@@ -40,12 +35,18 @@ class FirewallProxy {
   /// The admission decision (exposed for tests).
   bool admit(const net::Packet& packet);
 
-  const ProxyStats& stats() const { return *stats_; }
-
  private:
+  struct Counters {
+    telemetry::Counter* admitted;
+    telemetry::Counter* dropped_malformed;
+    telemetry::Counter* dropped_oversize;
+  };
+
+  static bool admit(const Options& options, const Counters& counters,
+                    const net::Packet& packet);
+
   Options options_{};
-  // Shared so the std::function copies installed per node update one ledger.
-  std::shared_ptr<ProxyStats> stats_ = std::make_shared<ProxyStats>();
+  Counters counters_{};
 };
 
 }  // namespace itdos::core

@@ -21,11 +21,11 @@ std::uint64_t stream_key(ConnectionId conn, RequestId rid) {
 
 QueueStateMachine::QueueStateMachine(QueueOptions options) : options_(std::move(options)) {
   if (options_.telemetry != nullptr) {
-    const std::string prefix = "queue." + options_.self.to_string() + ".";
-    depth_gauge_ = &options_.telemetry->metrics().gauge(prefix + "depth");
-    collected_counter_ = &options_.telemetry->metrics().counter(prefix + "entries_collected");
-    shed_gauge_ =
-        &options_.telemetry->metrics().gauge("admission." + options_.self.to_string() + ".shed");
+    telemetry::MetricsRegistry& reg = options_.telemetry->metrics();
+    depth_gauge_ = &reg.gauge(telemetry::metric_name("queue", options_.self, "depth"));
+    collected_counter_ =
+        &reg.counter(telemetry::metric_name("queue", options_.self, "entries_collected"));
+    shed_gauge_ = &reg.gauge(telemetry::metric_name("admission", options_.self, "shed"));
   }
 }
 

@@ -120,19 +120,21 @@ SmiopParty::SmiopParty(net::Network& net,
       allocator_(std::move(allocator)),
       agent_(directory_, keys_, config.smiop_node),
       tel_(&net.sim().telemetry()) {
-  const std::string prefix = "smiop." + config_.smiop_node.to_string() + ".";
   auto& reg = tel_->metrics();
-  metrics_.opens_sent = &reg.counter(prefix + "opens_sent");
-  metrics_.requests_sent = &reg.counter(prefix + "requests_sent");
-  metrics_.replies_received = &reg.counter(prefix + "replies_received");
-  metrics_.replies_rejected = &reg.counter(prefix + "replies_rejected");
-  metrics_.votes_decided = &reg.counter(prefix + "votes_decided");
-  metrics_.votes_timed_out = &reg.counter(prefix + "votes_timed_out");
-  metrics_.discarded = &reg.counter(prefix + "discarded");
-  metrics_.faults_detected = &reg.counter(prefix + "faults_detected");
-  metrics_.change_requests_sent = &reg.counter(prefix + "change_requests_sent");
-  metrics_.fragmented_requests = &reg.counter(prefix + "fragmented_requests");
-  metrics_.overloads_observed = &reg.counter(prefix + "overloads_observed");
+  const auto counter = [&](std::string_view name) {
+    return &reg.counter(telemetry::metric_name("smiop", config_.smiop_node, name));
+  };
+  metrics_.opens_sent = counter("opens_sent");
+  metrics_.requests_sent = counter("requests_sent");
+  metrics_.replies_received = counter("replies_received");
+  metrics_.replies_rejected = counter("replies_rejected");
+  metrics_.votes_decided = counter("votes_decided");
+  metrics_.votes_timed_out = counter("votes_timed_out");
+  metrics_.discarded = counter("discarded");
+  metrics_.faults_detected = counter("faults_detected");
+  metrics_.change_requests_sent = counter("change_requests_sent");
+  metrics_.fragmented_requests = counter("fragmented_requests");
+  metrics_.overloads_observed = counter("overloads_observed");
   metrics_.request_latency_ns = &reg.histogram("smiop.request_latency_ns");
   metrics_.connect_latency_ns = &reg.histogram("smiop.connect_latency_ns");
   gm_client_ = std::make_unique<bft::Client>(
@@ -175,22 +177,6 @@ SmiopParty::SmiopParty(net::Network& net,
 }
 
 SmiopParty::~SmiopParty() { *alive_ = false; }
-
-PartyStats SmiopParty::stats() const {
-  return PartyStats{
-      .opens_sent = metrics_.opens_sent->value(),
-      .requests_sent = metrics_.requests_sent->value(),
-      .replies_received = metrics_.replies_received->value(),
-      .replies_rejected = metrics_.replies_rejected->value(),
-      .votes_decided = metrics_.votes_decided->value(),
-      .votes_timed_out = metrics_.votes_timed_out->value(),
-      .discarded = metrics_.discarded->value(),
-      .faults_detected = metrics_.faults_detected->value(),
-      .change_requests_sent = metrics_.change_requests_sent->value(),
-      .fragmented_requests = metrics_.fragmented_requests->value(),
-      .overloads_observed = metrics_.overloads_observed->value(),
-  };
-}
 
 std::unique_ptr<orb::PluggableProtocol> SmiopParty::make_protocol() {
   return std::make_unique<Protocol>(*this);

@@ -49,22 +49,6 @@ struct PartyConfig {
   std::optional<VotePolicy> policy_override;  // else the target domain's policy
 };
 
-/// Per-party statistics (benchmarks report these). A by-value view assembled
-/// from the telemetry registry's `smiop.<node>.*` counters.
-struct PartyStats {
-  std::uint64_t opens_sent = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t replies_received = 0;
-  std::uint64_t replies_rejected = 0;    // bad seal/signature/shape
-  std::uint64_t votes_decided = 0;
-  std::uint64_t votes_timed_out = 0;
-  std::uint64_t discarded = 0;           // wrong-request-id messages (§3.6)
-  std::uint64_t faults_detected = 0;     // dissenting elements observed
-  std::uint64_t change_requests_sent = 0;
-  std::uint64_t fragmented_requests = 0; // large requests split (§4)
-  std::uint64_t overloads_observed = 0;  // voted OVERLOAD replies (§6f sheds)
-};
-
 /// The client half of an ITDOS party. Owns the GM/ordering BFT clients, the
 /// connection table and the voters. The owner feeds it raw SMIOP packets
 /// from its endpoint process.
@@ -94,7 +78,6 @@ class SmiopParty {
   /// the server role can report queue-management laggards, §3.1).
   void send_change_request(ChangeRequestMsg msg);
 
-  PartyStats stats() const;
   const PartyConfig& config() const { return config_; }
   bft::Client& gm_client() { return *gm_client_; }
 
@@ -195,14 +178,14 @@ class SmiopParty {
     telemetry::Counter* opens_sent;
     telemetry::Counter* requests_sent;
     telemetry::Counter* replies_received;
-    telemetry::Counter* replies_rejected;
+    telemetry::Counter* replies_rejected;      // bad seal/signature/shape
     telemetry::Counter* votes_decided;
     telemetry::Counter* votes_timed_out;
-    telemetry::Counter* discarded;
-    telemetry::Counter* faults_detected;
+    telemetry::Counter* discarded;             // wrong-request-id messages (§3.6)
+    telemetry::Counter* faults_detected;       // dissenting elements observed
     telemetry::Counter* change_requests_sent;
-    telemetry::Counter* fragmented_requests;
-    telemetry::Counter* overloads_observed;
+    telemetry::Counter* fragmented_requests;   // large requests split (§4)
+    telemetry::Counter* overloads_observed;    // voted OVERLOAD replies (§6f sheds)
     telemetry::Histogram* request_latency_ns;  // send_on -> voted reply
     telemetry::Histogram* connect_latency_ns;  // connect_to -> key installed
   } metrics_{};

@@ -1,5 +1,7 @@
 #include "itdos/system.hpp"
 
+#include "itdos/proxy.hpp"
+
 namespace itdos::core {
 
 // ---------------------------------------------------------------------------
@@ -37,7 +39,8 @@ ItdosClient::ItdosClient(net::Network& net,
 
   party_ = std::make_unique<SmiopParty>(net, std::move(directory), config, keys,
                                         std::move(keystore), std::move(allocator));
-  orb_ = std::make_unique<orb::Orb>(kSingletonDomain, party_->make_protocol());
+  orb_ = std::make_unique<orb::Orb>(kSingletonDomain, party_->make_protocol(),
+                                    net.sim().telemetry().metrics(), smiop_node_);
   endpoint_ = std::make_unique<Endpoint>(net, smiop_node_, *party_);
 }
 
@@ -127,17 +130,16 @@ ItdosClient& ItdosSystem::add_client(ClientOptions options) {
   return *clients_.back();
 }
 
-FirewallProxy& ItdosSystem::protect_with_firewall(DomainId domain) {
-  proxies_.push_back(std::make_unique<FirewallProxy>());
-  FirewallProxy& proxy = *proxies_.back();
+void ItdosSystem::protect_with_firewall(DomainId domain) {
   const DomainInfo* info = directory_->find_domain(domain);
-  if (info != nullptr) {
-    for (const ElementInfo& element : info->elements) {
-      proxy.protect(net_, element.bft_node);
-      proxy.protect(net_, element.smiop_node);
-    }
+  if (info == nullptr) return;
+  // The installed filters hold the proxy's options and counters, so the
+  // proxy object itself need not outlive this call.
+  FirewallProxy proxy(sim_.telemetry().metrics(), domain);
+  for (const ElementInfo& element : info->elements) {
+    proxy.protect(net_, element.bft_node);
+    proxy.protect(net_, element.smiop_node);
   }
-  return proxy;
 }
 
 DomainElement& ItdosSystem::element(DomainId domain, int rank) {

@@ -10,7 +10,6 @@
 
 #include "itdos/domain_element.hpp"
 #include "itdos/group_manager.hpp"
-#include "itdos/proxy.hpp"
 #include "itdos/smiop.hpp"
 
 namespace itdos::core {
@@ -70,8 +69,8 @@ class ItdosSystem {
   ItdosClient& add_client(ClientOptions options = {});
 
   /// Puts every element of `domain` behind a firewall proxy (Figure 1's
-  /// server-side firewalls). Returns the proxy for stats inspection.
-  FirewallProxy& protect_with_firewall(DomainId domain);
+  /// server-side firewalls). The proxy counts into `proxy.<domain>.*`.
+  void protect_with_firewall(DomainId domain);
 
   // --- access ---
 
@@ -159,7 +158,6 @@ class ItdosSystem {
   std::map<DomainId, std::vector<std::unique_ptr<DomainElement>>> elements_;
   std::map<DomainId, DomainElement::ServantInstaller> installers_;
   std::vector<std::unique_ptr<ItdosClient>> clients_;
-  std::vector<std::unique_ptr<FirewallProxy>> proxies_;
   std::uint64_t next_domain_ = 10;
 };
 

@@ -129,7 +129,7 @@ void ConnectionVoter::set_telemetry(telemetry::Hub* hub, NodeId self, Connection
   conn_ = conn;
   if (tel_ != nullptr) {
     discarded_counter_ =
-        &tel_->metrics().counter("vote." + self.to_string() + ".discarded");
+        &tel_->metrics().counter(telemetry::metric_name("vote", self, "discarded"));
   }
 }
 

@@ -25,24 +25,6 @@ Network::Network(Simulator& sim, NetConfig config) : sim_(sim), config_(config) 
   metrics_.delivery_delay_ns = &reg.histogram("net.delivery_delay_ns");
 }
 
-NetStats Network::stats() const {
-  return NetStats{
-      .unicasts_sent = metrics_.unicasts_sent->value(),
-      .multicasts_sent = metrics_.multicasts_sent->value(),
-      .packets_delivered = metrics_.packets_delivered->value(),
-      .packets_dropped = metrics_.packets_dropped->value(),
-      .bytes_delivered = metrics_.bytes_delivered->value(),
-  };
-}
-
-void Network::reset_stats() {
-  metrics_.unicasts_sent->reset();
-  metrics_.multicasts_sent->reset();
-  metrics_.packets_delivered->reset();
-  metrics_.packets_dropped->reset();
-  metrics_.bytes_delivered->reset();
-}
-
 void Network::attach(NodeId node, Handler handler) {
   handlers_[node] = std::move(handler);
 }

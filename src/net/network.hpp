@@ -38,16 +38,6 @@ struct NetConfig {
   double duplicate_probability = 0.0;
 };
 
-/// Aggregate traffic counters (benchmarks report these). A by-value view
-/// assembled from the telemetry registry's `net.*` counters.
-struct NetStats {
-  std::uint64_t unicasts_sent = 0;
-  std::uint64_t multicasts_sent = 0;       // one per multicast() call
-  std::uint64_t packets_delivered = 0;     // per receiving endpoint
-  std::uint64_t packets_dropped = 0;       // loss + cut links + interceptor drops
-  std::uint64_t bytes_delivered = 0;
-};
-
 class Network {
  public:
   using Handler = std::function<void(const Packet&)>;
@@ -99,9 +89,6 @@ class Network {
   using InboundFilter = std::function<bool(const Packet&)>;
   void set_inbound_filter(NodeId node, InboundFilter filter);
 
-  NetStats stats() const;
-  void reset_stats();
-
   Simulator& sim() { return sim_; }
 
  private:
@@ -111,12 +98,12 @@ class Network {
 
   Simulator& sim_;
   NetConfig config_;
-  // Registry-backed counters, resolved once so the hot path is one add.
+  // The `net.*` counters, resolved once so the hot path is one add.
   struct {
     telemetry::Counter* unicasts_sent;
-    telemetry::Counter* multicasts_sent;
-    telemetry::Counter* packets_delivered;
-    telemetry::Counter* packets_dropped;
+    telemetry::Counter* multicasts_sent;    // one per multicast() call
+    telemetry::Counter* packets_delivered;  // per receiving endpoint
+    telemetry::Counter* packets_dropped;    // loss, cut links, interceptors, filters
     telemetry::Counter* bytes_delivered;
     telemetry::Histogram* delivery_delay_ns;
   } metrics_;

@@ -8,10 +8,21 @@ namespace {
 constexpr std::string_view kLog = "orb";
 }
 
-Orb::Orb(DomainId local_domain, std::unique_ptr<PluggableProtocol> protocol)
+Orb::Orb(DomainId local_domain, std::unique_ptr<PluggableProtocol> protocol,
+         telemetry::MetricsRegistry& registry, NodeId node)
     : local_domain_(local_domain),
       adapter_(local_domain),
-      protocol_(std::move(protocol)) {}
+      protocol_(std::move(protocol)) {
+  const auto counter = [&](std::string_view name) {
+    return &registry.counter(telemetry::metric_name("orb", node, name));
+  };
+  metrics_.connections_established = counter("connections_established");
+  metrics_.connect_failures = counter("connect_failures");
+  metrics_.requests_sent = counter("requests_sent");
+  metrics_.replies_ok = counter("replies_ok");
+  metrics_.replies_exception = counter("replies_exception");
+  metrics_.transport_errors = counter("transport_errors");
+}
 
 void Orb::invoke(const ObjectRef& ref, const std::string& operation,
                  cdr::Value arguments, InvokeCompletion done) {
@@ -49,7 +60,7 @@ void Orb::start_connect(DomainId domain) {
     DomainChannel& ch = channels_[domain];
     ch.connecting = false;
     if (!r.is_ok()) {
-      ++stats_.connect_failures;
+      metrics_.connect_failures->inc();
       ITDOS_WARN(kLog) << "connect to domain " << domain.to_string()
                        << " failed: " << r.status().to_string();
       // Fail everything queued; callers may retry.
@@ -58,7 +69,7 @@ void Orb::start_connect(DomainId domain) {
       for (PendingInvoke& p : queue) p.done(r.status());
       return;
     }
-    ++stats_.connections_established;
+    metrics_.connections_established->inc();
     ch.connection = std::move(r).take();
     pump(domain);
   });
@@ -78,7 +89,7 @@ void Orb::pump(DomainId domain) {
   request.operation = invoke.operation;
   request.interface_name = invoke.ref.interface_name;
   request.arguments = std::move(invoke.arguments);
-  ++stats_.requests_sent;
+  metrics_.requests_sent->inc();
 
   InvokeCompletion done = std::move(invoke.done);
   channel.connection->send_request(
@@ -87,22 +98,22 @@ void Orb::pump(DomainId domain) {
         DomainChannel& ch = channels_[domain];
         ch.busy = false;
         if (!r.is_ok()) {
-          ++stats_.transport_errors;
+          metrics_.transport_errors->inc();
           done(r.status());
         } else {
           cdr::ReplyMessage reply = std::move(r).take();
           switch (reply.status) {
             case cdr::ReplyStatus::kNoException:
-              ++stats_.replies_ok;
+              metrics_.replies_ok->inc();
               done(std::move(reply.result));
               break;
             case cdr::ReplyStatus::kUserException:
-              ++stats_.replies_exception;
+              metrics_.replies_exception->inc();
               done(error(Errc::kPermissionDenied,
                          "user exception: " + reply.exception_detail));
               break;
             case cdr::ReplyStatus::kSystemException:
-              ++stats_.replies_exception;
+              metrics_.replies_exception->inc();
               // Admission-control sheds surface as a dedicated error code so
               // open-loop callers can tell backpressure from server faults.
               if (reply.exception_detail.starts_with("ITDOS-OVERLOAD")) {

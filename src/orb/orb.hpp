@@ -15,28 +15,22 @@
 
 #include "orb/adapter.hpp"
 #include "orb/transport.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace itdos::orb {
-
-struct OrbStats {
-  std::uint64_t connections_established = 0;
-  std::uint64_t connect_failures = 0;
-  std::uint64_t requests_sent = 0;
-  std::uint64_t replies_ok = 0;
-  std::uint64_t replies_exception = 0;
-  std::uint64_t transport_errors = 0;
-};
 
 class Orb {
  public:
   using InvokeCompletion = std::function<void(Result<cdr::Value>)>;
 
-  Orb(DomainId local_domain, std::unique_ptr<PluggableProtocol> protocol);
+  /// Registers the `orb.<node>.*` counters in `registry`; `node` is the
+  /// endpoint this ORB invokes from.
+  Orb(DomainId local_domain, std::unique_ptr<PluggableProtocol> protocol,
+      telemetry::MetricsRegistry& registry, NodeId node);
 
   ObjectAdapter& adapter() { return adapter_; }
   const ObjectAdapter& adapter() const { return adapter_; }
   PluggableProtocol& protocol() { return *protocol_; }
-  const OrbStats& stats() const { return stats_; }
 
   /// Invokes `operation` on the object `ref` with `arguments`. The hosting
   /// domain is resolved through the protocol (routed refs become concrete
@@ -73,7 +67,14 @@ class Orb {
   ObjectAdapter adapter_;
   std::unique_ptr<PluggableProtocol> protocol_;
   std::map<DomainId, DomainChannel> channels_;
-  OrbStats stats_;
+  struct {
+    telemetry::Counter* connections_established;
+    telemetry::Counter* connect_failures;
+    telemetry::Counter* requests_sent;
+    telemetry::Counter* replies_ok;
+    telemetry::Counter* replies_exception;
+    telemetry::Counter* transport_errors;
+  } metrics_{};
 };
 
 }  // namespace itdos::orb

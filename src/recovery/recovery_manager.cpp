@@ -109,7 +109,6 @@ void RecoveryManager::start(DomainId domain, int rank, SimTime triggered_at,
   active.triggered_at = triggered_at;
   active_[domain] = active;
 
-  ++stats_.started;
   metrics_.started->inc();
   metrics_.recovering->set(static_cast<std::int64_t>(active_.size()));
   const NodeId authority_node = system_.directory().recovery_authority();
@@ -183,8 +182,6 @@ void RecoveryManager::complete(DomainId domain) {
   active_.erase(it);
 
   const std::int64_t mttr = system_.sim().now() - active.triggered_at;
-  ++stats_.completed;
-  stats_.last_mttr_ns = mttr;
   metrics_.completed->inc();
   metrics_.mttr_ns->record(mttr);
   metrics_.recovering->set(static_cast<std::int64_t>(active_.size()));
@@ -207,7 +204,6 @@ void RecoveryManager::abort_attempt(DomainId domain) {
   system_.sim().cancel(active.poll);
   active_.erase(it);
 
-  ++stats_.aborted;
   metrics_.aborted->inc();
   metrics_.recovering->set(static_cast<std::int64_t>(active_.size()));
   tel_->trace(telemetry::TraceKind::kRecoveryAbort,
@@ -226,7 +222,6 @@ void RecoveryManager::abort_attempt(DomainId domain) {
   // fresh identity and retires this one by a further membership_update.
   system_.crash_element(domain, active.rank);
   if (active.attempt >= config_.max_attempts) {
-    ++stats_.failed;
     metrics_.failed->inc();
     ITDOS_WARN(kLog) << "recovery of " << domain.to_string() << " rank "
                      << active.rank << " gave up after " << active.attempt

@@ -70,14 +70,6 @@ struct RecoveryEvent {
   std::uint64_t member_epoch = 0;  // kCompleted: domain epoch after admission
 };
 
-struct RecoveryStats {
-  std::uint64_t started = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t aborted = 0;    // watchdog aborts (individual attempts)
-  std::uint64_t failed = 0;     // slots given up after max_attempts
-  std::int64_t last_mttr_ns = 0;
-};
-
 /// Drives expel -> replace -> rekey cycles against one ItdosSystem. Owns the
 /// recovery-authority BFT client toward the GM group; the GM state machine
 /// accepts membership_update commands from this identity only.
@@ -105,7 +97,6 @@ class RecoveryManager {
   /// True while an element of `domain` is mid-recovery.
   bool busy(DomainId domain) const { return active_.contains(domain); }
 
-  const RecoveryStats& stats() const { return stats_; }
   const RecoveryConfig& config() const { return config_; }
   core::ItdosSystem& system() { return system_; }
 
@@ -153,14 +144,13 @@ class RecoveryManager {
   std::uint64_t response_policy_ = 1;                   // last submitted strikes
   std::set<std::pair<DomainId, NodeId>> handled_;       // dedup observer echoes
   std::vector<Listener> listeners_;
-  RecoveryStats stats_;
 
   telemetry::Hub* tel_;
   struct {
     telemetry::Counter* started;
     telemetry::Counter* completed;
-    telemetry::Counter* aborted;
-    telemetry::Counter* failed;
+    telemetry::Counter* aborted;   // watchdog aborts (individual attempts)
+    telemetry::Counter* failed;    // slots given up after max_attempts
     telemetry::Histogram* mttr_ns;
     telemetry::Gauge* recovering;  // slots mid-recovery, all domains
   } metrics_{};

@@ -18,7 +18,24 @@
 #include <string_view>
 #include <vector>
 
+#include "common/ids.hpp"
+
 namespace itdos::telemetry {
+
+/// The registry name of a per-node or per-domain instrument:
+/// "<layer>.<scope>.<name>", e.g. metric_name("bft", NodeId(3), "executed")
+/// is "bft.3.executed". Components register under it and readers look
+/// counters up by it, so the two spellings cannot drift apart.
+template <typename Tag>
+std::string metric_name(std::string_view layer, detail::StrongId<Tag> scope,
+                        std::string_view name) {
+  std::string out(layer);
+  out += '.';
+  out += scope.to_string();
+  out += '.';
+  out += name;
+  return out;
+}
 
 /// A monotonically increasing event count.
 class Counter {

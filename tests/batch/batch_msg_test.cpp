@@ -17,9 +17,15 @@ BatchMsg sample() {
   return batch;
 }
 
+/// The batch's wire bytes, as a mutable copy.
+Bytes wire_bytes(const BatchMsg& batch) {
+  Arena arena;
+  return batch.encode_into(arena).clone_bytes();
+}
+
 TEST(BatchMsgTest, RoundTrip) {
   const BatchMsg batch = sample();
-  const Result<BatchMsg> decoded = BatchMsg::decode(BufView(batch.encode()));
+  const Result<BatchMsg> decoded = BatchMsg::decode(BufView(wire_bytes(batch)));
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value(), batch);
 }
@@ -28,7 +34,15 @@ TEST(BatchMsgTest, EncodeIntoArenaRoundTripsAndSharesChunk) {
   Arena arena;
   const BatchMsg batch = sample();
   const BufView wire = batch.encode_into(arena);
-  EXPECT_EQ(wire.clone_bytes(), batch.encode());
+  // Little-endian CDR: the entry count, then each entry as a 4-aligned
+  // length and its bytes.
+  Bytes expected = {3, 0, 0, 0, 11, 0, 0, 0};
+  append(expected, to_bytes("request-one"));
+  expected.insert(expected.end(), {0, 2, 0, 0, 0});  // pad, length 2
+  append(expected, to_bytes("r2"));
+  expected.insert(expected.end(), {0, 0, 0x2c, 0x01, 0, 0});  // pad, length 300
+  expected.insert(expected.end(), 300, 'z');
+  EXPECT_EQ(wire.clone_bytes(), expected);
 
   BufStats::reset();
   const Result<BatchMsg> decoded = BatchMsg::decode(wire);
@@ -43,7 +57,7 @@ TEST(BatchMsgTest, EncodeIntoArenaRoundTripsAndSharesChunk) {
 
 TEST(BatchMsgTest, RejectsEmptyBatch) {
   const BatchMsg empty;
-  const Result<BatchMsg> decoded = BatchMsg::decode(BufView(empty.encode()));
+  const Result<BatchMsg> decoded = BatchMsg::decode(BufView(wire_bytes(empty)));
   EXPECT_FALSE(decoded.is_ok());
 }
 
@@ -70,13 +84,13 @@ TEST(BatchMsgTest, RejectsCountAboveCap) {
 }
 
 TEST(BatchMsgTest, RejectsTrailingBytes) {
-  Bytes wire = sample().encode();
+  Bytes wire = wire_bytes(sample());
   wire.push_back(0x00);
   EXPECT_FALSE(BatchMsg::decode(BufView(std::move(wire))).is_ok());
 }
 
 TEST(BatchMsgTest, RejectsTruncatedEntry) {
-  Bytes wire = sample().encode();
+  Bytes wire = wire_bytes(sample());
   wire.resize(wire.size() - 5);
   EXPECT_FALSE(BatchMsg::decode(BufView(std::move(wire))).is_ok());
 }

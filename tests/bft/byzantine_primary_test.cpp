@@ -65,7 +65,7 @@ class RoguePrimary : public net::Process {
     env.sender = id();
     env.body = BufView(pp.encode());
     env.signature = key.sign(env.body);
-    send_to(cluster_.replica_id(rank), BufView(env.encode()));
+    send_to(cluster_.replica_id(rank), env.encode_into(arena_));
   }
 
   void send_commit(int rank, SeqNum seq, const Digest& digest) {
@@ -91,10 +91,11 @@ class RoguePrimary : public net::Process {
         to, cluster_.keys().tag(id(), to, authenticated_region(type, body_bytes)));
     if (tamper) tamper(body_bytes);
     env.body = BufView(std::move(body_bytes));
-    send_to(to, BufView(env.encode()));
+    send_to(to, env.encode_into(arena_));
   }
 
   Cluster& cluster_;
+  Arena arena_;
 };
 
 /// What the replicas compute as proposal_digest (request bytes prefixed by
@@ -126,7 +127,14 @@ BufView make_dual_decodable() {
   batch::BatchMsg batch;
   batch.entries.push_back(BufView(encode_request(7, 32)));
   batch.entries.push_back(BufView(encode_request(7, 33)));
-  return BufView(batch.encode());
+  Arena arena;
+  return batch.encode_into(arena);
+}
+
+/// A `bft.*` counter of the replica at `rank`.
+std::uint64_t replica_count(Cluster& cluster, int rank, std::string_view name) {
+  return cluster.sim().telemetry().metrics().counter_value(
+      telemetry::metric_name("bft", cluster.replica_id(rank), name));
 }
 
 const std::vector<Bytes>& log_of(Cluster& cluster, int rank) {
@@ -247,7 +255,8 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
     pp.view = ViewId(0);
     pp.seq = SeqNum(seq++);
     pp.is_batch = true;
-    pp.request = BufView(oversized.encode());
+    Arena arena;
+    pp.request = oversized.encode_into(arena);
     pp.req_digest = framed_digest(ByteView(pp.request), true);
     for (int rank = 1; rank <= 3; ++rank) rogue.send_pre_prepare(rank, pp);
   }
@@ -255,7 +264,7 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
 
   for (int rank = 1; rank <= 3; ++rank) {
     EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
-    EXPECT_GE(cluster.replica(rank).stats().malformed, 2u) << "rank " << rank;
+    EXPECT_GE(replica_count(cluster, rank, "malformed"), 2u) << "rank " << rank;
   }
 }
 
@@ -282,13 +291,12 @@ TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
   Bytes short_body = pp.encode();
   short_body.resize(kPrePrepareHeaderSize - 4);
 
-  const Replica& backup = cluster.replica(1);
   const auto expect_rejected = [&](const char* what, const std::function<void()>& send) {
-    const std::uint64_t before = backup.stats().auth_failures;
+    const std::uint64_t before = replica_count(cluster, 1, "auth_failures");
     send();
     cluster.sim().run_for(millis(5));
-    EXPECT_EQ(backup.stats().auth_failures, before + 1) << what;
-    EXPECT_EQ(backup.stats().prepares_sent, 0u) << what;
+    EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), before + 1) << what;
+    EXPECT_EQ(replica_count(cluster, 1, "prepares_sent"), 0u) << what;
   };
   expect_rejected("request altered after the MACs", [&] {
     rogue.send_tampered_pre_prepare(1, pp, [](Bytes& body) {
@@ -303,11 +311,11 @@ TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
   expect_rejected("null request with a non-null digest",
                   [&] { rogue.send_pre_prepare(1, null_request); });
 
-  const std::uint64_t before = backup.stats().auth_failures;
+  const std::uint64_t before = replica_count(cluster, 1, "auth_failures");
   rogue.send_pre_prepare(1, pp);
   cluster.sim().run_for(millis(5));
-  EXPECT_EQ(backup.stats().auth_failures, before);
-  EXPECT_EQ(backup.stats().prepares_sent, 1u);
+  EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), before);
+  EXPECT_EQ(replica_count(cluster, 1, "prepares_sent"), 1u);
 }
 
 TEST(ByzantinePrimaryTest, SignedPrePrepareStillBindsItsRequest) {
@@ -334,16 +342,15 @@ TEST(ByzantinePrimaryTest, SignedPrePrepareStillBindsItsRequest) {
   PrePrepareMsg altered = pp;
   altered.request = BufView(encode_request(7, 1, Bytes(64, 0xce)));
 
-  const Replica& backup = cluster.replica(1);
   rogue.send_signed_pre_prepare(1, altered, key);
   cluster.sim().run_for(millis(5));
-  EXPECT_EQ(backup.stats().auth_failures, 1u);
-  EXPECT_EQ(backup.stats().prepares_sent, 0u);
+  EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), 1u);
+  EXPECT_EQ(replica_count(cluster, 1, "prepares_sent"), 0u);
 
   rogue.send_signed_pre_prepare(1, pp, key);  // the signature itself is good
   cluster.sim().run_for(millis(5));
-  EXPECT_EQ(backup.stats().auth_failures, 1u);
-  EXPECT_EQ(backup.stats().prepares_sent, 1u);
+  EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), 1u);
+  EXPECT_EQ(replica_count(cluster, 1, "prepares_sent"), 1u);
 }
 
 }  // namespace

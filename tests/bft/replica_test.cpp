@@ -23,6 +23,12 @@ Cluster::AppFactory counter_factory() {
   return [](int) { return std::make_unique<CounterStateMachine>(); };
 }
 
+/// A `bft.*` counter of the replica at `rank`.
+std::uint64_t replica_count(Cluster& cluster, int rank, std::string_view name) {
+  return cluster.sim().telemetry().metrics().counter_value(
+      telemetry::metric_name("bft", cluster.replica_id(rank), name));
+}
+
 TEST(BftClusterTest, SingleInvocationCompletes) {
   Cluster cluster(fast_options(), counter_factory());
   Client& client = cluster.add_client();
@@ -223,7 +229,7 @@ TEST(BftClusterTest, LaggingReplicaCatchesUpViaStateTransfer) {
     ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
   }
   cluster.settle();
-  EXPECT_GE(cluster.replica(3).stats().state_transfers, 1u);
+  EXPECT_GE(replica_count(cluster, 3, "state_transfers"), 1u);
   const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(3).app());
   EXPECT_EQ(app.value(), 20);
   EXPECT_EQ(cluster.replica(3).last_executed().value, 20u);
@@ -313,9 +319,10 @@ TEST(BftClusterTest, MessageCountsGrowWithGroupSize) {
   auto deliveries_for = [](int f) {
     Cluster cluster(fast_options(f), counter_factory());
     Client& client = cluster.add_client();
-    cluster.network().reset_stats();
+    const telemetry::MetricsRegistry& reg = cluster.sim().telemetry().metrics();
+    const std::uint64_t before = reg.counter_value("net.packets_delivered");
     [&] { ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok()); }();
-    return cluster.network().stats().packets_delivered;
+    return reg.counter_value("net.packets_delivered") - before;
   };
   const auto d1 = deliveries_for(1);
   const auto d2 = deliveries_for(2);

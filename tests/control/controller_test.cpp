@@ -2,11 +2,16 @@
 // step-response tests over canned input traces — the law must converge
 // monotonically on a sustained disturbance, hold inside its deadband, and
 // never oscillate around the resting point when the disturbance clears.
+// The last test covers the other half's input: the metrics registry every
+// component counts into.
 #include "control/controller.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "bft/client.hpp"
 
 namespace itdos::control {
 namespace {
@@ -167,6 +172,77 @@ TEST(ControlLawTest, StepSequenceIsDeterministic) {
     return periods;
   };
   EXPECT_EQ(run(), run());
+}
+
+class Adder : public orb::Servant {
+ public:
+  std::string interface_name() const override { return "IDL:control/Adder:1.0"; }
+  void dispatch(const std::string&, const cdr::Value& arguments, orb::ServerContext&,
+                orb::ReplySinkPtr sink) override {
+    std::int64_t sum = 0;
+    for (const cdr::Value& v : arguments.elements()) sum += v.as_int64();
+    sink->reply(cdr::Value::int64(sum));
+  }
+};
+
+TEST(ResponseControllerTest, ComponentCountersLandInTheRegistryButNotInSuspicion) {
+  // One invocation into a firewalled domain with one lying element, one
+  // packet of junk from outside the enclave, and one malformed request
+  // ordered into the queue. The element, ORB and proxy counters must be in
+  // the simulator's registry with the values their components counted; the
+  // controller's suspicion input must still be the SMIOP counters alone.
+  core::ItdosSystem system;
+  const DomainId domain =
+      system.add_domain(1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
+        (void)adapter.activate_with_key(ObjectId(1), std::make_shared<Adder>());
+      });
+  system.protect_with_firewall(domain);
+  system.element(domain, 3).set_reply_mutator([](cdr::ReplyMessage reply) {
+    reply.result = cdr::Value::int64(-1);
+    return reply;
+  });
+  core::ItdosClient& client = system.add_client();
+  system.network().send(NodeId(99999), system.element(domain, 0).smiop_node(),
+                        to_bytes("JUNK"));
+  const Result<cdr::Value> sum = system.invoke_sync(
+      client, system.object_ref(domain, ObjectId(1), "IDL:control/Adder:1.0"), "add",
+      cdr::Value::sequence({cdr::Value::int64(40), cdr::Value::int64(2)}));
+  ASSERT_TRUE(sum.is_ok()) << sum.status().to_string();
+  EXPECT_EQ(sum.value().as_int64(), 42);
+  bft::Client rogue(system.network(), NodeId(777777),
+                    system.directory().find_domain(domain)->make_bft_config(
+                        system.directory().timing()),
+                    system.keys());
+  rogue.invoke(to_bytes("\x01 not really an ordered msg"), [](Result<Bytes>) {});
+  system.settle();
+
+  const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
+  const auto expect_count = [&](const std::string& name, std::uint64_t value) {
+    ASSERT_TRUE(reg.counters().contains(name)) << name << " is not registered";
+    EXPECT_EQ(reg.counter_value(name), value) << name;
+  };
+  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+    const NodeId element = system.element(domain, rank).smiop_node();
+    expect_count(telemetry::metric_name("element", element, "requests_executed"), 1);
+    expect_count(telemetry::metric_name("element", element, "entries_discarded"), 1);
+  }
+  expect_count(telemetry::metric_name("orb", client.smiop_node(), "requests_sent"), 1);
+  expect_count(telemetry::metric_name("proxy", domain, "admitted"), 94);
+  expect_count(telemetry::metric_name("proxy", domain, "dropped_malformed"), 1);
+
+  recovery::RecoveryManager manager(system);
+  recovery::ProactiveScheduler scheduler(manager, seconds(1));
+  const ResponseController controller(system, manager, scheduler, {});
+  std::uint64_t smiop_suspicion = 0;
+  for (const auto& [name, counter] : reg.counters()) {
+    if (name.starts_with("smiop.") &&
+        (name.ends_with(".faults_detected") || name.ends_with(".votes_timed_out") ||
+         name.ends_with(".change_requests_sent"))) {
+      smiop_suspicion += counter.value();
+    }
+  }
+  EXPECT_GT(smiop_suspicion, 0u) << "the lying element went unnoticed";
+  EXPECT_EQ(controller.read_inputs().suspicion_events, smiop_suspicion);
 }
 
 }  // namespace

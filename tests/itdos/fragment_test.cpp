@@ -53,6 +53,18 @@ class FragmentTest : public ::testing::Test {
                                 seconds(30));
   }
 
+  /// An `element.*` counter of the element at `rank`.
+  std::uint64_t element_count(int rank, std::string_view name) {
+    return system_->sim().telemetry().metrics().counter_value(
+        telemetry::metric_name("element", system_->element(domain_, rank).smiop_node(), name));
+  }
+
+  /// An `smiop.*` counter of the client's party.
+  std::uint64_t client_count(std::string_view name) {
+    return system_->sim().telemetry().metrics().counter_value(
+        telemetry::metric_name("smiop", client_->smiop_node(), name));
+  }
+
   std::unique_ptr<ItdosSystem> system_;
   DomainId domain_;
   ItdosClient* client_ = nullptr;
@@ -61,18 +73,18 @@ class FragmentTest : public ::testing::Test {
 
 TEST_F(FragmentTest, SmallRequestNotFragmented) {
   ASSERT_TRUE(send_blob("size", 100).is_ok());
-  EXPECT_EQ(client_->party().stats().fragmented_requests, 0u);
-  EXPECT_EQ(system_->element(domain_, 0).stats().requests_reassembled, 0u);
+  EXPECT_EQ(client_count("fragmented_requests"), 0u);
+  EXPECT_EQ(element_count(0, "requests_reassembled"), 0u);
 }
 
 TEST_F(FragmentTest, LargeRequestFragmentsAndReassembles) {
   const Result<Value> result = send_blob("size", 50000);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().as_int64(), 50000);
-  EXPECT_EQ(client_->party().stats().fragmented_requests, 1u);
+  EXPECT_EQ(client_count("fragmented_requests"), 1u);
   system_->settle();
   for (int rank = 0; rank < 4; ++rank) {
-    EXPECT_EQ(system_->element(domain_, rank).stats().requests_reassembled, 1u)
+    EXPECT_EQ(element_count(rank, "requests_reassembled"), 1u)
         << "rank " << rank;
   }
 }
@@ -92,7 +104,7 @@ TEST_F(FragmentTest, InterleavedLargeAndSmallRequests) {
   ASSERT_TRUE(send_blob("size", 20000).is_ok());
   ASSERT_TRUE(send_blob("size", 10).is_ok());
   ASSERT_TRUE(send_blob("size", 30000).is_ok());
-  EXPECT_EQ(client_->party().stats().fragmented_requests, 2u);
+  EXPECT_EQ(client_count("fragmented_requests"), 2u);
 }
 
 TEST_F(FragmentTest, HostileFragmentsDiscardedWithoutDesync) {
@@ -124,7 +136,7 @@ TEST_F(FragmentTest, HostileFragmentsDiscardedWithoutDesync) {
   const Result<Value> after = send_blob("size", 20000);
   ASSERT_TRUE(after.is_ok()) << after.status().to_string();
   EXPECT_EQ(after.value().as_int64(), 20000);
-  const std::uint64_t d0 = system_->element(domain_, 0).stats().entries_discarded;
+  const std::uint64_t d0 = element_count(0, "entries_discarded");
   EXPECT_GE(d0, 2u);
 }
 

@@ -56,6 +56,18 @@ class HostileTest : public ::testing::Test {
                                Value::sequence({Value::int64(v)}), seconds(10));
   }
 
+  /// An `element.*` counter of the element at `rank`.
+  std::uint64_t element_count(int rank, std::string_view name) {
+    return system_.sim().telemetry().metrics().counter_value(
+        telemetry::metric_name("element", system_.element(domain_, rank).smiop_node(), name));
+  }
+
+  /// An `smiop.*` counter of the client's party.
+  std::uint64_t client_count(std::string_view name) {
+    return system_.sim().telemetry().metrics().counter_value(
+        telemetry::metric_name("smiop", client_.smiop_node(), name));
+  }
+
   ItdosSystem system_;
   DomainId domain_;
   ItdosClient& client_;
@@ -73,8 +85,7 @@ TEST_F(HostileTest, GarbageQueueEntriesAreDiscardedDeterministically) {
   ASSERT_TRUE(after.is_ok()) << after.status().to_string();
   // Every element discarded the same hostile entries and stayed in sync.
   for (int rank = 0; rank < 4; ++rank) {
-    EXPECT_GE(system_.element(domain_, rank).stats().entries_discarded, 1u)
-        << "rank " << rank;
+    EXPECT_GE(element_count(rank, "entries_discarded"), 1u) << "rank " << rank;
   }
 }
 
@@ -92,14 +103,13 @@ TEST_F(HostileTest, BogusConnectionIdResolvedViaGmAndDiscarded) {
   system_.settle();
   const Result<Value> after = echo(2);
   ASSERT_TRUE(after.is_ok()) << after.status().to_string();
-  EXPECT_GE(system_.element(domain_, 0).stats().key_waits, 1u);
-  EXPECT_GE(system_.element(domain_, 0).stats().entries_discarded, 1u);
+  EXPECT_GE(element_count(0, "key_waits"), 1u);
+  EXPECT_GE(element_count(0, "entries_discarded"), 1u);
 }
 
 TEST_F(HostileTest, ReplayedOrderedRequestDiscarded) {
   ASSERT_TRUE(echo(1).is_ok());
-  const std::uint64_t executed_before =
-      system_.element(domain_, 0).stats().requests_executed;
+  const std::uint64_t executed_before = element_count(0, "requests_executed");
   // Capture and re-order the client's first sealed request: the element's
   // strictly-increasing request-id rule must reject the replay.
   // (We reconstruct it: conn 1, rid 1 — the seal is valid, the rid is old.)
@@ -112,7 +122,7 @@ TEST_F(HostileTest, ReplayedOrderedRequestDiscarded) {
   replay.sealed_giop = to_bytes("forged");
   rogue().invoke(replay.encode(), [](Result<Bytes>) {});
   system_.settle();
-  EXPECT_EQ(system_.element(domain_, 0).stats().requests_executed, executed_before);
+  EXPECT_EQ(element_count(0, "requests_executed"), executed_before);
   ASSERT_TRUE(echo(2).is_ok());
 }
 
@@ -126,8 +136,7 @@ TEST_F(HostileTest, ForgedSealWithValidConnDiscarded) {
   forged.sealed_giop = to_bytes("attacker does not know the key");
   rogue().invoke(forged.encode(), [](Result<Bytes>) {});
   system_.settle();
-  const std::uint64_t discarded =
-      system_.element(domain_, 0).stats().entries_discarded;
+  const std::uint64_t discarded = element_count(0, "entries_discarded");
   EXPECT_GE(discarded, 1u);
   // rid 99 was burned? No: discarding a forged entry must NOT advance the
   // rid horizon — the client's next real request still works.
@@ -146,10 +155,10 @@ TEST_F(HostileTest, SpoofedDirectReplyRejectedByClient) {
   spoof.epoch = KeyEpoch(1);
   spoof.sealed_giop = to_bytes("not sealed with the real key");
   spoof.plain_signature.fill(0xaa);
-  const std::uint64_t rejected_before = client_.party().stats().replies_rejected;
+  const std::uint64_t rejected_before = client_count("replies_rejected");
   system_.network().send(NodeId(777777), client_.smiop_node(), spoof.encode());
   system_.settle();
-  EXPECT_GT(client_.party().stats().replies_rejected, rejected_before);
+  EXPECT_GT(client_count("replies_rejected"), rejected_before);
   ASSERT_TRUE(echo(2).is_ok());
 }
 
@@ -162,7 +171,7 @@ TEST_F(HostileTest, LateDirectReplyDiscardedBeforeAnyCrypto) {
   ASSERT_TRUE(echo(2).is_ok());
   system_.settle();  // the slowest element's genuine replies are in
   const telemetry::Counter& discarded = system_.network().sim().telemetry().metrics().counter(
-      "vote." + client_.smiop_node().to_string() + ".discarded");
+      telemetry::metric_name("vote", client_.smiop_node(), "discarded"));
   const NodeId element = system_.element(domain_, 0).smiop_node();
   DirectReplyMsg late;
   late.conn = ConnectionId(1);
@@ -172,18 +181,18 @@ TEST_F(HostileTest, LateDirectReplyDiscardedBeforeAnyCrypto) {
   late.sealed_giop = to_bytes("garbage where the sealed reply should be");
   late.plain_signature.fill(0xaa);
   const std::uint64_t discarded_before = discarded.value();
-  const std::uint64_t rejected_before = client_.party().stats().replies_rejected;
+  const std::uint64_t rejected_before = client_count("replies_rejected");
   system_.network().send(NodeId(777777), client_.smiop_node(), late.encode());
   system_.settle();
   EXPECT_EQ(discarded.value(), discarded_before + 1);
-  EXPECT_EQ(client_.party().stats().replies_rejected, rejected_before);
+  EXPECT_EQ(client_count("replies_rejected"), rejected_before);
 
   // A reply for a future rid still goes through every check.
   DirectReplyMsg future = late;
   future.rid = RequestId(3);
   system_.network().send(NodeId(777777), client_.smiop_node(), future.encode());
   system_.settle();
-  EXPECT_EQ(client_.party().stats().replies_rejected, rejected_before + 1);
+  EXPECT_EQ(client_count("replies_rejected"), rejected_before + 1);
   EXPECT_EQ(discarded.value(), discarded_before + 1);
   ASSERT_TRUE(echo(3).is_ok());
 }

@@ -17,7 +17,8 @@ Bytes valid_bft_envelope() {
   env.type = bft::MsgType::kPrepare;
   env.sender = NodeId(3);
   env.body = to_bytes("body");
-  return env.encode();
+  Arena arena;
+  return env.encode_into(arena).clone_bytes();
 }
 
 Bytes valid_smiop_message() {
@@ -30,38 +31,50 @@ Bytes valid_smiop_message() {
   return msg.encode();
 }
 
+constexpr DomainId kDomain{7};
+
+/// A `proxy.<kDomain>.*` counter.
+std::uint64_t proxy_count(const telemetry::MetricsRegistry& reg, std::string_view name) {
+  return reg.counter_value(telemetry::metric_name("proxy", kDomain, name));
+}
+
 TEST(FirewallProxyTest, AdmitsBftEnvelopes) {
-  FirewallProxy proxy;
+  telemetry::MetricsRegistry reg;
+  FirewallProxy proxy(reg, kDomain);
   EXPECT_TRUE(proxy.admit(packet(valid_bft_envelope())));
-  EXPECT_EQ(proxy.stats().admitted, 1u);
+  EXPECT_EQ(proxy_count(reg, "admitted"), 1u);
 }
 
 TEST(FirewallProxyTest, AdmitsSmiopMessages) {
-  FirewallProxy proxy;
+  telemetry::MetricsRegistry reg;
+  FirewallProxy proxy(reg, kDomain);
   EXPECT_TRUE(proxy.admit(packet(valid_smiop_message())));
 }
 
 TEST(FirewallProxyTest, DropsGarbage) {
-  FirewallProxy proxy;
+  telemetry::MetricsRegistry reg;
+  FirewallProxy proxy(reg, kDomain);
   EXPECT_FALSE(proxy.admit(packet(to_bytes("GET / HTTP/1.1"))));
   EXPECT_FALSE(proxy.admit(packet(Bytes{})));
-  EXPECT_EQ(proxy.stats().dropped_malformed, 2u);
+  EXPECT_EQ(proxy_count(reg, "dropped_malformed"), 2u);
 }
 
 TEST(FirewallProxyTest, DropsOversize) {
+  telemetry::MetricsRegistry reg;
   FirewallProxy::Options options;
   options.max_message_bytes = 100;
-  FirewallProxy proxy(options);
+  FirewallProxy proxy(reg, kDomain, options);
   Bytes big = valid_bft_envelope();
   big.resize(200, 0);
   EXPECT_FALSE(proxy.admit(packet(big)));
-  EXPECT_EQ(proxy.stats().dropped_oversize, 1u);
+  EXPECT_EQ(proxy_count(reg, "dropped_oversize"), 1u);
 }
 
 TEST(FirewallProxyTest, PolicyKnobsDisableFamilies) {
+  telemetry::MetricsRegistry reg;
   FirewallProxy::Options options;
   options.allow_bft = false;
-  FirewallProxy proxy(options);
+  FirewallProxy proxy(reg, kDomain, options);
   EXPECT_FALSE(proxy.admit(packet(valid_bft_envelope())));
   EXPECT_TRUE(proxy.admit(packet(valid_smiop_message())));
 }
@@ -71,7 +84,7 @@ TEST(FirewallProxyTest, InstalledFilterGuardsDelivery) {
   net::Network net(sim, net::NetConfig{10, 10, 0, 0});
   std::vector<BufView> received;
   net.attach(NodeId(2), [&](const net::Packet& p) { received.push_back(p.payload); });
-  FirewallProxy proxy;
+  FirewallProxy proxy(sim.telemetry().metrics(), kDomain);
   proxy.protect(net, NodeId(2));
 
   net.send(NodeId(1), NodeId(2), to_bytes("junk"));
@@ -79,8 +92,8 @@ TEST(FirewallProxyTest, InstalledFilterGuardsDelivery) {
   sim.run();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0], valid_bft_envelope());
-  EXPECT_EQ(proxy.stats().dropped_malformed, 1u);
-  EXPECT_EQ(proxy.stats().admitted, 1u);
+  EXPECT_EQ(proxy_count(sim.telemetry().metrics(), "dropped_malformed"), 1u);
+  EXPECT_EQ(proxy_count(sim.telemetry().metrics(), "admitted"), 1u);
 }
 
 TEST(FirewallProxyTest, ReleaseRestoresOpenDelivery) {
@@ -88,7 +101,7 @@ TEST(FirewallProxyTest, ReleaseRestoresOpenDelivery) {
   net::Network net(sim, net::NetConfig{10, 10, 0, 0});
   int received = 0;
   net.attach(NodeId(2), [&](const net::Packet&) { ++received; });
-  FirewallProxy proxy;
+  FirewallProxy proxy(sim.telemetry().metrics(), kDomain);
   proxy.protect(net, NodeId(2));
   proxy.release(net, NodeId(2));
   net.send(NodeId(1), NodeId(2), to_bytes("junk"));
@@ -102,12 +115,14 @@ TEST(FirewallProxyTest, FilterSurvivesProxyDestruction) {
   int received = 0;
   net.attach(NodeId(2), [&](const net::Packet&) { ++received; });
   {
-    FirewallProxy proxy;
+    FirewallProxy proxy(sim.telemetry().metrics(), kDomain);
     proxy.protect(net, NodeId(2));
   }  // proxy destroyed; installed filter must remain safe and effective
   net.send(NodeId(1), NodeId(2), to_bytes("junk"));
   sim.run();
   EXPECT_EQ(received, 0);
+  // The filter counts into the simulator's registry, not into the proxy.
+  EXPECT_EQ(proxy_count(sim.telemetry().metrics(), "dropped_malformed"), 1u);
 }
 
 TEST(FirewallProxyTest, StatsSharedAcrossProtectedNodes) {
@@ -115,13 +130,13 @@ TEST(FirewallProxyTest, StatsSharedAcrossProtectedNodes) {
   net::Network net(sim, net::NetConfig{10, 10, 0, 0});
   net.attach(NodeId(2), [](const net::Packet&) {});
   net.attach(NodeId(3), [](const net::Packet&) {});
-  FirewallProxy proxy;
+  FirewallProxy proxy(sim.telemetry().metrics(), kDomain);
   proxy.protect(net, NodeId(2));
   proxy.protect(net, NodeId(3));
   net.send(NodeId(1), NodeId(2), to_bytes("junk"));
   net.send(NodeId(1), NodeId(3), to_bytes("junk"));
   sim.run();
-  EXPECT_EQ(proxy.stats().dropped_malformed, 2u);
+  EXPECT_EQ(proxy_count(sim.telemetry().metrics(), "dropped_malformed"), 2u);
 }
 
 }  // namespace

@@ -49,6 +49,14 @@ Value int_args(std::initializer_list<std::int64_t> values) {
 
 class ItdosSystemTest : public ::testing::Test {
  protected:
+  /// A `<layer>.<scope>.*` counter from the system's registry.
+  template <typename Tag>
+  static std::uint64_t count(ItdosSystem& system, std::string_view layer,
+                             detail::StrongId<Tag> scope, std::string_view name) {
+    return system.sim().telemetry().metrics().counter_value(
+        telemetry::metric_name(layer, scope, name));
+  }
+
   static SystemOptions fast_options(std::uint64_t seed = 1) {
     SystemOptions opts;
     opts.seed = seed;
@@ -76,7 +84,7 @@ TEST_F(ItdosSystemTest, EndToEndInvocation) {
       system.invoke_sync(client, ref, "add", int_args({40, 2}));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().as_int64(), 42);
-  EXPECT_EQ(client.party().stats().votes_decided, 1u);
+  EXPECT_EQ(count(system, "smiop", client.smiop_node(), "votes_decided"), 1u);
 }
 
 TEST_F(ItdosSystemTest, TimedOutInvokeSyncToleratesTheLateCompletion) {
@@ -99,7 +107,7 @@ TEST_F(ItdosSystemTest, TimedOutInvokeSyncToleratesTheLateCompletion) {
       system.invoke_sync(client, ref, "add", int_args({1, 2}));
   ASSERT_TRUE(next.is_ok()) << next.status().to_string();
   EXPECT_EQ(next.value().as_int64(), 3);
-  EXPECT_EQ(client.party().stats().votes_decided, 2u);
+  EXPECT_EQ(count(system, "smiop", client.smiop_node(), "votes_decided"), 2u);
 }
 
 TEST_F(ItdosSystemTest, HeterogeneousElementsVoteDespiteDifferentWireBytes) {
@@ -166,7 +174,7 @@ TEST_F(ItdosSystemTest, ByteByByteVotingFailsUnderHeterogeneity) {
   const Result<Value> result =
       system.invoke_sync(client, ref, "scale", Value::sequence({Value::float64(21.0)}));
   EXPECT_FALSE(result.is_ok());
-  EXPECT_EQ(client.party().stats().votes_timed_out, 1u);
+  EXPECT_EQ(count(system, "smiop", client.smiop_node(), "votes_timed_out"), 1u);
 
   // ...while the ITDOS middleware voter (inexact, on unmarshalled data)
   // decides on exactly the same replies.
@@ -193,8 +201,8 @@ TEST_F(ItdosSystemTest, SequentialInvocationsReuseConnection) {
     ASSERT_TRUE(result.is_ok()) << "i=" << i << ": " << result.status().to_string();
     EXPECT_EQ(result.value().as_int64(), 2 * i);
   }
-  EXPECT_EQ(client.orb().stats().connections_established, 1u);
-  EXPECT_EQ(client.party().stats().opens_sent, 1u);
+  EXPECT_EQ(count(system, "orb", client.smiop_node(), "connections_established"), 1u);
+  EXPECT_EQ(count(system, "smiop", client.smiop_node(), "opens_sent"), 1u);
 }
 
 TEST_F(ItdosSystemTest, UserExceptionVotedAndPropagated) {
@@ -240,8 +248,8 @@ TEST_F(ItdosSystemTest, ByzantineElementOutvotedDetectedAndExpelled) {
   EXPECT_EQ(result.value().as_int64(), 42);  // voter masks the lie
 
   system.settle();
-  EXPECT_GE(client.party().stats().faults_detected, 1u);
-  EXPECT_GE(client.party().stats().change_requests_sent, 1u);
+  EXPECT_GE(count(system, "smiop", client.smiop_node(), "faults_detected"), 1u);
+  EXPECT_GE(count(system, "smiop", client.smiop_node(), "change_requests_sent"), 1u);
   // The GM verified the signed-message proof and expelled the liar.
   const NodeId liar = system.element(domain, 2).smiop_node();
   EXPECT_TRUE(system.gm_element(0).state().is_expelled(domain, liar));
@@ -364,14 +372,15 @@ TEST_F(ItdosSystemTest, NestedInvocationAcrossDomains) {
   // the ordered request copies (decision at f+1 matching; later copies are
   // discarded via the request-id rule).
   system.settle();
-  EXPECT_GE(system.element(calc_domain, 0).stats().request_vote_copies, 2u);
-  EXPECT_GE(system.element(calc_domain, 0).stats().entries_discarded, 1u);
+  const NodeId calc0 = system.element(calc_domain, 0).smiop_node();
+  EXPECT_GE(count(system, "element", calc0, "request_vote_copies"), 2u);
+  EXPECT_GE(count(system, "element", calc0, "entries_discarded"), 1u);
 }
 
 TEST_F(ItdosSystemTest, FirewallBlocksGarbageButNotProtocol) {
   ItdosSystem system(fast_options());
   const DomainId domain = add_calculator_domain(system);
-  FirewallProxy& proxy = system.protect_with_firewall(domain);
+  system.protect_with_firewall(domain);
 
   // Attacker floods an element with junk from outside the enclave.
   const NodeId target = system.element(domain, 0).smiop_node();
@@ -379,7 +388,7 @@ TEST_F(ItdosSystemTest, FirewallBlocksGarbageButNotProtocol) {
     system.network().send(NodeId(99999), target, to_bytes("DDOS-GARBAGE-" + std::to_string(i)));
   }
   system.settle();
-  EXPECT_EQ(proxy.stats().dropped_malformed, 50u);
+  EXPECT_EQ(count(system, "proxy", domain, "dropped_malformed"), 50u);
 
   // Legitimate traffic still flows.
   ItdosClient& client = system.add_client();
@@ -388,7 +397,7 @@ TEST_F(ItdosSystemTest, FirewallBlocksGarbageButNotProtocol) {
   const Result<Value> result =
       system.invoke_sync(client, ref, "add", int_args({40, 2}), seconds(10));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_GT(proxy.stats().admitted, 0u);
+  EXPECT_GT(count(system, "proxy", domain, "admitted"), 0u);
 }
 
 TEST_F(ItdosSystemTest, ToleratesCrashedGmElement) {

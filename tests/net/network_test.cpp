@@ -32,6 +32,11 @@ class Recorder : public Process {
 
 class NetworkTest : public ::testing::Test {
  protected:
+  /// A `net.*` counter from the simulator's registry.
+  std::uint64_t net_count(std::string_view name) const {
+    return sim_.telemetry().metrics().counter_value("net." + std::string(name));
+  }
+
   Simulator sim_{42};
   Network net_{sim_, fast_config()};
 };
@@ -62,7 +67,7 @@ TEST_F(NetworkTest, SendToUnknownNodeDropped) {
   Recorder a(net_, NodeId(1));
   a.send_to(NodeId(99), to_bytes("x"));
   sim_.run();
-  EXPECT_EQ(net_.stats().packets_dropped, 1u);
+  EXPECT_EQ(net_count("packets_dropped"), 1u);
 }
 
 TEST_F(NetworkTest, MulticastReachesAllMembersIncludingSender) {
@@ -99,7 +104,7 @@ TEST_F(NetworkTest, MulticastToEmptyGroupIsNoop) {
   Recorder a(net_, NodeId(1));
   a.multicast_to(McastGroupId(9), to_bytes("mc"));
   sim_.run();
-  EXPECT_EQ(net_.stats().packets_delivered, 0u);
+  EXPECT_EQ(net_count("packets_delivered"), 0u);
 }
 
 TEST_F(NetworkTest, GroupMembersListed) {
@@ -129,7 +134,7 @@ TEST_F(NetworkTest, CutLinkDropsBothDirections) {
   sim_.run();
   EXPECT_TRUE(a.received.empty());
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net_.stats().packets_dropped, 2u);
+  EXPECT_EQ(net_count("packets_dropped"), 2u);
   net_.set_link(NodeId(1), NodeId(2), true);
   a.send_to(NodeId(2), to_bytes("x"));
   sim_.run();
@@ -197,7 +202,7 @@ TEST_F(NetworkTest, InterceptorCanDrop) {
   a.send_to(NodeId(2), to_bytes("x"));
   sim_.run();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net_.stats().packets_dropped, 1u);
+  EXPECT_EQ(net_count("packets_dropped"), 1u);
 }
 
 TEST_F(NetworkTest, InterceptorClearRestores) {
@@ -220,12 +225,12 @@ TEST_F(NetworkTest, StatsCountTraffic) {
   a.send_to(NodeId(2), to_bytes("12345"));
   a.multicast_to(g, to_bytes("123"));
   sim_.run();
-  EXPECT_EQ(net_.stats().unicasts_sent, 1u);
-  EXPECT_EQ(net_.stats().multicasts_sent, 1u);
-  EXPECT_EQ(net_.stats().packets_delivered, 3u);  // 1 unicast + 2 mc copies
-  EXPECT_EQ(net_.stats().bytes_delivered, 5u + 3u + 3u);
-  net_.reset_stats();
-  EXPECT_EQ(net_.stats().unicasts_sent, 0u);
+  EXPECT_EQ(net_count("unicasts_sent"), 1u);
+  EXPECT_EQ(net_count("multicasts_sent"), 1u);
+  EXPECT_EQ(net_count("packets_delivered"), 3u);  // 1 unicast + 2 mc copies
+  EXPECT_EQ(net_count("bytes_delivered"), 5u + 3u + 3u);
+  sim_.telemetry().metrics().reset();
+  EXPECT_EQ(net_count("unicasts_sent"), 0u);
 }
 
 TEST_F(NetworkTest, DeterministicAcrossRuns) {

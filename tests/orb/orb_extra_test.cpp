@@ -40,13 +40,15 @@ class OrbReconnectFixture : public ::testing::Test {
  protected:
   OrbReconnectFixture() : net_(sim_, net::NetConfig{micros(10), micros(20), 0, 0}) {
     server_orb_ = std::make_unique<Orb>(
-        DomainId(1), std::make_unique<IiopProtocol>(net_, NodeId(11), IiopDirectory{}));
+        DomainId(1), std::make_unique<IiopProtocol>(net_, NodeId(11), IiopDirectory{}),
+        sim_.telemetry().metrics(), NodeId(11));
     server_ = std::make_unique<IiopServer>(net_, NodeId(1), *server_orb_);
     ref_ = server_orb_->adapter().activate(std::make_shared<EchoServant>());
     client_ = std::make_unique<Orb>(
-        DomainId(100), std::make_unique<IiopProtocol>(
-                           net_, NodeId(2), IiopDirectory{{DomainId(1), NodeId(1)}},
-                           /*request_timeout_ns=*/millis(50)));
+        DomainId(100),
+        std::make_unique<IiopProtocol>(net_, NodeId(2), IiopDirectory{{DomainId(1), NodeId(1)}},
+                                       /*request_timeout_ns=*/millis(50)),
+        sim_.telemetry().metrics(), NodeId(2));
   }
 
   Result<cdr::Value> invoke(const std::string& op) {
@@ -56,6 +58,11 @@ class OrbReconnectFixture : public ::testing::Test {
     sim_.run(100000);
     if (!outcome) return error(Errc::kUnavailable, "no completion");
     return std::move(*outcome);
+  }
+
+  /// A counter of the ORB invoking from `node`.
+  std::uint64_t orb_count(NodeId node, std::string_view name) const {
+    return sim_.telemetry().metrics().counter_value(telemetry::metric_name("orb", node, name));
   }
 
   net::Simulator sim_{3};
@@ -68,10 +75,10 @@ class OrbReconnectFixture : public ::testing::Test {
 
 TEST_F(OrbReconnectFixture, InvalidateForcesReconnect) {
   ASSERT_TRUE(invoke("echo").is_ok());
-  EXPECT_EQ(client_->stats().connections_established, 1u);
+  EXPECT_EQ(orb_count(NodeId(2), "connections_established"), 1u);
   client_->invalidate_connection(ref_.domain);
   ASSERT_TRUE(invoke("echo").is_ok());
-  EXPECT_EQ(client_->stats().connections_established, 2u);
+  EXPECT_EQ(orb_count(NodeId(2), "connections_established"), 2u);
 }
 
 TEST_F(OrbReconnectFixture, InvalidateUnknownDomainIsNoop) {
@@ -82,20 +89,20 @@ TEST_F(OrbReconnectFixture, InvalidateUnknownDomainIsNoop) {
 TEST_F(OrbReconnectFixture, StatsTrackOutcomes) {
   ASSERT_TRUE(invoke("echo").is_ok());
   ASSERT_FALSE(invoke("nonsense").is_ok());  // system exception
-  EXPECT_EQ(client_->stats().requests_sent, 2u);
-  EXPECT_EQ(client_->stats().replies_ok, 1u);
-  EXPECT_EQ(client_->stats().replies_exception, 1u);
+  EXPECT_EQ(orb_count(NodeId(2), "requests_sent"), 2u);
+  EXPECT_EQ(orb_count(NodeId(2), "replies_ok"), 1u);
+  EXPECT_EQ(orb_count(NodeId(2), "replies_exception"), 1u);
 }
 
 TEST_F(OrbReconnectFixture, TimeoutCountsAsTransportError) {
   server_.reset();  // server gone; IIOP request times out
   ASSERT_FALSE(invoke("echo").is_ok());
-  EXPECT_EQ(client_->stats().transport_errors, 1u);
+  EXPECT_EQ(orb_count(NodeId(2), "transport_errors"), 1u);
 }
 
 TEST_F(OrbReconnectFixture, QueuedInvokesFailFastOnConnectError) {
-  Orb lost(DomainId(101),
-           std::make_unique<IiopProtocol>(net_, NodeId(3), IiopDirectory{}));
+  Orb lost(DomainId(101), std::make_unique<IiopProtocol>(net_, NodeId(3), IiopDirectory{}),
+           sim_.telemetry().metrics(), NodeId(3));
   int failures = 0;
   for (int i = 0; i < 3; ++i) {
     lost.invoke(ref_, "echo", cdr::Value::sequence({}), [&](Result<cdr::Value> r) {
@@ -107,7 +114,7 @@ TEST_F(OrbReconnectFixture, QueuedInvokesFailFastOnConnectError) {
   EXPECT_EQ(failures, 3);
   // The IIOP connect fails synchronously, so each invoke re-attempts (and
   // each caller gets a prompt failure instead of silently queueing).
-  EXPECT_EQ(lost.stats().connect_failures, 3u);
+  EXPECT_EQ(orb_count(NodeId(3), "connect_failures"), 3u);
 }
 
 }  // namespace

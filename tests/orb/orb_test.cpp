@@ -178,15 +178,17 @@ class IiopFixture : public ::testing::Test {
   IiopFixture() : net_(sim_, net_config()) {
     // Server domain 1 on node 1.
     server_orb_ = std::make_unique<Orb>(
-        DomainId(1), std::make_unique<IiopProtocol>(net_, NodeId(11),
-                                                    IiopDirectory{{DomainId(1), NodeId(1)}}));
+        DomainId(1),
+        std::make_unique<IiopProtocol>(net_, NodeId(11), IiopDirectory{{DomainId(1), NodeId(1)}}),
+        sim_.telemetry().metrics(), NodeId(11));
     server_ = std::make_unique<IiopServer>(net_, NodeId(1), *server_orb_);
     calculator_ = std::make_shared<CalculatorServant>();
     calc_ref_ = server_orb_->adapter().activate(calculator_);
 
     client_orb_ = std::make_unique<Orb>(
-        DomainId(100), std::make_unique<IiopProtocol>(net_, NodeId(2),
-                                                      IiopDirectory{{DomainId(1), NodeId(1)}}));
+        DomainId(100),
+        std::make_unique<IiopProtocol>(net_, NodeId(2), IiopDirectory{{DomainId(1), NodeId(1)}}),
+        sim_.telemetry().metrics(), NodeId(2));
   }
 
   static net::NetConfig net_config() {
@@ -204,6 +206,12 @@ class IiopFixture : public ::testing::Test {
     sim_.run(100000);
     if (!outcome) return error(Errc::kUnavailable, "no completion");
     return std::move(*outcome);
+  }
+
+  /// A counter of the client ORB (`orb.2.*`).
+  std::uint64_t client_count(std::string_view name) const {
+    return sim_.telemetry().metrics().counter_value(
+        telemetry::metric_name("orb", NodeId(2), name));
   }
 
   net::Simulator sim_{7};
@@ -227,8 +235,8 @@ TEST_F(IiopFixture, ConnectionIsReused) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(invoke_sync(*client_orb_, calc_ref_, "add", int_pair(i, i)).is_ok());
   }
-  EXPECT_EQ(client_orb_->stats().connections_established, 1u);
-  EXPECT_EQ(client_orb_->stats().requests_sent, 5u);
+  EXPECT_EQ(client_count("connections_established"), 1u);
+  EXPECT_EQ(client_count("requests_sent"), 5u);
 }
 
 TEST_F(IiopFixture, SecondObjectSameDomainSameConnection) {
@@ -237,7 +245,7 @@ TEST_F(IiopFixture, SecondObjectSameDomainSameConnection) {
   ASSERT_TRUE(invoke_sync(*client_orb_, calc_ref_, "add", int_pair(1, 1)).is_ok());
   ASSERT_TRUE(invoke_sync(*client_orb_, second, "add", int_pair(2, 2)).is_ok());
   // §3.4: objects co-hosted in one server share the client's connection.
-  EXPECT_EQ(client_orb_->stats().connections_established, 1u);
+  EXPECT_EQ(client_count("connections_established"), 1u);
 }
 
 TEST_F(IiopFixture, UserExceptionSurfacesAsError) {
@@ -254,7 +262,7 @@ TEST_F(IiopFixture, UnknownDomainFailsConnect) {
   const Result<cdr::Value> result =
       invoke_sync(*client_orb_, bogus, "add", int_pair(1, 1));
   EXPECT_EQ(result.status().code(), Errc::kNotFound);
-  EXPECT_EQ(client_orb_->stats().connect_failures, 1u);
+  EXPECT_EQ(client_count("connect_failures"), 1u);
 }
 
 TEST_F(IiopFixture, DeadServerTimesOut) {
@@ -275,21 +283,23 @@ TEST_F(IiopFixture, PipelinedInvokesAllComplete) {
   sim_.run(1000000);
   EXPECT_EQ(completions, 10);
   // One-outstanding-per-connection discipline still sends them all.
-  EXPECT_EQ(client_orb_->stats().requests_sent, 10u);
+  EXPECT_EQ(client_count("requests_sent"), 10u);
 }
 
 TEST_F(IiopFixture, NestedInvocationThroughSecondDomain) {
   // Forwarder (domain 2, node 3) relays to Calculator (domain 1, node 1).
   Orb forwarder_orb(DomainId(2),
                     std::make_unique<IiopProtocol>(
-                        net_, NodeId(12), IiopDirectory{{DomainId(1), NodeId(1)}}));
+                        net_, NodeId(12), IiopDirectory{{DomainId(1), NodeId(1)}}),
+                    sim_.telemetry().metrics(), NodeId(12));
   IiopServer forwarder_server(net_, NodeId(3), forwarder_orb);
   const ObjectRef relay_ref =
       forwarder_orb.adapter().activate(std::make_shared<ForwarderServant>(calc_ref_));
 
   Orb client(DomainId(101),
              std::make_unique<IiopProtocol>(
-                 net_, NodeId(4), IiopDirectory{{DomainId(2), NodeId(3)}}));
+                 net_, NodeId(4), IiopDirectory{{DomainId(2), NodeId(3)}}),
+             sim_.telemetry().metrics(), NodeId(4));
   std::optional<Result<cdr::Value>> outcome;
   client.invoke(relay_ref, "relay", int_pair(40, 2),
                 [&](Result<cdr::Value> r) { outcome = std::move(r); });

@@ -74,6 +74,11 @@ class RecoveryManagerTest : public ::testing::Test {
     EXPECT_EQ(result.value().as_int64(), total_);
   }
 
+  /// A `recovery.*` counter from the system's registry.
+  std::uint64_t recovery_count(std::string_view name) {
+    return system_.sim().telemetry().metrics().counter_value("recovery." + std::string(name));
+  }
+
   core::ItdosSystem system_;
   DomainId domain_;
   core::ItdosClient* client_ = nullptr;
@@ -95,10 +100,15 @@ TEST_F(RecoveryManagerTest, ExpelledElementIsReplacedAndDomainRestored) {
   for (int i = 1; i <= 4; ++i) add_and_check(i);
   system_.settle();
 
-  EXPECT_EQ(manager.stats().started, 1u);
-  EXPECT_EQ(manager.stats().completed, 1u);
-  EXPECT_EQ(manager.stats().aborted, 0u);
-  EXPECT_GT(manager.stats().last_mttr_ns, 0);
+  EXPECT_EQ(recovery_count("started"), 1u);
+  EXPECT_EQ(recovery_count("completed"), 1u);
+  EXPECT_EQ(recovery_count("aborted"), 0u);
+  // One recovery completed, so the MTTR histogram holds exactly its time.
+  const telemetry::Histogram* mttr =
+      system_.sim().telemetry().metrics().find_histogram("recovery.mttr_ns");
+  ASSERT_NE(mttr, nullptr);
+  ASSERT_EQ(mttr->count(), 1u);
+  EXPECT_GT(mttr->max(), 0u);
   EXPECT_EQ(manager.epoch(domain_), 1u);
 
   const core::GmStateMachine& gm = system_.gm_element(0).state();
@@ -137,7 +147,7 @@ TEST_F(RecoveryManagerTest, RecoveryRestoresIntrusionBudgetBetweenWaves) {
   });
   for (int i = 1; i <= 4; ++i) add_and_check(i);
   system_.settle();
-  ASSERT_EQ(manager.stats().completed, 1u) << "wave 1 did not heal";
+  ASSERT_EQ(recovery_count("completed"), 1u) << "wave 1 did not heal";
 
   // Wave 2 hits a different slot; the budget is whole again, so the domain
   // masks and expels this one too.
@@ -148,8 +158,8 @@ TEST_F(RecoveryManagerTest, RecoveryRestoresIntrusionBudgetBetweenWaves) {
   for (int i = 5; i <= 8; ++i) add_and_check(i);
   system_.settle();
 
-  EXPECT_EQ(manager.stats().completed, 2u);
-  EXPECT_EQ(manager.stats().failed, 0u);
+  EXPECT_EQ(recovery_count("completed"), 2u);
+  EXPECT_EQ(recovery_count("failed"), 0u);
   EXPECT_EQ(manager.epoch(domain_), 2u);
   const core::GmStateMachine& gm = system_.gm_element(0).state();
   EXPECT_EQ(gm.expulsions(), 2u);
@@ -174,7 +184,7 @@ TEST_F(RecoveryManagerTest, ProactiveRotationRetiresWithoutSpendingBudget) {
   manager.recover_now(domain_, 0);
   system_.settle();
 
-  EXPECT_EQ(manager.stats().completed, 1u);
+  EXPECT_EQ(recovery_count("completed"), 1u);
   const core::GmStateMachine& gm = system_.gm_element(0).state();
   EXPECT_EQ(gm.expulsions(), 0u);
   EXPECT_TRUE(gm.is_expelled(domain_, original))
@@ -207,9 +217,9 @@ TEST_F(RecoveryManagerTest, WatchdogAbortsStalledOnboardingThenRetrySucceeds) {
 
   manager.recover_now(domain_, 2);
   system_.settle();
-  EXPECT_EQ(manager.stats().aborted, 1u);
-  EXPECT_EQ(manager.stats().failed, 1u);
-  EXPECT_EQ(manager.stats().completed, 0u);
+  EXPECT_EQ(recovery_count("aborted"), 1u);
+  EXPECT_EQ(recovery_count("failed"), 1u);
+  EXPECT_EQ(recovery_count("completed"), 0u);
   EXPECT_FALSE(manager.busy(domain_));
 
   // Heal the partition (the replacement minted fresh endpoints at the same
@@ -220,7 +230,7 @@ TEST_F(RecoveryManagerTest, WatchdogAbortsStalledOnboardingThenRetrySucceeds) {
   for (NodeId b : peers) system_.network().set_link(info->elements[2].bft_node, b, true);
   manager.recover_now(domain_, 2);
   system_.settle();
-  EXPECT_EQ(manager.stats().completed, 1u);
+  EXPECT_EQ(recovery_count("completed"), 1u);
 
   for (int i = 3; i <= 4; ++i) add_and_check(i);
 }

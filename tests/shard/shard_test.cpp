@@ -25,6 +25,13 @@ core::SystemOptions fast_options(std::uint64_t seed = 1) {
   return opts;
 }
 
+/// An `element.*` counter of the element at (domain, rank).
+std::uint64_t element_count(core::ItdosSystem& system, DomainId domain, int rank,
+                            std::string_view name) {
+  return system.sim().telemetry().metrics().counter_value(
+      telemetry::metric_name("element", system.element(domain, rank).smiop_node(), name));
+}
+
 /// First account id (searching up from 1) the bank assigns to shard `index`.
 ObjectId account_on_shard(const Bank& bank, int index) {
   const std::vector<ObjectId> owned = bank.accounts_of_shard(index);
@@ -142,7 +149,7 @@ TEST(ShardRoutingTest, RoutedDepositsReachEveryShard) {
   }
   // Both shard domains executed their share of the stream.
   for (const DomainId domain : bank.topology().shard_domains()) {
-    EXPECT_GT(system.element(domain, 0).stats().requests_executed, 0u);
+    EXPECT_GT(element_count(system, domain, 0, "requests_executed"), 0u);
   }
 }
 
@@ -248,13 +255,13 @@ TEST(ShardBankTest, ReplicatedCallerCopiesExecuteExactlyOnceAtCallee) {
   system.settle(200'000);
 
   for (int rank = 0; rank < system.domain_n(callee); ++rank) {
-    const core::ElementStats& stats = system.element(callee, rank).stats();
     // Every callee element saw the replicated callers' duplicate copies
     // (at least the f+1 the vote needs)...
-    EXPECT_GE(stats.request_vote_copies, static_cast<std::uint64_t>(caller_f + 1))
+    EXPECT_GE(element_count(system, callee, rank, "request_vote_copies"),
+              static_cast<std::uint64_t>(caller_f + 1))
         << "rank " << rank;
     // ...but executed the nested request exactly once.
-    EXPECT_EQ(stats.requests_executed, 1u) << "rank " << rank;
+    EXPECT_EQ(element_count(system, callee, rank, "requests_executed"), 1u) << "rank " << rank;
   }
 
   // State-level proof: a second voted read shows one deposit, not 3f+1.
@@ -336,9 +343,9 @@ TEST(ShardBankTest, ExplicitRebalanceMovesTraffic) {
   Result<Value> r = system.invoke_sync(bank.client(), bank.account_ref(account),
                                        "balance", Value::sequence({}), seconds(10));
   ASSERT_FALSE(r.is_ok());
-  const std::uint64_t before = system.element(domains[0], 0).stats().requests_executed;
-  EXPECT_GT(system.element(domains[1], 0).stats().requests_executed, 0u);
-  EXPECT_EQ(system.element(domains[0], 0).stats().requests_executed, before);
+  const std::uint64_t before = element_count(system, domains[0], 0, "requests_executed");
+  EXPECT_GT(element_count(system, domains[1], 0, "requests_executed"), 0u);
+  EXPECT_EQ(element_count(system, domains[0], 0, "requests_executed"), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +400,7 @@ TEST(ShardedLoadTest, DepositMixSpreadsArrivalsAcrossShards) {
             report.offered);
   // The key mix reached both shard domains.
   for (const DomainId domain : bank.topology().shard_domains()) {
-    EXPECT_GT(system.element(domain, 0).stats().requests_executed, 0u)
+    EXPECT_GT(element_count(system, domain, 0, "requests_executed"), 0u)
         << "domain " << domain.value;
   }
 }
