@@ -316,11 +316,10 @@ constinit const GcmKernel kGcmPortable = {ctr_portable, ghash_portable};
 
 const GcmKernel& selected_gcm_kernel() { return *selected; }
 
-GcmKey make_gcm_key(ByteView aes_key) {
+void expand_aes256_key(ByteView aes_key, std::uint8_t* round_keys) {
   assert(aes_key.size() == kAes256KeySize);
-  GcmKey key;
   // FIPS-197 KeyExpansion() for Nk = 8: word i is bytes 4i..4i+3.
-  std::uint8_t* w = key.round_keys.data();
+  std::uint8_t* w = round_keys;
   std::memcpy(w, aes_key.data(), kAes256KeySize);
   std::uint8_t rcon = 1;
   for (std::size_t i = 8; i < 4 * (kAes256Rounds + 1); ++i) {
@@ -338,6 +337,16 @@ GcmKey make_gcm_key(ByteView aes_key) {
     }
     for (std::size_t j = 0; j < 4; ++j) w[4 * i + j] = w[4 * (i - 8) + j] ^ t[j];
   }
+}
+
+void aes256_encrypt_block(const std::uint8_t* round_keys, const std::uint8_t* in,
+                          std::uint8_t* out) {
+  encrypt_block(round_keys, in, out);
+}
+
+GcmKey make_gcm_key(ByteView aes_key) {
+  GcmKey key;
+  expand_aes256_key(aes_key, key.round_keys.data());
   // H = AES(0^128) is the first CTR keystream block from the zero counter
   // block, and one GHASH step over a zero block takes y = H^i to H^(i+1).
   const GcmKernel& kernel = selected_gcm_kernel();

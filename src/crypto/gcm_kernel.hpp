@@ -39,8 +39,17 @@ struct GcmKey {
   std::array<AesBlock, 4> h_powers{};
 };
 
-/// Expands a 32-byte AES key (FIPS-197 KeyExpansion) and computes H and
-/// its powers on the selected kernel.
+/// Expands a 32-byte AES key (FIPS-197 KeyExpansion) into the
+/// (kAes256Rounds + 1) * 16 bytes at `round_keys`, in the layout above.
+void expand_aes256_key(ByteView aes_key, std::uint8_t* round_keys);
+
+/// FIPS-197 Cipher() on one block, portable: the reference every AES
+/// kernel (GCM's here, CMAC's in cmac.cpp) is tested against.
+void aes256_encrypt_block(const std::uint8_t* round_keys, const std::uint8_t* in,
+                          std::uint8_t* out);
+
+/// Expands a 32-byte AES key and computes H and its powers on the selected
+/// kernel.
 GcmKey make_gcm_key(ByteView aes_key);
 
 struct GcmKernel {

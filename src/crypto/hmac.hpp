@@ -1,6 +1,7 @@
-// HMAC-SHA256 (RFC 2104). Used for message authenticators between replicas
-// (the Castro-Liskov MAC optimization), share derivation in the distributed
-// PRF, and the simulated signature scheme.
+// HMAC-SHA256 (RFC 2104). Used for key derivation (the seal key and the
+// pairwise authenticator keys), share derivation in the distributed PRF, and
+// the simulated signature scheme. The authenticators themselves are
+// AES-256-CMAC (crypto/cmac.hpp).
 #pragma once
 
 #include "common/bytes.hpp"

@@ -15,8 +15,8 @@ EventHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   const std::uint64_t id = next_id_++;
   slots_[slot].fn = std::move(fn);
   slots_[slot].id = id;
-  queue_.push(Entry{t, next_seq_++, slot});
-  ++live_events_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{t, next_seq_++, slot});
   return EventHandle{id, slot};
 }
 
@@ -26,38 +26,64 @@ EventHandle Simulator::schedule_after(std::int64_t delay_ns, std::function<void(
 
 void Simulator::cancel(EventHandle handle) {
   if (handle.id == 0 || handle.slot >= slots_.size()) return;
-  Slot& slot = slots_[handle.slot];
-  // A different id means the event fired and a later one took its slot.
-  if (slot.id != handle.id || slot.cancelled) return;
-  slot.cancelled = true;
-  --live_events_;
+  const Slot& slot = slots_[handle.slot];
+  // A different id means the event fired or was cancelled, and the slot
+  // may since hold a later event.
+  if (slot.id != handle.id) return;
+  // The closure is destroyed here, after the heap and slot table are
+  // consistent again: its captures' destructors may schedule or cancel.
+  const std::function<void()> fn = remove(slot.pos);
 }
 
-std::function<void()> Simulator::release(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+std::function<void()> Simulator::remove(std::size_t pos) {
+  Slot& s = slots_[heap_[pos].slot];
   std::function<void()> fn = std::exchange(s.fn, nullptr);
   s.id = 0;
-  s.cancelled = false;
-  free_slots_.push_back(slot);
+  free_slots_.push_back(heap_[pos].slot);
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    if (pos > 0 && last < heap_[(pos - 1) / 2]) {
+      sift_up(pos, last);
+    } else {
+      sift_down(pos, last);
+    }
+  }
   return fn;
 }
 
-bool Simulator::step() {
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    queue_.pop();
-    const bool cancelled = slots_[top.slot].cancelled;
-    // The closure leaves its slot before it runs: a handler that schedules
-    // may take the freed slot or grow the table.
-    const std::function<void()> fn = release(top.slot);
-    if (cancelled) continue;  // live_events_ already decremented at cancel()
-    now_ = top.when;
-    --live_events_;
-    ++executed_;
-    fn();
-    return true;
+void Simulator::sift_up(std::size_t pos, Entry entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(entry < heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  return false;
+  place(pos, entry);
+}
+
+void Simulator::sift_down(std::size_t pos, Entry entry) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < entry)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, entry);
+}
+
+bool Simulator::step() {
+  if (heap_.empty()) return false;
+  now_ = heap_.front().when;
+  // The closure leaves its slot before it runs: a handler that schedules
+  // may take the freed slot or grow the table.
+  const std::function<void()> fn = remove(0);
+  ++executed_;
+  fn();
+  return true;
 }
 
 std::size_t Simulator::run(std::size_t max_events) {
@@ -68,15 +94,7 @@ std::size_t Simulator::run(std::size_t max_events) {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t count = 0;
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    // Drop cancelled heads so their timestamps don't gate progress.
-    if (slots_[top.slot].cancelled) {
-      queue_.pop();
-      release(top.slot);
-      continue;
-    }
-    if (top.when > deadline) break;
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     step();
     ++count;
   }

@@ -87,8 +87,7 @@ class RoguePrimary : public net::Process {
     Envelope env;
     env.type = type;
     env.sender = id();
-    env.auth.emplace_back(
-        to, cluster_.keys().tag(id(), to, authenticated_region(type, body_bytes)));
+    env.auth.emplace_back(to, cluster_.keys().tag(id(), to, mac_input(type, body_bytes)));
     if (tamper) tamper(body_bytes);
     env.body = BufView(std::move(body_bytes));
     send_to(to, env.encode_into(arena_));
