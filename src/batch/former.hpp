@@ -25,14 +25,13 @@
 
 namespace itdos::batch {
 
-/// Formation knobs. The default (max_entries = 1) disables formation: the
-/// owning replica proposes one request per slot, the classic PBFT path.
+/// Formation knobs. The default (max_entries = 1) makes every request ripe
+/// on arrival, so the owning replica proposes one request per slot at once,
+/// the classic PBFT schedule, through the same former.
 struct Policy {
   int max_entries = 1;
   std::size_t max_bytes = 64 * 1024;
   std::int64_t max_hold_ns = micros(200);
-
-  bool enabled() const { return max_entries > 1; }
 };
 
 /// One parked request awaiting formation.

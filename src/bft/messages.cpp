@@ -102,7 +102,6 @@ Bytes PrePrepareMsg::encode() const {
   enc.write_uint64(view.value);
   enc.write_uint64(seq.value);
   write_digest(enc, req_digest);
-  enc.write_boolean(is_batch);
   enc.write_bytes(request);
   return enc.take();
 }
@@ -115,16 +114,12 @@ Result<PrePrepareMsg> PrePrepareMsg::decode(const BufView& data) {
   ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
   msg.seq = SeqNum(seq);
   ITDOS_ASSIGN_OR_RETURN(msg.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(msg.is_batch, dec.read_boolean());
   ITDOS_ASSIGN_OR_RETURN(msg.request, dec.read_bytes_view());
   ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "PRE-PREPARE"));
   return msg;
 }
 
-Digest proposal_digest(ByteView request, bool is_batch) {
-  const std::uint8_t domain = is_batch ? 0x01 : 0x00;
-  return crypto::Sha256().update(ByteView(&domain, 1)).update(request).finish();
-}
+Digest proposal_digest(ByteView request) { return crypto::sha256(request); }
 
 ByteView authenticated_region(MsgType type, ByteView body) {
   if (type != MsgType::kPrePrepare) return body;
@@ -228,7 +223,6 @@ void encode_prepared_proof(cdr::Encoder& enc, const PreparedProof& p) {
   enc.write_uint64(p.view.value);
   enc.write_uint64(p.seq.value);
   write_digest(enc, p.req_digest);
-  enc.write_boolean(p.is_batch);
   enc.write_bytes(p.request);
 }
 
@@ -239,7 +233,6 @@ Result<PreparedProof> decode_prepared_proof(cdr::Decoder& dec) {
   ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
   p.seq = SeqNum(seq);
   ITDOS_ASSIGN_OR_RETURN(p.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(p.is_batch, dec.read_boolean());
   ITDOS_ASSIGN_OR_RETURN(p.request, dec.read_bytes_view());
   return p;
 }

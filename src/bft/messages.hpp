@@ -47,22 +47,15 @@ struct RequestMsg {
   static Result<RequestMsg> decode(const BufView& data);
 };
 
-/// Primary's ordering proposal; carries the full request (piggybacked).
-/// An empty `request` with the null digest is a null request (view-change
-/// filler that executes as a no-op). With `is_batch` set the payload is an
-/// encoded batch::BatchMsg — several client requests agreed as one slot;
-/// the flag is on the wire (not content-sniffed) and travels with the
-/// proposal through view changes, so a batch is re-proposed as a batch.
-/// `req_digest` covers the flag via a domain byte (proposal_digest,
-/// below): PREPARE/COMMIT carry only the digest, so an uncovered
-/// flag would let an equivocating primary commit dual-decodable bytes under
-/// both framings at the same (view, seq, digest).
+/// Primary's ordering proposal; carries the formed batch (piggybacked):
+/// `request` is an encoded batch::BatchMsg of one or more client requests
+/// agreed as one slot. An empty `request` with the null digest is a null
+/// request (view-change filler that executes as a no-op).
 struct PrePrepareMsg {
   ViewId view;
   SeqNum seq;
   Digest req_digest{};
-  bool is_batch = false;
-  BufView request;  // encoded RequestMsg (or BatchMsg); empty for null requests
+  BufView request;  // encoded batch::BatchMsg; empty for null requests
 
   bool is_null_request() const { return request.empty(); }
   bool operator==(const PrePrepareMsg&) const = default;
@@ -71,16 +64,11 @@ struct PrePrepareMsg {
 };
 
 /// A PRE-PREPARE body's fixed header: view at 0, seq at 8, req_digest at
-/// 16, is_batch at 48 (padded to 52) and the request length at 52. The
-/// request bytes follow it.
-inline constexpr std::size_t kPrePrepareHeaderSize = 56;
+/// 16 and the request length at 48. The batch bytes follow it.
+inline constexpr std::size_t kPrePrepareHeaderSize = 52;
 
-/// Digest binding a proposal's request bytes AND their framing: SHA-256 of
-/// a domain byte (1 for a batch, 0 for a single request) then the bytes.
-/// Bytes crafted to decode both as a BatchMsg and as a RequestMsg are easy
-/// to build (the batch header doubles as the outer client id); the domain
-/// byte makes the two framings distinct agreement values.
-Digest proposal_digest(ByteView request, bool is_batch);
+/// Digest binding a proposal's batch bytes: SHA-256 of the bytes.
+Digest proposal_digest(ByteView request);
 
 /// The part of a `type` body that its MAC authenticators cover. For a
 /// PRE-PREPARE that is the fixed header, the Castro-Liskov authenticator
@@ -150,7 +138,6 @@ struct PreparedProof {
   ViewId view;
   SeqNum seq;
   Digest req_digest{};
-  bool is_batch = false;  // preserved so re-proposal keeps batch framing
   BufView request;  // piggybacked so the new primary can re-propose it
 
   bool operator==(const PreparedProof&) const = default;

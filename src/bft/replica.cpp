@@ -243,14 +243,10 @@ void Replica::handle_request(const Envelope& env) {
   if (is_primary()) {
     if (record.proposed.contains(request.timestamp)) return;  // already in pipeline
     record.proposed.insert(request.timestamp);
-    if (config_.batch.enabled()) {
-      former_.enqueue(env.body, app_->urgent(request.payload),
-                      app_->trace_of(request.payload), now());
-      pump_former();
-      arm_request_timer();
-    } else {
-      assign_and_propose(request, env.body);
-    }
+    former_.enqueue(env.body, app_->urgent(request.payload),
+                    app_->trace_of(request.payload), now());
+    pump_former();
+    arm_request_timer();
   } else {
     // Relay the (still client-authenticated) request to the primary and
     // hold the primary accountable for ordering it.
@@ -262,82 +258,29 @@ void Replica::handle_request(const Envelope& env) {
   }
 }
 
-void Replica::assign_and_propose(const RequestMsg& request, const BufView& encoded) {
-  const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
-  if (!in_window(seq)) {
-    proposal_backlog_.push_back(encoded);
-    return;
-  }
-  next_seq_ = seq;
-  PrePrepareMsg pp;
-  pp.view = view_;
-  pp.seq = SeqNum(seq);
-  pp.request = encoded;
-  pp.req_digest = proposal_digest(ByteView(encoded), /*is_batch=*/false);
-  LogEntry& entry = log_[seq];
-  entry.pre_prepare = pp;
-  entry.trace = app_->trace_of(request.payload);
-  entry.first_seen = now();
-  if (byz_.equivocate) {
-    // Equivocating primary: internally consistent but CONFLICTING proposals
-    // for the same (view, seq) — even-rank backups get the real request,
-    // odd-rank backups a mutated one (valid digest, altered payload).
-    // Neither side can gather a matching quorum; the view-change timeout is
-    // the documented recovery path.
-    RequestMsg lie_request = request;
-    Bytes lie_payload = request.payload.clone_bytes();  // copy-on-write
-    lie_payload.push_back(0x5a);
-    lie_request.payload = BufView(std::move(lie_payload));
-    PrePrepareMsg lie = pp;
-    lie.request = lie_request.encode();
-    lie.req_digest = proposal_digest(ByteView(lie.request), /*is_batch=*/false);
-    for (int rank = 0; rank < config_.n(); ++rank) {
-      const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
-      if (backup == id()) continue;
-      const PrePrepareMsg& variant = (rank % 2 == 0) ? pp : lie;
-      send_authenticated(backup, MsgType::kPrePrepare, variant.encode());
-    }
-  } else {
-    multicast_authenticated(MsgType::kPrePrepare, pp.encode());
-  }
-  metrics_.pre_prepares_sent->inc();
-  update_inflight_gauge();
-  tel_->trace(telemetry::TraceKind::kBftPrePrepare, id(), entry.trace, view_.value, seq);
-  arm_request_timer();
-}
-
-void Replica::drain_proposal_backlog() {
-  if (!is_primary() || in_view_change_) return;
-  while (!proposal_backlog_.empty()) {
-    const BufView encoded = proposal_backlog_.front();
-    const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
-    if (!in_window(seq)) break;
-    proposal_backlog_.pop_front();
-    Result<RequestMsg> request = RequestMsg::decode(encoded);
-    if (!request.is_ok()) continue;
-    assign_and_propose(request.value(), encoded);
-  }
-  pump_former();
-}
-
 void Replica::pump_former() {
-  if (is_primary() && !in_view_change_) {
-    while (former_.ripe(now())) {
-      const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
-      if (!in_window(seq)) break;  // window full; pumped again on make_stable
-      propose_batch(former_.form());
-    }
+  const auto next_slot_open = [this] {
+    return in_window(std::max(next_seq_, last_executed_) + 1);
+  };
+  const bool proposing = is_primary() && !in_view_change_;
+  if (proposing) {
+    while (former_.ripe(now()) && next_slot_open()) propose_batch(former_.form());
   }
   // (Re)arm the hold timer for the oldest still-parked entry, so a batch
-  // that never fills its caps still flushes after max_hold_ns.
+  // that never fills its caps still flushes after max_hold_ns. Only while
+  // the next slot is inside the window: with the window full an entry past
+  // its deadline would re-arm the timer at once, forever. Every path that
+  // advances the low watermark pumps again instead (make_stable,
+  // after_install, adopt_new_view).
   if (hold_timer_armed_) {
     cancel_timer(hold_timer_);
     hold_timer_armed_ = false;
   }
-  if (!is_primary() || in_view_change_) return;
+  if (!proposing || !next_slot_open()) return;
   if (const std::optional<SimTime> deadline = former_.deadline()) {
+    // Not ripe, so the deadline is still ahead.
     hold_timer_armed_ = true;
-    hold_timer_ = set_timer(std::max<std::int64_t>(*deadline - now(), 1), [this] {
+    hold_timer_ = set_timer(*deadline - now(), [this] {
       hold_timer_armed_ = false;
       pump_former();
     });
@@ -356,9 +299,8 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = SeqNum(seq);
-  pp.is_batch = true;
   pp.request = batch.encode_into(arena());  // the one marshal of the batch
-  pp.req_digest = proposal_digest(ByteView(pp.request), /*is_batch=*/true);
+  pp.req_digest = proposal_digest(ByteView(pp.request));
 
   LogEntry& entry = log_[seq];
   entry.pre_prepare = pp;
@@ -370,9 +312,11 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
   metrics_.batch_size->record(static_cast<std::int64_t>(entries.size()));
 
   if (byz_.equivocate) {
-    // Equivocating primary, batch edition: the lie mutates the FIRST entry's
-    // payload (still a decodable batch with a valid digest) so even- and
-    // odd-rank backups prepare conflicting batch contents.
+    // Equivocating primary: internally consistent but CONFLICTING proposals
+    // for the same (view, seq). The lie mutates the FIRST entry's payload
+    // (still a decodable batch with a valid digest); even-rank backups get
+    // the real batch, odd-rank backups the lie. Neither side can gather a
+    // matching quorum; the view-change timeout is the documented recovery.
     batch::BatchMsg lie_batch = batch;
     if (Result<RequestMsg> first = RequestMsg::decode(batch.entries.front());
         first.is_ok()) {
@@ -384,7 +328,7 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
     }
     PrePrepareMsg lie = pp;
     lie.request = lie_batch.encode_into(arena());
-    lie.req_digest = proposal_digest(ByteView(lie.request), /*is_batch=*/true);
+    lie.req_digest = proposal_digest(ByteView(lie.request));
     for (int rank = 0; rank < config_.n(); ++rank) {
       const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
       if (backup == id()) continue;
@@ -423,63 +367,47 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   }
 
   // The authenticators cover only the header, so the digest is what binds
-  // the piggybacked request AND its framing (or is the null digest):
-  // proposal_digest covers is_batch, so the same bytes cannot be prepared
-  // both as a batch and as a single request. This runs however the
+  // the piggybacked batch (or is the null digest). This runs however the
   // envelope was authenticated, and a mismatch counts like a bad MAC.
   const Digest bound =
-      pp.is_null_request() ? Digest{} : proposal_digest(ByteView(pp.request), pp.is_batch);
+      pp.is_null_request() ? Digest{} : proposal_digest(ByteView(pp.request));
   if (bound != pp.req_digest) {
     metrics_.auth_failures->inc();
     return;
   }
   std::uint64_t trace = 0;
   if (!pp.is_null_request()) {
-    if (pp.is_batch) {
-      // Every entry must be a decodable request — a batch is accepted (and
-      // later executed) only as a whole.
-      Result<batch::BatchMsg> decoded_batch = batch::BatchMsg::decode(pp.request);
-      if (!decoded_batch.is_ok()) {
-        metrics_.malformed->inc();
-        return;
-      }
-      const std::vector<BufView>& entries = decoded_batch.value().entries;
-      // The batch must respect the cluster's formation policy, not just the
-      // protocol-wide ceiling: fairness and per-slot execution cost are
-      // sized to the configured caps, and only a misbehaving primary packs
-      // past them. Mirror the former's cut rule — a single entry may exceed
-      // the byte cap on its own, a multi-entry batch may not.
-      std::size_t batch_bytes = 0;
-      for (const BufView& entry_bytes : entries) batch_bytes += entry_bytes.size();
-      if (entries.size() >
-              static_cast<std::size_t>(std::max(config_.batch.max_entries, 1)) ||
-          (entries.size() > 1 && batch_bytes > config_.batch.max_bytes)) {
-        metrics_.malformed->inc();
-        return;
-      }
-      for (const BufView& entry_bytes : entries) {
-        Result<RequestMsg> request = RequestMsg::decode(entry_bytes);
-        if (!request.is_ok()) {
-          metrics_.malformed->inc();
-          return;
-        }
-        if (trace == 0) trace = app_->trace_of(request.value().payload);
-        // Remember each proposal so retransmissions are not re-forwarded —
-        // but never track fabricated far-future timestamps (see
-        // plausible_timestamp): they would prune the bounded dedup windows
-        // over live requests.
-        ClientRecord& record = clients_[request.value().client];
-        if (plausible_timestamp(record.executed, request.value().timestamp)) {
-          record.proposed.insert(request.value().timestamp);
-        }
-      }
-    } else {
-      Result<RequestMsg> request = RequestMsg::decode(pp.request);
+    // Every entry must be a decodable request — a batch is accepted (and
+    // later executed) only as a whole.
+    Result<batch::BatchMsg> decoded_batch = batch::BatchMsg::decode(pp.request);
+    if (!decoded_batch.is_ok()) {
+      metrics_.malformed->inc();
+      return;
+    }
+    const std::vector<BufView>& entries = decoded_batch.value().entries;
+    // The batch must respect the cluster's formation policy, not just the
+    // protocol-wide ceiling: fairness and per-slot execution cost are sized
+    // to the configured caps, and only a misbehaving primary packs past
+    // them. Mirror the former's cut rule — a single entry may exceed the
+    // byte cap on its own, a multi-entry batch may not.
+    std::size_t batch_bytes = 0;
+    for (const BufView& entry_bytes : entries) batch_bytes += entry_bytes.size();
+    if (entries.size() > static_cast<std::size_t>(config_.batch.max_entries) ||
+        (entries.size() > 1 && batch_bytes > config_.batch.max_bytes)) {
+      metrics_.malformed->inc();
+      return;
+    }
+    for (const BufView& entry_bytes : entries) {
+      Result<RequestMsg> request = RequestMsg::decode(entry_bytes);
       if (!request.is_ok()) {
         metrics_.malformed->inc();
         return;
       }
-      trace = app_->trace_of(request.value().payload);
+      if (trace == 0) trace = app_->trace_of(request.value().payload);
+      // Remember each proposal so retransmissions are not re-forwarded —
+      // but never track fabricated far-future timestamps (see
+      // plausible_timestamp): they would prune the bounded dedup windows
+      // over live requests.
       ClientRecord& record = clients_[request.value().client];
       if (plausible_timestamp(record.executed, request.value().timestamp)) {
         record.proposed.insert(request.value().timestamp);
@@ -621,7 +549,9 @@ void Replica::try_execute() {
     }
   }
   for (const auto& [client, record] : clients_) {
-    // Relayed (or, on the primary, parked-for-formation) but not executed.
+    // Relayed but not executed. (Requests parked in the primary's former do
+    // not count: the hold timer or the next stable checkpoint proposes them,
+    // and a client that retransmits makes the backups relay and time them.)
     if (record.forwarded.floor() != 0 &&
         !record.executed.contains(record.forwarded.floor())) {
       pending = true;
@@ -635,7 +565,6 @@ void Replica::try_execute() {
     }
     if (pending) break;
   }
-  if (!pending && is_primary() && !former_.empty()) pending = true;
   if (!pending) disarm_request_timer();
 }
 
@@ -648,21 +577,16 @@ void Replica::execute_entry(std::uint64_t seq, LogEntry& entry) {
   tel_->trace(telemetry::TraceKind::kBftExecute, id(), entry.trace, seq);
   if (execution_observer_) execution_observer_(SeqNum(seq), entry.pre_prepare->req_digest);
   if (!entry.pre_prepare->is_null_request()) {
-    if (entry.pre_prepare->is_batch) {
-      // Unpack the batch and execute its entries in formation order; each
-      // request gets its own dedup decision and its own REPLY. (The batch
-      // was validated entry-by-entry at pre-prepare time; a decode failure
-      // here would mean the digest check was bypassed, so just skip.)
-      Result<batch::BatchMsg> batch = batch::BatchMsg::decode(entry.pre_prepare->request);
-      if (batch.is_ok()) {
-        for (const BufView& entry_bytes : batch.value().entries) {
-          Result<RequestMsg> decoded = RequestMsg::decode(entry_bytes);
-          if (decoded.is_ok()) execute_request(decoded.value(), seq);
-        }
+    // Unpack the batch and execute its entries in formation order; each
+    // request gets its own dedup decision and its own REPLY. (The batch was
+    // validated entry-by-entry at pre-prepare time; a decode failure here
+    // would mean the digest check was bypassed, so just skip.)
+    Result<batch::BatchMsg> batch = batch::BatchMsg::decode(entry.pre_prepare->request);
+    if (batch.is_ok()) {
+      for (const BufView& entry_bytes : batch.value().entries) {
+        Result<RequestMsg> decoded = RequestMsg::decode(entry_bytes);
+        if (decoded.is_ok()) execute_request(decoded.value(), seq);
       }
-    } else {
-      Result<RequestMsg> decoded = RequestMsg::decode(entry.pre_prepare->request);
-      if (decoded.is_ok()) execute_request(decoded.value(), seq);
     }
   }
   update_inflight_gauge();
@@ -847,7 +771,7 @@ void Replica::make_stable(std::uint64_t seq, const Digest& digest) {
   checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.upper_bound(seq));
   pending_snapshots_.erase(pending_snapshots_.begin(),
                            pending_snapshots_.upper_bound(seq));
-  drain_proposal_backlog();
+  pump_former();  // the window moved: parked requests may take slots now
 }
 
 void Replica::request_state_transfer(std::uint64_t seq, const Digest& digest) {
@@ -964,6 +888,7 @@ void Replica::after_install(ViewId sender_view) {
   view_change_attempts_ = 0;
   enter_view(view_);
   disarm_request_timer();
+  pump_former();  // an installed checkpoint may have opened the window
 }
 
 void Replica::handle_state_response(const Envelope& env) {
@@ -1077,7 +1002,6 @@ void Replica::start_view_change(ViewId new_view) {
     proof.view = entry.pre_prepare->view;
     proof.seq = SeqNum(seq);
     proof.req_digest = entry.pre_prepare->req_digest;
-    proof.is_batch = entry.pre_prepare->is_batch;  // atomic re-proposal
     proof.request = entry.pre_prepare->request;
     msg.prepared.push_back(std::move(proof));
   }
@@ -1193,7 +1117,6 @@ std::vector<PrePrepareMsg> Replica::compute_new_view_pre_prepares(
     pp.seq = SeqNum(seq);
     if (best != nullptr) {
       pp.req_digest = best->req_digest;
-      pp.is_batch = best->is_batch;
       pp.request = best->request;
     }  // else: null request
     out.push_back(std::move(pp));
@@ -1304,30 +1227,22 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     if (counters::before_eq(seq, last_executed_)) continue;  // already executed (committed earlier)
     // Requests the new view re-proposes ARE in flight: restore their dedup
     // marks so client retransmissions are not double-assigned. A batch is
-    // restored entry-by-entry — but proposed as the original whole.
+    // restored entry-by-entry — but proposed as the original whole. (A null
+    // request's empty bytes decode to no batch.)
     std::uint64_t trace = 0;
-    if (!pp.is_null_request()) {
-      const auto restore_marks = [this, &trace](const BufView& encoded) {
-        if (Result<RequestMsg> carried = RequestMsg::decode(encoded); carried.is_ok()) {
-          if (trace == 0) trace = app_->trace_of(carried.value().payload);
-          ClientRecord& record = clients_[carried.value().client];
-          // Re-proposed requests are primary-originated, so apply the same
-          // fabricated-timestamp guard as handle_pre_prepare: implausible
-          // marks would prune the bounded windows over live timestamps.
-          if (!plausible_timestamp(record.executed, carried.value().timestamp)) return;
-          record.proposed.insert(carried.value().timestamp);
-          record.forwarded.insert(carried.value().timestamp);
-        }
-      };
-      if (pp.is_batch) {
-        if (Result<batch::BatchMsg> carried = batch::BatchMsg::decode(pp.request);
-            carried.is_ok()) {
-          for (const BufView& entry_bytes : carried.value().entries) {
-            restore_marks(entry_bytes);
-          }
-        }
-      } else {
-        restore_marks(pp.request);
+    if (Result<batch::BatchMsg> carried_batch = batch::BatchMsg::decode(pp.request);
+        carried_batch.is_ok()) {
+      for (const BufView& entry_bytes : carried_batch.value().entries) {
+        Result<RequestMsg> carried = RequestMsg::decode(entry_bytes);
+        if (!carried.is_ok()) continue;
+        if (trace == 0) trace = app_->trace_of(carried.value().payload);
+        ClientRecord& record = clients_[carried.value().client];
+        // Re-proposed requests are primary-originated, so apply the same
+        // fabricated-timestamp guard as handle_pre_prepare: implausible
+        // marks would prune the bounded windows over live timestamps.
+        if (!plausible_timestamp(record.executed, carried.value().timestamp)) continue;
+        record.proposed.insert(carried.value().timestamp);
+        record.forwarded.insert(carried.value().timestamp);
       }
     }
     LogEntry& entry = log_[seq];
@@ -1359,7 +1274,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
       ++it;
     }
   }
-  drain_proposal_backlog();
+  pump_former();
   try_execute();
 }
 

@@ -19,7 +19,6 @@
 // relayed in NEW-VIEW.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -190,11 +189,10 @@ class Replica : public net::Process {
   void handle_state_response(const Envelope& env);
 
   // --- normal case ---
-  void assign_and_propose(const RequestMsg& request, const BufView& encoded);
-  void drain_proposal_backlog();
   /// Flushes ripe batches out of the former and (re)arms the hold timer.
   void pump_former();
-  /// Assigns one sequence slot to a formed batch and multicasts it.
+  /// Assigns one sequence slot to a formed batch and multicasts it: the
+  /// only path from client requests to a PRE-PREPARE.
   void propose_batch(std::vector<batch::PendingEntry> entries);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
@@ -293,13 +291,11 @@ class Replica : public net::Process {
   };
   std::map<std::uint64_t, PendingSnapshot> pending_snapshots_;
 
-  // Requests the primary could not yet assign (window full). Views into the
-  // relayed wire buffers — backlogged requests pin their chunks, no copies.
-  std::deque<BufView> proposal_backlog_;
-
-  // Batch formation (primary only; unused while config_.batch is off). The
-  // former doubles as the backlog when the watermark window is full:
-  // make_stable / adopt_new_view pump it again.
+  // Batch formation (primary only): every client request reaches a slot
+  // through here; at max_entries = 1 each is cut alone on arrival. The
+  // former doubles as the backlog while the watermark window is full:
+  // make_stable, after_install and adopt_new_view pump it again. Parked
+  // entries are views into the relayed wire buffers — no copies.
   batch::Former former_;
   net::EventHandle hold_timer_{};
   bool hold_timer_armed_ = false;

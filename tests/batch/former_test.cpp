@@ -24,9 +24,18 @@ Policy policy(int max_entries, std::size_t max_bytes = 64 * 1024,
   return p;
 }
 
-TEST(FormerTest, DefaultPolicyIsDisabled) {
-  EXPECT_FALSE(Policy{}.enabled());
-  EXPECT_TRUE(policy(4).enabled());
+TEST(FormerTest, DefaultPolicyCutsEveryRequestAlone) {
+  // max_entries = 1: each request is ripe the moment it arrives and forms
+  // a batch of its own, so an unbatched deployment never waits on a hold.
+  Former former(Policy{});
+  const SimTime t0{};
+  former.enqueue(frame(10), false, 0, t0);
+  EXPECT_TRUE(former.ripe(t0));
+  former.enqueue(frame(10), false, 0, t0);
+  EXPECT_EQ(former.form().size(), 1u);
+  EXPECT_TRUE(former.ripe(t0));
+  EXPECT_EQ(former.form().size(), 1u);
+  EXPECT_TRUE(former.empty());
 }
 
 TEST(FormerTest, EmptyFormerIsNeverRipe) {

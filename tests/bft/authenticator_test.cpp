@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "batch/batch_msg.hpp"
 #include "bft/harness.hpp"
 #include "bft/replica.hpp"
 #include "crypto/sha256.hpp"
@@ -65,8 +66,11 @@ TEST(AuthenticatorTest, PrepareRelabelledAsCommitIsNoCommitVote) {
   PrePrepareMsg pp;
   pp.view = ViewId(0);
   pp.seq = SeqNum(1);
-  pp.request = BufView(request.encode());
-  pp.req_digest = proposal_digest(ByteView(pp.request), false);
+  batch::BatchMsg batch;
+  batch.entries.push_back(BufView(request.encode()));
+  Arena arena;
+  pp.request = batch.encode_into(arena);
+  pp.req_digest = proposal_digest(ByteView(pp.request));
   primary.send(target, MsgType::kPrePrepare, pp.encode());
 
   PrepareMsg prepare;

@@ -1,8 +1,8 @@
 // Cluster-level tests for batch formation + pipelined agreement: batched
 // correctness, same-seed formation determinism, the urgent-class latency
 // bound, f-boundary behaviour with batching on, pipelined clients, view
-// changes over in-flight batches, and state transfer across the batched
-// snapshot format.
+// changes over in-flight batches, state transfer across the batched
+// snapshot format, and requests parked while the watermark window is full.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -44,6 +44,12 @@ class UrgentAwareLog : public LogStateMachine {
     return !request.empty() && request.front() == '!';
   }
 };
+
+/// A `bft.*` counter of the replica at `rank`.
+std::uint64_t replica_count(Cluster& cluster, int rank, std::string_view name) {
+  return cluster.sim().telemetry().metrics().counter_value(
+      telemetry::metric_name("bft", cluster.replica_id(rank), name));
+}
 
 // Drives `count` pipelined invocations from one client and settles.
 int run_pipelined(Cluster& cluster, Client& client, int count,
@@ -220,9 +226,10 @@ TEST(BatchingTest, PipelinedClientKeepsWindowFull) {
   EXPECT_GT(inflight->second.peak(), 1);  // agreement instances overlapped
 }
 
-TEST(BatchingTest, DisabledBatchingMatchesLegacySingleSlotPath) {
-  // Default options: one request per slot, depth-1 clients — the original
-  // protocol. Sanity-check the refactor kept that path byte-for-byte sane.
+TEST(BatchingTest, UnbatchedPolicyProposesOneRequestPerSlot) {
+  // Default options: max_entries = 1 and depth-1 clients, the paper's
+  // protocol. The former cuts each request alone on arrival, so every
+  // request gets its own slot and no hold delays it.
   ClusterOptions opts;
   opts.f = 1;
   opts.seed = 21;
@@ -237,6 +244,71 @@ TEST(BatchingTest, DisabledBatchingMatchesLegacySingleSlotPath) {
   }
   EXPECT_EQ(cluster.replica(0).last_executed().value, 6u);  // one slot each
 }
+
+TEST(BatchingTest, FullWindowDoesNotSpinTheHoldTimer) {
+  // Two of four replicas crashed: nothing commits, so the two-slot window
+  // fills and stays full while parked entries pass their hold deadline.
+  // The hold timer must then stay disarmed instead of re-arming at once
+  // forever; the simulator sees only the few events of the stalled slots.
+  ClusterOptions opts = batched_options();
+  opts.checkpoint_interval = 1;
+  opts.batch.max_entries = 2;
+  Cluster cluster(opts, counter_factory());
+  cluster.crash_replica(2);
+  cluster.crash_replica(3);
+  Client& client = cluster.add_client();
+  for (int i = 0; i < 8; ++i) client.invoke(to_bytes("add:1"), [](Result<Bytes>) {});
+  const std::uint64_t before = cluster.sim().events_executed();
+  cluster.sim().run_for(millis(5));
+  EXPECT_LT(cluster.sim().events_executed() - before, 1000u);
+  EXPECT_EQ(replica_count(cluster, 0, "pre_prepares_sent"), 2u);
+  EXPECT_EQ(cluster.replica(0).last_executed().value, 0u);
+}
+
+class FullWindowBacklogTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FullWindowBacklogTest, ParkedRequestsTakeSlotsInArrivalOrder) {
+  // checkpoint_interval = 1 leaves a two-slot window, and a depth-16 client
+  // sends more requests at once than two slots hold at either count cap.
+  // A fixed network delay delivers them to the primary in timestamp order,
+  // so proposing parked requests first-in first-out once a checkpoint
+  // becomes stable means every replica executes them in timestamp order,
+  // each exactly once.
+  ClusterOptions opts = batched_options(1, 17);
+  opts.net_config.min_delay_ns = micros(50);
+  opts.net_config.max_delay_ns = micros(50);
+  opts.checkpoint_interval = 1;
+  opts.batch.max_entries = GetParam();
+  opts.pipeline_depth = 16;
+  Cluster cluster(opts, log_factory());
+  Client& client = cluster.add_client();
+
+  constexpr int kRequests = 40;
+  std::vector<Bytes> expected;
+  int completions = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    expected.push_back(to_bytes("r" + std::to_string(i)));
+    client.invoke(BufView(Bytes(expected.back())), [&completions](Result<Bytes> r) {
+      if (r.is_ok()) ++completions;
+    });
+  }
+  // The first 16 have reached the primary; the window took two slots.
+  cluster.sim().run_for(micros(60));
+  EXPECT_EQ(replica_count(cluster, 0, "requests_received"), 16u);
+  EXPECT_EQ(replica_count(cluster, 0, "pre_prepares_sent"), 2u);
+
+  cluster.settle();
+  EXPECT_EQ(completions, kRequests);
+  for (int rank = 0; rank < cluster.n(); ++rank) {
+    const auto& app = dynamic_cast<const LogStateMachine&>(cluster.replica(rank).app());
+    EXPECT_EQ(app.entries(), expected) << "rank " << rank;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPolicies, FullWindowBacklogTest, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "max_entries_" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace itdos::bft

@@ -1,11 +1,12 @@
 // Adversarial tests driving a rogue primary directly against the backups:
-// framing equivocation over dual-decodable batch bytes, fabricated
-// far-future client timestamps (TsWindow prune forcing), and batches packed
-// past the cluster's formation policy. The rogue holds the real primary's
-// MAC keys — exactly the power a compromised replica has.
+// dual-decodable batch bytes and bare requests in place of a batch,
+// fabricated far-future client timestamps (TsWindow prune forcing), and
+// batches packed past the cluster's formation policy. The rogue holds the
+// real primary's MAC keys — exactly the power a compromised replica has.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "batch/batch_msg.hpp"
@@ -13,7 +14,6 @@
 #include "bft/messages.hpp"
 #include "bft/replica.hpp"
 #include "common/rng.hpp"
-#include "crypto/sha256.hpp"
 #include "crypto/signing.hpp"
 #include "net/process.hpp"
 
@@ -97,14 +97,6 @@ class RoguePrimary : public net::Process {
   Arena arena_;
 };
 
-/// What the replicas compute as proposal_digest (request bytes prefixed by
-/// the framing domain byte) — a Byzantine primary equivocating on framing
-/// must forge digests this way post-fix.
-Digest framed_digest(ByteView request, bool is_batch) {
-  const std::uint8_t domain = is_batch ? 0x01 : 0x00;
-  return crypto::Sha256().update(ByteView(&domain, 1)).update(request).finish();
-}
-
 Bytes encode_request(std::uint64_t client, std::uint64_t ts,
                      const Bytes& payload = Bytes{}) {
   RequestMsg request;
@@ -112,6 +104,14 @@ Bytes encode_request(std::uint64_t client, std::uint64_t ts,
   request.timestamp = ts;
   request.payload = BufView(Bytes(payload));
   return request.encode();
+}
+
+/// A PRE-PREPARE's request field carrying `requests` as one batch.
+BufView as_batch(std::initializer_list<Bytes> requests) {
+  batch::BatchMsg batch;
+  for (const Bytes& request : requests) batch.entries.push_back(BufView(Bytes(request)));
+  Arena arena;
+  return batch.encode_into(arena);
 }
 
 /// Bytes that decode BOTH as a two-entry BatchMsg and as a single
@@ -123,11 +123,7 @@ Bytes encode_request(std::uint64_t client, std::uint64_t ts,
 /// is the timestamp (7), and entry 1's timestamp (32) is the payload length
 /// — exactly the 32 bytes remaining, so both decoders hit exhausted().
 BufView make_dual_decodable() {
-  batch::BatchMsg batch;
-  batch.entries.push_back(BufView(encode_request(7, 32)));
-  batch.entries.push_back(BufView(encode_request(7, 33)));
-  Arena arena;
-  return batch.encode_into(arena);
+  return as_batch({encode_request(7, 32), encode_request(7, 33)});
 }
 
 /// A `bft.*` counter of the replica at `rank`.
@@ -141,12 +137,11 @@ const std::vector<Bytes>& log_of(Cluster& cluster, int rank) {
 }
 
 TEST(ByzantinePrimaryTest, FramingEquivocationCannotDivergeExecution) {
-  // The rogue hands backups 1 and 2 the dual-decodable bytes framed as a
-  // single request, and backup 3 the SAME bytes framed as a batch, each
-  // with its best-effort digest, then pushes both sides toward commit.
-  // Because the digest covers the framing flag, the two variants are
-  // distinct agreement values: at most one side can gather a quorum, so
-  // correct replicas never execute divergent request sets at one slot.
+  // Every PRE-PREPARE carries a batch, so bytes that also decode as a
+  // single request have exactly one reading. The rogue hands the
+  // dual-decodable bytes to every backup and pushes them toward commit:
+  // every correct backup that executes slot 1 must run the same two-entry
+  // batch, never the single-request reading (one 32-byte payload).
   Cluster cluster(rogue_options(),
                   [](int) { return std::make_unique<LogStateMachine>(); });
   cluster.crash_replica(0);
@@ -156,36 +151,50 @@ TEST(ByzantinePrimaryTest, FramingEquivocationCannotDivergeExecution) {
   ASSERT_TRUE(RequestMsg::decode(dual).is_ok());
   ASSERT_TRUE(batch::BatchMsg::decode(dual).is_ok());
 
-  PrePrepareMsg as_single;
-  as_single.view = ViewId(0);
-  as_single.seq = SeqNum(1);
-  as_single.is_batch = false;
-  as_single.request = dual;
-  as_single.req_digest = framed_digest(dual, false);
-  PrePrepareMsg as_batch = as_single;
-  as_batch.is_batch = true;
-  as_batch.req_digest = framed_digest(dual, true);
-
-  rogue.send_pre_prepare(1, as_single);
-  rogue.send_pre_prepare(2, as_single);
-  rogue.send_pre_prepare(3, as_batch);
-  // The rogue's commits complete either side's quorum if 2f backups prepare
-  // it (each backup only counts votes matching its own logged digest).
-  rogue.send_commit(1, SeqNum(1), as_single.req_digest);
-  rogue.send_commit(2, SeqNum(1), as_single.req_digest);
-  rogue.send_commit(3, SeqNum(1), as_batch.req_digest);
+  PrePrepareMsg pp;
+  pp.view = ViewId(0);
+  pp.seq = SeqNum(1);
+  pp.request = dual;
+  pp.req_digest = proposal_digest(dual);
+  for (int rank = 1; rank <= 3; ++rank) {
+    rogue.send_pre_prepare(rank, pp);
+    rogue.send_commit(rank, SeqNum(1), pp.req_digest);
+  }
   cluster.sim().run_for(millis(40));
 
-  // Backups 1 and 2 commit the single-request framing: one log entry (the
-  // 32-byte crafted payload). Backup 3 must NOT have executed the batch
-  // framing (two empty entries) — it either stalls or catches up later.
-  const std::vector<Bytes>& reference = log_of(cluster, 1);
-  ASSERT_EQ(reference.size(), 1u);
-  EXPECT_EQ(log_of(cluster, 2), reference);
-  const std::vector<Bytes>& minority = log_of(cluster, 3);
-  EXPECT_TRUE(minority.empty() || minority == reference)
-      << "backup 3 executed a divergent framing: " << minority.size()
-      << " entries";
+  const std::vector<Bytes> two_empty_entries(2);
+  for (int rank = 1; rank <= 3; ++rank) {
+    EXPECT_EQ(cluster.replica(rank).last_executed().value, 1u) << "rank " << rank;
+    EXPECT_EQ(log_of(cluster, rank), two_empty_entries) << "rank " << rank;
+  }
+}
+
+TEST(ByzantinePrimaryTest, BareRequestInPlaceOfABatchIsMalformed) {
+  // A PRE-PREPARE whose request is a bare RequestMsg that does not parse as
+  // a batch has a valid digest and MAC but no reading: every backup counts
+  // it malformed and none prepares it.
+  Cluster cluster(rogue_options(1, 11),
+                  [](int) { return std::make_unique<LogStateMachine>(); });
+  cluster.crash_replica(0);
+  RoguePrimary rogue(cluster);
+
+  const BufView bare(encode_request(7, 1, Bytes(64, 0xcd)));
+  ASSERT_TRUE(RequestMsg::decode(bare).is_ok());
+  ASSERT_FALSE(batch::BatchMsg::decode(bare).is_ok());
+
+  PrePrepareMsg pp;
+  pp.view = ViewId(0);
+  pp.seq = SeqNum(1);
+  pp.request = bare;
+  pp.req_digest = proposal_digest(bare);
+  for (int rank = 1; rank <= 3; ++rank) rogue.send_pre_prepare(rank, pp);
+  cluster.sim().run_for(millis(40));
+
+  for (int rank = 1; rank <= 3; ++rank) {
+    EXPECT_EQ(replica_count(cluster, rank, "malformed"), 1u) << "rank " << rank;
+    EXPECT_EQ(replica_count(cluster, rank, "prepares_sent"), 0u) << "rank " << rank;
+    EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
+  }
 }
 
 TEST(ByzantinePrimaryTest, FabricatedFarFutureTimestampsCannotStarveClient) {
@@ -209,9 +218,8 @@ TEST(ByzantinePrimaryTest, FabricatedFarFutureTimestampsCannotStarveClient) {
       PrePrepareMsg pp;
       pp.view = ViewId(0);
       pp.seq = SeqNum(seq);
-      pp.is_batch = false;
-      pp.request = BufView(encode_request(1000, ts));
-      pp.req_digest = framed_digest(ByteView(pp.request), false);
+      pp.request = as_batch({encode_request(1000, ts)});
+      pp.req_digest = proposal_digest(ByteView(pp.request));
       for (int rank = 1; rank <= 3; ++rank) rogue.send_pre_prepare(rank, pp);
     }
     cluster.settle();
@@ -253,10 +261,9 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
     PrePrepareMsg pp;
     pp.view = ViewId(0);
     pp.seq = SeqNum(seq++);
-    pp.is_batch = true;
     Arena arena;
     pp.request = oversized.encode_into(arena);
-    pp.req_digest = framed_digest(ByteView(pp.request), true);
+    pp.req_digest = proposal_digest(ByteView(pp.request));
     for (int rank = 1; rank <= 3; ++rank) rogue.send_pre_prepare(rank, pp);
   }
   cluster.sim().run_for(millis(40));
@@ -268,7 +275,7 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
 }
 
 TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
-  // A PRE-PREPARE's MAC covers its 56-byte header; the request rides on
+  // A PRE-PREPARE's MAC covers its 52-byte header; the request rides on
   // the header's digest. Each forgery below must be rejected before the
   // backup acts on it and counted as an authentication failure, exactly
   // like a bad MAC; the honest proposal afterwards must still be accepted.
@@ -280,8 +287,8 @@ TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
   PrePrepareMsg pp;
   pp.view = ViewId(0);
   pp.seq = SeqNum(1);
-  pp.request = BufView(encode_request(7, 1, Bytes(64, 0xcd)));
-  pp.req_digest = framed_digest(ByteView(pp.request), false);
+  pp.request = as_batch({encode_request(7, 1, Bytes(64, 0xcd))});
+  pp.req_digest = proposal_digest(ByteView(pp.request));
   ASSERT_EQ(ByteView(authenticated_region(MsgType::kPrePrepare, pp.encode())).size(),
             kPrePrepareHeaderSize);
 
@@ -336,10 +343,10 @@ TEST(ByzantinePrimaryTest, SignedPrePrepareStillBindsItsRequest) {
   PrePrepareMsg pp;
   pp.view = ViewId(0);
   pp.seq = SeqNum(1);
-  pp.request = BufView(encode_request(7, 1, Bytes(64, 0xcd)));
-  pp.req_digest = framed_digest(ByteView(pp.request), false);
+  pp.request = as_batch({encode_request(7, 1, Bytes(64, 0xcd))});
+  pp.req_digest = proposal_digest(ByteView(pp.request));
   PrePrepareMsg altered = pp;
-  altered.request = BufView(encode_request(7, 1, Bytes(64, 0xce)));
+  altered.request = as_batch({encode_request(7, 1, Bytes(64, 0xce))});
 
   rogue.send_signed_pre_prepare(1, altered, key);
   cluster.sim().run_for(millis(5));

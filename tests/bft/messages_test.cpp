@@ -8,6 +8,7 @@
 
 #include "batch/batch_msg.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -67,27 +68,74 @@ TEST(BftMessagesTest, NullPrePrepare) {
 }
 
 TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
-  // The header is everything but the request: the same 56 bytes for any
+  // The header is everything but the request: the same 52 bytes for any
   // request, and the request's digest is what binds the rest.
+  ASSERT_EQ(kPrePrepareHeaderSize, 52u);
   PrePrepareMsg msg;
   msg.view = ViewId(3);
   msg.seq = SeqNum(17);
-  msg.is_batch = true;
   msg.request = to_bytes("encoded-request");
-  msg.req_digest = proposal_digest(ByteView(msg.request), true);
+  msg.req_digest = proposal_digest(ByteView(msg.request));
   const Bytes body = msg.encode();
   ASSERT_EQ(body.size(), kPrePrepareHeaderSize + msg.request.size());
   const ByteView region = authenticated_region(MsgType::kPrePrepare, body);
   EXPECT_EQ(Bytes(region.begin(), region.end()),
             Bytes(body.begin(), body.begin() + kPrePrepareHeaderSize));
-  // The same bytes under the other framing are a different agreement value.
-  EXPECT_NE(proposal_digest(ByteView(msg.request), false), msg.req_digest);
+  // The digest is SHA-256 of the batch bytes alone.
+  EXPECT_EQ(msg.req_digest, crypto::sha256(ByteView(msg.request)));
 
   // Every other body is authenticated whole.
   PrepareMsg prep;
   prep.view = ViewId(2);
   const Bytes prep_body = prep.encode();
   EXPECT_EQ(authenticated_region(MsgType::kPrepare, prep_body).size(), prep_body.size());
+}
+
+TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
+  // Hand-built wire bytes of a one-entry PRE-PREPARE, all little-endian:
+  // the 52-byte header (view, seq, digest, request length), then the batch
+  // (entry count, entry length) and the entry, an encoded RequestMsg
+  // (client, timestamp, payload length, payload).
+  const auto le = [](Bytes& out, std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  Bytes entry;
+  le(entry, 1000, 8);  // client
+  le(entry, 42, 8);    // timestamp
+  le(entry, 3, 4);     // payload length
+  append(entry, to_bytes("abc"));
+  ASSERT_EQ(entry.size(), 23u);
+  Bytes batch;
+  le(batch, 1, 4);             // entry count
+  le(batch, entry.size(), 4);  // entry length
+  append(batch, entry);
+  Bytes wire;
+  le(wire, 3, 8);   // view
+  le(wire, 17, 8);  // seq
+  const Bytes digest(crypto::kDigestSize, 0xaa);
+  append(wire, digest);
+  le(wire, batch.size(), 4);  // request length
+  ASSERT_EQ(wire.size(), kPrePrepareHeaderSize);
+  append(wire, batch);
+
+  const auto decoded = PrePrepareMsg::decode(BufView(Bytes(wire)));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  const PrePrepareMsg& pp = decoded.value();
+  EXPECT_EQ(pp.view, ViewId(3));
+  EXPECT_EQ(pp.seq, SeqNum(17));
+  EXPECT_EQ(pp.req_digest, digest_of(0xaa));
+  EXPECT_EQ(pp.request.clone_bytes(), batch);
+  EXPECT_EQ(pp.encode(), wire);
+
+  const auto carried = batch::BatchMsg::decode(pp.request);
+  ASSERT_TRUE(carried.is_ok());
+  ASSERT_EQ(carried.value().entries.size(), 1u);
+  const auto request = RequestMsg::decode(carried.value().entries.front());
+  ASSERT_TRUE(request.is_ok());
+  EXPECT_EQ(request.value().client, NodeId(1000));
+  EXPECT_EQ(request.value().timestamp, 42u);
+  EXPECT_EQ(to_string(request.value().payload), "abc");
+  EXPECT_EQ(request.value().encode(), entry);
 }
 
 TEST(BftMessagesTest, PrepareCommitRoundTrip) {
