@@ -6,9 +6,14 @@
 //   * byte cap:    max_bytes of queued request frames,
 //   * hold cap:    the oldest queued request has waited max_hold_ns of
 //                  simulated time,
-//   * urgency:     an urgent-class request (queue-management acks, sync
-//                  points — traffic other protocol machinery is waiting on)
-//                  is pending; urgent traffic is never held.
+//   * urgency:     an urgent-class request (replacement sync points —
+//                  traffic other protocol machinery is waiting on) is
+//                  pending; urgent traffic is never held.
+//
+// Riders (queue-management acks) sit outside the count and byte caps: they
+// ride in the next slot a client entry starts, so a parked rider makes a
+// parked client entry ripe at once, and a rider alone starts a slot only
+// when its hold cap trips. A batch carries at most max_riders of them.
 //
 // The former is passive and deterministic: it never consults a clock or
 // timer itself — the owning replica feeds it the simulation time and arms
@@ -16,6 +21,7 @@
 // batches on every run (the formation-determinism test relies on this).
 #pragma once
 
+#include <cassert>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -34,27 +40,41 @@ struct Policy {
   std::int64_t max_hold_ns = micros(200);
 };
 
+/// How a parked request takes part in formation.
+enum class EntryClass : std::uint8_t {
+  kClient,  // counts toward the caps; held until a cap trips
+  kUrgent,  // a client entry that is never held
+  kRider,   // outside the caps; rides in the next client entry's slot
+};
+
 /// One parked request awaiting formation.
 struct PendingEntry {
   BufView encoded;          // encoded bft::RequestMsg (shared chunk, no copy)
-  bool urgent = false;
+  EntryClass cls = EntryClass::kClient;
   std::uint64_t trace = 0;  // request-scoped trace id (0 = untraced)
   SimTime enqueued_at{};
 };
 
 class Former {
  public:
-  explicit Former(Policy policy) : policy_(policy) {}
+  /// `max_riders` bounds the riders one batch carries. It must be at least
+  /// one, or form() would return nothing while a rider heads the queue.
+  Former(Policy policy, std::size_t max_riders) : policy_(policy), max_riders_(max_riders) {
+    assert(max_riders_ >= 1);
+  }
 
   const Policy& policy() const { return policy_; }
 
-  void enqueue(BufView encoded, bool urgent, std::uint64_t trace, SimTime now);
+  void enqueue(BufView encoded, EntryClass cls, std::uint64_t trace, SimTime now);
 
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
+  /// Bytes of the parked entries that count toward the byte cap (riders
+  /// excluded).
   std::size_t pending_bytes() const { return pending_bytes_; }
 
-  /// True when a batch should be cut now (any cap tripped, or urgency).
+  /// True when a batch should be cut now (any cap tripped, urgency, or a
+  /// rider waiting beside a client entry).
   bool ripe(SimTime now) const;
 
   /// When the hold cap will trip for the oldest parked entry; nullopt when
@@ -62,7 +82,7 @@ class Former {
   std::optional<SimTime> deadline() const;
 
   /// Pops the next batch: entries in arrival order, greedily up to the
-  /// count/byte caps (always at least one entry).
+  /// count/byte caps and max_riders (always at least one entry).
   std::vector<PendingEntry> form();
 
   /// Drops everything parked (view change: clients will retransmit to the
@@ -71,8 +91,10 @@ class Former {
 
  private:
   Policy policy_;
+  std::size_t max_riders_;
   std::deque<PendingEntry> pending_;
   std::size_t pending_bytes_ = 0;
+  std::size_t capped_pending_ = 0;  // parked client and urgent entries
   std::size_t urgent_pending_ = 0;
 };
 

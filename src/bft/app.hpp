@@ -4,6 +4,7 @@
 // makes f+1 matching replies meaningful.
 #pragma once
 
+#include "batch/former.hpp"
 #include "common/buffer.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -33,12 +34,13 @@ class StateMachine {
   /// the originating ITDOS request without understanding the payload format.
   virtual std::uint64_t trace_of(ByteView) const { return 0; }
 
-  /// Formation hook: urgent payloads flush the primary's batch former
-  /// immediately instead of waiting for batch-mates (src/batch). ITDOS
-  /// marks queue-management acks and replacement sync points urgent —
-  /// traffic other protocol machinery blocks on must never sit behind a
-  /// hold timer. Default: nothing is urgent.
-  virtual bool urgent(ByteView) const { return false; }
+  /// Formation hook: how a payload takes part in the primary's batch
+  /// former (src/batch). ITDOS classes queue-management acks as riders —
+  /// they ride in the next client slot instead of taking one of their own —
+  /// and replacement sync points as urgent, never held behind a hold timer.
+  /// Backups apply the same classes when they check a batch against the
+  /// formation policy. Default: every payload is a client entry.
+  virtual batch::EntryClass classify(ByteView) const { return batch::EntryClass::kClient; }
 };
 
 }  // namespace itdos::bft

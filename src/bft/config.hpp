@@ -66,6 +66,14 @@ struct BftConfig {
   }
 
   std::int64_t watermark_window() const { return 2 * checkpoint_interval; }
+
+  /// Most riders (src/batch) one batch may carry. Riders come from clients
+  /// co-located with the replicas (an ITDOS element's self-client), one per
+  /// replica, each keeping at most pipeline_depth requests in flight, so a
+  /// correct group never has more outstanding.
+  std::size_t max_riders() const {
+    return static_cast<std::size_t>(n()) * static_cast<std::size_t>(pipeline_depth);
+  }
 };
 
 /// Pairwise MAC keys between all parties (replicas and clients). Derived

@@ -51,7 +51,7 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
       keystore_(std::move(keystore)),
       app_(std::move(app)),
       tel_(&net.sim().telemetry()),
-      former_(config_.batch) {
+      former_(config_.batch, config_.max_riders()) {
   assert(config_.validate().is_ok());
   assert(config_.is_replica(id));
   for (NodeId replica : config_.replicas) {
@@ -243,7 +243,7 @@ void Replica::handle_request(const Envelope& env) {
   if (is_primary()) {
     if (record.proposed.contains(request.timestamp)) return;  // already in pipeline
     record.proposed.insert(request.timestamp);
-    former_.enqueue(env.body, app_->urgent(request.payload),
+    former_.enqueue(env.body, app_->classify(request.payload),
                     app_->trace_of(request.payload), now());
     pump_former();
     arm_request_timer();
@@ -305,11 +305,16 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
   LogEntry& entry = log_[seq];
   entry.pre_prepare = pp;
   entry.first_seen = now();
+  // The batch metrics count the entries the caps count: riders leave
+  // batch.size and batch.hold_ns as they would read without them.
+  std::int64_t capped = 0;
   for (const batch::PendingEntry& e : entries) {
     if (entry.trace == 0) entry.trace = e.trace;
+    if (e.cls == batch::EntryClass::kRider) continue;
+    ++capped;
     metrics_.batch_hold_ns->record(now() - e.enqueued_at);
   }
-  metrics_.batch_size->record(static_cast<std::int64_t>(entries.size()));
+  if (capped > 0) metrics_.batch_size->record(capped);
 
   if (byz_.equivocate) {
     // Equivocating primary: internally consistent but CONFLICTING proposals
@@ -377,40 +382,54 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   }
   std::uint64_t trace = 0;
   if (!pp.is_null_request()) {
-    // Every entry must be a decodable request — a batch is accepted (and
-    // later executed) only as a whole.
     Result<batch::BatchMsg> decoded_batch = batch::BatchMsg::decode(pp.request);
     if (!decoded_batch.is_ok()) {
       metrics_.malformed->inc();
       return;
     }
+    // A batch is accepted (and later executed) only as a whole. Every entry
+    // must be a decodable request, and the batch must respect the
+    // cluster's formation policy, not just the protocol-wide ceiling:
+    // fairness and per-slot execution cost are sized to the configured
+    // caps, and only a misbehaving primary packs past them. Mirror the
+    // former's cut rule — riders sit outside the caps but at most
+    // max_riders ride along, and a single capped entry may exceed the byte
+    // cap on its own, a multi-entry batch may not.
     const std::vector<BufView>& entries = decoded_batch.value().entries;
-    // The batch must respect the cluster's formation policy, not just the
-    // protocol-wide ceiling: fairness and per-slot execution cost are sized
-    // to the configured caps, and only a misbehaving primary packs past
-    // them. Mirror the former's cut rule — a single entry may exceed the
-    // byte cap on its own, a multi-entry batch may not.
-    std::size_t batch_bytes = 0;
-    for (const BufView& entry_bytes : entries) batch_bytes += entry_bytes.size();
-    if (entries.size() > static_cast<std::size_t>(config_.batch.max_entries) ||
-        (entries.size() > 1 && batch_bytes > config_.batch.max_bytes)) {
-      metrics_.malformed->inc();
-      return;
-    }
+    std::size_t capped = 0;
+    std::size_t capped_bytes = 0;
+    std::size_t riders = 0;
     for (const BufView& entry_bytes : entries) {
       Result<RequestMsg> request = RequestMsg::decode(entry_bytes);
       if (!request.is_ok()) {
         metrics_.malformed->inc();
         return;
       }
-      if (trace == 0) trace = app_->trace_of(request.value().payload);
+      if (app_->classify(request.value().payload) == batch::EntryClass::kRider) {
+        ++riders;
+      } else {
+        ++capped;
+        capped_bytes += entry_bytes.size();
+      }
+    }
+    if (capped > static_cast<std::size_t>(config_.batch.max_entries) ||
+        (capped > 1 && capped_bytes > config_.batch.max_bytes) ||
+        riders > config_.max_riders()) {
+      metrics_.malformed->inc();
+      return;
+    }
+    for (const BufView& entry_bytes : entries) {
+      // Decoded above; decoding again (views only) is cheaper than keeping
+      // every request of the batch.
+      const RequestMsg request = RequestMsg::decode(entry_bytes).take();
+      if (trace == 0) trace = app_->trace_of(request.payload);
       // Remember each proposal so retransmissions are not re-forwarded —
       // but never track fabricated far-future timestamps (see
       // plausible_timestamp): they would prune the bounded dedup windows
       // over live requests.
-      ClientRecord& record = clients_[request.value().client];
-      if (plausible_timestamp(record.executed, request.value().timestamp)) {
-        record.proposed.insert(request.value().timestamp);
+      ClientRecord& record = clients_[request.client];
+      if (plausible_timestamp(record.executed, request.timestamp)) {
+        record.proposed.insert(request.timestamp);
       }
     }
   }

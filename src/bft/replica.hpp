@@ -268,8 +268,8 @@ class Replica : public net::Process {
     telemetry::Counter* macs_computed;      // pairwise MAC tags produced
     telemetry::Gauge* inflight;             // agreement instances in flight
     telemetry::Histogram* exec_latency_ns;  // pre-prepare logged -> executed
-    telemetry::Histogram* batch_size;       // entries per formed batch
-    telemetry::Histogram* batch_hold_ns;    // formation hold per entry
+    telemetry::Histogram* batch_size;       // capped entries per formed batch
+    telemetry::Histogram* batch_hold_ns;    // formation hold per capped entry
   } metrics_;
 
   // Protocol state.
@@ -292,7 +292,8 @@ class Replica : public net::Process {
   std::map<std::uint64_t, PendingSnapshot> pending_snapshots_;
 
   // Batch formation (primary only): every client request reaches a slot
-  // through here; at max_entries = 1 each is cut alone on arrival. The
+  // through here; at max_entries = 1 each client entry is cut on arrival,
+  // together with the riders parked before it. The
   // former doubles as the backlog while the watermark window is full:
   // make_stable, after_install and adopt_new_view pump it again. Parked
   // entries are views into the relayed wire buffers — no copies.

@@ -117,6 +117,10 @@ DomainElement::DomainElement(net::Network& net,
   queue_options.n = domain_info.n();
   queue_options.f = domain_info.f;
   queue_options.members = domain_info.smiop_nodes();
+  queue_options.orders_acks_for = [directory = directory_, domain = domain_](
+                                      NodeId element, NodeId client) {
+    return directory->find_domain(domain)->is_self_client(element, client);
+  };
   queue_options.max_depth = directory_->timing().admission_max_depth;
   queue_options.telemetry = &net_.sim().telemetry();
   queue_options.self = info_.smiop_node;

@@ -52,15 +52,22 @@ std::uint64_t QueueStateMachine::trace_of(ByteView request) const {
   return 0;
 }
 
-bool QueueStateMachine::urgent(ByteView request) const {
+batch::EntryClass QueueStateMachine::classify(ByteView request) const {
   const Result<QueueEntryKind> kind = queue_entry_kind(request);
-  if (!kind.is_ok()) return false;
-  return kind.value() == QueueEntryKind::kAck ||
-         kind.value() == QueueEntryKind::kSyncPoint;
+  if (!kind.is_ok()) return batch::EntryClass::kClient;
+  switch (kind.value()) {
+    case QueueEntryKind::kAck:
+      return batch::EntryClass::kRider;
+    case QueueEntryKind::kSyncPoint:
+      return batch::EntryClass::kUrgent;
+    case QueueEntryKind::kRequest:
+    case QueueEntryKind::kFragment:
+      break;
+  }
+  return batch::EntryClass::kClient;
 }
 
 Bytes QueueStateMachine::execute(const BufView& request, NodeId client, SeqNum seq) {
-  (void)client;
   (void)seq;
   const Result<QueueEntryKind> kind = queue_entry_kind(request);
   if (!kind.is_ok()) return to_bytes("ITDOS-REJECT");  // deterministic rejection
@@ -68,11 +75,15 @@ Bytes QueueStateMachine::execute(const BufView& request, NodeId client, SeqNum s
   if (kind.value() == QueueEntryKind::kAck) {
     const Result<QueueAckMsg> ack = QueueAckMsg::decode(request);
     if (!ack.is_ok()) return to_bytes("ITDOS-REJECT");
-    if (!options_.is_member(ack.value().element)) {
+    if (!options_.is_member(ack.value().element) ||
+        (options_.orders_acks_for &&
+         !options_.orders_acks_for(ack.value().element, client))) {
       return to_bytes("ITDOS-REJECT");  // rogue acks must not drive GC
     }
+    // No element can have consumed past the last entry, so neither can the
+    // GC floor its ack helps set.
     auto& recorded = acks_[ack.value().element];
-    recorded = std::max(recorded, ack.value().consumed_index);
+    recorded = std::max(recorded, std::min(ack.value().consumed_index, next_index_));
     advance_base();
     return kAckReply;
   }

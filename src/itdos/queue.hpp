@@ -52,6 +52,15 @@ struct QueueOptions {
   /// unit tests use that).
   std::vector<NodeId> members;
 
+  /// Binds an ack to its element: true when `client` is a BFT client the
+  /// element `element` orders its own queue traffic through. An ack ordered
+  /// by any other client is rejected, so no client can move another
+  /// element's GC cursor. The answer must never change from true to false
+  /// for a pair, or an ack ordered around the change would be judged
+  /// differently by different elements. Null accepts any client (only unit
+  /// tests use that).
+  std::function<bool(NodeId element, NodeId client)> orders_acks_for;
+
   /// Telemetry seam (optional; unit tests leave it null). `self` is the
   /// owning element's SMIOP node, used as the event emitter.
   telemetry::Hub* telemetry = nullptr;
@@ -92,10 +101,10 @@ class QueueStateMachine : public bft::StateMachine {
   /// Derives the request-scoped trace id from an ordered queue entry (the
   /// BFT layer tags its pre-prepare/prepare/commit events with it).
   std::uint64_t trace_of(ByteView request) const override;
-  /// Urgent class for batch formation (src/batch): queue-management acks
-  /// (virtual-synchrony GC the whole domain waits on) and replacement sync
-  /// points flush the primary's former immediately.
-  bool urgent(ByteView request) const override;
+  /// Formation class (src/batch): queue-management acks are riders — GC
+  /// needs them ordered, not ordered at once — and replacement sync points
+  /// are urgent, since a replacement element blocks on its sync point.
+  batch::EntryClass classify(ByteView request) const override;
 
   // --- element-local consumption (the ORB actor side) ---
   bool has_next() const { return !broken_ && !bootstrap_ && consumed_ < next_index_; }

@@ -1,5 +1,7 @@
 #include "itdos/system_directory.hpp"
 
+#include <algorithm>
+
 namespace itdos::core {
 
 bft::BftConfig DomainInfo::make_bft_config(const ProtocolTiming& timing) const {
@@ -33,6 +35,14 @@ std::vector<NodeId> DomainInfo::smiop_nodes() const {
   return out;
 }
 
+bool DomainInfo::is_self_client(NodeId element, NodeId client) const {
+  const auto matches = [&](const ElementInfo& info) {
+    return info.smiop_node == element && info.self_client_node == client;
+  };
+  return std::any_of(elements.begin(), elements.end(), matches) ||
+         std::any_of(retired.begin(), retired.end(), matches);
+}
+
 Status SystemDirectory::replace_element(DomainId domain, int rank,
                                         const ElementInfo& fresh) {
   const auto it = domains_.find(domain);
@@ -42,7 +52,9 @@ Status SystemDirectory::replace_element(DomainId domain, int rank,
   if (rank < 0 || rank >= it->second.n()) {
     return error(Errc::kInvalidArgument, "replace_element: rank out of range");
   }
-  it->second.elements[static_cast<std::size_t>(rank)] = fresh;
+  ElementInfo& slot = it->second.elements[static_cast<std::size_t>(rank)];
+  it->second.retired.push_back(slot);
+  slot = fresh;
   return Status::ok();
 }
 

@@ -86,6 +86,8 @@ struct DomainInfo {
   int f = 1;
   McastGroupId group;
   std::vector<ElementInfo> elements;  // size 3f+1
+  // Identities replacement swapped out, oldest first (append-only).
+  std::vector<ElementInfo> retired;
   VotePolicy vote_policy = VotePolicy::exact();
 
   int n() const { return static_cast<int>(elements.size()); }
@@ -97,6 +99,12 @@ struct DomainInfo {
   int rank_of_smiop(NodeId smiop_node) const;
 
   std::vector<NodeId> smiop_nodes() const;
+
+  /// True when `client` is, or was, the self-client endpoint of the element
+  /// whose SMIOP identity is `element`. Retired endpoints stay listed: an
+  /// ack a replaced incarnation sent before the swap may be ordered after
+  /// it, and every element must judge it alike (QueueOptions).
+  bool is_self_client(NodeId element, NodeId client) const;
 };
 
 class SystemDirectory {

@@ -1,11 +1,12 @@
 // Cluster-level tests for batch formation + pipelined agreement: batched
 // correctness, same-seed formation determinism, the urgent-class latency
-// bound, f-boundary behaviour with batching on, pipelined clients, view
+// bound, riders sharing client slots, f-boundary behaviour with batching on, pipelined clients, view
 // changes over in-flight batches, state transfer across the batched
 // snapshot format, and requests parked while the watermark window is full.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,14 +37,24 @@ Cluster::AppFactory log_factory() {
   return [](int) { return std::make_unique<LogStateMachine>(); };
 }
 
-/// Marks payloads starting with '!' urgent — a stand-in for the ITDOS
-/// queue-management traffic class.
-class UrgentAwareLog : public LogStateMachine {
+/// A stand-in for the ITDOS queue's formation classes: payloads starting
+/// with '!' are urgent (sync points), with '~' riders (queue acks); every
+/// other payload is a client entry, traced under its length.
+class ClassAwareLog : public LogStateMachine {
  public:
-  bool urgent(ByteView request) const override {
-    return !request.empty() && request.front() == '!';
+  batch::EntryClass classify(ByteView request) const override {
+    if (!request.empty() && request.front() == '!') return batch::EntryClass::kUrgent;
+    if (!request.empty() && request.front() == '~') return batch::EntryClass::kRider;
+    return batch::EntryClass::kClient;
+  }
+  std::uint64_t trace_of(ByteView request) const override {
+    return classify(request) == batch::EntryClass::kClient ? request.size() : 0;
   }
 };
+
+Cluster::AppFactory class_aware_factory() {
+  return [](int) { return std::make_unique<ClassAwareLog>(); };
+}
 
 /// A `bft.*` counter of the replica at `rank`.
 std::uint64_t replica_count(Cluster& cluster, int rank, std::string_view name) {
@@ -126,7 +137,7 @@ TEST(BatchingTest, UrgentNeverHeldPastOneFlush) {
   ClusterOptions opts = batched_options();
   opts.batch.max_entries = 64;
   opts.batch.max_hold_ns = millis(20);
-  Cluster cluster(opts, [](int) { return std::make_unique<UrgentAwareLog>(); });
+  Cluster cluster(opts, class_aware_factory());
   Client& client = cluster.add_client();
 
   const SimTime urgent_start = cluster.sim().now();
@@ -138,6 +149,107 @@ TEST(BatchingTest, UrgentNeverHeldPastOneFlush) {
   ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("lazy")).is_ok());
   const std::int64_t lazy_latency = cluster.sim().now() - lazy_start;
   EXPECT_GE(lazy_latency, millis(20));  // held for batch-mates that never came
+}
+
+TEST(BatchingTest, RidersShareClientSlots) {
+  // The paper's schedule (max_entries = 1) with a queue ack beside every
+  // other client request, as ITDOS elements order them: the acks ride in
+  // client slots, so N requests plus their N/2 acks take N slots, not 1.5N.
+  ClusterOptions opts;
+  opts.f = 1;
+  opts.seed = 23;
+  opts.net_config.min_delay_ns = micros(20);
+  opts.net_config.max_delay_ns = micros(80);
+  opts.batch.max_hold_ns = millis(5);
+  Cluster cluster(opts, class_aware_factory());
+  Client& client = cluster.add_client();
+  std::vector<Client*> ackers;
+  for (int i = 0; i < 4; ++i) ackers.push_back(&cluster.add_client());
+
+  constexpr int kRequests = 8;
+  int acks_done = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    if (i % 2 == 0) {
+      ackers[static_cast<std::size_t>(i / 2)]->invoke(
+          to_bytes("~ack"), [&acks_done](Result<Bytes> r) { acks_done += r.is_ok(); });
+    }
+    ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("req")).is_ok());
+  }
+  cluster.settle();
+  EXPECT_EQ(acks_done, kRequests / 2);
+  EXPECT_EQ(replica_count(cluster, 0, "pre_prepares_sent"), std::uint64_t{kRequests});
+  for (int rank = 0; rank < cluster.n(); ++rank) {
+    EXPECT_EQ(cluster.replica(rank).last_executed().value, std::uint64_t{kRequests})
+        << "rank " << rank;
+    const auto& app = dynamic_cast<const LogStateMachine&>(cluster.replica(rank).app());
+    EXPECT_EQ(app.entries().size(), std::size_t{kRequests + kRequests / 2}) << "rank " << rank;
+  }
+  // The batch metrics count client entries only: every slot reads 1.
+  const telemetry::Histogram* sizes =
+      cluster.sim().telemetry().metrics().find_histogram("batch.size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count(), std::uint64_t{kRequests});
+  EXPECT_EQ(sizes->max(), 1u);
+}
+
+TEST(BatchingTest, SlotLedByARiderIsTracedUnderItsClientEntry) {
+  // A rider parked first leads the slot its client entry starts. The slot
+  // must still carry the client entry's trace id: at the primary's
+  // proposal, at every backup's PREPARE, and after a view change
+  // re-proposes it. COMMITs are lost until the primary crashes, so the
+  // slot prepares in view 0 and commits only in view 1.
+  ClusterOptions opts;
+  opts.f = 1;
+  opts.seed = 29;
+  opts.net_config.min_delay_ns = micros(20);
+  opts.net_config.max_delay_ns = micros(80);
+  opts.batch.max_hold_ns = millis(5);
+  Cluster cluster(opts, class_aware_factory());
+  bool losing_commits = true;
+  for (int rank = 0; rank < cluster.n(); ++rank) {
+    cluster.network().set_inbound_filter(cluster.replica_id(rank), [&](const net::Packet& p) {
+      const auto env = Envelope::decode(p.payload);
+      return !losing_commits || !env.is_ok() || env.value().type != MsgType::kCommit;
+    });
+  }
+  Client& acker = cluster.add_client();
+  Client& client = cluster.add_client();
+  acker.invoke(to_bytes("~ack"), [](Result<Bytes>) {});
+  cluster.sim().run_for(micros(200));  // the ack is parked at the primary
+  const Bytes request = to_bytes("traced request");
+  const std::uint64_t trace = request.size();
+  std::optional<Result<Bytes>> reply;
+  client.invoke(BufView(Bytes(request)), [&reply](Result<Bytes> r) { reply = std::move(r); });
+  cluster.sim().run_for(millis(1));
+
+  const telemetry::Tracer& tracer = cluster.sim().telemetry().tracer();
+  const auto events = [&](telemetry::TraceKind kind, std::uint64_t view) {
+    std::vector<telemetry::TraceEvent> out;
+    for (const telemetry::TraceEvent& e : tracer.events()) {
+      if (e.kind == kind && e.a == view && e.b == 1) out.push_back(e);
+    }
+    return out;
+  };
+  const std::vector<telemetry::TraceEvent> proposals =
+      events(telemetry::TraceKind::kBftPrePrepare, 0);
+  ASSERT_EQ(proposals.size(), 1u);
+  EXPECT_EQ(proposals[0].trace, trace);
+  const std::vector<telemetry::TraceEvent> prepares =
+      events(telemetry::TraceKind::kBftPrepare, 0);
+  ASSERT_EQ(prepares.size(), 3u);
+  for (const telemetry::TraceEvent& e : prepares) EXPECT_EQ(e.trace, trace);
+  EXPECT_EQ(cluster.replica(1).last_executed().value, 0u);
+
+  cluster.crash_replica(0);
+  losing_commits = false;
+  cluster.sim().run_for(millis(500));
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(reply->is_ok());
+  EXPECT_EQ(cluster.replica(1).view().value, 1u);
+  const std::vector<telemetry::TraceEvent> commits =
+      events(telemetry::TraceKind::kBftCommit, 1);
+  ASSERT_EQ(commits.size(), 3u);
+  for (const telemetry::TraceEvent& e : commits) EXPECT_EQ(e.trace, trace);
 }
 
 TEST(BatchingTest, FBoundaryToleratesExactlyFCrashes) {

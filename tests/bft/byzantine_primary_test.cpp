@@ -1,7 +1,7 @@
 // Adversarial tests driving a rogue primary directly against the backups:
 // dual-decodable batch bytes and bare requests in place of a batch,
 // fabricated far-future client timestamps (TsWindow prune forcing), and
-// batches packed past the cluster's formation policy. The rogue holds the
+// batches packed past the cluster's formation policy or rider bound. The rogue holds the
 // real primary's MAC keys — exactly the power a compromised replica has.
 #include <gtest/gtest.h>
 
@@ -271,6 +271,62 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
   for (int rank = 1; rank <= 3; ++rank) {
     EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
     EXPECT_GE(replica_count(cluster, rank, "malformed"), 2u) << "rank " << rank;
+  }
+}
+
+/// Counts requests like CounterStateMachine; payloads starting with '~' are
+/// riders (the ITDOS queue acks' formation class) and execute as no-ops.
+class RiderAwareCounter : public CounterStateMachine {
+ public:
+  batch::EntryClass classify(ByteView request) const override {
+    return !request.empty() && request.front() == '~' ? batch::EntryClass::kRider
+                                                      : batch::EntryClass::kClient;
+  }
+};
+
+TEST(ByzantinePrimaryTest, BatchesBeyondMaxRidersRejected) {
+  // Riders sit outside the count cap, but a batch carries at most
+  // n * pipeline_depth of them (32 here) — the most a correct group has
+  // outstanding. A full rider load beside a full count cap prepares; one
+  // rider more is malformed.
+  Cluster cluster(rogue_options(1, 7),
+                  [](int) { return std::make_unique<RiderAwareCounter>(); });
+  cluster.crash_replica(0);
+  RoguePrimary rogue(cluster);
+  const std::size_t max_riders = cluster.config().max_riders();
+  ASSERT_EQ(max_riders, 32u);
+
+  const Bytes rider = to_bytes("~ack");
+  std::uint64_t ts = 1;
+  batch::BatchMsg full;  // 32 riders + 8 client entries
+  for (std::size_t i = 0; i < max_riders; ++i) {
+    full.entries.push_back(BufView(encode_request(7, ts++, rider)));
+  }
+  for (int i = 0; i < 8; ++i) {
+    full.entries.push_back(BufView(encode_request(8, ts++, to_bytes("add:1"))));
+  }
+  batch::BatchMsg overfull;  // 33 riders
+  for (std::size_t i = 0; i <= max_riders; ++i) {
+    overfull.entries.push_back(BufView(encode_request(7, ts++, rider)));
+  }
+
+  std::uint64_t seq = 1;
+  for (const batch::BatchMsg& proposal : {full, overfull}) {
+    PrePrepareMsg pp;
+    pp.view = ViewId(0);
+    pp.seq = SeqNum(seq++);
+    Arena arena;
+    pp.request = proposal.encode_into(arena);
+    pp.req_digest = proposal_digest(ByteView(pp.request));
+    for (int rank = 1; rank <= 3; ++rank) rogue.send_pre_prepare(rank, pp);
+  }
+  cluster.sim().run_for(millis(40));
+
+  for (int rank = 1; rank <= 3; ++rank) {
+    EXPECT_EQ(cluster.replica(rank).last_executed().value, 1u) << "rank " << rank;
+    EXPECT_EQ(replica_count(cluster, rank, "malformed"), 1u) << "rank " << rank;
+    const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(rank).app());
+    EXPECT_EQ(app.value(), 8) << "rank " << rank;
   }
 }
 

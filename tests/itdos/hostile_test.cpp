@@ -227,11 +227,10 @@ TEST_F(HostileTest, MaliciousClientCannotFrameCorrectElement) {
 
 TEST_F(HostileTest, QueueManagementSurvivesRogueAcks) {
   ASSERT_TRUE(echo(1).is_ok());
-  // Rogue acks claiming absurd consumption for a NON-member node must not
-  // advance GC incorrectly (acks tally per element id; only 3f+1 ids exist
-  // in the directory, but the queue doesn't know the directory — n-f
-  // distinct ids are required, and rogues add junk ids, never reaching the
-  // floor rule for genuine members... verify service continuity).
+  // Rogue acks claiming absurd consumption for NON-member nodes must not
+  // advance GC: the queue tallies acks of its members only, so junk ids
+  // never reach the floor rule (ForgedMemberAcksCannotBreakTheDomain covers
+  // acks that name real members). Verify service continuity.
   for (int i = 0; i < 10; ++i) {
     rogue().invoke(QueueAckMsg{NodeId(888800 + i), 1000000}.encode(),
                    [](Result<Bytes>) {});
@@ -239,6 +238,29 @@ TEST_F(HostileTest, QueueManagementSurvivesRogueAcks) {
   system_.settle();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(echo(10 + i).is_ok()) << "i=" << i;
+  }
+}
+
+TEST_F(HostileTest, ForgedMemberAcksCannotBreakTheDomain) {
+  ASSERT_TRUE(echo(1).is_ok());
+  // Acks naming real members, but ordered by a client that is none of the
+  // elements' self-clients: had they counted, GC would pass every
+  // element's cursor and break the whole domain at once.
+  for (const ElementInfo& element : system_.directory().find_domain(domain_)->elements) {
+    rogue().invoke(QueueAckMsg{element.smiop_node, 1000000}.encode(), [](Result<Bytes>) {});
+  }
+  system_.settle();
+  for (int rank = 0; rank < 4; ++rank) {
+    const QueueStateMachine& queue = system_.element(domain_, rank).queue();
+    EXPECT_FALSE(queue.broken()) << "rank " << rank;
+    EXPECT_EQ(queue.base_index(), 0u) << "rank " << rank;  // no genuine ack yet
+  }
+  // Enough traffic for the elements' own acks to drive GC past the forgeries.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(echo(10 + i).is_ok()) << "i=" << i;
+  }
+  for (int rank = 0; rank < 4; ++rank) {
+    EXPECT_GT(system_.element(domain_, rank).queue().base_index(), 0u) << "rank " << rank;
   }
 }
 

@@ -222,6 +222,55 @@ TEST(QueueTest, NonMemberAcksIgnored) {
   EXPECT_EQ(queue.base_index(), 6u);
 }
 
+TEST(QueueTest, AckOrderedByAnotherClientIgnored) {
+  // An ack counts only when its element's own self-client ordered it, so
+  // no client — not even another member's — can move a member's cursor.
+  QueueOptions opts = options_4_1();
+  opts.members = {NodeId(1), NodeId(2), NodeId(3), NodeId(4)};
+  opts.orders_acks_for = [](NodeId element, NodeId client) {
+    return client.value == element.value + 100;
+  };
+  QueueStateMachine queue(opts);
+  for (int i = 1; i <= 6; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  while (queue.has_next()) queue.next();
+  for (std::uint64_t element = 1; element <= 3; ++element) {
+    for (const std::uint64_t client : {std::uint64_t{9}, element + 101}) {
+      const Bytes reply = queue.execute(ack_entry(element, 6), NodeId(client), SeqNum(10));
+      EXPECT_EQ(to_string(reply), "ITDOS-REJECT") << element << " via " << client;
+    }
+  }
+  EXPECT_EQ(queue.base_index(), 0u);
+  for (std::uint64_t element = 1; element <= 4; ++element) {
+    const Bytes reply =
+        queue.execute(ack_entry(element, 6), NodeId(element + 100), SeqNum(20 + element));
+    EXPECT_EQ(to_string(reply), "ITDOS-ACK");
+  }
+  EXPECT_EQ(queue.base_index(), 6u);
+}
+
+TEST(QueueTest, AckPastTheLastEntryIsClampedToIt) {
+  // No element can have consumed past the last entry: acks claiming more
+  // count as consuming exactly that far, so GC never passes next_index.
+  QueueStateMachine queue(options_4_1());
+  for (int i = 1; i <= 4; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  while (queue.has_next()) queue.next();
+  for (std::uint64_t element = 1; element <= 3; ++element) {
+    queue.execute(ack_entry(element, 1000000), NodeId(element), SeqNum(4 + element));
+  }
+  EXPECT_EQ(queue.base_index(), 4u);
+  EXPECT_FALSE(queue.broken());
+  queue.execute(data_entry(1, 5), NodeId(9), SeqNum(8));
+  EXPECT_EQ(queue.next().value(), data_entry(1, 5));
+}
+
+TEST(QueueTest, FormationClasses) {
+  QueueStateMachine queue(options_4_1());
+  EXPECT_EQ(queue.classify(data_entry(1, 1)), batch::EntryClass::kClient);
+  EXPECT_EQ(queue.classify(ack_entry(1, 0)), batch::EntryClass::kRider);
+  EXPECT_EQ(queue.classify(SyncPointMsg{NodeId(1)}.encode()), batch::EntryClass::kUrgent);
+  EXPECT_EQ(queue.classify(to_bytes("\x7fgarbage")), batch::EntryClass::kClient);
+}
+
 TEST(QueueTest, GcWaitsForLiveSlowMember) {
   // A member only slightly behind (inside 2x the lag window) holds GC back:
   // its unconsumed entries must never be collected.

@@ -205,6 +205,33 @@ TEST_F(ItdosSystemTest, SequentialInvocationsReuseConnection) {
   EXPECT_EQ(count(system, "smiop", client.smiop_node(), "opens_sent"), 1u);
 }
 
+TEST_F(ItdosSystemTest, QueueAcksRideInClientSlots) {
+  // Every element orders a queue ack each ack_interval (8) consumed
+  // entries: with four elements, half an ack per request. The acks ride in
+  // the slots the client's requests start, so serial requests take about
+  // one agreement slot each, not 1.5: only an ack whose hold passes before
+  // the next request arrives takes a slot of its own.
+  ItdosSystem system(fast_options());
+  const DomainId domain = add_calculator_domain(system);
+  ItdosClient& client = system.add_client();
+  const orb::ObjectRef ref =
+      system.object_ref(domain, ObjectId(1), "IDL:itdos/Calculator:1.0");
+  constexpr int kRequests = 64;
+  for (int i = 1; i <= kRequests; ++i) {
+    ASSERT_TRUE(system.invoke_sync(client, ref, "add", int_args({i, i})).is_ok()) << i;
+  }
+  system.settle();
+  std::uint64_t slots = 0;
+  std::uint64_t acks = 0;
+  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+    const ElementInfo& info = system.directory().find_domain(domain)->elements.at(rank);
+    slots += count(system, "bft", info.bft_node, "pre_prepares_sent");
+    acks += count(system, "element", info.smiop_node, "acks_sent");
+  }
+  EXPECT_EQ(acks, std::uint64_t{kRequests / 2});
+  EXPECT_LE(slots * 10, std::uint64_t{kRequests} * 11);  // <= 1.1 per request
+}
+
 TEST_F(ItdosSystemTest, UserExceptionVotedAndPropagated) {
   ItdosSystem system(fast_options());
   const DomainId domain = add_calculator_domain(system);
