@@ -95,8 +95,8 @@ void Client::on_packet(const net::Packet& packet) {
   const Envelope env = std::move(decoded).take();
   if (env.type != MsgType::kReply) return;
   if (config_.rank_of(env.sender) < 0) return;
-  const crypto::MacTag* tag = env.tag_for(id());
-  if (tag == nullptr || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
+  const std::optional<crypto::MacTag> tag = env.tag_for(id());
+  if (!tag || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
     return;
   }
 

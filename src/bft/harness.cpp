@@ -81,7 +81,9 @@ Bytes LogStateMachine::execute(const BufView& request, NodeId client, SeqNum seq
 }
 
 Bytes LogStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
+  std::size_t bound = 4;  // the count, then each entry padded and counted
+  for (const Bytes& e : entries_) bound += 3 + 4 + e.size();
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
   enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));
   for (const Bytes& e : entries_) enc.write_bytes(e);
   return enc.take();

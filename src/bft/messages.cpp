@@ -1,6 +1,7 @@
 #include "bft/messages.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "crypto/sha256.hpp"
@@ -11,15 +12,8 @@ namespace {
 
 constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
 
-// An authenticator entry: node id then MAC tag.
-constexpr std::size_t kAuthEntrySize = 8 + crypto::kMacTagSize;
-
 void write_digest(cdr::Encoder& enc, const Digest& d) {
   enc.write_raw(crypto::digest_view(d));
-}
-
-void write_mac_tag(cdr::Encoder& enc, const crypto::MacTag& t) {
-  enc.write_raw(ByteView(t.data(), t.size()));
 }
 
 void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
@@ -79,7 +73,7 @@ std::string_view msg_type_name(MsgType t) {
 }
 
 Bytes RequestMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 20 + payload.size());
   enc.write_uint64(client.value);
   enc.write_uint64(timestamp);
   enc.write_bytes(payload);
@@ -98,7 +92,7 @@ Result<RequestMsg> RequestMsg::decode(const BufView& data) {
 }
 
 Bytes PrePrepareMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, kPrePrepareHeaderSize + request.size());
   enc.write_uint64(view.value);
   enc.write_uint64(seq.value);
   write_digest(enc, req_digest);
@@ -173,7 +167,7 @@ Result<CommitMsg> CommitMsg::decode(ByteView data) {
 }
 
 Bytes ReplyMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 36 + result.size());
   enc.write_uint64(view.value);
   enc.write_uint64(timestamp);
   enc.write_uint64(client.value);
@@ -239,7 +233,11 @@ Result<PreparedProof> decode_prepared_proof(cdr::Decoder& dec) {
 }  // namespace
 
 Bytes ViewChangeMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  // Header and count, then each proof (padded to 8) and the replica id
+  // (padded to 8).
+  std::size_t bound = 52 + 7 + 8;
+  for (const PreparedProof& p : prepared) bound += 7 + kPrePrepareHeaderSize + p.request.size();
+  cdr::Encoder enc(kWire, bound);
   enc.write_uint64(new_view.value);
   enc.write_uint64(stable_seq.value);
   write_digest(enc, stable_digest);
@@ -334,7 +332,7 @@ Result<StateRequestMsg> StateRequestMsg::decode(ByteView data) {
 }
 
 Bytes StateResponseMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 44 + snapshot.size() + 7 + 16);
   enc.write_uint64(seq.value);
   write_digest(enc, state_digest);
   enc.write_bytes(snapshot);
@@ -358,12 +356,48 @@ Result<StateResponseMsg> StateResponseMsg::decode(ByteView data) {
   return msg;
 }
 
+void AuthVector::emplace_back(NodeId node, const crypto::MacTag& tag) {
+  assert(wire_.empty() && "a decoded authenticator vector is read-only");
+  std::uint8_t node_le[8];
+  for (int i = 0; i < 8; ++i) node_le[i] = static_cast<std::uint8_t>(node.value >> (8 * i));
+  append(owned_, ByteView(node_le, sizeof(node_le)));
+  append(owned_, ByteView(tag.data(), tag.size()));
+}
+
+std::optional<crypto::MacTag> AuthVector::find(NodeId receiver) const {
+  const ByteView entries = bytes();
+  for (std::size_t at = 0; at + kEntrySize <= entries.size(); at += kEntrySize) {
+    if (load_le64(entries, at) != receiver.value) continue;
+    BufStats::note_copy(crypto::kMacTagSize);
+    crypto::MacTag tag;
+    std::memcpy(tag.data(), entries.data() + at + 8, tag.size());
+    return tag;
+  }
+  return std::nullopt;
+}
+
+namespace {
+// The envelope's fixed header: the type octet, seven pad bytes, the sender
+// and the body length; the body follows at kEnvelopeBodyAt.
+constexpr std::size_t kEnvelopeSenderAt = 8;
+constexpr std::size_t kEnvelopeLengthAt = 16;
+constexpr std::size_t kEnvelopeBodyAt = 20;
+
+std::uint32_t load_le32(ByteView data, std::size_t at) {
+  const std::uint8_t* p = data.data() + at;
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
+  return v;
+}
+}  // namespace
+
 BufView Envelope::encode_into(Arena& arena) const {
   // Upper bound on the encoded size, with every alignment pad at its worst:
   // type, pad, sender, body length (pad), body, auth count (pad), then the
   // auth entries of node + tag, whose first node pads to 8 and whose 24-byte
   // stride keeps the rest aligned; the signature flag and signature last.
-  const std::size_t auth_bytes = auth.empty() ? 0 : 7 + auth.size() * kAuthEntrySize;
+  const ByteView entries = auth.bytes();
+  const std::size_t auth_bytes = entries.empty() ? 0 : 7 + entries.size();
   const std::size_t bound = 1 + 7 + 8 + 3 + 4 + body.size() + 3 + 4 + auth_bytes + 1 +
                             (signature ? crypto::kSignatureSize : 0);
   cdr::Encoder enc(kWire, &arena, bound);
@@ -371,9 +405,9 @@ BufView Envelope::encode_into(Arena& arena) const {
   enc.write_uint64(sender.value);
   enc.write_bytes(body);
   enc.write_uint32(static_cast<std::uint32_t>(auth.size()));
-  for (const auto& [node, tag] : auth) {
-    enc.write_uint64(node.value);
-    write_mac_tag(enc, tag);
+  if (!entries.empty()) {
+    enc.align(8);
+    enc.write_raw(entries);
   }
   enc.write_boolean(signature.has_value());
   if (signature) write_signature(enc, *signature);
@@ -381,43 +415,52 @@ BufView Envelope::encode_into(Arena& arena) const {
 }
 
 Result<Envelope> Envelope::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  Envelope env;
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t type, dec.read_octet());
+  // Accepts exactly what a cdr::Decoder walk of the layout accepts, field by
+  // field at fixed offsets; each check names what ran out.
+  const auto malformed = [](const char* what) { return error(Errc::kMalformedMessage, what); };
+  const std::size_t size = data.size();
+  if (size == 0) return malformed("truncated CDR octet");
+  const std::uint8_t type = data[0];
   if (type < static_cast<std::uint8_t>(MsgType::kRequest) ||
       type > static_cast<std::uint8_t>(MsgType::kStateResponse)) {
-    return error(Errc::kMalformedMessage, "unknown BFT message type");
+    return malformed("unknown BFT message type");
   }
-  env.type = static_cast<MsgType>(type);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t sender, dec.read_uint64());
-  env.sender = NodeId(sender);
-  ITDOS_ASSIGN_OR_RETURN(env.body, dec.read_bytes_view());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t auth_count, dec.read_uint32());
+  if (size < kEnvelopeBodyAt) return malformed("truncated envelope header");
+  const std::uint32_t body_len = load_le32(data, kEnvelopeLengthAt);
+  if (body_len > size - kEnvelopeBodyAt) return malformed("truncated CDR bytes");
+  const std::size_t count_at = cdr::detail::align_up(kEnvelopeBodyAt + body_len, 4);
+  if (count_at + 4 > size) return malformed("truncated CDR primitive");
+  const std::uint32_t auth_count = load_le32(data, count_at);
+  std::size_t at = count_at + 4;
   // Each entry is 24 bytes on the wire (node id, tag): bound the count by
-  // the bytes left before reserving, so a claimed count cannot make an
-  // unauthenticated sender's envelope allocate more than it sent.
-  if (std::uint64_t{auth_count} * kAuthEntrySize > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile count in envelope");
+  // the bytes left, so a claimed count is refused before anything is read.
+  if (std::uint64_t{auth_count} * AuthVector::kEntrySize > size - at) {
+    return malformed("hostile count in envelope");
   }
-  env.auth.reserve(auth_count);
-  for (std::uint32_t i = 0; i < auth_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t node, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(crypto::MacTag tag, dec.read_array<crypto::kMacTagSize>());
-    env.auth.emplace_back(NodeId(node), tag);
+  Envelope env;
+  if (auth_count > 0) {
+    at = cdr::detail::align_up(at, 8);
+    const std::size_t auth_bytes = std::size_t{auth_count} * AuthVector::kEntrySize;
+    if (at > size || auth_bytes > size - at) return malformed("truncated CDR bytes");
+    env.auth = AuthVector(data.slice(at, auth_bytes));
+    at += auth_bytes;
   }
-  ITDOS_ASSIGN_OR_RETURN(bool has_sig, dec.read_boolean());
-  if (has_sig) {
-    ITDOS_ASSIGN_OR_RETURN(env.signature, dec.read_array<crypto::kSignatureSize>());
+  if (at >= size) return malformed("truncated CDR octet");
+  const std::uint8_t has_sig = data[at++];
+  if (has_sig > 1) return malformed("CDR boolean out of range");
+  if (has_sig == 1) {
+    if (size - at < crypto::kSignatureSize) return malformed("truncated CDR bytes");
+    BufStats::note_copy(crypto::kSignatureSize);
+    crypto::Signature sig;
+    std::memcpy(sig.data(), data.data() + at, sig.size());
+    env.signature = sig;
+    at += crypto::kSignatureSize;
   }
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "envelope"));
+  if (at != size) return malformed("trailing bytes in envelope");
+  env.type = static_cast<MsgType>(type);
+  env.sender = NodeId(load_le64(data, kEnvelopeSenderAt));
+  env.body = data.slice(kEnvelopeBodyAt, body_len);
   return env;
-}
-
-const crypto::MacTag* Envelope::tag_for(NodeId receiver) const {
-  for (const auto& [node, tag] : auth) {
-    if (node == receiver) return &tag;
-  }
-  return nullptr;
 }
 
 }  // namespace itdos::bft

@@ -196,24 +196,60 @@ struct StateResponseMsg {
   static Result<StateResponseMsg> decode(ByteView data);
 };
 
+/// An authenticator vector in its wire form: one 24-byte entry per
+/// receiver, the receiver's node id (little-endian u64) then its MAC tag. A
+/// decoded envelope's vector is a read-only view of the received bytes, so
+/// decoding allocates nothing; a sender appends its entries.
+class AuthVector {
+ public:
+  static constexpr std::size_t kEntrySize = 8 + crypto::kMacTagSize;
+
+  AuthVector() = default;
+  /// Entries already in wire form; `wire.size()` is a multiple of kEntrySize.
+  explicit AuthVector(BufView wire) : wire_(std::move(wire)) {}
+
+  void reserve(std::size_t n) { owned_.reserve(n * kEntrySize); }
+  void emplace_back(NodeId node, const crypto::MacTag& tag);
+
+  std::size_t size() const { return bytes().size() / kEntrySize; }
+  bool empty() const { return bytes().empty(); }
+
+  /// The entries exactly as they go on the wire.
+  ByteView bytes() const { return wire_.empty() ? ByteView(owned_) : wire_.bytes(); }
+
+  /// The first entry's tag for `receiver`, if it has one.
+  std::optional<crypto::MacTag> find(NodeId receiver) const;
+
+ private:
+  Bytes owned_;   // entries a sender appended
+  BufView wire_;  // entries of a decoded envelope
+};
+
 /// Authenticated wrapper. Exactly one of `auth` / `signature` is present:
 /// MAC-authenticated messages carry an authenticator vector with one entry
 /// per intended receiver; signed messages carry one signature.
+///
+/// Wire layout (little-endian CDR): type octet at 0, sender at 8, body
+/// length at 16 and the body at 20; then the auth count, 4-aligned; the
+/// entries, 8-aligned (no pad when there are none); the signature flag
+/// octet and, when set, the signature.
 struct Envelope {
   MsgType type = MsgType::kRequest;
   NodeId sender;
   BufView body;  // zero-copy sub-view of the decoded wire buffer
-  std::vector<std::pair<NodeId, crypto::MacTag>> auth;
+  AuthVector auth;
   std::optional<crypto::Signature> signature;
 
   /// Marshals into `arena` so the chunk's capacity recycles when the last
   /// downstream view (net queue, BFT log) drops.
   BufView encode_into(Arena& arena) const;
 
+  /// Decodes the header at fixed offsets; the body and the authenticator
+  /// entries are views of `data`, so no heap memory is allocated.
   static Result<Envelope> decode(const BufView& data);
 
   /// The receiver's MAC entry, if any.
-  const crypto::MacTag* tag_for(NodeId receiver) const;
+  std::optional<crypto::MacTag> tag_for(NodeId receiver) const { return auth.find(receiver); }
 };
 
 }  // namespace itdos::bft

@@ -130,8 +130,8 @@ Status Replica::verify_envelope(const Envelope& env) const {
   if (env.signature) {
     return keystore_->verify(env.sender, env.body, *env.signature);
   }
-  const crypto::MacTag* tag = env.tag_for(id());
-  if (tag == nullptr) {
+  const std::optional<crypto::MacTag> tag = env.tag_for(id());
+  if (!tag) {
     return error(Errc::kAuthFailure, "no authenticator entry for this replica");
   }
   if (!keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
@@ -665,7 +665,15 @@ Bytes Replica::make_snapshot() const {
   // retransmitted requests. The executed window (floor + sparse set) and
   // the reply cache are replicated state: every correct replica executes
   // the same requests in the same order, so the encodings agree byte-wise.
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
+  const Bytes app = app_->snapshot();
+  // Each client record's fixed fields and pads fit in 48 bytes; each cached
+  // reply is at most pad, timestamp, length and its bytes.
+  std::size_t bound = 4 + 7 + app.size();
+  for (const auto& [client, record] : clients_) {
+    bound += 48 + 8 * record.executed.sparse().size();
+    for (const auto& [ts, reply] : record.replies) bound += 7 + 8 + 4 + reply.size();
+  }
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
   enc.write_uint32(static_cast<std::uint32_t>(clients_.size()));
   for (const auto& [client, record] : clients_) {
     enc.write_uint64(client.value);
@@ -679,7 +687,7 @@ Bytes Replica::make_snapshot() const {
       enc.write_bytes(reply);
     }
   }
-  enc.write_bytes(app_->snapshot());
+  enc.write_bytes(app);
   return enc.take();
 }
 

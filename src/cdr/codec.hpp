@@ -12,7 +12,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/buffer.hpp"
@@ -24,45 +26,82 @@ namespace itdos::cdr {
 enum class ByteOrder : std::uint8_t { kBigEndian = 0, kLittleEndian = 1 };
 
 /// The byte order this build's CPU uses (for "native" marshalling).
-ByteOrder native_byte_order();
+constexpr ByteOrder native_byte_order() {
+  return std::endian::native == std::endian::little ? ByteOrder::kLittleEndian
+                                                    : ByteOrder::kBigEndian;
+}
+
+namespace detail {
+
+/// `v` with its bytes reversed.
+template <typename T>
+constexpr T byteswap(T v) {
+  static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (sizeof(T) == 2) return __builtin_bswap16(v);
+  if constexpr (sizeof(T) == 4) return __builtin_bswap32(v);
+  if constexpr (sizeof(T) == 8) return __builtin_bswap64(v);
+}
+
+/// `offset` rounded up to a multiple of `alignment`, a power of two.
+constexpr std::size_t align_up(std::size_t offset, std::size_t alignment) {
+  return (offset + (alignment - 1)) & ~(alignment - 1);
+}
+
+}  // namespace detail
 
 class Encoder {
  public:
+  /// The capacity an encoder without a size hint starts with: small
+  /// messages, such as a GIOP call with a few scalar arguments, never regrow.
+  static constexpr std::size_t kDefaultCapacity = 128;
+
   /// With an arena, the marshal buffer is a recycled chunk and take_view()
   /// seals it back into that arena — the single-marshal-step discipline.
   /// `size_hint`, when non-zero, is an upper bound on the encoded size: the
-  /// chunk is sized to it, so the encode never reallocates and a small
+  /// buffer is sized to it, so the encode never reallocates and a small
   /// message does not pin a large chunk.
   explicit Encoder(ByteOrder order = native_byte_order(), Arena* arena = nullptr,
                    std::size_t size_hint = 0)
       : order_(order), arena_(arena) {
-    if (arena_) buffer_ = arena_->acquire(size_hint);
+    if (arena_) {
+      buffer_ = arena_->acquire(size_hint);
+    } else {
+      buffer_.reserve(size_hint != 0 ? size_hint : kDefaultCapacity);
+    }
   }
+
+  /// A heap-buffered encoder whose encoded size is at most `size_hint`.
+  Encoder(ByteOrder order, std::size_t size_hint) : Encoder(order, nullptr, size_hint) {}
 
   ByteOrder order() const { return order_; }
 
-  void write_octet(std::uint8_t v);
+  void write_octet(std::uint8_t v) { buffer_.push_back(v); }
   void write_boolean(bool v) { write_octet(v ? 1 : 0); }
-  void write_int16(std::int16_t v) { write_uint(static_cast<std::uint16_t>(v), 2); }
-  void write_uint16(std::uint16_t v) { write_uint(v, 2); }
-  void write_int32(std::int32_t v) { write_uint(static_cast<std::uint32_t>(v), 4); }
-  void write_uint32(std::uint32_t v) { write_uint(v, 4); }
-  void write_int64(std::int64_t v) { write_uint(static_cast<std::uint64_t>(v), 8); }
-  void write_uint64(std::uint64_t v) { write_uint(v, 8); }
-  void write_float(float v);
-  void write_double(double v);
+  void write_int16(std::int16_t v) { put(static_cast<std::uint16_t>(v)); }
+  void write_uint16(std::uint16_t v) { put(v); }
+  void write_int32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
+  void write_uint32(std::uint32_t v) { put(v); }
+  void write_int64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
+  void write_uint64(std::uint64_t v) { put(v); }
+  void write_float(float v) { put(std::bit_cast<std::uint32_t>(v)); }
+  void write_double(double v) { put(std::bit_cast<std::uint64_t>(v)); }
 
   /// CDR string: uint32 length including NUL, chars, NUL.
   void write_string(std::string_view s);
 
   /// Counted byte sequence: uint32 length, raw bytes.
-  void write_bytes(ByteView b);
+  void write_bytes(ByteView b) {
+    put(static_cast<std::uint32_t>(b.size()));
+    write_raw(b);
+  }
 
   /// Raw bytes, no length prefix, no alignment (already-encoded blobs).
-  void write_raw(ByteView b);
+  void write_raw(ByteView b) { append(buffer_, b); }
 
-  /// Pads to `alignment` (power of two) from encapsulation start.
-  void align(std::size_t alignment);
+  /// Pads with zeros to `alignment` (power of two) from encapsulation start.
+  void align(std::size_t alignment) {
+    buffer_.resize(detail::align_up(buffer_.size(), alignment));
+  }
 
   const Bytes& buffer() const { return buffer_; }
   Bytes take() { return std::move(buffer_); }
@@ -75,7 +114,15 @@ class Encoder {
   std::size_t size() const { return buffer_.size(); }
 
  private:
-  void write_uint(std::uint64_t v, std::size_t width);
+  /// One aligned primitive: zero padding to its width, then its bytes in
+  /// `order_` — one store, byte-swapped first when `order_` is not native.
+  template <typename T>
+  void put(T v) {
+    const std::size_t at = detail::align_up(buffer_.size(), sizeof(T));
+    buffer_.resize(at + sizeof(T));
+    if (order_ != native_byte_order()) v = detail::byteswap(v);
+    std::memcpy(buffer_.data() + at, &v, sizeof(v));
+  }
 
   ByteOrder order_;
   Arena* arena_;
@@ -105,16 +152,23 @@ class Decoder {
   std::size_t offset() const { return offset_; }
   bool exhausted() const { return remaining() == 0; }
 
-  Result<std::uint8_t> read_octet();
-  Result<bool> read_boolean();
-  Result<std::int16_t> read_int16();
-  Result<std::uint16_t> read_uint16();
-  Result<std::int32_t> read_int32();
-  Result<std::uint32_t> read_uint32();
-  Result<std::int64_t> read_int64();
-  Result<std::uint64_t> read_uint64();
-  Result<float> read_float();
-  Result<double> read_double();
+  Result<std::uint8_t> read_octet() {
+    if (offset_ >= data_.size()) return malformed("truncated CDR octet");
+    return data_[offset_++];
+  }
+  Result<bool> read_boolean() {
+    ITDOS_ASSIGN_OR_RETURN(std::uint8_t v, read_octet());
+    if (v > 1) return malformed("CDR boolean out of range");
+    return v == 1;
+  }
+  Result<std::int16_t> read_int16() { return get<std::int16_t, std::uint16_t>(); }
+  Result<std::uint16_t> read_uint16() { return get<std::uint16_t, std::uint16_t>(); }
+  Result<std::int32_t> read_int32() { return get<std::int32_t, std::uint32_t>(); }
+  Result<std::uint32_t> read_uint32() { return get<std::uint32_t, std::uint32_t>(); }
+  Result<std::int64_t> read_int64() { return get<std::int64_t, std::uint64_t>(); }
+  Result<std::uint64_t> read_uint64() { return get<std::uint64_t, std::uint64_t>(); }
+  Result<float> read_float() { return get<float, std::uint32_t>(); }
+  Result<double> read_double() { return get<double, std::uint64_t>(); }
   Result<std::string> read_string();
   Result<Bytes> read_bytes();
 
@@ -138,11 +192,26 @@ class Decoder {
   /// `n` raw bytes as a zero-copy sub-view, no alignment.
   Result<BufView> read_raw_view(std::size_t n);
 
-  /// Skips padding to `alignment` from buffer start.
-  Status align(std::size_t alignment);
-
  private:
-  Result<std::uint64_t> read_uint(std::size_t width);
+  /// One aligned primitive of `Wire`'s width, read with one load and
+  /// byte-swapped when `order_` is not native, then reinterpreted as `T`.
+  template <typename T, typename Wire>
+  Result<T> get() {
+    const std::size_t at = detail::align_up(offset_, sizeof(Wire));
+    if (at + sizeof(Wire) > data_.size()) return truncated_primitive(at);
+    Wire v = 0;
+    std::memcpy(&v, data_.data() + at, sizeof(v));
+    if (order_ != native_byte_order()) v = detail::byteswap(v);
+    offset_ = at + sizeof(Wire);
+    return std::bit_cast<T>(v);
+  }
+
+  /// The cold paths: a kMalformedMessage status with `what` as its detail.
+  /// Out of line so the primitives inline to a bounds check and a load.
+  [[gnu::cold, gnu::noinline]] static Status malformed(const char* what);
+  /// A primitive whose aligned start is `at` runs past the end: padding
+  /// that runs out, or the value itself, which leaves the offset padded.
+  [[gnu::cold, gnu::noinline]] Status truncated_primitive(std::size_t at);
   Status read_into(std::uint8_t* out, std::size_t n);
 
   BufView owner_;

@@ -89,7 +89,7 @@ Bytes encode_giop(const GiopMessage& msg, ByteOrder order) {
       },
       msg);
 
-  Encoder out(order);
+  Encoder out(order, kGiopHeaderSize + body.size());
   out.write_raw(ByteView(kMagic, 4));
   out.write_octet(kGiopVersionMajor);
   out.write_octet(kGiopVersionMinor);

@@ -226,7 +226,11 @@ void QueueStateMachine::pop() {
 }
 
 Bytes QueueStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
+  // The fixed fields and their worst-case pads fit in 64 bytes; each entry
+  // is at most pad, index, length and its bytes.
+  std::size_t bound = 64 + 16 * acks_.size() + 8 * shed_streams_.size();
+  for (const auto& [index, data] : entries_) bound += 7 + 8 + 4 + data.size();
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
   enc.write_uint64(base_);
   enc.write_uint64(next_index_);
   enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));

@@ -35,7 +35,7 @@ Result<QueueEntryKind> queue_entry_kind(ByteView data) {
 }
 
 Bytes FragmentMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 60 + chunk.size());
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kFragment));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -96,7 +96,7 @@ Result<SyncPointMsg> SyncPointMsg::decode(ByteView data) {
 }
 
 Bytes OrderedMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 52 + sealed_giop.size());
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kRequest));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -180,7 +180,7 @@ bool parses_as_smiop(ByteView data) {
 }
 
 Bytes StateBundleMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 36 + sealed_bundle.size());
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kStateBundle));
   enc.write_uint64(domain.value);
   enc.write_uint64(element.value);
@@ -218,7 +218,7 @@ Bytes DirectReplyMsg::signed_region(ConnectionId conn, RequestId rid, NodeId ele
 }
 
 Bytes DirectReplyMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 44 + sealed_giop.size() + crypto::kSignatureSize);
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kDirectReply));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -251,7 +251,7 @@ Result<DirectReplyMsg> DirectReplyMsg::decode(const BufView& data) {
 }
 
 Bytes KeyShareMsg::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 68 + sealed_share.size());
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kKeyShare));
   enc.write_uint64(conn.value);
   enc.write_uint64(epoch.value);
@@ -313,7 +313,15 @@ constexpr std::uint8_t kCmdSetPolicy = 5;
 }  // namespace
 
 Bytes encode_gm_command(const GmCommand& cmd) {
-  cdr::Encoder enc(kWire);
+  // 64 bytes hold every fixed-size command; a change request adds its
+  // proof entries (pad, element, epoch, length, reply bytes, signature).
+  std::size_t bound = 64;
+  if (const auto* change = std::get_if<ChangeRequestMsg>(&cmd)) {
+    for (const ProofEntry& entry : change->proof) {
+      bound += 7 + 20 + entry.plain_giop.size() + crypto::kSignatureSize;
+    }
+  }
+  cdr::Encoder enc(kWire, bound);
   if (std::holds_alternative<OpenRequestMsg>(cmd)) {
     const auto& open = std::get<OpenRequestMsg>(cmd);
     enc.write_octet(kCmdOpen);
@@ -440,7 +448,7 @@ Result<GmCommand> decode_gm_command(ByteView data) {
 }
 
 Bytes GmCommandResult::encode() const {
-  cdr::Encoder enc(kWire);
+  cdr::Encoder enc(kWire, 24 + 4 + detail.size() + 1);
   enc.write_boolean(accepted);
   enc.write_uint64(conn.value);
   enc.write_uint64(epoch.value);

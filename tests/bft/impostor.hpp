@@ -44,8 +44,8 @@ class Impostor : public net::Process {
     Result<Envelope> decoded = Envelope::decode(packet.payload);
     if (!decoded.is_ok()) return;
     const Envelope& env = decoded.value();
-    const crypto::MacTag* tag = env.tag_for(id());
-    if (tag == nullptr || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
+    const std::optional<crypto::MacTag> tag = env.tag_for(id());
+    if (!tag || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
       return;
     }
     const ByteView body = env.body;

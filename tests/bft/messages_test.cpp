@@ -319,9 +319,9 @@ TEST(BftMessagesTest, EnvelopeWithAuthenticatorVector) {
   EXPECT_EQ(back.value().type, MsgType::kPrepare);
   EXPECT_EQ(back.value().sender, NodeId(2));
   EXPECT_EQ(back.value().body, env.body);
-  ASSERT_NE(back.value().tag_for(NodeId(3)), nullptr);
+  ASSERT_TRUE(back.value().tag_for(NodeId(3)).has_value());
   EXPECT_EQ(*back.value().tag_for(NodeId(3)), t2);
-  EXPECT_EQ(back.value().tag_for(NodeId(9)), nullptr);
+  EXPECT_FALSE(back.value().tag_for(NodeId(9)).has_value());
   EXPECT_FALSE(back.value().signature.has_value());
 }
 
