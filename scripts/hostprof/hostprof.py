@@ -19,11 +19,15 @@ address to a symbol through the saved /proc/self/maps and `nm`, and prints:
               and the simulator core;
   under R     for --under R, the frames between a frame matching R and the
               leaf (what R's time is spent in), e.g. vector growth beneath
-              cdr::Encoder or malloc beneath Envelope::decode.
+              cdr::Encoder or malloc beneath Envelope::decode;
+  callers R   for --callers R, the first frame in the profiled executable
+              above the innermost frame matching R that does not match R
+              itself (who R's time is spent for), e.g. which code paths
+              reach malloc or a std::map search.
 
 Samples with `calibration_kernel_ns` on the stack are excluded from every
 share: the perfbench times that kernel around each repetition and it is not
-ITDOS code. Each list shows its top 25 entries.
+ITDOS code. Each list shows its top --top N entries (25 by default).
 
 Symbols come from `nm`, so a function the compiler inlined is charged to
 the function it was inlined into. Build with -g and pass --inline to expand
@@ -50,6 +54,7 @@ options, e.g.:
 
   scripts/hostprof/hostprof.py report prof_small \\
       --under 'cdr::Encoder::' --under 'Envelope::decode'
+  scripts/hostprof/hostprof.py report prof_small --top 10 --callers '^malloc'
 """
 
 import argparse
@@ -65,7 +70,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-TOP = 25
 EXCLUDE = r"calibration_kernel_ns"
 GROUPS = [
     ("cdr codec", r"itdos::cdr::(Encoder|Decoder)::"),
@@ -273,11 +277,11 @@ def report(directory, args):
         incl_counts.update({name for _, name, _ in s})
 
     print("\n## self (innermost frame)")
-    for name, n in self_counts.most_common(TOP):
+    for name, n in self_counts.most_common(args.top):
         print("%6.2f%%  %s" % (pct(n, total), name))
 
     print("\n## inclusive (anywhere on the stack)")
-    for name, n in incl_counts.most_common(TOP):
+    for name, n in incl_counts.most_common(args.top):
         print("%6.2f%%  %s" % (pct(n, total), name))
 
     print("\n## libc leaf by first app caller")
@@ -287,7 +291,7 @@ def report(directory, args):
             continue
         caller = next((name for path, name, _ in s if not is_library(path)), "[none]")
         leaf_callers[(s[0][1], caller)] += 1
-    for (leaf, caller), n in leaf_callers.most_common(TOP):
+    for (leaf, caller), n in leaf_callers.most_common(args.top):
         print("%6.2f%%  %s  <-  %s" % (pct(n, total), leaf, caller))
 
     print("\n## groups (inclusive)")
@@ -308,7 +312,23 @@ def report(directory, args):
             below.update({name for _, name, _ in s[:idx]} or {"[self]"})
         print("\n## under /%s/: %d samples (%.2f%%); frames between it and the leaf"
               % (pattern, hits, pct(hits, total)))
-        for name, n in below.most_common(TOP):
+        for name, n in below.most_common(args.top):
+            print("%6.2f%%  %s" % (pct(n, total), name))
+
+    for pattern in args.callers:
+        rx = re.compile(pattern)
+        callers = collections.Counter()
+        hits = 0
+        for s in kept:
+            idx = next((i for i, (_, name, _) in enumerate(s) if rx.search(name)), None)
+            if idx is None:
+                continue
+            hits += 1
+            callers[next((name for path, name, _ in s[idx + 1:]
+                          if not is_library(path) and not rx.search(name)), "[none]")] += 1
+        print("\n## callers of /%s/: %d samples (%.2f%%); first app frame above it"
+              % (pattern, hits, pct(hits, total)))
+        for name, n in callers.most_common(args.top):
             print("%6.2f%%  %s" % (pct(n, total), name))
     return 0
 
@@ -322,9 +342,15 @@ def main():
     report_p.add_argument("dir")
     for p in (run_p, report_p):
         p.add_argument("--under", action="append", default=[], metavar="REGEX")
+        p.add_argument("--callers", action="append", default=[], metavar="REGEX",
+                       help="list the first app frames above a frame matching REGEX")
+        p.add_argument("--top", type=int, default=25, metavar="N",
+                       help="entries per list (default 25)")
         p.add_argument("--inline", action="store_true",
                        help="expand inlined frames with addr2line (needs -g)")
     args, command = parser.parse_known_args()
+    if args.top < 1:
+        parser.error("--top must be at least 1")
 
     if args.mode == "report":
         return report(args.dir, args)

@@ -63,7 +63,7 @@ void Client::send_request(std::uint64_t timestamp, const BufView& payload,
   env.body = body;
   // The request is authenticated to every replica so any of them can relay
   // it to the primary without weakening authenticity.
-  keys_.tags(id(), config_.replicas, mac_input(env.type, body), request_tags_);
+  crypto::cmac_tags(replica_keys(), mac_input(env.type, body), request_tags_);
   env.auth.reserve(request_tags_.size());
   for (std::size_t i = 0; i < request_tags_.size(); ++i) {
     env.auth.emplace_back(config_.replicas[i], request_tags_[i]);
@@ -75,6 +75,13 @@ void Client::send_request(std::uint64_t timestamp, const BufView& payload,
   } else {
     send_to(config_.primary_for(view_estimate_), wire);
   }
+}
+
+const std::vector<const crypto::CmacKey*>& Client::replica_keys() {
+  if (replica_keys_.empty()) {
+    for (NodeId replica : config_.replicas) replica_keys_.push_back(&keys_.mac_key(id(), replica));
+  }
+  return replica_keys_;
 }
 
 void Client::on_retry_timeout() {
@@ -94,9 +101,11 @@ void Client::on_packet(const net::Packet& packet) {
   if (!decoded.is_ok()) return;
   const Envelope env = std::move(decoded).take();
   if (env.type != MsgType::kReply) return;
-  if (config_.rank_of(env.sender) < 0) return;
+  const int rank = config_.rank_of(env.sender);
+  if (rank < 0) return;
   const std::optional<crypto::MacTag> tag = env.tag_for(id());
-  if (!tag || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
+  if (!tag || !replica_keys()[static_cast<std::size_t>(rank)]->verify(
+                  mac_input(env.type, env.body), *tag)) {
     return;
   }
 

@@ -91,9 +91,12 @@ class Client : public net::Process {
   void send_request(std::uint64_t timestamp, const BufView& payload, bool broadcast);
   void on_retry_timeout();
   void finish(std::uint64_t timestamp, Result<Bytes> result);
+  /// The MAC key shared with each replica, by rank, looked up on first use.
+  const std::vector<const crypto::CmacKey*>& replica_keys();
 
   BftConfig config_;
   const SessionKeys& keys_;
+  std::vector<const crypto::CmacKey*> replica_keys_;  // see replica_keys()
   std::vector<crypto::MacTag> request_tags_;  // a request's authenticators, by replica
   CollectorFactory collector_factory_;
 

@@ -61,14 +61,6 @@ crypto::MacTag SessionKeys::tag(NodeId a, NodeId b, std::span<const ByteView> se
   return mac_key(a, b).tag(segments);
 }
 
-void SessionKeys::tags(NodeId from, std::span<const NodeId> to,
-                       std::span<const ByteView> segments,
-                       std::span<crypto::MacTag> out) const {
-  tag_keys_.clear();
-  for (NodeId peer : to) tag_keys_.push_back(&mac_key(from, peer));
-  crypto::cmac_tags(tag_keys_, segments, out);
-}
-
 bool SessionKeys::verify(NodeId a, NodeId b, std::span<const ByteView> segments,
                          const crypto::MacTag& tag) const {
   if (b < a) std::swap(a, b);

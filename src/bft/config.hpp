@@ -96,10 +96,10 @@ class SessionKeys {
   crypto::MacTag tag(NodeId a, NodeId b, ByteView data) const;
   crypto::MacTag tag(NodeId a, NodeId b, std::span<const ByteView> segments) const;
 
-  /// out[i] = the tag from `from` to to[i] over the concatenation of
-  /// `segments`, all computed in one pass over the data. Caches the pairs.
-  void tags(NodeId from, std::span<const NodeId> to, std::span<const ByteView> segments,
-            std::span<crypto::MacTag> out) const;
+  /// The (a, b) MAC key, derived and cached on first use. The reference
+  /// stays valid for the life of this object, so a party looks its peers'
+  /// keys up once and tags and verifies with them directly.
+  const crypto::CmacKey& mac_key(NodeId a, NodeId b) const;
 
   /// Caches the pair only once `tag` has verified under it, so a sender
   /// that spoofs node ids cannot grow the cache.
@@ -110,15 +110,11 @@ class SessionKeys {
   std::size_t cached_pairs() const { return pair_keys_.size(); }
 
  private:
-  /// The (a, b) MAC key, derived and cached on first use.
-  const crypto::CmacKey& mac_key(NodeId a, NodeId b) const;
   crypto::CmacKey derive_mac_key(NodeId a, NodeId b) const;
 
   crypto::HmacKey master_;
   // Keyed by (min, max) node id; ordered (DET-002).
   mutable std::map<std::pair<NodeId, NodeId>, crypto::CmacKey> pair_keys_;
-  // tags()'s receivers' keys, kept so a multicast allocates nothing.
-  mutable std::vector<const crypto::CmacKey*> tag_keys_;
 };
 
 }  // namespace itdos::bft

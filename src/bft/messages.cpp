@@ -389,6 +389,14 @@ std::uint32_t load_le32(ByteView data, std::size_t at) {
   for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
   return v;
 }
+
+/// Whether the alignment pad data[from, to) is all zero bytes.
+bool zero_pad(ByteView data, std::size_t from, std::size_t to) {
+  for (std::size_t at = from; at < to; ++at) {
+    if (data[at] != 0) return false;
+  }
+  return true;
+}
 }  // namespace
 
 BufView Envelope::encode_into(Arena& arena) const {
@@ -416,7 +424,9 @@ BufView Envelope::encode_into(Arena& arena) const {
 
 Result<Envelope> Envelope::decode(const BufView& data) {
   // Accepts exactly what a cdr::Decoder walk of the layout accepts, field by
-  // field at fixed offsets; each check names what ran out.
+  // field at fixed offsets, and only with zero alignment pads: no MAC or
+  // signature covers the pads, so one envelope has one wire form. Each
+  // check names what ran out or what is wrong.
   const auto malformed = [](const char* what) { return error(Errc::kMalformedMessage, what); };
   const std::size_t size = data.size();
   if (size == 0) return malformed("truncated CDR octet");
@@ -426,10 +436,14 @@ Result<Envelope> Envelope::decode(const BufView& data) {
     return malformed("unknown BFT message type");
   }
   if (size < kEnvelopeBodyAt) return malformed("truncated envelope header");
+  if (!zero_pad(data, 1, kEnvelopeSenderAt)) return malformed("non-zero envelope padding");
   const std::uint32_t body_len = load_le32(data, kEnvelopeLengthAt);
   if (body_len > size - kEnvelopeBodyAt) return malformed("truncated CDR bytes");
   const std::size_t count_at = cdr::detail::align_up(kEnvelopeBodyAt + body_len, 4);
   if (count_at + 4 > size) return malformed("truncated CDR primitive");
+  if (!zero_pad(data, kEnvelopeBodyAt + body_len, count_at)) {
+    return malformed("non-zero envelope padding");
+  }
   const std::uint32_t auth_count = load_le32(data, count_at);
   std::size_t at = count_at + 4;
   // Each entry is 24 bytes on the wire (node id, tag): bound the count by
@@ -439,9 +453,11 @@ Result<Envelope> Envelope::decode(const BufView& data) {
   }
   Envelope env;
   if (auth_count > 0) {
+    const std::size_t pad_at = at;
     at = cdr::detail::align_up(at, 8);
     const std::size_t auth_bytes = std::size_t{auth_count} * AuthVector::kEntrySize;
     if (at > size || auth_bytes > size - at) return malformed("truncated CDR bytes");
+    if (!zero_pad(data, pad_at, at)) return malformed("non-zero envelope padding");
     env.auth = AuthVector(data.slice(at, auth_bytes));
     at += auth_bytes;
   }

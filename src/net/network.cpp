@@ -95,7 +95,7 @@ void Network::set_inbound_filter(NodeId node, InboundFilter filter) {
   }
 }
 
-void Network::deliver_copy(Packet packet) {
+void Network::deliver_copy(Packet packet, bool schedule) {
   auto& hub = sim_.telemetry();
   // Outbound interceptor: a compromised host's network stack.
   if (const auto it = interceptors_.find(packet.from); it != interceptors_.end()) {
@@ -121,32 +121,55 @@ void Network::deliver_copy(Packet packet) {
   const int copies = sim_.rng().chance(config_.duplicate_probability) ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
     const std::int64_t delay = sample_delay();
-    sim_.schedule_after(delay, [this, packet, delay] {
-      const auto handler = handlers_.find(packet.to);
-      if (handler == handlers_.end()) {
-        metrics_.packets_dropped->inc();
-        sim_.telemetry().trace(telemetry::TraceKind::kNetDrop, packet.from, 0, packet.to.value,
-                               kDropNoHandler);
-        return;
-      }
-      if (const auto filter = inbound_filters_.find(packet.to);
-          filter != inbound_filters_.end() && !filter->second(packet)) {
-        metrics_.packets_dropped->inc();
-        sim_.telemetry().trace(telemetry::TraceKind::kNetDrop, packet.from, 0, packet.to.value,
-                               kDropFiltered);
-        return;
-      }
-      metrics_.packets_delivered->inc();
-      metrics_.bytes_delivered->inc(packet.payload.size());
-      metrics_.delivery_delay_ns->record(delay);
-      handler->second(packet);
-    });
+    if (!schedule) continue;  // the delay is drawn all the same
+    std::uint32_t slot;
+    if (free_in_flight_.empty()) {
+      slot = static_cast<std::uint32_t>(in_flight_.size());
+      in_flight_.emplace_back();
+    } else {
+      slot = free_in_flight_.back();
+      free_in_flight_.pop_back();
+    }
+    InFlight& flight = in_flight_[slot];
+    flight.delay = delay;
+    if (c + 1 < copies) {
+      flight.packet = packet;
+    } else {
+      flight.packet = std::move(packet);
+    }
+    sim_.schedule_after(delay, [this, slot] { deliver(slot); });
   }
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // The packet leaves its slot before the handler runs: a handler that
+  // sends may take the freed slot or grow the table.
+  const Packet packet = std::move(in_flight_[slot].packet);
+  const std::int64_t delay = in_flight_[slot].delay;
+  free_in_flight_.push_back(slot);
+  const auto handler = handlers_.find(packet.to);
+  if (handler == handlers_.end()) {
+    metrics_.packets_dropped->inc();
+    sim_.telemetry().trace(telemetry::TraceKind::kNetDrop, packet.from, 0, packet.to.value,
+                           kDropNoHandler);
+    return;
+  }
+  if (const auto filter = inbound_filters_.find(packet.to);
+      filter != inbound_filters_.end() && !filter->second(packet)) {
+    metrics_.packets_dropped->inc();
+    sim_.telemetry().trace(telemetry::TraceKind::kNetDrop, packet.from, 0, packet.to.value,
+                           kDropFiltered);
+    return;
+  }
+  metrics_.packets_delivered->inc();
+  metrics_.bytes_delivered->inc(packet.payload.size());
+  metrics_.delivery_delay_ns->record(delay);
+  handler->second(packet);
 }
 
 void Network::send(NodeId from, NodeId to, BufView payload) {
   metrics_.unicasts_sent->inc();
-  deliver_copy(Packet{from, to, std::nullopt, std::move(payload)});
+  deliver_copy(Packet{from, to, std::nullopt, std::move(payload)}, /*schedule=*/true);
 }
 
 void Network::multicast(NodeId from, McastGroupId group, BufView payload) {
@@ -155,7 +178,7 @@ void Network::multicast(NodeId from, McastGroupId group, BufView payload) {
   if (it == groups_.end()) return;
   for (NodeId member : it->second) {
     // Per-member Packet shares the sealed chunk: refcount bump, no memcpy.
-    deliver_copy(Packet{from, member, group, payload});
+    deliver_copy(Packet{from, member, group, payload}, /*schedule=*/member != from);
   }
 }
 

@@ -66,9 +66,13 @@ class Network {
   /// Sends a unicast datagram (unreliable, unordered).
   void send(NodeId from, NodeId to, BufView payload);
 
-  /// Sends one datagram per current group member, including the sender if
-  /// it is a member (IP multicast loopback semantics). All members share
-  /// the same sealed payload chunk.
+  /// Sends one datagram per current group member other than the sender.
+  /// All members share the same sealed payload chunk. A sender that is a
+  /// member still has its own copy run through the outbound path (its
+  /// interceptor, loss, duplication and delay draws, and their drop
+  /// traces), so the random draws of every later packet are those of IP
+  /// multicast loopback; the copy is then discarded instead of delivered,
+  /// since no group member consumes its own multicast.
   void multicast(NodeId from, McastGroupId group, BufView payload);
 
   /// Cuts / restores the bidirectional link between two nodes.
@@ -92,7 +96,20 @@ class Network {
   Simulator& sim() { return sim_; }
 
  private:
-  void deliver_copy(Packet packet);
+  /// A scheduled delivery: the packet and the delay it drew. A delivery
+  /// event's closure holds only its index into in_flight_, so it fits
+  /// std::function's inline buffer and scheduling allocates nothing.
+  struct InFlight {
+    Packet packet;
+    std::int64_t delay = 0;
+  };
+
+  /// Runs one copy through the outbound path and, if it survives and
+  /// `schedule` is set, schedules its delivery.
+  void deliver_copy(Packet packet, bool schedule);
+  /// The delivery event of in_flight_[slot]: frees the slot, then hands
+  /// the packet to its receiver's filter and handler.
+  void deliver(std::uint32_t slot);
   bool link_up(NodeId a, NodeId b) const;
   std::int64_t sample_delay();
 
@@ -114,6 +131,8 @@ class Network {
   std::set<std::pair<NodeId, NodeId>> cut_links_;  // normalized (min, max)
   std::map<NodeId, Interceptor> interceptors_;
   std::map<NodeId, InboundFilter> inbound_filters_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;  // indices of unused in_flight_ entries
 };
 
 }  // namespace itdos::net

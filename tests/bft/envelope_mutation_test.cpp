@@ -5,12 +5,11 @@
 // cut at every length, its body length and auth count set to huge values,
 // its type byte and signature flag set to every value, and random bytes
 // flipped. Each mutant must be accepted exactly when a cdr::Decoder walk of
-// the layout (kept here as the reference) accepts it; a rejection must be a
-// kMalformedMessage status, and an accepted mutant must re-encode to its
-// own bytes. The only bytes a re-encode cannot reproduce are the alignment
-// pads, which the layout does not carry: a decoder never checked them, so a
-// frame with non-zero padding decodes to the same envelope as the zeroed
-// one.
+// the layout (kept here as the reference) accepts it and its alignment pads
+// are zero; a rejection must be a kMalformedMessage status, and an accepted
+// mutant must re-encode to its own bytes. No MAC covers the pads, so a
+// decoder that skipped them unchecked would give one envelope many wire
+// forms.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -39,9 +38,11 @@ struct RefEnvelope {
 std::optional<RefEnvelope> reference_decode(const Bytes& wire) {
   cdr::Decoder dec(wire, kWire);
   RefEnvelope env;
+  bool zero_pads = true;
   const auto note_pad = [&](std::size_t alignment) {
     for (std::size_t at = dec.offset(); at % alignment != 0 && at < wire.size(); ++at) {
       env.pads.push_back(at);
+      zero_pads = zero_pads && wire[at] == 0;
     }
   };
   auto type = dec.read_octet();
@@ -74,7 +75,7 @@ std::optional<RefEnvelope> reference_decode(const Bytes& wire) {
     if (!sig.is_ok()) return std::nullopt;
     env.signature = sig.value();
   }
-  if (!dec.exhausted()) return std::nullopt;
+  if (!dec.exhausted() || !zero_pads) return std::nullopt;
   return env;
 }
 
@@ -177,9 +178,7 @@ bool check_mutant(const Bytes& mutant) {
   EXPECT_EQ(Bytes(env.auth.bytes().begin(), env.auth.bytes().end()), ref->auth);
   EXPECT_EQ(env.auth.size(), ref->auth.size() / AuthVector::kEntrySize);
   EXPECT_EQ(env.signature, ref->signature);
-  Bytes canonical = mutant;
-  for (const std::size_t at : ref->pads) canonical[at] = 0;
-  EXPECT_EQ(wire_of(env), canonical) << hex_encode(mutant);
+  EXPECT_EQ(wire_of(env), mutant) << hex_encode(mutant);
   return true;
 }
 
@@ -270,6 +269,33 @@ TEST(EnvelopeMutationTest, RandomByteFlips) {
       check_mutant(mutant);
     }
   }
+}
+
+TEST(EnvelopeMutationTest, NonZeroPadsAreRejected) {
+  // Every pad of every captured envelope: the seven bytes after the type,
+  // those before the auth count and those before the entries.
+  std::size_t pads = 0;
+  for (const Bytes& wire : captured_envelopes()) {
+    const std::optional<RefEnvelope> ref = reference_decode(wire);
+    ASSERT_TRUE(ref.has_value());
+    for (const std::size_t at : ref->pads) {
+      for (const std::uint8_t value : {0x01, 0x80, 0xff}) {
+        Bytes mutant = wire;
+        mutant[at] = value;
+        const Result<Envelope> decoded = Envelope::decode(BufView(Bytes(mutant)));
+        ASSERT_FALSE(decoded.is_ok()) << "pad at " << at << " = " << int{value};
+        EXPECT_EQ(decoded.status().code(), Errc::kMalformedMessage);
+        EXPECT_NE(decoded.status().to_string().find("non-zero envelope padding"),
+                  std::string::npos)
+            << decoded.status().to_string();
+        EXPECT_FALSE(check_mutant(mutant));
+      }
+      ++pads;
+    }
+  }
+  // Each envelope has the 7 header pads; the body lengths leave 0 to 3
+  // before the count, and the MAC'd ones 0 or 4 before their entries.
+  EXPECT_GE(pads, 20u * 7u);
 }
 
 TEST(EnvelopeMutationTest, DecodedAuthenticatorsAreViewsOfTheWire) {

@@ -227,7 +227,7 @@ TEST(ResponseControllerTest, ComponentCountersLandInTheRegistryButNotInSuspicion
     expect_count(telemetry::metric_name("element", element, "entries_discarded"), 1);
   }
   expect_count(telemetry::metric_name("orb", client.smiop_node(), "requests_sent"), 1);
-  expect_count(telemetry::metric_name("proxy", domain, "admitted"), 94);
+  expect_count(telemetry::metric_name("proxy", domain, "admitted"), 78);
   expect_count(telemetry::metric_name("proxy", domain, "dropped_malformed"), 1);
 
   recovery::RecoveryManager manager(system);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/process.hpp"
 
 namespace itdos::net {
@@ -70,7 +72,7 @@ TEST_F(NetworkTest, SendToUnknownNodeDropped) {
   EXPECT_EQ(net_count("packets_dropped"), 1u);
 }
 
-TEST_F(NetworkTest, MulticastReachesAllMembersIncludingSender) {
+TEST_F(NetworkTest, MulticastReachesEveryMemberButTheSender) {
   Recorder a(net_, NodeId(1));
   Recorder b(net_, NodeId(2));
   Recorder c(net_, NodeId(3));
@@ -81,11 +83,83 @@ TEST_F(NetworkTest, MulticastReachesAllMembersIncludingSender) {
   c.join(g);
   a.multicast_to(g, to_bytes("mc"));
   sim_.run();
-  EXPECT_EQ(a.received.size(), 1u);  // loopback
+  EXPECT_TRUE(a.received.empty());  // no loopback copy
   EXPECT_EQ(b.received.size(), 1u);
   EXPECT_EQ(c.received.size(), 1u);
   EXPECT_TRUE(outsider.received.empty());
   EXPECT_EQ(b.received[0].group, std::optional<McastGroupId>(g));
+  EXPECT_EQ(net_count("packets_delivered"), 2u);
+  EXPECT_EQ(sim_.events_executed(), 2u);  // the sender's copy is never scheduled
+}
+
+/// Records when each packet arrived and its first payload byte.
+class Stamper : public Process {
+ public:
+  Stamper(Network& net, NodeId id) : Process(net, id) {}
+
+  std::vector<std::pair<std::int64_t, std::uint8_t>> arrivals;
+
+  using Process::join;
+  using Process::multicast_to;
+
+ protected:
+  void on_packet(const Packet& packet) override {
+    arrivals.emplace_back(now().ns, packet.payload[0]);
+  }
+};
+
+TEST_F(NetworkTest, SenderCopyKeepsItsDrawsAndDrops) {
+  // The sender's own copy of a multicast is not delivered, but it still
+  // takes its loss, duplication and delay draws and traces its drops, so
+  // everything else happens as it did when the copy was delivered. The
+  // pinned values were computed with the copy delivered.
+  NetConfig lossy;
+  lossy.min_delay_ns = 10;
+  lossy.max_delay_ns = 1000;
+  lossy.drop_probability = 0.25;
+  lossy.duplicate_probability = 0.25;
+  Network net(sim_, lossy);
+  std::vector<std::unique_ptr<Stamper>> members;
+  const McastGroupId g(5);
+  for (std::uint64_t node = 1; node <= 4; ++node) {
+    members.push_back(std::make_unique<Stamper>(net, NodeId(node)));
+    members.back()->join(g);
+  }
+  Stamper& sender = *members[1];  // a middle member: draws come before and after its own
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    sender.multicast_to(g, Bytes{i});
+    sim_.run_for(300);
+  }
+  sim_.run();
+
+  EXPECT_TRUE(sender.arrivals.empty());
+  // FNV-1a over every other member's (arrival time, byte) sequence.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::size_t delivered = 0;
+  for (const auto& member : members) {
+    if (member.get() == &sender) continue;
+    mix(member->arrivals.size());
+    for (const auto& [t, byte] : member->arrivals) {
+      mix(static_cast<std::uint64_t>(t));
+      mix(byte);
+    }
+    delivered += member->arrivals.size();
+  }
+  EXPECT_EQ(delivered, net_count("packets_delivered"));
+  EXPECT_EQ(h, 2998693920648755239ULL);
+  EXPECT_EQ(sim_.rng().next_u64(), 16602560883686975701ULL);  // the draw after all of them
+  std::size_t sender_copy_drops = 0;
+  for (const telemetry::TraceEvent& e : sim_.telemetry().tracer().events()) {
+    if (e.kind == telemetry::TraceKind::kNetDrop && e.a == sender.id().value) ++sender_copy_drops;
+  }
+  EXPECT_EQ(sender_copy_drops, 5u);
+  EXPECT_EQ(net_count("packets_dropped"), 18u);
 }
 
 TEST_F(NetworkTest, LeaveGroupStopsDelivery) {
@@ -227,8 +301,8 @@ TEST_F(NetworkTest, StatsCountTraffic) {
   sim_.run();
   EXPECT_EQ(net_count("unicasts_sent"), 1u);
   EXPECT_EQ(net_count("multicasts_sent"), 1u);
-  EXPECT_EQ(net_count("packets_delivered"), 3u);  // 1 unicast + 2 mc copies
-  EXPECT_EQ(net_count("bytes_delivered"), 5u + 3u + 3u);
+  EXPECT_EQ(net_count("packets_delivered"), 2u);  // 1 unicast + the mc copy to b
+  EXPECT_EQ(net_count("bytes_delivered"), 5u + 3u);
   sim_.telemetry().metrics().reset();
   EXPECT_EQ(net_count("unicasts_sent"), 0u);
 }
