@@ -184,5 +184,54 @@ TEST(BftRecoveryTest, HelpLaggardProducesWeakCertificate) {
   EXPECT_EQ(replica_count(cluster, 3, "state_transfers"), 1u);
 }
 
+TEST(BftRecoveryTest, OwnStaleViewChangeEchoedBackIsHarmless) {
+  // After rejoining through laggard help, the replica's abandoned VIEW-CHANGE
+  // is still validly signed. A peer that echoes it back makes the replica
+  // look like a laggard to itself: its state offer goes to its own address
+  // (and is dropped there), and it keeps ordering requests.
+  Cluster cluster(fast_options(26), counter_factory());
+  const NodeId lagger = cluster.replica_id(3);
+  Bytes view_change;
+  cluster.network().set_interceptor(
+      lagger, [&view_change](const net::Packet& p) -> std::optional<BufView> {
+        if (view_change.empty() && !p.payload.empty() &&
+            p.payload[0] == static_cast<std::uint8_t>(MsgType::kViewChange)) {
+          view_change = p.payload.clone_bytes();
+        }
+        return p.payload;
+      });
+  for (int rank = 0; rank < 3; ++rank) {
+    cluster.network().set_link(lagger, cluster.replica_id(rank), false);
+  }
+  Client& client = cluster.add_client();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
+  }
+  cluster.settle();
+  cluster.network().heal_all_links();
+  ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
+  cluster.settle(200000);
+  ASSERT_EQ(replica_count(cluster, 3, "state_transfers"), 1u);
+  ASSERT_FALSE(cluster.replica(3).in_view_change());
+  ASSERT_FALSE(view_change.empty());
+  const Result<Envelope> env = Envelope::decode(BufView(Bytes(view_change)));
+  ASSERT_TRUE(env.is_ok());
+  const Result<ViewChangeMsg> vc = ViewChangeMsg::decode(env.value().body);
+  ASSERT_TRUE(vc.is_ok());
+  ASSERT_TRUE(counters::after(vc.value().new_view.value, cluster.replica(3).view().value));
+
+  const std::uint64_t macs = replica_count(cluster, 3, "macs_computed");
+  cluster.network().send(cluster.replica_id(0), lagger, BufView(Bytes(view_change)));
+  cluster.settle(200000);
+  EXPECT_EQ(replica_count(cluster, 3, "macs_computed"), macs + 1);  // the self-addressed offer
+  EXPECT_FALSE(cluster.replica(3).in_view_change());
+  EXPECT_EQ(replica_count(cluster, 3, "state_transfers"), 1u);
+
+  ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
+  cluster.settle(200000);
+  EXPECT_EQ(cluster.replica(3).last_executed().value, 4u);
+  EXPECT_EQ(dynamic_cast<const CounterStateMachine&>(cluster.replica(3).app()).value(), 4);
+}
+
 }  // namespace
 }  // namespace itdos::bft
