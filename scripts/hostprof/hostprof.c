@@ -6,6 +6,12 @@
  * libstdc++, and it never splits a callee's time among callers by call
  * count: each sample is a whole stack.
  *
+ * Built with -DHOSTPROF_ALLOC_EVERY=N it samples allocations instead: it
+ * interposes malloc, records the stack of every Nth call, and arms no
+ * timer. Each record has the SIGPROF layout (a frame in this shim, a
+ * placeholder where the signal trampoline would be, then the leaf: this
+ * shim's malloc), so the same reader symbolizes both.
+ *
  * At exit it writes two files into the working directory:
  *   hostprof.<pid>.maps     a copy of /proc/self/maps, to symbolize with;
  *   hostprof.<pid>.samples  little-endian u64 words, one record per sample:
@@ -40,6 +46,27 @@ static uint64_t* words;
 static size_t used;
 static size_t dropped;
 
+#ifndef HOSTPROF_ALLOC_EVERY
+#define HOSTPROF_ALLOC_EVERY 0
+#endif
+
+/* Appends one record: n frames as backtrace() returned them, behind
+ * `prefix` words. Safe in a signal handler. */
+static void record(const uint64_t* prefix, int n_prefix, void* const* frames, int n) {
+  const size_t count = (size_t)n_prefix + (size_t)(n > 0 ? n : 0);
+  const size_t need = count + 1;
+  const size_t at = __atomic_fetch_add(&used, need, __ATOMIC_RELAXED);
+  if (n <= 0 || at + need > kWords) {
+    __atomic_fetch_add(&dropped, 1, __ATOMIC_RELAXED);
+    return;
+  }
+  words[at] = (uint64_t)count;
+  for (int i = 0; i < n_prefix; ++i) words[at + 1 + (size_t)i] = prefix[i];
+  for (int i = 0; i < n; ++i) {
+    words[at + 1 + (size_t)n_prefix + (size_t)i] = (uint64_t)(uintptr_t)frames[i];
+  }
+}
+
 static void on_sigprof(int sig, siginfo_t* info, void* context) {
   (void)sig;
   (void)info;
@@ -47,16 +74,36 @@ static void on_sigprof(int sig, siginfo_t* info, void* context) {
   const int saved_errno = errno;
   void* frames[kMaxDepth];
   const int n = backtrace(frames, kMaxDepth);
-  const size_t need = (size_t)n + 1;
-  const size_t at = __atomic_fetch_add(&used, need, __ATOMIC_RELAXED);
-  if (n <= 0 || at + need > kWords) {
-    __atomic_fetch_add(&dropped, 1, __ATOMIC_RELAXED);
-  } else {
-    words[at] = (uint64_t)n;
-    for (int i = 0; i < n; ++i) words[at + 1 + (size_t)i] = (uint64_t)(uintptr_t)frames[i];
-  }
+  record(NULL, 0, frames, n);
   errno = saved_errno;
 }
+
+#if HOSTPROF_ALLOC_EVERY > 0
+extern void* __libc_malloc(size_t size);
+
+static uint64_t allocations;
+/* Set while this thread records, so the unwinder's own allocations are
+ * neither counted nor sampled. */
+static __thread int in_hook __attribute__((tls_model("initial-exec")));
+
+void* malloc(size_t size) {
+  if (words != NULL && !in_hook &&
+      __atomic_fetch_add(&allocations, 1, __ATOMIC_RELAXED) % HOSTPROF_ALLOC_EVERY == 0) {
+    in_hook = 1;
+    void* frames[kMaxDepth];
+    const int n = backtrace(frames, kMaxDepth);
+    if (n > 1) {
+      /* frames[0] is inside this malloc: it stands for the handler frame,
+       * then for the leaf; frames[1] on are the return addresses. */
+      const uint64_t prefix[3] = {(uint64_t)(uintptr_t)frames[0], 0,
+                                  (uint64_t)(uintptr_t)frames[0]};
+      record(prefix, 3, frames + 1, n - 1);
+    }
+    in_hook = 0;
+  }
+  return __libc_malloc(size);
+}
+#endif
 
 static void write_all(int fd, const void* data, size_t len) {
   const char* p = data;
@@ -85,6 +132,7 @@ __attribute__((constructor)) static void hostprof_start(void) {
    * handler, where loading a library is not safe. */
   void* warm[4];
   (void)backtrace(warm, 4);
+  if (HOSTPROF_ALLOC_EVERY > 0) return; /* allocation samples only */
 
   struct sigaction sa;
   memset(&sa, 0, sizeof(sa));

@@ -33,6 +33,16 @@ Symbols come from `nm`, so a function the compiler inlined is charged to
 the function it was inlined into. Build with -g and pass --inline to expand
 inlined frames through `addr2line -i` instead.
 
+Allocation mode: `run --alloc N` builds the shim to interpose malloc and
+record the stack of every Nth call instead of sampling CPU time. Each
+sample then stands for N heap allocations (the report says so), its leaf
+is `malloc`, and every list reads the same way: `--callers '^malloc'`
+names the code that allocates, `--under` what it allocates through. A
+count per operation is samples * N divided by the operations run. The
+shim holds 4M words (about 130k stacks); past that it drops samples and
+says how many at exit, so keep allocation runs short (small_serial at
+N = 16: `--seconds 1`).
+
 Profiling the perfbench, one command per workload. Build the benchmark once
 (`python3 perfbench/run.py --workload small_serial --seed 5 --seconds 1`
 builds into $CARGO_TARGET_DIR/perfbench, or .bench_build/perfbench), then
@@ -55,6 +65,8 @@ options, e.g.:
   scripts/hostprof/hostprof.py report prof_small \\
       --under 'cdr::Encoder::' --under 'Envelope::decode'
   scripts/hostprof/hostprof.py report prof_small --top 10 --callers '^malloc'
+  scripts/hostprof/hostprof.py run --alloc 16 --out alloc_small -- \\
+      $B --workload small_serial --seed 5 --seconds 1 --trace 0
 """
 
 import argparse
@@ -79,12 +91,17 @@ GROUPS = [
 ]
 
 
-def build_shim(out_dir):
-    """Compiles hostprof.c into `out_dir`; returns the shared object path."""
+ALLOC_FILE = "hostprof.alloc"  # in a run directory: N of an allocation run
+
+
+def build_shim(out_dir, alloc_every):
+    """Compiles hostprof.c into `out_dir` (sampling every `alloc_every`th
+    malloc when non-zero, CPU time otherwise); returns the shared object
+    path."""
     shim = os.path.join(out_dir, "hostprof.so")
     cc = os.environ.get("CC") or shutil.which("cc") or "gcc"
-    subprocess.run([cc, "-shared", "-fPIC", "-O2", "-o", shim,
-                    os.path.join(HERE, "hostprof.c")], check=True)
+    subprocess.run([cc, "-shared", "-fPIC", "-O2", "-DHOSTPROF_ALLOC_EVERY=%d" % alloc_every,
+                    "-o", shim, os.path.join(HERE, "hostprof.c")], check=True)
     return shim
 
 
@@ -270,6 +287,12 @@ def report(directory, args):
     total = len(kept)
     print("# hostprof: %d samples, %d excluded (/%s/), %d counted"
           % (len(stacks), len(stacks) - total, EXCLUDE, total))
+    alloc_path = os.path.join(directory, ALLOC_FILE)
+    if os.path.exists(alloc_path):
+        with open(alloc_path) as f:
+            every = int(f.read())
+        print("# allocation samples: one per %d mallocs, about %d counted mallocs"
+              % (every, every * total))
 
     self_counts = collections.Counter(s[0][1] for s in kept)
     incl_counts = collections.Counter()
@@ -338,6 +361,8 @@ def main():
     sub = parser.add_subparsers(dest="mode", required=True)
     run_p = sub.add_parser("run", help="profile a command, then report")
     run_p.add_argument("--out", required=True, help="directory for the shim and the profile")
+    run_p.add_argument("--alloc", type=int, default=0, metavar="N",
+                       help="sample the stack of every Nth malloc instead of CPU time")
     report_p = sub.add_parser("report", help="report on a finished run")
     report_p.add_argument("dir")
     for p in (run_p, report_p):
@@ -351,6 +376,8 @@ def main():
     args, command = parser.parse_known_args()
     if args.top < 1:
         parser.error("--top must be at least 1")
+    if args.mode == "run" and args.alloc < 0:
+        parser.error("--alloc must not be negative")
 
     if args.mode == "report":
         return report(args.dir, args)
@@ -361,9 +388,13 @@ def main():
         parser.error("run needs a command after --")
     out = os.path.abspath(args.out)
     os.makedirs(out, exist_ok=True)
-    for old in glob.glob(os.path.join(out, "hostprof.*.*")):
-        os.remove(old)
-    shim = build_shim(out)
+    for old in glob.glob(os.path.join(out, "hostprof.*.*")) + [os.path.join(out, ALLOC_FILE)]:
+        if os.path.exists(old):
+            os.remove(old)
+    shim = build_shim(out, args.alloc)
+    if args.alloc > 0:
+        with open(os.path.join(out, ALLOC_FILE), "w") as f:
+            f.write("%d\n" % args.alloc)
     command[0] = os.path.abspath(command[0]) if os.path.exists(command[0]) else command[0]
     env = dict(os.environ, LD_PRELOAD=shim)
     proc = subprocess.run(command, cwd=out, env=env)

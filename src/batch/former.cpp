@@ -1,14 +1,17 @@
 #include "batch/former.hpp"
 
+#include <utility>
+
 namespace itdos::batch {
 
-void Former::enqueue(BufView encoded, EntryClass cls, std::uint64_t trace, SimTime now) {
+void Former::enqueue(BufView encoded, EntryClass cls, std::uint64_t trace, SimTime now,
+                     BufView envelope) {
   if (cls != EntryClass::kRider) {
     pending_bytes_ += encoded.size();
     ++capped_pending_;
   }
   if (cls == EntryClass::kUrgent) ++urgent_pending_;
-  pending_.push_back(PendingEntry{std::move(encoded), cls, trace, now});
+  pending_.push_back(PendingEntry{std::move(encoded), cls, trace, now, std::move(envelope)});
 }
 
 bool Former::ripe(SimTime now) const {
@@ -53,11 +56,12 @@ std::vector<PendingEntry> Former::form() {
   return out;
 }
 
-void Former::clear() {
-  pending_.clear();
+std::deque<PendingEntry> Former::take_all() {
+  std::deque<PendingEntry> out = std::exchange(pending_, {});
   pending_bytes_ = 0;
   capped_pending_ = 0;
   urgent_pending_ = 0;
+  return out;
 }
 
 }  // namespace itdos::batch

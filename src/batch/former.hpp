@@ -53,6 +53,10 @@ struct PendingEntry {
   EntryClass cls = EntryClass::kClient;
   std::uint64_t trace = 0;  // request-scoped trace id (0 = untraced)
   SimTime enqueued_at{};
+  // The client-authenticated envelope `encoded` arrived in (empty when the
+  // caller has none): what a demoted primary hands over so the entry can
+  // be relayed to the next primary.
+  BufView envelope;
 };
 
 class Former {
@@ -65,7 +69,8 @@ class Former {
 
   const Policy& policy() const { return policy_; }
 
-  void enqueue(BufView encoded, EntryClass cls, std::uint64_t trace, SimTime now);
+  void enqueue(BufView encoded, EntryClass cls, std::uint64_t trace, SimTime now,
+               BufView envelope = {});
 
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
@@ -85,9 +90,9 @@ class Former {
   /// count/byte caps and max_riders (always at least one entry).
   std::vector<PendingEntry> form();
 
-  /// Drops everything parked (view change: clients will retransmit to the
-  /// new primary, whose dedup horizons are reset by the new-view rules).
-  void clear();
+  /// Removes and returns everything parked, in arrival order (view change:
+  /// the demoted primary keeps the entries to relay to the next primary).
+  std::deque<PendingEntry> take_all();
 
  private:
   Policy policy_;

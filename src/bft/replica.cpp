@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "batch/batch_msg.hpp"
 #include "common/counters.hpp"
@@ -110,7 +111,7 @@ void Replica::on_packet(const net::Packet& packet) {
     return;
   }
   switch (env.type) {
-    case MsgType::kRequest: handle_request(env); break;
+    case MsgType::kRequest: handle_request(env, packet.payload); break;
     case MsgType::kPrePrepare: handle_pre_prepare(env); break;
     case MsgType::kPrepare: handle_prepare(env); break;
     case MsgType::kCommit: handle_commit(env); break;
@@ -237,7 +238,7 @@ bool Replica::in_window(std::uint64_t seq) const {
                              static_cast<std::uint64_t>(config_.watermark_window()));
 }
 
-void Replica::handle_request(const Envelope& env) {
+void Replica::handle_request(const Envelope& env, const BufView& wire) {
   Result<RequestMsg> decoded = RequestMsg::decode(env.body);
   if (!decoded.is_ok()) {
     metrics_.malformed->inc();
@@ -260,24 +261,47 @@ void Replica::handle_request(const Envelope& env) {
     if (cached != record.replies.end()) send_reply(record, request, cached->second);
     return;
   }
-  if (in_view_change_) return;  // client will retransmit
+  if (in_view_change_) {
+    // No primary to order it yet: the next view gets it (hand_over_held).
+    hold_request(record, request.timestamp, wire);
+    return;
+  }
 
   if (is_primary()) {
     if (record.proposed.contains(request.timestamp)) return;  // already in pipeline
     record.proposed.insert(request.timestamp);
     former_.enqueue(env.body, app_->classify(request.payload),
-                    app_->trace_of(request.payload), now());
+                    app_->trace_of(request.payload), now(), wire);
     pump_former();
     arm_request_timer();
   } else {
     // Relay the (still client-authenticated) request to the primary and
-    // hold the primary accountable for ordering it.
+    // hold the primary accountable for ordering it. The relay is kept
+    // until it executes, so a view change does not lose it.
     if (!record.forwarded.contains(request.timestamp)) {
       record.forwarded.insert(request.timestamp);
-      if (!byz_.silent) send_to(config_.primary_for(view_), env.encode_into(arena()));
+      hold_request(record, request.timestamp, wire);
+      if (!byz_.silent) send_to(config_.primary_for(view_), wire);
       arm_request_timer();
     }
   }
+}
+
+void Replica::hold_request(ClientRecord& record, std::uint64_t ts, BufView envelope) {
+  // The bound is the client's own: a correct client's timestamps in flight
+  // span fewer than 2 * pipeline_depth (Client::pump). Beyond it, the
+  // lowest go first; they are the likeliest to have executed elsewhere.
+  if (!plausible_timestamp(record.executed, ts)) return;
+  record.held.try_emplace(ts, std::move(envelope));
+  while (record.held.size() > 2 * static_cast<std::size_t>(config_.pipeline_depth)) {
+    record.held.erase(record.held.begin());
+  }
+}
+
+std::size_t Replica::held_requests() const {
+  std::size_t held = 0;
+  for (const auto& [client, record] : clients_) held += record.held.size();
+  return held;
 }
 
 void Replica::pump_former() {
@@ -379,7 +403,6 @@ void Replica::update_inflight_gauge() {
 }
 
 void Replica::handle_pre_prepare(const Envelope& env) {
-  if (in_view_change_) return;
   if (env.sender != config_.primary_for(view_)) return;  // only the primary proposes
   Result<PrePrepareMsg> decoded = PrePrepareMsg::decode(env.body);
   if (!decoded.is_ok()) {
@@ -389,6 +412,12 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   const PrePrepareMsg pp = std::move(decoded).take();
   if (pp.view != view_) return;
   const std::uint64_t seq = pp.seq.value;
+  if (in_view_change_) {
+    // view_ is the view being changed to and the sender its primary, which
+    // proposes right after sending NEW-VIEW: this proposal overtook it.
+    buffer_for_next_view(env, seq);
+    return;
+  }
   if (!in_window(seq)) {
     observe_seq(seq);  // may reveal that we are far behind
     return;
@@ -493,7 +522,6 @@ void Replica::handle_pre_prepare(const Envelope& env) {
 }
 
 void Replica::handle_prepare(const Envelope& env) {
-  if (in_view_change_) return;
   const int rank = config_.rank_of(env.sender);
   if (rank < 0) return;
   Result<PrepareMsg> decoded = PrepareMsg::decode(env.body);
@@ -505,6 +533,10 @@ void Replica::handle_prepare(const Envelope& env) {
   if (msg.view != view_ || msg.replica != env.sender) return;
   if (!in_window(msg.seq.value)) return;
   if (env.sender == config_.primary_for(view_)) return;  // primary never prepares
+  if (in_view_change_) {
+    buffer_for_next_view(env, msg.seq.value);  // from a backup that adopted first
+    return;
+  }
   entry_at(msg.seq.value).votes[static_cast<std::size_t>(rank)].prepare = msg.req_digest;
   maybe_send_commit(msg.seq.value);
 }
@@ -593,7 +625,6 @@ void Replica::maybe_send_commit(std::uint64_t seq) {
 }
 
 void Replica::handle_commit(const Envelope& env) {
-  if (in_view_change_) return;
   const int rank = config_.rank_of(env.sender);
   if (rank < 0) return;
   Result<CommitMsg> decoded = CommitMsg::decode(env.body);
@@ -603,6 +634,10 @@ void Replica::handle_commit(const Envelope& env) {
   }
   const CommitMsg msg = std::move(decoded).take();
   if (msg.view != view_ || msg.replica != env.sender) return;
+  if (in_view_change_) {
+    buffer_for_next_view(env, msg.seq.value);
+    return;
+  }
   if (!in_window(msg.seq.value)) {
     observe_seq(msg.seq.value);
     return;
@@ -701,6 +736,10 @@ void Replica::execute_request(const RequestMsg& request, std::uint64_t seq) {
     record.replies[request.timestamp] = result;
     while (record.replies.size() > 2 * static_cast<std::size_t>(config_.pipeline_depth)) {
       record.replies.erase(record.replies.begin());
+    }
+    if (!record.held.empty()) {
+      std::erase_if(record.held,
+                    [&](const auto& held) { return record.executed.contains(held.first); });
     }
     metrics_.executed->inc();
   }
@@ -801,6 +840,18 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
   ITDOS_ASSIGN_OR_RETURN(Bytes app_state, dec.read_bytes());
   ITDOS_RETURN_IF_ERROR(app_->restore(app_state));
 
+  // Held requests the installed state has not executed stay held. (Only
+  // for clients the snapshot names: a record this replica alone made would
+  // change its next snapshot's bytes.)
+  for (auto& [client, old] : clients_) {
+    const auto fresh = clients.find(client);
+    if (fresh == clients.end()) continue;
+    for (auto& [ts, envelope] : old.held) {
+      if (!fresh->second.executed.contains(ts)) {
+        hold_request(fresh->second, ts, std::move(envelope));
+      }
+    }
+  }
   clients_ = std::move(clients);
   last_executed_ = seq;
   stable_seq_ = seq;
@@ -983,6 +1034,7 @@ void Replica::after_install(ViewId sender_view) {
   }
   in_view_change_ = false;
   view_change_attempts_ = 0;
+  next_view_msgs_.clear();
   enter_view(view_);
   disarm_request_timer();
   pump_former();  // an installed checkpoint may have opened the window
@@ -1079,9 +1131,12 @@ void Replica::start_view_change(ViewId new_view) {
   view_ = new_view;
   in_view_change_ = true;
   disarm_request_timer();
-  // Parked formation entries die with the view: their dedup marks are reset
-  // when the new view is adopted, so clients recover them by retransmission.
-  former_.clear();
+  next_view_msgs_.clear();  // messages of a view this one abandons
+  // Parked formation entries outlive the view: the demoted primary holds
+  // their client-authenticated envelopes, and once it adopts the next view
+  // it relays them to that view's primary (hand_over_held), so no client
+  // has to retransmit them.
+  hand_over_former();
   if (hold_timer_armed_) {
     cancel_timer(hold_timer_);
     hold_timer_armed_ = false;
@@ -1377,8 +1432,80 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
       ++it;
     }
   }
+  // This view's messages that overtook its NEW-VIEW (proposals first, then
+  // PREPAREs, then COMMITs), then every request that survived the old
+  // view.
+  for (const auto& [key, buffered] : std::exchange(next_view_msgs_, {})) {
+    switch (buffered.type) {
+      case MsgType::kPrePrepare: handle_pre_prepare(buffered); break;
+      case MsgType::kPrepare: handle_prepare(buffered); break;
+      case MsgType::kCommit: handle_commit(buffered); break;
+      case MsgType::kRequest:
+      case MsgType::kReply:
+      case MsgType::kCheckpoint:
+      case MsgType::kViewChange:
+      case MsgType::kNewView:
+      case MsgType::kStateRequest:
+      case MsgType::kStateResponse:
+        break;  // never buffered
+    }
+  }
+  hand_over_held();
   pump_former();
   try_execute();
+}
+
+void Replica::buffer_for_next_view(const Envelope& env, std::uint64_t seq) {
+  if (!in_window(seq)) return;
+  // The key bounds what any one sender can park; the cap also covers keys
+  // a window that moved during the view change has left behind.
+  const auto cap = static_cast<std::size_t>(config_.watermark_window()) *
+                   (1 + 2 * config_.replicas.size());
+  if (next_view_msgs_.size() >= cap) return;
+  next_view_msgs_.try_emplace(NextViewKey{env.type, seq, env.sender}, env);
+}
+
+void Replica::hand_over_former() {
+  for (const batch::PendingEntry& entry : former_.take_all()) {
+    if (entry.envelope.empty()) continue;
+    Result<RequestMsg> request = RequestMsg::decode(entry.encoded);
+    if (!request.is_ok()) continue;
+    ClientRecord& record = clients_[request.value().client];
+    if (!record.executed.contains(request.value().timestamp)) {
+      hold_request(record, request.value().timestamp, entry.envelope);
+    }
+  }
+}
+
+void Replica::hand_over_held() {
+  // A primary that skipped the view change (it adopted a later NEW-VIEW
+  // directly) still has its parked entries.
+  hand_over_former();
+  const NodeId primary = config_.primary_for(view_);
+  bool handed = false;
+  // In (client, timestamp) order. A request O re-proposed, or that a
+  // replayed PRE-PREPARE already carries, is in this view's pipeline.
+  for (auto& [client, record] : clients_) {
+    for (const auto& [ts, envelope] : record.held) {
+      if (record.executed.contains(ts) || record.proposed.contains(ts)) continue;
+      if (primary == id()) {
+        // Held envelopes were verified on arrival; only the body is parked.
+        Result<Envelope> env = Envelope::decode(envelope);
+        if (!env.is_ok()) continue;
+        Result<RequestMsg> request = RequestMsg::decode(env.value().body);
+        if (!request.is_ok()) continue;
+        record.proposed.insert(ts);
+        former_.enqueue(env.value().body, app_->classify(request.value().payload),
+                        app_->trace_of(request.value().payload), now(), envelope);
+        handed = true;
+      } else if (!record.forwarded.contains(ts)) {
+        record.forwarded.insert(ts);
+        if (!byz_.silent) send_to(primary, envelope);
+        handed = true;
+      }
+    }
+  }
+  if (handed) arm_request_timer();  // hold the new primary to ordering them
 }
 
 }  // namespace itdos::bft

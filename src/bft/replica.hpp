@@ -9,7 +9,10 @@
 //   * view change: backups that see a request stall past the timeout move to
 //     view v+1 (VIEW-CHANGE with the prepared set P, signed); the new
 //     primary assembles 2f+1 of them into NEW-VIEW with re-proposals O;
-//     backups verify O against V before adopting it;
+//     backups verify O against V before adopting it; client requests O
+//     does not carry reach the new primary from the replicas that hold
+//     them, and agreement messages of the new view that overtake its
+//     NEW-VIEW wait until it is adopted;
 //   * state transfer: a replica that learns of a stable checkpoint beyond
 //     its own execution point fetches and verifies a snapshot (digest must
 //     match the 2f+1 checkpoint certificate), then resumes.
@@ -24,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "batch/former.hpp"
 #include "bft/app.hpp"
@@ -114,6 +118,10 @@ class Replica : public net::Process {
   SeqNum last_executed() const { return SeqNum(last_executed_); }
   SeqNum stable_checkpoint_seq() const { return SeqNum(stable_seq_); }
   bool in_view_change() const { return in_view_change_; }
+  /// Client REQUEST envelopes held for the next view (see ClientRecord).
+  std::size_t held_requests() const;
+  /// Agreement messages of the next view awaiting its NEW-VIEW.
+  std::size_t buffered_next_view_messages() const { return next_view_msgs_.size(); }
 
   /// Proactively asks the group for state beyond our execution point (used
   /// by replacement elements joining with no history; f+1 matching replies
@@ -186,10 +194,20 @@ class Replica : public net::Process {
     std::map<std::uint64_t, Bytes> replies;
     // The MAC key shared with the client, looked up on the first reply.
     const crypto::CmacKey* reply_key = nullptr;
+    // ts -> the client-authenticated REQUEST envelope, for requests this
+    // replica relayed, received during a view change, or held parked as a
+    // demoted primary: what adopt_new_view hands to the next primary, so
+    // a request outlives the view it arrived in without a client retry.
+    // Only plausible timestamps, at most 2 * pipeline_depth (the lowest
+    // go first), each dropped once it executes or a state transfer passes
+    // it.
+    std::map<std::uint64_t, BufView> held;
   };
 
   // --- message handlers ---
-  void handle_request(const Envelope& env);
+  /// `wire` is the envelope as it arrived (its only encoding): what a
+  /// backup relays and what the replica holds for the next view.
+  void handle_request(const Envelope& env, const BufView& wire);
   void handle_pre_prepare(const Envelope& env);
   void handle_prepare(const Envelope& env);
   void handle_commit(const Envelope& env);
@@ -211,6 +229,18 @@ class Replica : public net::Process {
   /// Executes one request of a committed slot (dedup, reply cache, REPLY).
   void execute_request(const RequestMsg& request, std::uint64_t seq);
   void update_inflight_gauge();
+  /// Keeps `envelope` (client `record`'s request `ts`) for the next view,
+  /// within the held-set bound.
+  void hold_request(ClientRecord& record, std::uint64_t ts, BufView envelope);
+  /// Moves the former's parked entries into the held store (a primary
+  /// that leaves its view).
+  void hand_over_former();
+  /// On entering a view: the primary enqueues the held requests the view
+  /// has not ordered, each backup relays them to it.
+  void hand_over_held();
+  /// Keeps `env`, an agreement message for `seq` in the view being
+  /// changed to, in next_view_msgs_.
+  void buffer_for_next_view(const Envelope& env, std::uint64_t seq);
   /// Sends `result` to `request`'s client from `record`'s reply cache.
   void send_reply(ClientRecord& record, const RequestMsg& request, const Bytes& result);
   /// The log entry for `seq`, or nullptr if the log holds none.
@@ -344,6 +374,14 @@ class Replica : public net::Process {
 
   // View change bookkeeping.
   std::map<ViewId, std::map<NodeId, SignedViewChange>> view_change_msgs_;
+  // Agreement messages of the view this replica is changing to, heard
+  // before its NEW-VIEW: that view's primary proposes as soon as it sends
+  // NEW-VIEW, and backups that adopted first prepare and commit. The
+  // first per (type, seq, sender), seq inside the watermark window, so
+  // at most one window's worth per sender and type; adopt_new_view
+  // replays them in that order.
+  using NextViewKey = std::tuple<MsgType, std::uint64_t, NodeId>;
+  std::map<NextViewKey, Envelope> next_view_msgs_;
   ViewId highest_view_change_sent_;
   int view_change_attempts_ = 0;  // consecutive failed attempts (backoff)
 

@@ -3,7 +3,7 @@
 // send/multicast/timer surface the protocol layers use.
 #pragma once
 
-#include <memory>
+#include <utility>
 
 #include "net/network.hpp"
 
@@ -15,8 +15,12 @@ class Process {
     net_.attach(id_, [this](const Packet& p) { on_packet(p); });
   }
 
+  // Timers must not outlive the process: crash-style teardown (element
+  // replacement, recovery watchdog aborts) destroys processes with timers
+  // still armed, and the simulator would otherwise fire them into freed
+  // memory.
   virtual ~Process() {
-    *alive_ = false;
+    net_.sim().cancel_owned(this);
     net_.detach(id_);
   }
 
@@ -43,15 +47,12 @@ class Process {
   void join(McastGroupId group) { net_.join_group(group, id_); }
   void leave(McastGroupId group) { net_.leave_group(group, id_); }
 
-  EventHandle set_timer(std::int64_t delay_ns, std::function<void()> fn) {
-    // Timers must not outlive the process: crash-style teardown (element
-    // replacement, recovery watchdog aborts) destroys processes with timers
-    // still armed, and the simulator would otherwise fire them into freed
-    // memory.
-    return net_.sim().schedule_after(
-        delay_ns, [alive = alive_, fn = std::move(fn)] {
-          if (*alive) fn();
-        });
+  /// Arms a timer the destructor cancels if it is still pending. The
+  /// closure goes straight into the simulator's slot, so a `[this]` one
+  /// fits std::function's inline buffer and allocates nothing.
+  template <typename F>
+  EventHandle set_timer(std::int64_t delay_ns, F&& fn) {
+    return net_.sim().schedule_after(delay_ns, std::forward<F>(fn), this);
   }
 
   void cancel_timer(EventHandle handle) { net_.sim().cancel(handle); }
@@ -63,7 +64,6 @@ class Process {
  private:
   Network& net_;
   NodeId id_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace itdos::net

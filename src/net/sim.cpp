@@ -4,7 +4,7 @@
 
 namespace itdos::net {
 
-EventHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
+EventHandle Simulator::insert(SimTime t, const void* owner) {
   if (t < now_) t = now_;
   if (free_slots_.empty()) {
     free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
@@ -13,15 +13,11 @@ EventHandle Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
   const std::uint64_t id = next_id_++;
-  slots_[slot].fn = std::move(fn);
   slots_[slot].id = id;
+  slots_[slot].owner = owner;
   heap_.emplace_back();
   sift_up(heap_.size() - 1, Entry{t, next_seq_++, slot});
   return EventHandle{id, slot};
-}
-
-EventHandle Simulator::schedule_after(std::int64_t delay_ns, std::function<void()> fn) {
-  return schedule_at(now_ + delay_ns, std::move(fn));
 }
 
 void Simulator::cancel(EventHandle handle) {
@@ -35,10 +31,21 @@ void Simulator::cancel(EventHandle handle) {
   const std::function<void()> fn = remove(slot.pos);
 }
 
+void Simulator::cancel_owned(const void* owner) {
+  std::vector<EventHandle> owned;
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id != 0 && slots_[i].owner == owner) {
+      owned.push_back(EventHandle{slots_[i].id, i});
+    }
+  }
+  for (const EventHandle handle : owned) cancel(handle);
+}
+
 std::function<void()> Simulator::remove(std::size_t pos) {
   Slot& s = slots_[heap_[pos].slot];
   std::function<void()> fn = std::exchange(s.fn, nullptr);
   s.id = 0;
+  s.owner = nullptr;
   free_slots_.push_back(heap_[pos].slot);
   const Entry last = heap_.back();
   heap_.pop_back();

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -48,15 +49,28 @@ class Simulator {
   Arena& arena() { return arena_; }
 
   /// Schedules `fn` at absolute time `t` (clamped to now if in the past).
-  /// Events at equal times fire in scheduling order (stable FIFO).
-  EventHandle schedule_at(SimTime t, std::function<void()> fn);
+  /// Events at equal times fire in scheduling order (stable FIFO). The
+  /// closure is moved once, into its slot. `owner`, when set, tags the
+  /// event for cancel_owned.
+  template <typename F>
+  EventHandle schedule_at(SimTime t, F&& fn, const void* owner = nullptr) {
+    const EventHandle handle = insert(t, owner);
+    slots_[handle.slot].fn = std::forward<F>(fn);
+    return handle;
+  }
 
   /// Schedules `fn` `delay_ns` after now.
-  EventHandle schedule_after(std::int64_t delay_ns, std::function<void()> fn);
+  template <typename F>
+  EventHandle schedule_after(std::int64_t delay_ns, F&& fn, const void* owner = nullptr) {
+    return schedule_at(now_ + delay_ns, std::forward<F>(fn), owner);
+  }
 
   /// Cancels a scheduled event, destroying its closure at once; no-op if
   /// already fired or cancelled.
   void cancel(EventHandle handle);
+
+  /// Cancels every pending event scheduled with `owner`.
+  void cancel_owned(const void* owner);
 
   /// Runs the next event. Returns false if the queue is empty.
   bool step();
@@ -100,7 +114,12 @@ class Simulator {
     std::function<void()> fn;
     std::uint64_t id = 0;   // 0 while the slot is free
     std::uint32_t pos = 0;  // index of the slot's entry in heap_
+    const void* owner = nullptr;
   };
+
+  /// Takes a free slot for an event at `t` (clamped to now) and enters it
+  /// in the heap; the caller fills in the closure.
+  EventHandle insert(SimTime t, const void* owner);
 
   /// Removes the entry at heap index `pos`, frees its slot, and returns
   /// its closure.

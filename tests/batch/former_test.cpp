@@ -205,11 +205,17 @@ TEST(FormerTest, OversizedSingletonStillForms) {
   EXPECT_TRUE(former.empty());
 }
 
-TEST(FormerTest, ClearDropsEverything) {
+TEST(FormerTest, TakeAllEmptiesTheFormerInArrivalOrder) {
   Former former(policy(4), kRiders);
-  former.enqueue(frame(8), EntryClass::kUrgent, 0, SimTime{});
-  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{});
-  former.clear();
+  const BufView envelope = frame(24);
+  former.enqueue(frame(8), EntryClass::kUrgent, 1, SimTime{}, envelope);
+  former.enqueue(frame(8), EntryClass::kClient, 2, SimTime{});
+  const std::deque<PendingEntry> taken = former.take_all();
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].trace, 1u);
+  EXPECT_EQ(taken[0].envelope.size(), 24u);
+  EXPECT_EQ(taken[1].trace, 2u);
+  EXPECT_TRUE(taken[1].envelope.empty());
   EXPECT_TRUE(former.empty());
   EXPECT_EQ(former.pending_bytes(), 0u);
   EXPECT_FALSE(former.ripe(SimTime{seconds(1)}));

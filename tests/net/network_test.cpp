@@ -343,5 +343,29 @@ TEST_F(NetworkTest, TimerFiresOnProcess) {
   EXPECT_TRUE(p.fired);
 }
 
+TEST_F(NetworkTest, DestroyedProcessTakesItsArmedTimersWithIt) {
+  // Crash-style teardown destroys a process with timers armed; they must
+  // leave the queue with it, not fire into freed memory (ASAN would flag
+  // the write). Other owners' events stay.
+  class TimerProc : public Process {
+   public:
+    explicit TimerProc(Network& net) : Process(net, NodeId(1)) {
+      for (int i = 1; i <= 3; ++i) set_timer(millis(i), [this] { ++fired; });
+    }
+    int fired = 0;
+
+   protected:
+    void on_packet(const Packet&) override {}
+  };
+  bool other_fired = false;
+  sim_.schedule_after(millis(2), [&other_fired] { other_fired = true; });
+  auto p = std::make_unique<TimerProc>(net_);
+  EXPECT_EQ(sim_.pending_events(), 4u);
+  p.reset();
+  EXPECT_EQ(sim_.pending_events(), 1u);
+  sim_.run();
+  EXPECT_TRUE(other_fired);
+}
+
 }  // namespace
 }  // namespace itdos::net

@@ -309,6 +309,27 @@ TEST(SimulatorTest, CancelReleasesTheClosureAtOnce) {
   EXPECT_EQ(sim.now().ns, 0);
 }
 
+TEST(SimulatorTest, CancelOwnedCancelsOnlyThatOwnersEvents) {
+  Simulator sim;
+  const int a = 0;
+  const int b = 0;
+  std::vector<int> fired;
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_after(10 * (i + 1), [&fired, i] { fired.push_back(i); },
+                       i % 2 == 0 ? static_cast<const void*>(&a) : &b);
+  }
+  sim.schedule_after(5, [&fired] { fired.push_back(-1); });  // nobody's
+  sim.cancel_owned(&a);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{-1, 1, 3, 5}));
+  // A freed slot forgets its owner: an unowned event reusing it survives.
+  sim.schedule_after(10, [&fired] { fired.push_back(9); });
+  sim.cancel_owned(&b);
+  sim.run();
+  EXPECT_EQ(fired.back(), 9);
+}
+
 TEST(SimulatorTest, CancelHeadTailAndOnlyEntry) {
   {
     Simulator sim;
