@@ -1,6 +1,7 @@
 #include "bft/client.hpp"
 
 #include "common/counters.hpp"
+#include "crypto/sha256.hpp"
 
 namespace itdos::bft {
 
@@ -39,9 +40,11 @@ void Client::pump() {
     const std::uint64_t timestamp = next_timestamp_++;
     Inflight& fl = inflight_[timestamp];
     fl.payload = std::move(next.payload);
+    // The one pass over the payload: retransmissions re-tag this digest.
+    fl.payload_digest = crypto::sha256(ByteView(fl.payload));
     fl.done = std::move(next.done);
     fl.collector = collector_factory_(config_.f);
-    send_request(timestamp, fl.payload, /*broadcast=*/false);
+    send_request(timestamp, fl, /*broadcast=*/false);
   }
   if (!inflight_.empty() && !retry_timer_armed_) {
     retry_timer_armed_ = true;
@@ -49,12 +52,11 @@ void Client::pump() {
   }
 }
 
-void Client::send_request(std::uint64_t timestamp, const BufView& payload,
-                          bool broadcast) {
+void Client::send_request(std::uint64_t timestamp, const Inflight& fl, bool broadcast) {
   RequestMsg request;
   request.client = id();
   request.timestamp = timestamp;
-  request.payload = payload;
+  request.payload = fl.payload;
   const BufView body = request.encode();
 
   Envelope env;
@@ -62,8 +64,10 @@ void Client::send_request(std::uint64_t timestamp, const BufView& payload,
   env.sender = id();
   env.body = body;
   // The request is authenticated to every replica so any of them can relay
-  // it to the primary without weakening authenticity.
-  crypto::cmac_tags(replica_keys(), mac_input(env.type, body), request_tags_);
+  // it to the primary, and check it inside the primary's batch, without
+  // weakening authenticity. The tags cover the header and the payload's
+  // digest (payload_digest(body) is the SHA-256 of the payload itself).
+  crypto::cmac_tags(replica_keys(), request_mac_input(body, fl.payload_digest), request_tags_);
   env.auth.reserve(request_tags_.size());
   for (std::size_t i = 0; i < request_tags_.size(); ++i) {
     env.auth.emplace_back(config_.replicas[i], request_tags_[i]);
@@ -90,7 +94,7 @@ void Client::on_retry_timeout() {
   ++retransmissions_;
   // Suspect the primary; tell everyone about every outstanding request.
   for (const auto& [timestamp, fl] : inflight_) {
-    send_request(timestamp, fl.payload, /*broadcast=*/true);
+    send_request(timestamp, fl, /*broadcast=*/true);
   }
   retry_timer_armed_ = true;
   retry_timer_ = set_timer(config_.client_retry_ns, [this] { on_retry_timeout(); });

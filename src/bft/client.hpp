@@ -81,6 +81,7 @@ class Client : public net::Process {
   /// One submitted-but-undecided request.
   struct Inflight {
     BufView payload;
+    Digest payload_digest{};  // what its authenticators cover of the payload
     Completion done;
     std::unique_ptr<ReplyCollector> collector;
     std::set<NodeId> replied;  // replicas already counted
@@ -88,7 +89,7 @@ class Client : public net::Process {
 
   /// Dispatches queued requests into the pipeline window.
   void pump();
-  void send_request(std::uint64_t timestamp, const BufView& payload, bool broadcast);
+  void send_request(std::uint64_t timestamp, const Inflight& request, bool broadcast);
   void on_retry_timeout();
   void finish(std::uint64_t timestamp, Result<Bytes> result);
   /// The MAC key shared with each replica, by rank, looked up on first use.

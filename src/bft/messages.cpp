@@ -22,13 +22,9 @@ void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
 
 Result<Digest> read_digest(cdr::Decoder& dec) { return dec.read_array<crypto::kDigestSize>(); }
 
-/// The little-endian u64 at `at` in a body whose size was checked.
-std::uint64_t load_le64(ByteView data, std::size_t at) {
-  const std::uint8_t* p = data.data() + at;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
+using cdr::detail::load_le32;
+using cdr::detail::load_le64;
+using cdr::detail::zero_pad;
 
 /// The digest at `at` in a body whose size was checked; one copy, as a
 /// Decoder read of the digest would count it.
@@ -113,17 +109,64 @@ Result<PrePrepareMsg> PrePrepareMsg::decode(const BufView& data) {
   return msg;
 }
 
-Digest proposal_digest(ByteView request) { return crypto::sha256(request); }
+Digest payload_digest(ByteView request) {
+  return crypto::sha256(request.subspan(std::min(request.size(), kRequestHeaderSize)));
+}
+
+ProposalDigest::ProposalDigest(std::size_t entries) {
+  std::uint8_t count_le[4];
+  for (int i = 0; i < 4; ++i) count_le[i] = static_cast<std::uint8_t>(entries >> (8 * i));
+  sha_.update(ByteView(count_le, sizeof(count_le)));
+}
+
+void ProposalDigest::add(ByteView request, const Digest& payload_digest) {
+  // The length first, so the header's extent is fixed by what precedes it
+  // and no two framings of the same bytes hash alike.
+  std::uint8_t length_le[4];
+  for (int i = 0; i < 4; ++i) length_le[i] = static_cast<std::uint8_t>(request.size() >> (8 * i));
+  sha_.update(ByteView(length_le, sizeof(length_le)))
+      .update(request.first(std::min(request.size(), kRequestHeaderSize)))
+      .update(crypto::digest_view(payload_digest));
+}
+
+Digest ProposalDigest::finish() { return sha_.finish(); }
+
+Digest proposal_digest(const batch::BatchMsg& batch) {
+  ProposalDigest digest(batch.entries.size());
+  for (const batch::BatchEntry& entry : batch.entries) {
+    digest.add(entry.request, payload_digest(entry.request));
+  }
+  return digest.finish();
+}
 
 ByteView authenticated_region(MsgType type, ByteView body) {
-  if (type != MsgType::kPrePrepare) return body;
-  return body.first(std::min(body.size(), kPrePrepareHeaderSize));
+  switch (type) {
+    case MsgType::kPrePrepare: return body.first(std::min(body.size(), kPrePrepareHeaderSize));
+    case MsgType::kRequest: return body.first(std::min(body.size(), kRequestHeaderSize));
+    case MsgType::kPrepare:
+    case MsgType::kCommit:
+    case MsgType::kReply:
+    case MsgType::kCheckpoint:
+    case MsgType::kViewChange:
+    case MsgType::kNewView:
+    case MsgType::kStateRequest:
+    case MsgType::kStateResponse:
+      break;
+  }
+  return body;
 }
 
 std::array<ByteView, 2> mac_input(const MsgType& type, ByteView body) {
   static_assert(sizeof(MsgType) == 1);
+  assert(type != MsgType::kRequest && "a REQUEST authenticates through request_mac_input");
   return {ByteView(reinterpret_cast<const std::uint8_t*>(&type), 1),
           authenticated_region(type, body)};
+}
+
+std::array<ByteView, 3> request_mac_input(ByteView body, const Digest& payload_digest) {
+  static constexpr MsgType kType = MsgType::kRequest;
+  return {ByteView(reinterpret_cast<const std::uint8_t*>(&kType), 1),
+          authenticated_region(kType, body), crypto::digest_view(payload_digest)};
 }
 
 namespace {
@@ -382,21 +425,6 @@ namespace {
 constexpr std::size_t kEnvelopeSenderAt = 8;
 constexpr std::size_t kEnvelopeLengthAt = 16;
 constexpr std::size_t kEnvelopeBodyAt = 20;
-
-std::uint32_t load_le32(ByteView data, std::size_t at) {
-  const std::uint8_t* p = data.data() + at;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-/// Whether the alignment pad data[from, to) is all zero bytes.
-bool zero_pad(ByteView data, std::size_t from, std::size_t to) {
-  for (std::size_t at = from; at < to; ++at) {
-    if (data[at] != 0) return false;
-  }
-  return true;
-}
 }  // namespace
 
 BufView Envelope::encode_into(Arena& arena) const {

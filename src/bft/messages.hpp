@@ -11,8 +11,10 @@
 #include <optional>
 #include <vector>
 
+#include "batch/batch_msg.hpp"
 #include "cdr/codec.hpp"
 #include "common/ids.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/signing.hpp"
 
 namespace itdos::bft {
@@ -37,6 +39,8 @@ std::string_view msg_type_name(MsgType t);
 /// Client request. `timestamp` is the client's strictly-increasing request
 /// counter; replicas use it to deduplicate retransmissions. The payload is
 /// a view: relaying, logging and re-proposing share one sealed chunk.
+/// Wire layout: client at 0, timestamp at 8, payload length at 16, then
+/// the payload at kRequestHeaderSize.
 struct RequestMsg {
   NodeId client;
   std::uint64_t timestamp = 0;
@@ -46,6 +50,15 @@ struct RequestMsg {
   Bytes encode() const;
   static Result<RequestMsg> decode(const BufView& data);
 };
+
+/// A REQUEST body's fixed header: client, timestamp and payload length.
+inline constexpr std::size_t kRequestHeaderSize = 20;
+
+/// SHA-256 of what follows a REQUEST body's header: for a well-formed body,
+/// the payload. A request's authenticators and its batch's proposal digest
+/// cover this digest in place of the payload, so each replica hashes a
+/// payload once.
+Digest payload_digest(ByteView request);
 
 /// Primary's ordering proposal; carries the formed batch (piggybacked):
 /// `request` is an encoded batch::BatchMsg of one or more client requests
@@ -67,15 +80,35 @@ struct PrePrepareMsg {
 /// 16 and the request length at 48. The batch bytes follow it.
 inline constexpr std::size_t kPrePrepareHeaderSize = 52;
 
-/// Digest binding a proposal's batch bytes: SHA-256 of the bytes.
-Digest proposal_digest(ByteView request);
+/// The digest binding a proposal: SHA-256 over the batch's entry count,
+/// then per entry its request length, its first kRequestHeaderSize bytes
+/// (the header of a well-formed request) and its payload_digest. It covers
+/// every byte a replica executes but reads no payload, so the primary
+/// feeds it the digests it computed when it verified each request. The
+/// authenticator entries are not covered: they decide whether a backup
+/// prepares, not what a slot executes. The walk allocates nothing.
+class ProposalDigest {
+ public:
+  explicit ProposalDigest(std::size_t entries);
+  /// Adds the next entry: its request frame and that frame's
+  /// payload_digest.
+  void add(ByteView request, const Digest& payload_digest);
+  Digest finish();
+
+ private:
+  crypto::Sha256 sha_;
+};
+
+/// The proposal digest of `batch`, hashing every entry's payload.
+Digest proposal_digest(const batch::BatchMsg& batch);
 
 /// The part of a `type` body that its MAC authenticators cover. For a
 /// PRE-PREPARE that is the fixed header, the Castro-Liskov authenticator
 /// over <v, n, d>: the piggybacked request is bound by req_digest, which
-/// the receiving replica checks once against the decoded request. Every
-/// other body is covered whole. Senders, receivers and tests all MAC
-/// through this.
+/// the receiving replica checks once against the decoded request. For a
+/// REQUEST it is the header, and request_mac_input adds the payload's
+/// digest. Every other body is covered whole. Senders, receivers and tests
+/// all MAC through this.
 ByteView authenticated_region(MsgType type, ByteView body);
 
 /// The input of a `type` message's MAC authenticators: the type byte, then
@@ -83,9 +116,19 @@ ByteView authenticated_region(MsgType type, ByteView body);
 /// kind from passing as another kind with the same body layout under the
 /// same pairwise key: a PREPARE as a COMMIT, a REQUEST as a REPLY. The
 /// type byte is read where `type` lives (pass the Envelope's own field), so
-/// `type` must outlive the views, and a temporary is refused.
+/// `type` must outlive the views, and a temporary is refused. A REQUEST
+/// authenticates through request_mac_input instead.
 std::array<ByteView, 2> mac_input(const MsgType& type, ByteView body);
 std::array<ByteView, 2> mac_input(MsgType&& type, ByteView body) = delete;
+
+/// The input of a REQUEST's authenticators: the REQUEST type byte, the
+/// body's header and `payload_digest`, which must be payload_digest(body).
+/// About 53 bytes however large the payload: a client tags them for every
+/// replica, and a replica checks its tag, whether the request reaches it
+/// as a REQUEST or as a batch entry, after hashing the payload once.
+/// `payload_digest` must outlive the views.
+std::array<ByteView, 3> request_mac_input(ByteView body, const Digest& payload_digest);
+std::array<ByteView, 3> request_mac_input(ByteView body, Digest&& payload_digest) = delete;
 
 struct PrepareMsg {
   ViewId view;
@@ -203,6 +246,7 @@ struct StateResponseMsg {
 class AuthVector {
  public:
   static constexpr std::size_t kEntrySize = 8 + crypto::kMacTagSize;
+  static_assert(kEntrySize == batch::kAuthEntrySize);
 
   AuthVector() = default;
   /// Entries already in wire form; `wire.size()` is a multiple of kEntrySize.
@@ -219,6 +263,11 @@ class AuthVector {
 
   /// The first entry's tag for `receiver`, if it has one.
   std::optional<crypto::MacTag> find(NodeId receiver) const;
+
+  /// A decoded vector's entries as a view of the received bytes (what a
+  /// primary carries into a batch entry); empty for a vector a sender
+  /// built.
+  const BufView& wire() const { return wire_; }
 
  private:
   Bytes owned_;   // entries a sender appended

@@ -47,6 +47,34 @@ constexpr std::size_t align_up(std::size_t offset, std::size_t alignment) {
   return (offset + (alignment - 1)) & ~(alignment - 1);
 }
 
+// Fixed-offset reads for decoders that check a frame's sizes themselves
+// (bft::Envelope, batch::BatchMsg): each reads `data` at `at`, which the
+// caller has checked is in range.
+
+/// The little-endian u32 at `at`.
+inline std::uint32_t load_le32(ByteView data, std::size_t at) {
+  const std::uint8_t* p = data.data() + at;
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
+  return v;
+}
+
+/// The little-endian u64 at `at`.
+inline std::uint64_t load_le64(ByteView data, std::size_t at) {
+  const std::uint8_t* p = data.data() + at;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+/// Whether the alignment pad data[from, to) is all zero bytes.
+inline bool zero_pad(ByteView data, std::size_t from, std::size_t to) {
+  for (std::size_t at = from; at < to; ++at) {
+    if (data[at] != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace detail
 
 class Encoder {

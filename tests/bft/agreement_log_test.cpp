@@ -118,12 +118,14 @@ TEST(AgreementLogTest, ViewChangeAcrossTheWrapKeepsItsBytes) {
   EXPECT_EQ(done, 0);
 
   // The VIEW-CHANGE bytes are the ones the replica sent when its log was an
-  // ordered map (SHA-256 of each whole signed envelope, by rank).
+  // ordered map (SHA-256 of each whole signed envelope, by rank), re-pinned
+  // once since, when batch entries began to carry their clients'
+  // authenticators and req_digest became a digest of payload digests.
   const std::array<std::string, 4> pinned = {
-      "3b0efbe63b2231f8101c4e8dcfe69c6882d7b2998088bf99b48ce8cfec139c47",
-      "6ab5fbf1a0289dcb73d99596c4bbb172b29e4a85966036e59dd38106c0096eb3",
-      "9a226d3c509dcea4904288c78f526485b67af7d439814d8e30a72745a96d13b4",
-      "cabaf4c9ceebaa7e06884ca9fa10e5328355d60bb3125bf03d5e2c99c5a3ed08",
+      "d6f7d9cbc30042b8d4fa3c5730a1d61d4b0642a8453a6605dfcfa4d667e2318d",
+      "711fefb29d2a9265c095572bfcb14ea339a5e62cd96cb256af2976a4a851fa2e",
+      "ff89a535e0ea67dd1bc9cb38c4a01af8a9de331aed2a6fba0004d3d46bfa0052",
+      "4608366958f314bc9b033c6b31c9ffc6aca4e1d9e67155f2541a0c97b6530fdb",
   };
   for (int rank = 0; rank < cluster.n(); ++rank) {
     ASSERT_FALSE(view_changes[rank].empty()) << "rank " << rank << " sent no VIEW-CHANGE";

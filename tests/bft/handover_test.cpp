@@ -10,6 +10,7 @@
 
 #include "bft/harness.hpp"
 #include "bft/replica.hpp"
+#include "client_auth.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -188,10 +189,7 @@ TEST(HandoverTest, HeldRequestsStayWithinTheClientSpanAndLeaveOnExecution) {
     env.type = MsgType::kRequest;
     env.sender = client;
     env.body = BufView(request.encode());
-    for (NodeId replica : cluster.config().replicas) {
-      env.auth.emplace_back(replica, cluster.keys().tag(client, replica,
-                                                        mac_input(env.type, env.body)));
-    }
+    env.auth = client_tags(cluster.keys(), cluster.config(), client, env.body);
     const BufView wire = env.encode_into(cluster.sim().arena());
     for (int rank = 1; rank < cluster.n(); ++rank) {
       cluster.network().send(client, cluster.replica_id(rank), wire);

@@ -8,6 +8,7 @@
 
 #include "bft/harness.hpp"
 #include "bft/messages.hpp"
+#include "client_auth.hpp"
 #include "net/process.hpp"
 
 namespace itdos::bft {
@@ -21,15 +22,21 @@ class Impostor : public net::Process {
   };
 
   Impostor(Cluster& cluster, NodeId id)
-      : net::Process(cluster.network(), id), keys_(cluster.keys()) {}
+      : net::Process(cluster.network(), id), keys_(cluster.keys()), config_(cluster.config()) {}
 
-  /// Sends `body` to `to` labelled `sent_as`, carrying the authenticator a
-  /// `mac_as` message with that body would carry.
+  /// Sends `body` to `to` labelled `sent_as`, carrying the authenticators a
+  /// `mac_as` message with that body would carry: a REQUEST to a replica is
+  /// tagged for every replica, as a client tags it (any of them may check
+  /// it in a batch); anything else carries one tag, for `to`.
   void send(NodeId to, MsgType sent_as, MsgType mac_as, Bytes body) {
     Envelope env;
     env.type = sent_as;
     env.sender = id();
-    env.auth.emplace_back(to, keys_.tag(id(), to, mac_input(mac_as, body)));
+    if (mac_as == MsgType::kRequest && config_.is_replica(to)) {
+      env.auth = client_tags(keys_, config_, id(), body);
+    } else {
+      env.auth.emplace_back(to, tag(mac_as, id(), to, body));
+    }
     env.body = BufView(std::move(body));
     send_to(to, env.encode_into(arena_));
   }
@@ -44,16 +51,24 @@ class Impostor : public net::Process {
     Result<Envelope> decoded = Envelope::decode(packet.payload);
     if (!decoded.is_ok()) return;
     const Envelope& env = decoded.value();
-    const std::optional<crypto::MacTag> tag = env.tag_for(id());
-    if (!tag || !keys_.verify(env.sender, id(), mac_input(env.type, env.body), *tag)) {
-      return;
-    }
+    const std::optional<crypto::MacTag> received = env.tag_for(id());
+    if (!received || tag(env.type, env.sender, id(), env.body) != *received) return;
     const ByteView body = env.body;
     received_.push_back(Received{env.type, env.sender, Bytes(body.begin(), body.end())});
   }
 
  private:
+  /// The (a, b) tag a `type` message with `body` carries.
+  crypto::MacTag tag(MsgType type, NodeId a, NodeId b, ByteView body) const {
+    if (type == MsgType::kRequest) {
+      const Digest payload = payload_digest(body);
+      return keys_.tag(a, b, request_mac_input(body, payload));
+    }
+    return keys_.tag(a, b, mac_input(type, body));
+  }
+
   const SessionKeys& keys_;
+  BftConfig config_;
   Arena arena_;
   std::vector<Received> received_;
 };

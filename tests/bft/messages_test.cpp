@@ -75,14 +75,12 @@ TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
   msg.view = ViewId(3);
   msg.seq = SeqNum(17);
   msg.request = to_bytes("encoded-request");
-  msg.req_digest = proposal_digest(ByteView(msg.request));
+  msg.req_digest = digest_of(0x42);
   const Bytes body = msg.encode();
   ASSERT_EQ(body.size(), kPrePrepareHeaderSize + msg.request.size());
   const ByteView region = authenticated_region(MsgType::kPrePrepare, body);
   EXPECT_EQ(Bytes(region.begin(), region.end()),
             Bytes(body.begin(), body.begin() + kPrePrepareHeaderSize));
-  // The digest is SHA-256 of the batch bytes alone.
-  EXPECT_EQ(msg.req_digest, crypto::sha256(ByteView(msg.request)));
 
   // Every other body is authenticated whole.
   PrepareMsg prep;
@@ -91,11 +89,36 @@ TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
   EXPECT_EQ(authenticated_region(MsgType::kPrepare, prep_body).size(), prep_body.size());
 }
 
+TEST(BftMessagesTest, RequestAuthenticatorsCoverHeaderAndPayloadDigest) {
+  // A REQUEST's tags cover the type byte, the 20-byte header and the
+  // SHA-256 of the payload: 53 bytes, whatever the payload's size.
+  ASSERT_EQ(kRequestHeaderSize, 20u);
+  RequestMsg request{NodeId(1000), 42, BufView(Bytes(5000, 0x61))};
+  const Bytes body = request.encode();
+  const Digest payload = payload_digest(body);
+  EXPECT_EQ(payload, crypto::sha256(Bytes(5000, 0x61)));
+  const std::array<ByteView, 3> input = request_mac_input(body, payload);
+  ASSERT_EQ(input[0].size(), 1u);
+  EXPECT_EQ(input[0][0], static_cast<std::uint8_t>(MsgType::kRequest));
+  EXPECT_EQ(Bytes(input[1].begin(), input[1].end()),
+            Bytes(body.begin(), body.begin() + kRequestHeaderSize));
+  EXPECT_EQ(Bytes(input[2].begin(), input[2].end()), crypto::digest_bytes(payload));
+  const ByteView region = authenticated_region(MsgType::kRequest, body);
+  EXPECT_EQ(region.data(), body.data());
+  EXPECT_EQ(region.size(), kRequestHeaderSize);
+
+  // A body too short for its header is digested from its end: nothing.
+  const Bytes stub(7, 0x01);
+  EXPECT_EQ(payload_digest(stub), crypto::sha256(ByteView()));
+  EXPECT_EQ(authenticated_region(MsgType::kRequest, stub).size(), stub.size());
+}
+
 TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
   // Hand-built wire bytes of a one-entry PRE-PREPARE, all little-endian:
   // the 52-byte header (view, seq, digest, request length), then the batch
-  // (entry count, entry length) and the entry, an encoded RequestMsg
-  // (client, timestamp, payload length, payload).
+  // (entry count, entry length), the entry, an encoded RequestMsg (client,
+  // timestamp, payload length, payload), and its one authenticator (count,
+  // pads, node id and tag).
   const auto le = [](Bytes& out, std::uint64_t v, int width) {
     for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   };
@@ -105,10 +128,18 @@ TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
   le(entry, 3, 4);     // payload length
   append(entry, to_bytes("abc"));
   ASSERT_EQ(entry.size(), 23u);
+  Bytes auth;
+  le(auth, 3, 8);                                // node id
+  auth.insert(auth.end(), crypto::kMacTagSize, 0x77);  // tag
   Bytes batch;
   le(batch, 1, 4);             // entry count
   le(batch, entry.size(), 4);  // entry length
-  append(batch, entry);
+  append(batch, entry);        // to offset 31
+  le(batch, 0, 1);             // pad to 32
+  le(batch, 1, 4);             // authenticator count
+  le(batch, 0, 4);             // pad to 40
+  append(batch, auth);
+  ASSERT_EQ(batch.size(), 64u);
   Bytes wire;
   le(wire, 3, 8);   // view
   le(wire, 17, 8);  // seq
@@ -130,12 +161,25 @@ TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
   const auto carried = batch::BatchMsg::decode(pp.request);
   ASSERT_TRUE(carried.is_ok());
   ASSERT_EQ(carried.value().entries.size(), 1u);
-  const auto request = RequestMsg::decode(carried.value().entries.front());
+  const auto request = RequestMsg::decode(carried.value().entries.front().request);
   ASSERT_TRUE(request.is_ok());
   EXPECT_EQ(request.value().client, NodeId(1000));
   EXPECT_EQ(request.value().timestamp, 42u);
   EXPECT_EQ(to_string(request.value().payload), "abc");
   EXPECT_EQ(request.value().encode(), entry);
+  const AuthVector tags(carried.value().entries.front().auth);
+  crypto::MacTag tag;
+  tag.fill(0x77);
+  EXPECT_EQ(tags.find(NodeId(3)), tag);
+
+  // The proposal digest: SHA-256 of the entry count, then the entry's
+  // length, its 20-byte header and its payload's digest.
+  Bytes preimage;
+  le(preimage, 1, 4);
+  le(preimage, entry.size(), 4);
+  preimage.insert(preimage.end(), entry.begin(), entry.begin() + 20);
+  append(preimage, crypto::digest_bytes(crypto::sha256(to_bytes("abc"))));
+  EXPECT_EQ(proposal_digest(carried.value()), crypto::sha256(preimage));
 }
 
 TEST(BftMessagesTest, PrepareCommitRoundTrip) {
@@ -517,7 +561,8 @@ TEST(BftMessagesTest, EnvelopeEncodeIntoSizesItsChunk) {
 TEST(BftMessagesTest, BatchEncodeIntoSizesItsChunk) {
   batch::BatchMsg batch;
   for (const std::size_t entry_size : {1u, 2u, 3u, 300u, 5u, 64u}) {
-    batch.entries.emplace_back(Bytes(entry_size, 0x3c));
+    batch.entries.push_back({BufView(Bytes(entry_size, 0x3c)),
+                             BufView(Bytes(entry_size % 5 * batch::kAuthEntrySize, 0x3d))});
     Arena sizing;
     expect_chunk_fits([&batch](Arena& arena) { return batch.encode_into(arena); },
                       batch.encode_into(sizing).size());

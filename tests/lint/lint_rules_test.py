@@ -238,6 +238,23 @@ class AnalyzerRuleFires(unittest.TestCase):
         for needle in ("last_sender_", "pending_", "seen_", "delivered_"):
             self.assertIn(f"`{needle}`", messages)
 
+    def test_taint002_relay_drop_before_mac(self):
+        # A primary drops a relayed copy of a request it already proposed
+        # before any MAC work. Read-only lookups (find, contains) there are
+        # fine; operator[] (which inserts) and insert() are not.
+        code, findings = run_analyze(
+            fixture("analyze", "itdos", "taint002_relay_bad.cpp"))
+        self.assertEqual(code, 1, findings)
+        hits = [f for f in findings if f["rule"] == "TAINT-002"]
+        self.assertEqual(len(hits), 2, hits)
+        messages = " ".join(h["message"] for h in hits)
+        for needle in ("clients_", "relayed_"):
+            self.assertIn(f"`{needle}`", messages)
+        code_ok, findings_ok = run_analyze(
+            fixture("analyze", "itdos", "taint002_relay_ok.cpp"))
+        self.assertEqual(code_ok, 0,
+                         f"read-only relay drop must be clean: {findings_ok}")
+
     def test_proto003_fires_with_and_without_default(self):
         hits = self.assert_triplet(
             "PROTO-003", "proto003_bad.cpp", "proto003_ok.cpp",

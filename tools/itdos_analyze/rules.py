@@ -73,11 +73,11 @@ def check_taint002(program) -> list:
                   or (prev is not None and prev.text in {"++", "--"})):
                 mutated = True
             elif nxt is not None and nxt.text == "[":
-                # state_[key] = ... : map insert-or-assign before verify
-                close = _match_sq(toks, i + 1)
-                if (close > 0 and close + 1 < len(toks)
-                        and toks[close + 1].text == "="):
-                    mutated = True
+                # state_[key]: a map's operator[] inserts the key even when
+                # the result is only read, so any subscript of protocol
+                # state before verify counts (read-only lookups use find()
+                # or contains())
+                mutated = True
             if mutated:
                 out.append(Finding(
                     "TAINT-002", func.path, t.line,
@@ -85,18 +85,6 @@ def check_taint002(program) -> list:
                     "is verified; move the write after the verify or count "
                     "it in telemetry instead", function=func.qual_name))
     return out
-
-
-def _match_sq(toks, i):
-    depth = 0
-    for j in range(i, len(toks)):
-        if toks[j].text == "[":
-            depth += 1
-        elif toks[j].text == "]":
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
 
 
 # ---------------------------------------------------------------------------
