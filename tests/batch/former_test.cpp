@@ -14,6 +14,10 @@ namespace {
 // Riders one batch may carry in these tests (a 4-replica group at depth 1).
 constexpr std::size_t kRiders = 4;
 
+// Formation never reads an entry's payload digest (nor, but for take_all,
+// its authenticators); the tests park entries without either.
+const crypto::Digest kNoDigest{};
+
 BufView frame(std::size_t n, char fill = 'x') {
   return BufView(Bytes(n, static_cast<std::uint8_t>(fill)));
 }
@@ -32,9 +36,9 @@ TEST(FormerTest, DefaultPolicyCutsEveryRequestAlone) {
   // a batch of its own, so an unbatched deployment never waits on a hold.
   Former former(Policy{}, kRiders);
   const SimTime t0{};
-  former.enqueue(frame(10), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(10), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
-  former.enqueue(frame(10), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(10), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_EQ(former.form().size(), 1u);
   EXPECT_TRUE(former.ripe(t0));
   EXPECT_EQ(former.form().size(), 1u);
@@ -51,19 +55,19 @@ TEST(FormerTest, EmptyFormerIsNeverRipe) {
 TEST(FormerTest, CountCapTrips) {
   Former former(policy(3), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(8), EntryClass::kClient, 0, t0);
-  former.enqueue(frame(8), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
+  former.enqueue(frame(8), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(8), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
 }
 
 TEST(FormerTest, ByteCapTrips) {
   Former former(policy(100, /*max_bytes=*/100), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(60), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(60), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(60), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(60), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
   EXPECT_EQ(former.pending_bytes(), 120u);
 }
@@ -71,7 +75,7 @@ TEST(FormerTest, ByteCapTrips) {
 TEST(FormerTest, HoldCapTripsAtDeadline) {
   Former former(policy(100, 64 * 1024, /*max_hold_ns=*/micros(50)), kRiders);
   const SimTime t0{micros(10)};
-  former.enqueue(frame(8), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   ASSERT_TRUE(former.deadline().has_value());
   EXPECT_EQ(former.deadline()->ns, (t0 + micros(50)).ns);
   EXPECT_FALSE(former.ripe(t0 + micros(49)));
@@ -80,8 +84,8 @@ TEST(FormerTest, HoldCapTripsAtDeadline) {
 
 TEST(FormerTest, DeadlineFollowsOldestEntry) {
   Former former(policy(100, 64 * 1024, micros(50)), kRiders);
-  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{micros(1)});
-  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{micros(40)});
+  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{micros(1)}, BufView(), kNoDigest);
+  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{micros(40)}, BufView(), kNoDigest);
   EXPECT_EQ(former.deadline()->ns, micros(51));
   (void)former.form();  // pops both; nothing left
   EXPECT_EQ(former.deadline(), std::nullopt);
@@ -90,9 +94,9 @@ TEST(FormerTest, DeadlineFollowsOldestEntry) {
 TEST(FormerTest, UrgentEntryIsRipeImmediately) {
   Former former(policy(100), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(8), EntryClass::kClient, 0, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 0, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(8), EntryClass::kUrgent, 0, t0);
+  former.enqueue(frame(8), EntryClass::kUrgent, 0, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
   // Forming consumes the urgent entry; the remainder is no longer urgent.
   (void)former.form();
@@ -106,7 +110,7 @@ TEST(FormerTest, LoneRiderWaitsOutItsHold) {
   // live when no client traffic comes.
   Former former(Policy{}, kRiders);
   const SimTime t0{micros(5)};
-  former.enqueue(frame(8), EntryClass::kRider, 0, t0);
+  former.enqueue(frame(8), EntryClass::kRider, 0, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
   EXPECT_FALSE(former.ripe(t0 + micros(199)));
   EXPECT_EQ(former.deadline()->ns, (t0 + micros(200)).ns);
@@ -120,15 +124,15 @@ TEST(FormerTest, RiderAndClientEntryAreRipeAtOnce) {
   // alone; together they leave at once, in one batch.
   Former former(policy(100, 64 * 1024, millis(20)), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(8), EntryClass::kRider, 1, t0);
+  former.enqueue(frame(8), EntryClass::kRider, 1, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(8), EntryClass::kClient, 2, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 2, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
   EXPECT_EQ(former.form().size(), 2u);
   // The same holds the other way round.
-  former.enqueue(frame(8), EntryClass::kClient, 3, t0);
+  former.enqueue(frame(8), EntryClass::kClient, 3, t0, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(8), EntryClass::kRider, 4, t0);
+  former.enqueue(frame(8), EntryClass::kRider, 4, t0, BufView(), kNoDigest);
   EXPECT_TRUE(former.ripe(t0));
 }
 
@@ -138,13 +142,13 @@ TEST(FormerTest, RidersStayOutsideBothCapsInArrivalOrder) {
   // batch keeps arrival order.
   Former former(policy(1, /*max_bytes=*/32), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(24), EntryClass::kRider, 1, t0);
-  former.enqueue(frame(24), EntryClass::kRider, 2, t0);
+  former.enqueue(frame(24), EntryClass::kRider, 1, t0, BufView(), kNoDigest);
+  former.enqueue(frame(24), EntryClass::kRider, 2, t0, BufView(), kNoDigest);
   EXPECT_EQ(former.pending_bytes(), 0u);
   EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(32), EntryClass::kClient, 3, t0);
-  former.enqueue(frame(24), EntryClass::kRider, 4, t0);
-  former.enqueue(frame(32), EntryClass::kClient, 5, t0);
+  former.enqueue(frame(32), EntryClass::kClient, 3, t0, BufView(), kNoDigest);
+  former.enqueue(frame(24), EntryClass::kRider, 4, t0, BufView(), kNoDigest);
+  former.enqueue(frame(32), EntryClass::kClient, 5, t0, BufView(), kNoDigest);
   EXPECT_EQ(former.pending_bytes(), 64u);
   const std::vector<PendingEntry> first = former.form();
   ASSERT_EQ(first.size(), 4u);
@@ -160,7 +164,7 @@ TEST(FormerTest, RidersStayOutsideBothCapsInArrivalOrder) {
 TEST(FormerTest, BatchCarriesAtMostMaxRiders) {
   Former former(policy(8), /*max_riders=*/2);
   const SimTime t0{};
-  for (std::uint64_t i = 1; i <= 5; ++i) former.enqueue(frame(8), EntryClass::kRider, i, t0);
+  for (std::uint64_t i = 1; i <= 5; ++i) former.enqueue(frame(8), EntryClass::kRider, i, t0, BufView(), kNoDigest);
   const SimTime late = t0 + micros(200);
   std::vector<std::size_t> cuts;
   while (former.ripe(late)) cuts.push_back(former.form().size());
@@ -171,7 +175,7 @@ TEST(FormerTest, FormRespectsCountCapAndArrivalOrder) {
   Former former(policy(2), kRiders);
   const SimTime t0{};
   for (char c = 'a'; c <= 'e'; ++c) {
-    former.enqueue(frame(4, c), EntryClass::kClient, static_cast<std::uint64_t>(c), t0);
+    former.enqueue(frame(4, c), EntryClass::kClient, static_cast<std::uint64_t>(c), t0, BufView(), kNoDigest);
   }
   const std::vector<PendingEntry> first = former.form();
   ASSERT_EQ(first.size(), 2u);
@@ -186,8 +190,8 @@ TEST(FormerTest, FormRespectsCountCapAndArrivalOrder) {
 TEST(FormerTest, FormRespectsByteCap) {
   Former former(policy(100, /*max_bytes=*/100), kRiders);
   const SimTime t0{};
-  former.enqueue(frame(60), EntryClass::kClient, 1, t0);
-  former.enqueue(frame(60), EntryClass::kClient, 2, t0);
+  former.enqueue(frame(60), EntryClass::kClient, 1, t0, BufView(), kNoDigest);
+  former.enqueue(frame(60), EntryClass::kClient, 2, t0, BufView(), kNoDigest);
   const std::vector<PendingEntry> batch = former.form();
   // Second entry would blow the byte cap; it stays parked.
   ASSERT_EQ(batch.size(), 1u);
@@ -198,7 +202,7 @@ TEST(FormerTest, FormRespectsByteCap) {
 
 TEST(FormerTest, OversizedSingletonStillForms) {
   Former former(policy(100, /*max_bytes=*/16), kRiders);
-  former.enqueue(frame(4096), EntryClass::kClient, 7, SimTime{});
+  former.enqueue(frame(4096), EntryClass::kClient, 7, SimTime{}, BufView(), kNoDigest);
   const std::vector<PendingEntry> batch = former.form();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].encoded.size(), 4096u);
@@ -207,20 +211,20 @@ TEST(FormerTest, OversizedSingletonStillForms) {
 
 TEST(FormerTest, TakeAllEmptiesTheFormerInArrivalOrder) {
   Former former(policy(4), kRiders);
-  const BufView envelope = frame(24);
-  former.enqueue(frame(8), EntryClass::kUrgent, 1, SimTime{}, envelope);
-  former.enqueue(frame(8), EntryClass::kClient, 2, SimTime{});
+  const BufView auth = frame(24);
+  former.enqueue(frame(8), EntryClass::kUrgent, 1, SimTime{}, auth, kNoDigest);
+  former.enqueue(frame(8), EntryClass::kClient, 2, SimTime{}, BufView(), kNoDigest);
   const std::deque<PendingEntry> taken = former.take_all();
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(taken[0].trace, 1u);
-  EXPECT_EQ(taken[0].envelope.size(), 24u);
+  EXPECT_EQ(taken[0].auth.size(), 24u);
   EXPECT_EQ(taken[1].trace, 2u);
-  EXPECT_TRUE(taken[1].envelope.empty());
+  EXPECT_TRUE(taken[1].auth.empty());
   EXPECT_TRUE(former.empty());
   EXPECT_EQ(former.pending_bytes(), 0u);
   EXPECT_FALSE(former.ripe(SimTime{seconds(1)}));
   // Urgency book-keeping must reset too.
-  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{});
+  former.enqueue(frame(8), EntryClass::kClient, 0, SimTime{}, BufView(), kNoDigest);
   EXPECT_FALSE(former.ripe(SimTime{}));
 }
 
@@ -236,7 +240,7 @@ TEST(FormerTest, SameArrivalsSameClockSameBatches) {
       const EntryClass cls = i % 7 == 0 ? EntryClass::kUrgent
                              : i % 3 == 0 ? EntryClass::kRider
                                           : EntryClass::kClient;
-      former.enqueue(frame(16 + static_cast<std::size_t>(i)), cls, 0, now);
+      former.enqueue(frame(16 + static_cast<std::size_t>(i)), cls, 0, now, BufView(), kNoDigest);
       while (former.ripe(now)) cuts.push_back(former.form().size());
     }
     return cuts;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "bft/harness.hpp"
+#include "bft/messages.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -347,6 +351,158 @@ TEST(BftClusterTest, ClientRetransmitsAgainstSilentPrimary) {
       cluster.invoke_sync(client, to_bytes("add:2"), seconds(10));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_GE(client.retransmissions(), 1u);
+}
+
+/// Makes every replica drop, on delivery, each packet whose envelope `env`
+/// makes `drop(sender rank, receiver rank, env)` hold (a client's rank is
+/// -1).
+void drop_at_replicas(Cluster& cluster,
+                      std::function<bool(int, int, const Envelope&)> drop) {
+  for (int rank = 0; rank < cluster.n(); ++rank) {
+    cluster.network().set_inbound_filter(
+        cluster.replica_id(rank), [&cluster, rank, drop](const net::Packet& packet) {
+          const Result<Envelope> env = Envelope::decode(packet.payload);
+          return !env.is_ok() || !drop(cluster.config().rank_of(packet.from), rank, env.value());
+        });
+  }
+}
+
+/// Runs `cluster` in 1 ms steps until `done` holds, for at most `limit`.
+bool run_until(Cluster& cluster, const std::function<bool()>& done, std::int64_t limit) {
+  for (std::int64_t waited = 0; !done(); waited += millis(1)) {
+    if (waited >= limit) return false;
+    cluster.sim().run_for(millis(1));
+  }
+  return true;
+}
+
+/// The drops that leave slot 1 of view 0 prepared at rank 3 alone, and then
+/// move the group to view 1 without rank 3's VIEW-CHANGE in the certificate.
+/// In view 0 rank 1 misses the PRE-PREPARE, only rank 2's PREPARE gets
+/// through (to rank 3), and no COMMIT does: rank 3 prepares and sends its
+/// COMMIT, no other replica prepares. From then on rank 0 says nothing but
+/// its VIEW-CHANGE, and rank 3's VIEW-CHANGE never reaches rank 1, the
+/// view-1 primary, whose NEW-VIEW therefore leaves slot 1 out of O. The new
+/// primary proposes slot 1 afresh.
+bool old_view_commit_drops(bool in_view_0, int from, int to, MsgType type) {
+  if (in_view_0) {
+    if (type == MsgType::kPrePrepare) return to == 1;
+    if (type == MsgType::kPrepare) return from == 3 || to != 3;
+    return type == MsgType::kCommit;
+  }
+  if (from == 0) return type != MsgType::kViewChange;
+  return type == MsgType::kViewChange && from == 3 && to == 1;
+}
+
+bool in_view_1(Cluster& cluster) {
+  for (int rank = 1; rank < cluster.n(); ++rank) {
+    const Replica& replica = cluster.replica(rank);
+    if (replica.view().value != 1 || replica.in_view_change()) return false;
+  }
+  return true;
+}
+
+TEST(BftClusterTest, NewViewProposalGetsTheCommitOfAReplicaThatCommittedInTheOldView) {
+  // Rank 3 sent a COMMIT for slot 1 in view 0, and view 1 proposes the slot
+  // afresh: the same batch (the retransmitted request), or a second
+  // client's request when the first client's own sends never reach the new
+  // primary (the backups' relays of it do, after the view change). Rank 3
+  // must send view 1's COMMIT either way: with rank 0 silent, ranks 1 and 2
+  // need it for their 2f+1, and without it the slot would stall into
+  // another view change.
+  for (const bool other_batch : {false, true}) {
+    SCOPED_TRACE(other_batch ? "another batch in slot 1" : "the same batch in slot 1");
+    Cluster cluster(fast_options(), counter_factory());
+    Client& first = cluster.add_client();
+    Client& second = cluster.add_client();
+    bool view_0 = true;
+    drop_at_replicas(cluster, [&](int from, int to, const Envelope& env) {
+      if (other_batch && env.type == MsgType::kRequest && env.sender == first.id() &&
+          from < 0 && to == 1) {
+        return true;
+      }
+      return old_view_commit_drops(view_0, from, to, env.type);
+    });
+    std::optional<Result<Bytes>> first_outcome;
+    first.invoke(to_bytes("add:5"), [&](Result<Bytes> r) { first_outcome = std::move(r); });
+    cluster.sim().run_for(millis(5));
+    ASSERT_EQ(replica_count(cluster, 3, "commits_sent"), 1u);
+    for (int rank = 0; rank < 3; ++rank) {
+      ASSERT_EQ(replica_count(cluster, rank, "commits_sent"), 0u) << "rank " << rank;
+    }
+    view_0 = false;
+    std::optional<Result<Bytes>> second_outcome;
+    if (other_batch) {
+      second.invoke(to_bytes("add:7"), [&](Result<Bytes> r) { second_outcome = std::move(r); });
+    }
+
+    ASSERT_TRUE(run_until(
+        cluster,
+        [&] { return first_outcome.has_value() && (!other_batch || second_outcome.has_value()); },
+        millis(500)));
+    ASSERT_TRUE(first_outcome->is_ok()) << first_outcome->status().to_string();
+    // In the second case the first request runs after the second's add:7.
+    EXPECT_EQ(to_string(first_outcome->value()), other_batch ? "VAL:12" : "VAL:5");
+    const std::uint64_t slots = other_batch ? 2 : 1;
+    EXPECT_EQ(replica_count(cluster, 3, "commits_sent"), 1 + slots);
+    cluster.sim().run_for(millis(5));
+    EXPECT_TRUE(in_view_1(cluster)) << "a slot stalled into another view change";
+    for (int rank = 1; rank < cluster.n(); ++rank) {
+      EXPECT_EQ(cluster.replica(rank).last_executed().value, slots) << "rank " << rank;
+      const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(rank).app());
+      EXPECT_EQ(app.value(), other_batch ? 12 : 5) << "rank " << rank;
+    }
+  }
+}
+
+TEST(BftClusterTest, OldViewVotesDoNotCountTowardTheNewView) {
+  // As above, but no view-1 PREPARE reaches rank 3. Rank 3 still holds
+  // view 0's PREPAREs and its own view-0 COMMIT for the same digest, and
+  // ranks 1 and 2 send view 1's COMMITs: counted together they would make a
+  // certificate of mixed views. Rank 3 must not commit on it. Once
+  // PREPAREs reach it again, the slot commits in the next view, once
+  // everywhere.
+  Cluster cluster(fast_options(), counter_factory());
+  bool view_0 = true;
+  bool starve_3 = true;
+  drop_at_replicas(cluster, [&view_0, &starve_3](int from, int to, const Envelope& env) {
+    if (!view_0 && starve_3 && env.type == MsgType::kPrepare && to == 3) return true;
+    return old_view_commit_drops(view_0, from, to, env.type);
+  });
+  Client& client = cluster.add_client();
+  std::optional<Result<Bytes>> outcome;
+  client.invoke(to_bytes("add:5"), [&](Result<Bytes> r) { outcome = std::move(r); });
+  cluster.sim().run_for(millis(5));
+  ASSERT_EQ(replica_count(cluster, 3, "commits_sent"), 1u);
+  view_0 = false;
+
+  ASSERT_TRUE(run_until(cluster, [&] { return in_view_1(cluster); }, millis(500)));
+  ASSERT_TRUE(run_until(
+      cluster,
+      [&] {
+        return replica_count(cluster, 1, "commits_sent") + replica_count(cluster, 2,
+                                                                         "commits_sent") ==
+               2;
+      },
+      millis(20)));
+  cluster.sim().run_for(millis(5));  // both COMMITs reach rank 3
+  ASSERT_TRUE(in_view_1(cluster));
+  EXPECT_EQ(replica_count(cluster, 3, "commits_sent"), 1u);
+  for (int rank = 1; rank < cluster.n(); ++rank) {
+    EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
+  }
+  EXPECT_FALSE(outcome.has_value());
+
+  starve_3 = false;
+  ASSERT_TRUE(run_until(cluster, [&] { return outcome.has_value(); }, seconds(2)));
+  ASSERT_TRUE(outcome->is_ok()) << outcome->status().to_string();
+  EXPECT_EQ(to_string(outcome->value()), "VAL:5");
+  cluster.sim().run_for(millis(50));
+  for (int rank = 1; rank < cluster.n(); ++rank) {
+    EXPECT_GE(cluster.replica(rank).view().value, 2u) << "rank " << rank;
+    const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(rank).app());
+    EXPECT_EQ(app.value(), 5) << "rank " << rank;
+  }
 }
 
 TEST(BftMatchingCollectorTest, RequiresFPlusOneMatching) {
