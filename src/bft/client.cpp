@@ -57,22 +57,14 @@ void Client::send_request(std::uint64_t timestamp, const Inflight& fl, bool broa
   request.client = id();
   request.timestamp = timestamp;
   request.payload = fl.payload;
-  const BufView body = request.encode();
-
-  Envelope env;
-  env.type = MsgType::kRequest;
-  env.sender = id();
-  env.body = body;
+  Frame frame(arena(), id(), request, Frame::trailer_bound(config_.replicas.size(), false));
   // The request is authenticated to every replica so any of them can relay
   // it to the primary, and check it inside the primary's batch, without
   // weakening authenticity. The tags cover the header and the payload's
   // digest (payload_digest(body) is the SHA-256 of the payload itself).
-  crypto::cmac_tags(replica_keys(), request_mac_input(body, fl.payload_digest), request_tags_);
-  env.auth.reserve(request_tags_.size());
-  for (std::size_t i = 0; i < request_tags_.size(); ++i) {
-    env.auth.emplace_back(config_.replicas[i], request_tags_[i]);
-  }
-  const BufView wire = env.encode_into(arena());
+  crypto::cmac_tags(replica_keys(), request_mac_input(frame.body(), fl.payload_digest),
+                    request_tags_);
+  const BufView wire = frame.seal_tags(config_.replicas, request_tags_);
   if (broadcast) {
     // All replicas share the one sealed wire frame.
     for (NodeId replica : config_.replicas) send_to(replica, wire);

@@ -187,32 +187,15 @@ bool Replica::entry_authentic(NodeId client, const batch::BatchEntry& entry,
 // Sending helpers
 // ---------------------------------------------------------------------------
 
-void Replica::multicast_authenticated(MsgType type, BufView body) {
+void Replica::multicast_frame(Frame& frame) {
   if (byz_.silent) return;
-  Envelope env;
-  env.type = type;
-  env.sender = id();
-  env.body = body;  // shares the chunk; encode() assembles the wire frame once
-  crypto::cmac_tags(replica_keys().peers, mac_input(env.type, body), peer_tags_);
+  // The tags cover the body in place, in the chunk the frame is sent in.
+  crypto::cmac_tags(replica_keys().peers, mac_input(frame.type(), frame.body()), peer_tags_);
   metrics_.macs_computed->inc(peer_tags_.size());
-  env.auth.reserve(peers_.size());
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (byz_.corrupt_macs) peer_tags_[i][0] ^= 0xFF;  // forged MAC: receivers must reject
-    env.auth.emplace_back(peers_[i], peer_tags_[i]);
+  if (byz_.corrupt_macs) {
+    for (crypto::MacTag& tag : peer_tags_) tag[0] ^= 0xFF;  // forged MAC: receivers must reject
   }
-  multicast_to(config_.group, env.encode_into(arena()));
-}
-
-void Replica::multicast_signed(MsgType type, BufView body) {
-  if (byz_.silent) return;
-  Envelope env;
-  env.type = type;
-  env.sender = id();
-  env.body = body;
-  env.signature = signing_key_.sign(body);
-  BufView encoded = env.encode_into(arena());
-  if (type == MsgType::kViewChange) last_view_change_envelope_ = encoded;
-  multicast_to(config_.group, std::move(encoded));
+  multicast_to(config_.group, frame.seal_tags(peers_, peer_tags_));
 }
 
 const Replica::ReplicaKeys& Replica::replica_keys() {
@@ -226,28 +209,23 @@ const Replica::ReplicaKeys& Replica::replica_keys() {
   return replica_keys_;
 }
 
-void Replica::send_authenticated(NodeId to, MsgType type, BufView body) {
+const crypto::CmacKey& Replica::key_for(NodeId to) {
   // A peer replica's key comes from the by-rank table; anyone else's (this
   // replica itself included, when a peer echoes its own VIEW-CHANGE back
   // at it) goes through SessionKeys.
   const int rank = config_.rank_of(to);
   const crypto::CmacKey* key =
       rank >= 0 ? replica_keys().by_rank[static_cast<std::size_t>(rank)] : nullptr;
-  send_authenticated(to, type, body, key != nullptr ? *key : keys_.mac_key(id(), to));
+  return key != nullptr ? *key : keys_.mac_key(id(), to);
 }
 
-void Replica::send_authenticated(NodeId to, MsgType type, BufView body,
-                                 const crypto::CmacKey& key) {
+void Replica::send_frame(NodeId to, Frame& frame, const crypto::CmacKey& key) {
   if (byz_.silent) return;
-  Envelope env;
-  env.type = type;
-  env.sender = id();
-  env.body = body;
-  crypto::MacTag tag = key.tag(mac_input(env.type, body));
+  crypto::MacTag tag = key.tag(mac_input(frame.type(), frame.body()));
   metrics_.macs_computed->inc();
   if (byz_.corrupt_macs) tag[0] ^= 0xFF;
-  env.auth.emplace_back(to, tag);
-  send_to(to, env.encode_into(arena()));
+  send_to(to, frame.seal_tags(std::span<const NodeId>(&to, 1),
+                              std::span<const crypto::MacTag>(&tag, 1)));
 }
 
 void Replica::replay_stale_view_change() {
@@ -436,7 +414,9 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
       Bytes lie_payload = lie_request.payload.clone_bytes();  // copy-on-write
       lie_payload.push_back(0x5a);
       lie_request.payload = BufView(std::move(lie_payload));
-      lie_batch.entries.front().request = BufView(lie_request.encode());
+      cdr::Encoder lie_entry(cdr::ByteOrder::kLittleEndian, &arena(), lie_request.size_hint());
+      lie_request.write(lie_entry);
+      lie_batch.entries.front().request = lie_entry.take_view();
     }
     PrePrepareMsg lie = pp;
     lie.request = lie_batch.encode_into(arena());
@@ -445,10 +425,10 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
       const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
       if (backup == id()) continue;
       const PrePrepareMsg& variant = (rank % 2 == 0) ? pp : lie;
-      send_authenticated(backup, MsgType::kPrePrepare, variant.encode());
+      send_authenticated(backup, variant);
     }
   } else {
-    multicast_authenticated(MsgType::kPrePrepare, pp.encode());
+    multicast_authenticated(pp);
   }
   metrics_.pre_prepares_sent->inc();
   update_inflight_gauge();
@@ -604,7 +584,7 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   prepare.req_digest = pp.req_digest;
   prepare.replica = id();
   votes_of(entry, self_rank_).prepare = pp.req_digest;
-  multicast_authenticated(MsgType::kPrepare, prepare.encode());
+  multicast_authenticated(prepare);
   metrics_.prepares_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftPrepare, id(), entry.trace, view_.value, seq);
   arm_request_timer();
@@ -725,7 +705,7 @@ void Replica::maybe_send_commit(std::uint64_t seq) {
   commit.req_digest = entry.pre_prepare->req_digest;
   commit.replica = id();
   own.commit = commit.req_digest;
-  multicast_authenticated(MsgType::kCommit, commit.encode());
+  multicast_authenticated(commit);
   metrics_.commits_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftCommit, id(), entry.trace, view_.value, seq);
   if (entry_committed(entry)) {
@@ -870,7 +850,7 @@ void Replica::send_reply(ClientRecord& record, const RequestMsg& request,
   reply.replica = id();
   reply.result = result;
   if (record.reply_key == nullptr) record.reply_key = &keys_.mac_key(id(), request.client);
-  send_authenticated(request.client, MsgType::kReply, reply.encode(), *record.reply_key);
+  send_authenticated(request.client, reply, *record.reply_key);
   metrics_.replies_sent->inc();
 }
 
@@ -986,7 +966,7 @@ void Replica::take_checkpoint(std::uint64_t seq) {
   msg.seq = SeqNum(seq);
   msg.state_digest = digest;
   msg.replica = id();
-  multicast_authenticated(MsgType::kCheckpoint, msg.encode());
+  multicast_authenticated(msg);
   metrics_.checkpoints_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftCheckpoint, id(), 0, seq);
   process_checkpoint_vote(msg);
@@ -1045,7 +1025,7 @@ void Replica::request_state_transfer(std::uint64_t seq, const Digest& digest) {
     StateRequestMsg msg;
     msg.seq = SeqNum(seq);
     msg.requester = id();
-    send_authenticated(replica, MsgType::kStateRequest, msg.encode());
+    send_authenticated(replica, msg);
     break;
   }
 }
@@ -1078,14 +1058,14 @@ void Replica::handle_state_request(const Envelope& env) {
   } else {
     return;  // cannot help
   }
-  send_authenticated(env.sender, MsgType::kStateResponse, response.encode());
+  send_authenticated(env.sender, response);
 }
 
 void Replica::request_catch_up() {
   StateRequestMsg request;
   request.seq = SeqNum(last_executed_ + 1);
   request.requester = id();
-  multicast_authenticated(MsgType::kStateRequest, request.encode());
+  multicast_authenticated(request);
 }
 
 void Replica::observe_seq(std::uint64_t seq) {
@@ -1116,7 +1096,7 @@ void Replica::help_laggard(NodeId laggard) {
   response.seq = SeqNum(last_executed_);
   response.snapshot = make_snapshot();
   response.state_digest = checkpoint_digest(last_executed_, response.snapshot);
-  send_authenticated(laggard, MsgType::kStateResponse, response.encode());
+  send_authenticated(laggard, response);
 }
 
 void Replica::after_install(ViewId sender_view) {
@@ -1272,12 +1252,20 @@ void Replica::start_view_change(ViewId new_view) {
   for (std::uint64_t seq = stable_seq_ + 1; in_window(seq); ++seq) {
     if (const LogEntry* entry = find_entry(seq)) add_if_prepared(*entry);
   }
-  const BufView body = msg.encode();
+  // Signed in place; this replica's own entry keeps the signed body as a
+  // view of the frame it sends.
+  Frame frame(arena(), id(), msg, Frame::trailer_bound(0, true));
+  const std::size_t body_size = frame.body().size();
   SignedViewChange svc;
-  svc.msg = msg;
-  svc.signature = signing_key_.sign(body);
-  view_change_msgs_[new_view][id()] = svc;
-  multicast_signed(MsgType::kViewChange, body);
+  svc.signature = signing_key_.sign(frame.body());
+  const BufView wire = frame.seal_signature(svc.signature);
+  svc.msg = std::move(msg);
+  svc.body = wire.slice(kEnvelopeBodyAt, body_size);
+  view_change_msgs_[new_view][id()] = std::move(svc);
+  if (!byz_.silent) {
+    last_view_change_envelope_ = wire;
+    multicast_to(config_.group, wire);
+  }
   metrics_.view_changes_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftViewChange, id(), 0, new_view.value);
 
@@ -1313,6 +1301,7 @@ void Replica::handle_view_change(const Envelope& env) {
 
   SignedViewChange svc;
   svc.msg = msg;
+  svc.body = env.body;
   svc.signature = *env.signature;
   view_change_msgs_[msg.new_view][env.sender] = svc;
   // Hygiene: a peer probing ever-higher views must not grow this map without
@@ -1412,7 +1401,10 @@ void Replica::process_view_change_quorum(ViewId new_view) {
   msg.pre_prepares =
       compute_new_view_pre_prepares(new_view, msg.view_changes, &min_s, &max_s);
 
-  multicast_signed(MsgType::kNewView, msg.encode());
+  if (!byz_.silent) {
+    Frame frame(arena(), id(), msg, Frame::trailer_bound(0, true));
+    multicast_to(config_.group, frame.seal_signature(signing_key_.sign(frame.body())));
+  }
   metrics_.new_views_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftNewView, id(), 0, new_view.value);
   adopt_new_view(msg);
@@ -1438,8 +1430,9 @@ void Replica::handle_new_view(const Envelope& env) {
     if (svc.msg.new_view != msg.view) return;
     if (config_.rank_of(svc.msg.replica) < 0) return;
     if (!senders.insert(svc.msg.replica).second) return;  // duplicates
-    const Bytes body = svc.msg.encode();
-    if (!keystore_->verify(svc.msg.replica, body, svc.signature).is_ok()) {
+    // Over the bytes the primary relayed, which its sender signed: a
+    // re-encoding would differ wherever the decoder skipped a pad.
+    if (!keystore_->verify(svc.msg.replica, svc.body, svc.signature).is_ok()) {
       metrics_.auth_failures->inc();
       return;
     }
@@ -1486,7 +1479,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     StateRequestMsg request;
     request.seq = SeqNum(min_s);
     request.requester = id();
-    multicast_authenticated(MsgType::kStateRequest, request.encode());
+    multicast_authenticated(request);
   }
 
   for (const PrePrepareMsg& pp : pre_prepares) {
@@ -1530,7 +1523,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
       prepare.req_digest = pp.req_digest;
       prepare.replica = id();
       votes_of(entry, self_rank_).prepare = pp.req_digest;
-      multicast_authenticated(MsgType::kPrepare, prepare.encode());
+      multicast_authenticated(prepare);
       metrics_.prepares_sent->inc();
     }
     arm_request_timer();
@@ -1585,12 +1578,9 @@ void Replica::hand_over_former() {
     if (record.executed.contains(request.value().timestamp)) continue;
     // The REQUEST as its client sent it (handle_request checked the client
     // is the sender): the same bytes, rebuilt from the parked entry.
-    Envelope envelope;
-    envelope.type = MsgType::kRequest;
-    envelope.sender = request.value().client;
-    envelope.body = entry.encoded;
-    envelope.auth = AuthVector(entry.auth);
-    hold_request(record, request.value().timestamp, envelope.encode_into(arena()));
+    Frame frame(arena(), MsgType::kRequest, request.value().client, entry.encoded,
+                Frame::trailer_bound(entry.auth.size() / AuthVector::kEntrySize, false));
+    hold_request(record, request.value().timestamp, frame.seal_entries(entry.auth));
   }
 }
 

@@ -288,13 +288,28 @@ class Replica : public net::Process {
       std::uint64_t* min_s_out, std::uint64_t* max_s_out) const;
 
   // --- plumbing ---
-  void multicast_authenticated(MsgType type, BufView body);
-  void multicast_signed(MsgType type, BufView body);
-  /// Sends `body` to `to` with one authenticator, under the key it shares
-  /// with `to`.
-  void send_authenticated(NodeId to, MsgType type, BufView body);
+  /// Writes `msg` into a frame, tags it for every peer and multicasts it.
+  template <typename Msg>
+  void multicast_authenticated(const Msg& msg) {
+    Frame frame(arena(), id(), msg, Frame::trailer_bound(peers_.size(), false));
+    multicast_frame(frame);
+  }
+  /// Writes `msg` into a frame and sends it to `to` with one authenticator,
+  /// under the key it shares with `to`.
+  template <typename Msg>
+  void send_authenticated(NodeId to, const Msg& msg) {
+    send_authenticated(to, msg, key_for(to));
+  }
   /// As above, under `key` (a reply's cached client key).
-  void send_authenticated(NodeId to, MsgType type, BufView body, const crypto::CmacKey& key);
+  template <typename Msg>
+  void send_authenticated(NodeId to, const Msg& msg, const crypto::CmacKey& key) {
+    Frame frame(arena(), id(), msg, Frame::trailer_bound(1, false));
+    send_frame(to, frame, key);
+  }
+  void multicast_frame(Frame& frame);
+  void send_frame(NodeId to, Frame& frame, const crypto::CmacKey& key);
+  /// The key this replica shares with `to`.
+  const crypto::CmacKey& key_for(NodeId to);
   /// The MAC keys shared with each replica: by rank (null for this one)
   /// and by peer in peers_ order. Looked up once, on first use, so a
   /// deployment's set-up derives no key its traffic never uses.

@@ -8,7 +8,8 @@
 // can construct genuinely heterogeneous replica populations.
 //
 // Alignment follows CDR: every primitive is aligned to its own size,
-// measured from the start of the encapsulation.
+// measured from the start of the encapsulation. An encapsulation nested in
+// place (Encoder::begin_encapsulation) aligns from its own first byte.
 #pragma once
 
 #include <array>
@@ -127,8 +128,31 @@ class Encoder {
   void write_raw(ByteView b) { append(buffer_, b); }
 
   /// Pads with zeros to `alignment` (power of two) from encapsulation start.
-  void align(std::size_t alignment) {
-    buffer_.resize(detail::align_up(buffer_.size(), alignment));
+  void align(std::size_t alignment) { buffer_.resize(aligned(alignment)); }
+
+  /// A nested encapsulation being written: where its length goes and the
+  /// alignment origin to restore when it ends.
+  struct Encapsulation {
+    std::size_t length_at;
+    std::size_t outer_origin;
+  };
+
+  /// Opens a counted byte sequence written in place: a length to be filled
+  /// in, then contents whose alignment is measured from their first byte
+  /// (what write_bytes of a separately marshalled buffer would produce).
+  Encapsulation begin_encapsulation() {
+    put(std::uint32_t{0});
+    const Encapsulation opened{buffer_.size() - 4, origin_};
+    origin_ = buffer_.size();
+    return opened;
+  }
+
+  /// Closes `opened`: fills in its length and restores the outer origin.
+  void end_encapsulation(const Encapsulation& opened) {
+    auto length = static_cast<std::uint32_t>(buffer_.size() - origin_);
+    if (order_ != native_byte_order()) length = detail::byteswap(length);
+    std::memcpy(buffer_.data() + opened.length_at, &length, sizeof(length));
+    origin_ = opened.outer_origin;
   }
 
   const Bytes& buffer() const { return buffer_; }
@@ -146,15 +170,21 @@ class Encoder {
   /// `order_` — one store, byte-swapped first when `order_` is not native.
   template <typename T>
   void put(T v) {
-    const std::size_t at = detail::align_up(buffer_.size(), sizeof(T));
+    const std::size_t at = aligned(sizeof(T));
     buffer_.resize(at + sizeof(T));
     if (order_ != native_byte_order()) v = detail::byteswap(v);
     std::memcpy(buffer_.data() + at, &v, sizeof(v));
   }
 
+  /// The end of the buffer rounded up to `alignment` from the origin.
+  std::size_t aligned(std::size_t alignment) const {
+    return origin_ + detail::align_up(buffer_.size() - origin_, alignment);
+  }
+
   ByteOrder order_;
   Arena* arena_;
   Bytes buffer_;
+  std::size_t origin_ = 0;  // where the innermost encapsulation starts
 };
 
 class Decoder {

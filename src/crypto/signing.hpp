@@ -82,7 +82,7 @@ struct SignedMessage {
 };
 
 /// Signs `payload` producing a SignedMessage (the view is retained, not
-/// copied — pass an encode() rvalue or an owning view).
+/// copied — pass a `Bytes` rvalue or an owning view).
 SignedMessage sign_message(const SigningKey& key, BufView payload);
 
 /// Verifies a SignedMessage against the keystore.

@@ -10,7 +10,15 @@ namespace itdos::core {
 
 namespace {
 constexpr std::string_view kLog = "itdos.gm";
+
+/// `result` as a command's reply: the bytes the replica caches and writes
+/// into each REPLY frame.
+Bytes reply_of(const GmCommandResult& result) {
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, result.size_hint());
+  result.write(enc);
+  return enc.take();
 }
+}  // namespace
 
 Bytes dprf_input(ConnectionId conn, KeyEpoch epoch) {
   cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
@@ -137,7 +145,7 @@ Bytes GmStateMachine::execute(const BufView& request, NodeId client, SeqNum seq)
   if (!command.is_ok()) {
     result.accepted = false;
     result.detail = "malformed command";
-    return result.encode();
+    return reply_of(result);
   }
   if (std::holds_alternative<OpenRequestMsg>(command.value())) {
     result = handle_open(std::get<OpenRequestMsg>(command.value()));
@@ -150,7 +158,7 @@ Bytes GmStateMachine::execute(const BufView& request, NodeId client, SeqNum seq)
   } else {
     result = handle_change(std::get<ChangeRequestMsg>(command.value()), client);
   }
-  return result.encode();
+  return reply_of(result);
 }
 
 GmCommandResult GmStateMachine::handle_open(const OpenRequestMsg& msg) {
@@ -708,7 +716,7 @@ class GmElement::Distributor : public ShareDistributor {
     if (corrupt_) {
       for (auto& [id, digest] : share.evaluations) digest[0] ^= 0xff;
     }
-    const Bytes share_wire = share.encode();
+    const BufView share_wire = share.encode_into(net_.sim().arena());
     for (NodeId recipient : recipients) {
       KeyShareMsg msg;
       msg.conn = record.conn;
@@ -723,7 +731,7 @@ class GmElement::Distributor : public ShareDistributor {
       msg.sealed_share = crypto::seal(channel_key,
                                       crypto::make_nonce(my_node.value, nonce_ctr_++),
                                       /*aad=*/msg.framing_aad(), share_wire);
-      net_.send(my_node, recipient, msg.encode());
+      net_.send(my_node, recipient, msg.encode_into(net_.sim().arena()));
     }
   }
 

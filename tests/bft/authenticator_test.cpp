@@ -52,7 +52,7 @@ TEST(AuthenticatorTest, TagCoversTheTypeByte) {
   prepare.view = ViewId(2);
   prepare.seq = SeqNum(9);
   prepare.replica = NodeId(3);
-  const Bytes body = prepare.encode();
+  const Bytes body = body_of(prepare);
   const MsgType type = MsgType::kPrepare;
   const crypto::MacTag tag = keys.tag(NodeId(3), NodeId(1), mac_input(type, body));
   EXPECT_TRUE(keys.verify(NodeId(1), NodeId(3), mac_input(type, body), tag));
@@ -86,18 +86,18 @@ TEST(AuthenticatorTest, PrepareRelabelledAsCommitIsNoCommitVote) {
   pp.view = ViewId(0);
   pp.seq = SeqNum(1);
   batch::BatchMsg batch;
-  batch.entries.push_back(client_entry(cluster.keys(), cluster.config(), request.encode()));
+  batch.entries.push_back(client_entry(cluster.keys(), cluster.config(), body_of(request)));
   Arena arena;
   pp.request = batch.encode_into(arena);
   pp.req_digest = proposal_digest(batch);
-  primary.send(target, MsgType::kPrePrepare, pp.encode());
+  primary.send(target, MsgType::kPrePrepare, body_of(pp));
 
   PrepareMsg prepare;
   prepare.view = pp.view;
   prepare.seq = pp.seq;
   prepare.req_digest = pp.req_digest;
   prepare.replica = cluster.replica_id(2);
-  backup2.send(target, MsgType::kPrepare, prepare.encode());
+  backup2.send(target, MsgType::kPrepare, body_of(prepare));
   cluster.sim().run_for(millis(2));
   ASSERT_EQ(replica_count(cluster, 1, "commits_sent"), 1u);
 
@@ -106,20 +106,20 @@ TEST(AuthenticatorTest, PrepareRelabelledAsCommitIsNoCommitVote) {
   commit.seq = pp.seq;
   commit.req_digest = pp.req_digest;
   commit.replica = cluster.replica_id(2);
-  backup2.send(target, MsgType::kCommit, commit.encode());
+  backup2.send(target, MsgType::kCommit, body_of(commit));
   cluster.sim().run_for(millis(2));
   ASSERT_EQ(cluster.replica(1).last_executed().value, 0u);
 
   prepare.replica = cluster.replica_id(3);
   commit.replica = cluster.replica_id(3);
-  ASSERT_EQ(prepare.encode(), commit.encode());  // one layout
+  ASSERT_EQ(body_of(prepare), body_of(commit));  // one layout
   const std::uint64_t failures = replica_count(cluster, 1, "auth_failures");
-  backup3.send(target, MsgType::kCommit, MsgType::kPrepare, prepare.encode());
+  backup3.send(target, MsgType::kCommit, MsgType::kPrepare, body_of(prepare));
   cluster.sim().run_for(millis(2));
   EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), failures + 1);
   EXPECT_EQ(cluster.replica(1).last_executed().value, 0u);
 
-  backup3.send(target, MsgType::kCommit, commit.encode());
+  backup3.send(target, MsgType::kCommit, body_of(commit));
   cluster.sim().run_for(millis(2));
   EXPECT_EQ(replica_count(cluster, 1, "auth_failures"), failures + 1);
   EXPECT_EQ(cluster.replica(1).last_executed().value, 1u);
@@ -148,7 +148,7 @@ TEST(AuthenticatorTest, RequestReflectedAsReplyIsRejected) {
   request.timestamp = 1;
   request.payload = BufView(to_bytes("add:5"));
   for (auto& replica : replicas) {
-    replica->send(client.id(), MsgType::kReply, MsgType::kRequest, request.encode());
+    replica->send(client.id(), MsgType::kReply, MsgType::kRequest, body_of(request));
   }
   cluster.sim().run_for(millis(1));
   EXPECT_FALSE(outcome.has_value());
@@ -159,7 +159,7 @@ TEST(AuthenticatorTest, RequestReflectedAsReplyIsRejected) {
     reply.client = client.id();
     reply.replica = replica.id();
     reply.result = to_bytes("VAL:66");
-    return reply.encode();
+    return body_of(reply);
   };
   for (auto& replica : replicas) {
     replica->send(client.id(), MsgType::kReply, MsgType::kRequest, reply_from(*replica));
@@ -295,7 +295,7 @@ TEST(AuthenticatorTest, RelayOfAProposedRequestIsDroppedBeforeItsMac) {
   next.body = BufView(encode_request(client.id().value, 2, to_bytes("add:1")));
   next.auth = client_tags(cluster.keys(), cluster.config(), client.id(), next.body);
   Arena arena;
-  const BufView wire = next.encode_into(arena);
+  const BufView wire = wire_of(next, arena);
   cluster.network().send(backup, primary, BufView(corrupt_tag_for(wire, primary)));
   cluster.sim().run_for(millis(1));
   EXPECT_EQ(replica_count(cluster, 0, "auth_failures"), failures + 1);

@@ -21,6 +21,7 @@
 #include "batch/batch_msg.hpp"
 #include "bft/messages.hpp"
 #include "common/rng.hpp"
+#include "wire.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -180,7 +181,7 @@ bool check_mutant(const Bytes& mutant) {
   }
   Arena arena;
   EXPECT_EQ(got->batch.encode_into(arena).clone_bytes(), got->pp.request.clone_bytes());
-  EXPECT_EQ(got->env.encode_into(arena).clone_bytes(), mutant) << hex_encode(mutant);
+  EXPECT_EQ(wire_of(got->env, arena).clone_bytes(), mutant) << hex_encode(mutant);
   return true;
 }
 
@@ -191,14 +192,13 @@ batch::BatchEntry make_entry(std::size_t index, std::size_t payload_size, std::s
   request.client = NodeId(1000 + index);
   request.timestamp = 7 + index;
   request.payload = BufView(Bytes(payload_size, static_cast<std::uint8_t>(0x61 + index)));
-  AuthVector auth;
+  Bytes auth;
   for (std::uint64_t node = 1; node <= auths; ++node) {
     crypto::MacTag tag;
     tag.fill(static_cast<std::uint8_t>(16 * index + node));
-    auth.emplace_back(NodeId(node), tag);
+    add_entry(auth, NodeId(node), tag);
   }
-  return batch::BatchEntry{BufView(request.encode()),
-                           BufView(Bytes(auth.bytes().begin(), auth.bytes().end()))};
+  return batch::BatchEntry{BufView(body_of(request)), BufView(std::move(auth))};
 }
 
 /// MAC-authenticated envelopes carrying PRE-PREPAREs of one to three
@@ -224,13 +224,15 @@ std::vector<Bytes> captured_proposals() {
     Envelope env;
     env.type = MsgType::kPrePrepare;
     env.sender = NodeId(1);
-    env.body = BufView(pp.encode());
+    env.body = BufView(body_of(pp));
+    Bytes entries;
     for (std::uint64_t node = 2; node <= 4; ++node) {
       crypto::MacTag tag;
       tag.fill(static_cast<std::uint8_t>(node));
-      env.auth.emplace_back(NodeId(node), tag);
+      add_entry(entries, NodeId(node), tag);
     }
-    out.push_back(env.encode_into(arena).clone_bytes());
+    env.auth = AuthVector(BufView(std::move(entries)));
+    out.push_back(wire_of(env, arena).clone_bytes());
   }
   return out;
 }

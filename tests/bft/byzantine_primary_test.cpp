@@ -17,6 +17,7 @@
 #include "bft/messages.hpp"
 #include "bft/replica.hpp"
 #include "client_auth.hpp"
+#include "wire.hpp"
 #include "common/rng.hpp"
 #include "crypto/signing.hpp"
 #include "net/process.hpp"
@@ -45,7 +46,7 @@ class RoguePrimary : public net::Process {
       : net::Process(cluster.network(), cluster.replica_id(0)), cluster_(cluster) {}
 
   void send_pre_prepare(int rank, const PrePrepareMsg& pp) {
-    send_body(rank, MsgType::kPrePrepare, pp.encode());
+    send_body(rank, MsgType::kPrePrepare, body_of(pp));
   }
 
   /// A PRE-PREPARE body of any bytes, authenticated as the protocol does.
@@ -57,7 +58,7 @@ class RoguePrimary : public net::Process {
   /// flight with `tamper`: the MAC entries are those of the honest bytes.
   void send_tampered_pre_prepare(int rank, const PrePrepareMsg& pp,
                                  const std::function<void(Bytes&)>& tamper) {
-    send_body(rank, MsgType::kPrePrepare, pp.encode(), tamper);
+    send_body(rank, MsgType::kPrePrepare, body_of(pp), tamper);
   }
 
   /// Signs `pp` with `key` in place of MAC authenticators, as replicas do
@@ -67,9 +68,9 @@ class RoguePrimary : public net::Process {
     Envelope env;
     env.type = MsgType::kPrePrepare;
     env.sender = id();
-    env.body = BufView(pp.encode());
+    env.body = BufView(body_of(pp));
     env.signature = key.sign(env.body);
-    send_to(cluster_.replica_id(rank), env.encode_into(arena_));
+    send_to(cluster_.replica_id(rank), wire_of(env, arena_));
   }
 
   void send_commit(int rank, SeqNum seq, const Digest& digest) {
@@ -78,7 +79,7 @@ class RoguePrimary : public net::Process {
     commit.seq = seq;
     commit.req_digest = digest;
     commit.replica = id();
-    send_body(rank, MsgType::kCommit, commit.encode());
+    send_body(rank, MsgType::kCommit, body_of(commit));
   }
 
  protected:
@@ -91,10 +92,12 @@ class RoguePrimary : public net::Process {
     Envelope env;
     env.type = type;
     env.sender = id();
-    env.auth.emplace_back(to, cluster_.keys().tag(id(), to, mac_input(type, body_bytes)));
+    Bytes entry;
+    add_entry(entry, to, cluster_.keys().tag(id(), to, mac_input(type, body_bytes)));
+    env.auth = AuthVector(BufView(std::move(entry)));
     if (tamper) tamper(body_bytes);
     env.body = BufView(std::move(body_bytes));
-    send_to(to, env.encode_into(arena_));
+    send_to(to, wire_of(env, arena_));
   }
 
   Cluster& cluster_;
@@ -443,12 +446,12 @@ TEST(ByzantinePrimaryTest, PrePrepareAuthenticatorBindsHeaderAndRequest) {
 
   const PrePrepareMsg pp =
       proposal(1, tagged_batch(cluster, {encode_request(7, 1, Bytes(64, 0xcd))}));
-  ASSERT_EQ(ByteView(authenticated_region(MsgType::kPrePrepare, pp.encode())).size(),
+  ASSERT_EQ(ByteView(authenticated_region(MsgType::kPrePrepare, body_of(pp))).size(),
             kPrePrepareHeaderSize);
 
   PrePrepareMsg null_request = pp;
   null_request.request = BufView();
-  Bytes short_body = pp.encode();
+  Bytes short_body = body_of(pp);
   short_body.resize(kPrePrepareHeaderSize - 4);
 
   const auto expect_rejected = [&](const char* what, const std::function<void()>& send) {

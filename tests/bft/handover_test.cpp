@@ -188,9 +188,9 @@ TEST(HandoverTest, HeldRequestsStayWithinTheClientSpanAndLeaveOnExecution) {
     Envelope env;
     env.type = MsgType::kRequest;
     env.sender = client;
-    env.body = BufView(request.encode());
+    env.body = BufView(body_of(request));
     env.auth = client_tags(cluster.keys(), cluster.config(), client, env.body);
-    const BufView wire = env.encode_into(cluster.sim().arena());
+    const BufView wire = wire_of(env, cluster.sim().arena());
     for (int rank = 1; rank < cluster.n(); ++rank) {
       cluster.network().send(client, cluster.replica_id(rank), wire);
     }
@@ -233,9 +233,10 @@ TEST(HandoverTest, NextViewBufferKeepsOnePerTypeSeqAndSenderInsideTheWindow) {
     env.type = type;
     env.sender = from;
     env.body = BufView(std::move(body));
-    env.auth.emplace_back(target,
-                          cluster.keys().tag(from, target, mac_input(env.type, env.body)));
-    cluster.network().send(from, target, env.encode_into(cluster.sim().arena()));
+    Bytes entry;
+    add_entry(entry, target, cluster.keys().tag(from, target, mac_input(env.type, env.body)));
+    env.auth = AuthVector(BufView(std::move(entry)));
+    cluster.network().send(from, target, wire_of(env, cluster.sim().arena()));
   };
   const auto window = static_cast<std::uint64_t>(cluster.config().watermark_window());
   const NodeId primary = cluster.replica_id(1);
@@ -245,19 +246,19 @@ TEST(HandoverTest, NextViewBufferKeepsOnePerTypeSeqAndSenderInsideTheWindow) {
       PrePrepareMsg pp;
       pp.view = ViewId(1);
       pp.seq = SeqNum(seq);
-      send(primary, MsgType::kPrePrepare, pp.encode());
-      send(backup, MsgType::kPrePrepare, pp.encode());  // not view 1's primary
+      send(primary, MsgType::kPrePrepare, body_of(pp));
+      send(backup, MsgType::kPrePrepare, body_of(pp));  // not view 1's primary
       for (const NodeId from : {primary, backup}) {
         PrepareMsg prepare;
         prepare.view = ViewId(1);
         prepare.seq = SeqNum(seq);
         prepare.replica = from;
-        send(from, MsgType::kPrepare, prepare.encode());  // the primary never prepares
+        send(from, MsgType::kPrepare, body_of(prepare));  // the primary never prepares
         CommitMsg commit;
         commit.view = ViewId(1);
         commit.seq = SeqNum(seq);
         commit.replica = from;
-        send(from, MsgType::kCommit, commit.encode());
+        send(from, MsgType::kCommit, body_of(commit));
       }
     }
   }

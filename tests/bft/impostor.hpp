@@ -9,6 +9,7 @@
 #include "bft/harness.hpp"
 #include "bft/messages.hpp"
 #include "client_auth.hpp"
+#include "wire.hpp"
 #include "net/process.hpp"
 
 namespace itdos::bft {
@@ -35,10 +36,12 @@ class Impostor : public net::Process {
     if (mac_as == MsgType::kRequest && config_.is_replica(to)) {
       env.auth = client_tags(keys_, config_, id(), body);
     } else {
-      env.auth.emplace_back(to, tag(mac_as, id(), to, body));
+      Bytes entry;
+      add_entry(entry, to, tag(mac_as, id(), to, body));
+      env.auth = AuthVector(BufView(std::move(entry)));
     }
     env.body = BufView(std::move(body));
-    send_to(to, env.encode_into(arena_));
+    send_to(to, wire_of(env, arena_));
   }
 
   /// Sends `body` as an honest `type` message.

@@ -9,6 +9,7 @@
 #include "batch/batch_msg.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "wire.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -22,7 +23,7 @@ Digest digest_of(std::uint8_t fill) {
 /// The envelope's wire bytes, as a mutable copy.
 Bytes wire_bytes(const Envelope& env) {
   Arena arena;
-  return env.encode_into(arena).clone_bytes();
+  return wire_of(env, arena).clone_bytes();
 }
 
 TEST(BftMessagesTest, RequestRoundTrip) {
@@ -30,7 +31,7 @@ TEST(BftMessagesTest, RequestRoundTrip) {
   msg.client = NodeId(1000);
   msg.timestamp = 42;
   msg.payload = to_bytes("do-something");
-  const auto back = RequestMsg::decode(msg.encode());
+  const auto back = RequestMsg::decode(body_of(msg));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), msg);
 }
@@ -40,10 +41,10 @@ TEST(BftMessagesTest, RequestEncodeIsDeterministic) {
   msg.client = NodeId(1);
   msg.timestamp = 1;
   msg.payload = to_bytes("x");
-  EXPECT_EQ(msg.encode(), msg.encode());
+  EXPECT_EQ(body_of(msg), body_of(msg));
   RequestMsg other = msg;
   other.timestamp = 2;
-  EXPECT_NE(msg.encode(), other.encode());
+  EXPECT_NE(body_of(msg), body_of(other));
 }
 
 TEST(BftMessagesTest, PrePrepareRoundTrip) {
@@ -52,7 +53,7 @@ TEST(BftMessagesTest, PrePrepareRoundTrip) {
   msg.seq = SeqNum(17);
   msg.req_digest = digest_of(0xaa);
   msg.request = to_bytes("encoded-request");
-  const auto back = PrePrepareMsg::decode(msg.encode());
+  const auto back = PrePrepareMsg::decode(body_of(msg));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), msg);
   EXPECT_FALSE(msg.is_null_request());
@@ -62,7 +63,7 @@ TEST(BftMessagesTest, NullPrePrepare) {
   PrePrepareMsg msg;
   msg.view = ViewId(1);
   msg.seq = SeqNum(5);
-  const auto back = PrePrepareMsg::decode(msg.encode());
+  const auto back = PrePrepareMsg::decode(body_of(msg));
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(back.value().is_null_request());
 }
@@ -76,7 +77,7 @@ TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
   msg.seq = SeqNum(17);
   msg.request = to_bytes("encoded-request");
   msg.req_digest = digest_of(0x42);
-  const Bytes body = msg.encode();
+  const Bytes body = body_of(msg);
   ASSERT_EQ(body.size(), kPrePrepareHeaderSize + msg.request.size());
   const ByteView region = authenticated_region(MsgType::kPrePrepare, body);
   EXPECT_EQ(Bytes(region.begin(), region.end()),
@@ -85,7 +86,7 @@ TEST(BftMessagesTest, PrePrepareAuthenticatedRegionIsItsHeader) {
   // Every other body is authenticated whole.
   PrepareMsg prep;
   prep.view = ViewId(2);
-  const Bytes prep_body = prep.encode();
+  const Bytes prep_body = body_of(prep);
   EXPECT_EQ(authenticated_region(MsgType::kPrepare, prep_body).size(), prep_body.size());
 }
 
@@ -94,7 +95,7 @@ TEST(BftMessagesTest, RequestAuthenticatorsCoverHeaderAndPayloadDigest) {
   // SHA-256 of the payload: 53 bytes, whatever the payload's size.
   ASSERT_EQ(kRequestHeaderSize, 20u);
   RequestMsg request{NodeId(1000), 42, BufView(Bytes(5000, 0x61))};
-  const Bytes body = request.encode();
+  const Bytes body = body_of(request);
   const Digest payload = payload_digest(body);
   EXPECT_EQ(payload, crypto::sha256(Bytes(5000, 0x61)));
   const std::array<ByteView, 3> input = request_mac_input(body, payload);
@@ -156,7 +157,7 @@ TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
   EXPECT_EQ(pp.seq, SeqNum(17));
   EXPECT_EQ(pp.req_digest, digest_of(0xaa));
   EXPECT_EQ(pp.request.clone_bytes(), batch);
-  EXPECT_EQ(pp.encode(), wire);
+  EXPECT_EQ(body_of(pp), wire);
 
   const auto carried = batch::BatchMsg::decode(pp.request);
   ASSERT_TRUE(carried.is_ok());
@@ -166,7 +167,7 @@ TEST(BftMessagesTest, OneEntryPrePrepareKnownAnswer) {
   EXPECT_EQ(request.value().client, NodeId(1000));
   EXPECT_EQ(request.value().timestamp, 42u);
   EXPECT_EQ(to_string(request.value().payload), "abc");
-  EXPECT_EQ(request.value().encode(), entry);
+  EXPECT_EQ(body_of(request.value()), entry);
   const AuthVector tags(carried.value().entries.front().auth);
   crypto::MacTag tag;
   tag.fill(0x77);
@@ -188,14 +189,14 @@ TEST(BftMessagesTest, PrepareCommitRoundTrip) {
   prep.seq = SeqNum(9);
   prep.req_digest = digest_of(0x11);
   prep.replica = NodeId(4);
-  EXPECT_EQ(PrepareMsg::decode(prep.encode()).value(), prep);
+  EXPECT_EQ(PrepareMsg::decode(body_of(prep)).value(), prep);
 
   CommitMsg commit;
   commit.view = ViewId(2);
   commit.seq = SeqNum(9);
   commit.req_digest = digest_of(0x22);
   commit.replica = NodeId(3);
-  EXPECT_EQ(CommitMsg::decode(commit.encode()).value(), commit);
+  EXPECT_EQ(CommitMsg::decode(body_of(commit)).value(), commit);
 }
 
 /// `v` as 8 little-endian bytes appended to `out`.
@@ -225,14 +226,14 @@ TEST(BftMessagesTest, PhaseBodiesDecodeFromFixedOffsets) {
   EXPECT_EQ(prep.seq, SeqNum(0x1112131415161718ULL));
   EXPECT_EQ(prep.req_digest, digest);
   EXPECT_EQ(prep.replica, NodeId(0x2122232425262728ULL));
-  EXPECT_EQ(prep.encode(), wire);
+  EXPECT_EQ(body_of(prep), wire);
 
   const CommitMsg commit = CommitMsg::decode(wire).value();
   EXPECT_EQ(commit.view, prep.view);
   EXPECT_EQ(commit.seq, prep.seq);
   EXPECT_EQ(commit.req_digest, digest);
   EXPECT_EQ(commit.replica, prep.replica);
-  EXPECT_EQ(commit.encode(), wire);
+  EXPECT_EQ(body_of(commit), wire);
 }
 
 TEST(BftMessagesTest, CheckpointBodyDecodesFromFixedOffsets) {
@@ -248,7 +249,7 @@ TEST(BftMessagesTest, CheckpointBodyDecodesFromFixedOffsets) {
   EXPECT_EQ(msg.seq, SeqNum(0x8070605040302010ULL));
   EXPECT_EQ(msg.state_digest, digest);
   EXPECT_EQ(msg.replica, NodeId(3));
-  EXPECT_EQ(msg.encode(), wire);
+  EXPECT_EQ(body_of(msg), wire);
 }
 
 TEST(BftMessagesTest, FixedLayoutBodiesRejectAnyOtherSize) {
@@ -262,8 +263,8 @@ TEST(BftMessagesTest, FixedLayoutBodiesRejectAnyOtherSize) {
   checkpoint.state_digest = digest_of(0x44);
   checkpoint.replica = NodeId(2);
 
-  Bytes phase = prep.encode();
-  Bytes ckpt = checkpoint.encode();
+  Bytes phase = body_of(prep);
+  Bytes ckpt = body_of(checkpoint);
   ASSERT_EQ(phase.size(), 56u);
   ASSERT_EQ(ckpt.size(), 48u);
   phase.push_back(0);  // 57
@@ -287,7 +288,7 @@ TEST(BftMessagesTest, ReplyRoundTrip) {
   msg.client = NodeId(1000);
   msg.replica = NodeId(2);
   msg.result = to_bytes("result-bytes");
-  EXPECT_EQ(ReplyMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(ReplyMsg::decode(body_of(msg)).value(), msg);
 }
 
 TEST(BftMessagesTest, CheckpointRoundTrip) {
@@ -295,7 +296,7 @@ TEST(BftMessagesTest, CheckpointRoundTrip) {
   msg.seq = SeqNum(128);
   msg.state_digest = digest_of(0x77);
   msg.replica = NodeId(1);
-  EXPECT_EQ(CheckpointMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(CheckpointMsg::decode(body_of(msg)).value(), msg);
 }
 
 TEST(BftMessagesTest, ViewChangeRoundTrip) {
@@ -310,7 +311,7 @@ TEST(BftMessagesTest, ViewChangeRoundTrip) {
   proof.request = to_bytes("req");
   msg.prepared.push_back(proof);
   msg.replica = NodeId(2);
-  EXPECT_EQ(ViewChangeMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(ViewChangeMsg::decode(body_of(msg)).value(), msg);
 }
 
 TEST(BftMessagesTest, NewViewRoundTrip) {
@@ -321,6 +322,7 @@ TEST(BftMessagesTest, NewViewRoundTrip) {
   svc.msg.new_view = ViewId(4);
   svc.msg.stable_seq = SeqNum(10);
   svc.msg.replica = NodeId(2);
+  svc.body = body_of(svc.msg);
   svc.signature.fill(0x5a);
   msg.view_changes.push_back(svc);
   PrePrepareMsg pp;
@@ -329,21 +331,21 @@ TEST(BftMessagesTest, NewViewRoundTrip) {
   pp.req_digest = digest_of(0x0f);
   pp.request = to_bytes("carried");
   msg.pre_prepares.push_back(pp);
-  EXPECT_EQ(NewViewMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(NewViewMsg::decode(body_of(msg)).value(), msg);
 }
 
 TEST(BftMessagesTest, StateTransferRoundTrip) {
   StateRequestMsg req;
   req.seq = SeqNum(64);
   req.requester = NodeId(3);
-  EXPECT_EQ(StateRequestMsg::decode(req.encode()).value(), req);
+  EXPECT_EQ(StateRequestMsg::decode(body_of(req)).value(), req);
 
   StateResponseMsg resp;
   resp.seq = SeqNum(64);
   resp.state_digest = digest_of(0x99);
   resp.snapshot = to_bytes("full-snapshot-bytes");
   resp.replica = NodeId(1);
-  EXPECT_EQ(StateResponseMsg::decode(resp.encode()).value(), resp);
+  EXPECT_EQ(StateResponseMsg::decode(body_of(resp)).value(), resp);
 }
 
 TEST(BftMessagesTest, EnvelopeWithAuthenticatorVector) {
@@ -355,8 +357,10 @@ TEST(BftMessagesTest, EnvelopeWithAuthenticatorVector) {
   t1.fill(0x01);
   crypto::MacTag t2;
   t2.fill(0x02);
-  env.auth.emplace_back(NodeId(1), t1);
-  env.auth.emplace_back(NodeId(3), t2);
+  Bytes entries;
+  add_entry(entries, NodeId(1), t1);
+  add_entry(entries, NodeId(3), t2);
+  env.auth = AuthVector(BufView(std::move(entries)));
 
   const auto back = Envelope::decode(BufView(wire_bytes(env)));
   ASSERT_TRUE(back.is_ok());
@@ -449,7 +453,7 @@ TEST(BftMessagesTest, FuzzedEnvelopesNeverCrash) {
     NewViewMsg nv;
     nv.view = ViewId(2);
     nv.primary = NodeId(1);
-    env.body = nv.encode();
+    env.body = body_of(nv);
     env.signature = sig;
     bases.push_back(env);
   }
@@ -467,18 +471,20 @@ TEST(BftMessagesTest, FuzzedEnvelopesNeverCrash) {
   checkpoint.seq = SeqNum(32);
   checkpoint.state_digest = digest_of(0x7c);
   checkpoint.replica = NodeId(4);
-  for (const auto& [type, body] : {std::pair{MsgType::kPrepare, prep.encode()},
-                                   std::pair{MsgType::kCommit, commit.encode()},
-                                   std::pair{MsgType::kCheckpoint, checkpoint.encode()}}) {
+  for (const auto& [type, body] : {std::pair{MsgType::kPrepare, body_of(prep)},
+                                   std::pair{MsgType::kCommit, body_of(commit)},
+                                   std::pair{MsgType::kCheckpoint, body_of(checkpoint)}}) {
     Envelope env;
     env.type = type;
     env.sender = NodeId(2);
     env.body = BufView(Bytes(body));
+    Bytes entries;
     for (std::uint64_t node = 1; node <= 4; ++node) {
       crypto::MacTag tag;
       tag.fill(static_cast<std::uint8_t>(node));
-      env.auth.emplace_back(NodeId(node), tag);
+      add_entry(entries, NodeId(node), tag);
     }
+    env.auth = AuthVector(BufView(std::move(entries)));
     bases.push_back(env);
   }
 
@@ -542,15 +548,17 @@ TEST(BftMessagesTest, EnvelopeEncodeIntoSizesItsChunk) {
           env.type = static_cast<MsgType>(t);
           env.sender = NodeId(3);
           env.body = Bytes(body_size, 0x5a);
+          Bytes entries;
           for (std::size_t i = 0; i < auth_count; ++i) {
             crypto::MacTag tag;
             tag.fill(static_cast<std::uint8_t>(i));
-            env.auth.emplace_back(NodeId(i + 1), tag);
+            add_entry(entries, NodeId(i + 1), tag);
           }
+          env.auth = AuthVector(BufView(std::move(entries)));
           if (signed_env) env.signature = crypto::Signature{};
           SCOPED_TRACE(testing::Message() << msg_type_name(env.type) << " body=" << body_size
                                           << " auth=" << auth_count << " signed=" << signed_env);
-          expect_chunk_fits([&env](Arena& arena) { return env.encode_into(arena); },
+          expect_chunk_fits([&env](Arena& arena) { return wire_of(env, arena); },
                             wire_bytes(env).size());
         }
       }

@@ -13,6 +13,7 @@
 #include "batch/batch_msg.hpp"
 #include "bft/messages.hpp"
 #include "common/rng.hpp"
+#include "wire.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -36,7 +37,7 @@ batch::BatchMsg random_batch(Rng& rng) {
     request.timestamp = 1 + rng.next_below(1000);
     request.payload = BufView(random_bytes(rng, rng.next_below(301)));
     batch.entries.push_back(batch::BatchEntry{
-        BufView(request.encode()), BufView(random_bytes(rng, 4 * batch::kAuthEntrySize))});
+        BufView(body_of(request)), BufView(random_bytes(rng, 4 * batch::kAuthEntrySize))});
   }
   return batch;
 }

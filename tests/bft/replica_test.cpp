@@ -10,6 +10,8 @@
 
 #include "bft/harness.hpp"
 #include "bft/messages.hpp"
+#include "common/rng.hpp"
+#include "crypto/signing.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -137,6 +139,57 @@ TEST(BftClusterTest, PrimaryCrashTriggersViewChange) {
     EXPECT_GE(cluster.replica(rank).view().value, 1u) << "rank " << rank;
     EXPECT_FALSE(cluster.replica(rank).in_view_change());
   }
+}
+
+TEST(BftClusterTest, NewViewCarriesAViewChangeAsItsSenderSignedIt) {
+  // A VIEW-CHANGE body has an alignment pad at bytes 52-55 that decoding
+  // skips. A Byzantine replica signs a body with a non-zero pad byte there;
+  // the new primary accepts it, since the signature covers the bytes it
+  // received. Backups must check that signature over those same bytes, or
+  // they reject every NEW-VIEW that includes it and the view change stalls.
+  Cluster cluster(fast_options(), counter_factory());
+  cluster.crash_replica(0);  // the view-0 primary
+  cluster.crash_replica(3);  // its signing key goes to the forger below
+  const NodeId forger = cluster.replica_id(3);
+  Rng key_rng(77);
+  const crypto::SigningKey key =
+      std::const_pointer_cast<crypto::Keystore>(cluster.keystore())->issue(forger, key_rng);
+
+  ViewChangeMsg vc;
+  vc.new_view = ViewId(1);
+  vc.replica = forger;
+  Arena arena;
+  const Frame honest(arena, forger, vc, Frame::trailer_bound(0, true));
+  Bytes body(honest.body().begin(), honest.body().end());
+  ASSERT_EQ(body.size(), 64u);
+  body[52] = 0x01;
+  const Result<ViewChangeMsg> read_back = ViewChangeMsg::decode(BufView::copy_of(body));
+  ASSERT_TRUE(read_back.is_ok());
+  ASSERT_EQ(read_back.value(), vc);  // the pad is invisible once decoded
+  Frame forged(arena, MsgType::kViewChange, forger, body, Frame::trailer_bound(0, true));
+  const BufView wire = forged.seal_signature(key.sign(forged.body()));
+  // Sent first, before any correct replica's VIEW-CHANGE: view 1 has no
+  // quorum without it.
+  for (int rank = 1; rank <= 2; ++rank) {
+    cluster.network().send(forger, cluster.replica_id(rank), wire);
+  }
+
+  // A request the crashed primary never orders times the backups out.
+  Client& client = cluster.add_client();
+  client.invoke(to_bytes("add:1"), [](Result<Bytes>) {});
+  // View 1 cannot commit (two correct replicas and a silent forger), so
+  // look while it stands: just after its primary has adopted it.
+  Replica& primary = cluster.replica(1);
+  for (int ms = 0; ms < 2000 && (primary.view() != ViewId(1) || primary.in_view_change());
+       ++ms) {
+    cluster.sim().run_for(millis(1));
+  }
+  cluster.sim().run_for(millis(5));
+  for (int rank = 1; rank <= 2; ++rank) {
+    EXPECT_EQ(cluster.replica(rank).view(), ViewId(1)) << "rank " << rank;
+    EXPECT_FALSE(cluster.replica(rank).in_view_change()) << "rank " << rank;
+  }
+  EXPECT_EQ(replica_count(cluster, 2, "auth_failures"), 0u);
 }
 
 TEST(BftClusterTest, SystemKeepsWorkingAfterViewChange) {

@@ -35,7 +35,7 @@ void broadcast_request(Cluster& cluster, Impostor& client, std::uint64_t ts) {
   request.timestamp = ts;
   request.payload = BufView(to_bytes("add:1"));
   for (int rank = 0; rank < cluster.n(); ++rank) {
-    client.send(cluster.replica_id(rank), MsgType::kRequest, request.encode());
+    client.send(cluster.replica_id(rank), MsgType::kRequest, body_of(request));
   }
 }
 
@@ -184,7 +184,7 @@ TEST(ReplyCacheTest, SnapshotHoldsAtMostTwoPipelinesOfRepliesPerClient) {
   request.seq = SeqNum(kExecuted);
   request.requester = requester.id();
   for (int rank = 0; rank < 3; ++rank) {
-    requester.send(cluster.replica_id(rank), MsgType::kStateRequest, request.encode());
+    requester.send(cluster.replica_id(rank), MsgType::kStateRequest, body_of(request));
   }
   cluster.sim().run_for(millis(5));
   int snapshots = 0;

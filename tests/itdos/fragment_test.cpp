@@ -4,6 +4,7 @@
 
 #include "bft/client.hpp"
 #include "itdos/system.hpp"
+#include "encoded.hpp"
 
 namespace itdos::core {
 namespace {
@@ -123,14 +124,14 @@ TEST_F(FragmentTest, HostileFragmentsDiscardedWithoutDesync) {
   hostile.index = 0;
   hostile.total = 4;
   hostile.chunk = to_bytes("junk");
-  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
+  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
   hostile.total = 7;  // inconsistent with the buffered total
   hostile.index = 1;
-  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
+  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
   hostile.rid = RequestId(1);  // stale
   hostile.total = 2;
   hostile.index = 0;
-  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
+  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
   system_->settle();
   // Service unaffected; every element discarded identically.
   const Result<Value> after = send_blob("size", 20000);
@@ -178,8 +179,8 @@ TEST(FragmentMsgTest, RoundTrip) {
   msg.index = 1;
   msg.total = 3;
   msg.chunk = to_bytes("chunk-bytes");
-  EXPECT_EQ(FragmentMsg::decode(msg.encode()).value(), msg);
-  EXPECT_EQ(queue_entry_kind(msg.encode()).value(), QueueEntryKind::kFragment);
+  EXPECT_EQ(FragmentMsg::decode(encoded(msg)).value(), msg);
+  EXPECT_EQ(queue_entry_kind(encoded(msg)).value(), QueueEntryKind::kFragment);
 }
 
 TEST(FragmentMsgTest, RejectsBadIndices) {
@@ -191,13 +192,13 @@ TEST(FragmentMsgTest, RejectsBadIndices) {
   msg.chunk = to_bytes("c");
   msg.index = 0;
   msg.total = 0;  // zero total
-  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
   msg.total = 2;
   msg.index = 2;  // index >= total
-  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
   msg.index = 0;
   msg.total = kMaxFragments + 1;  // over cap
-  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
 }
 
 TEST(ObjectRefTest, CorbalocRoundTrip) {

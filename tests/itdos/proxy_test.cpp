@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bft/messages.hpp"
+#include "encoded.hpp"
 #include "itdos/smiop_msg.hpp"
 
 namespace itdos::core {
@@ -13,12 +14,10 @@ net::Packet packet(Bytes payload) {
 }
 
 Bytes valid_bft_envelope() {
-  bft::Envelope env;
-  env.type = bft::MsgType::kPrepare;
-  env.sender = NodeId(3);
-  env.body = to_bytes("body");
   Arena arena;
-  return env.encode_into(arena).clone_bytes();
+  bft::Frame frame(arena, bft::MsgType::kPrepare, NodeId(3), to_bytes("body"),
+                   bft::Frame::trailer_bound(0, false));
+  return frame.seal_entries({}).clone_bytes();
 }
 
 Bytes valid_smiop_message() {
@@ -28,7 +27,7 @@ Bytes valid_smiop_message() {
   msg.element = NodeId(5);
   msg.epoch = KeyEpoch(1);
   msg.sealed_giop = to_bytes("sealed");
-  return msg.encode();
+  return encoded(msg).clone_bytes();
 }
 
 constexpr DomainId kDomain{7};
