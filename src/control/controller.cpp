@@ -92,7 +92,7 @@ ResponseController::ResponseController(core::ItdosSystem& system,
   strikes_gauge_ = &reg.gauge("control.strikes");
 }
 
-ResponseController::~ResponseController() { *alive_ = false; }
+ResponseController::~ResponseController() { system_.sim().cancel_owned(this); }
 
 void ResponseController::start() {
   if (running_) return;
@@ -111,11 +111,7 @@ void ResponseController::start() {
       system_.directory().recovery_authority(),
       telemetry::trace_id(ConnectionId(0), RequestId(adjustments_)),
       static_cast<std::uint64_t>(law_.period_ns()), law_.strikes());
-  tick_ = system_.sim().schedule_after(options_.interval_ns,
-                                       [this, alive = alive_] {
-                                         if (!*alive) return;
-                                         tick();
-                                       });
+  tick_ = system_.sim().schedule_after(options_.interval_ns, [this] { tick(); }, this);
 }
 
 void ResponseController::stop() {
@@ -166,11 +162,7 @@ void ResponseController::tick() {
                      << inputs.suspicion_events << " -> period="
                      << out.period_ns << "ns strikes=" << out.laggard_strikes;
   }
-  tick_ = system_.sim().schedule_after(options_.interval_ns,
-                                       [this, alive = alive_] {
-                                         if (!*alive) return;
-                                         tick();
-                                       });
+  tick_ = system_.sim().schedule_after(options_.interval_ns, [this] { tick(); }, this);
 }
 
 }  // namespace itdos::control

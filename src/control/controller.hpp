@@ -129,8 +129,6 @@ class ResponseController {
   std::uint64_t adjustments_ = 0;
   telemetry::Gauge* period_gauge_;   // control.period_ns
   telemetry::Gauge* strikes_gauge_;  // control.strikes
-
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace itdos::control

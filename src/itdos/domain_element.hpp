@@ -135,11 +135,6 @@ class DomainElement {
   std::function<cdr::ReplyMessage(cdr::ReplyMessage)> reply_mutator_;
   std::function<Bytes(Bytes)> bundle_corruptor_;
 
-  // Recovery can destroy an element (watchdog abort) while self-scheduled
-  // events are still pending in the simulator; those lambdas hold a copy of
-  // this flag and become no-ops once the element is gone.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-
   bool consume_scheduled_ = false;
   bool executing_ = false;              // upcall in progress (maybe nested)
   std::optional<ConnectionId> waiting_key_;  // stalled on this connection

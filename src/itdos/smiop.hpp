@@ -157,11 +157,6 @@ class SmiopParty {
   BufView last_sealed_frame_;     // previously submitted ordered entry
   DomainId last_frame_target_{};  // domain it was submitted to
 
-  // Recovery can destroy a party (watchdog abort) while self-scheduled sim
-  // timers are still pending; those lambdas hold a copy of this flag and
-  // become no-ops once the party is gone.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-
   // Connects waiting for their key shares: conn -> completions + timer.
   struct PendingConnect {
     DomainId target;

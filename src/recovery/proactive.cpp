@@ -2,7 +2,7 @@
 
 namespace itdos::recovery {
 
-ProactiveScheduler::~ProactiveScheduler() { *alive_ = false; }
+ProactiveScheduler::~ProactiveScheduler() { manager_.system().sim().cancel_owned(this); }
 
 void ProactiveScheduler::add_domain(DomainId domain, int n) {
   for (int rank = 0; rank < n; ++rank) slots_.emplace_back(domain, rank);
@@ -11,11 +11,7 @@ void ProactiveScheduler::add_domain(DomainId domain, int n) {
 void ProactiveScheduler::start() {
   if (running_ || slots_.empty()) return;
   running_ = true;
-  tick_ = manager_.system().sim().schedule_after(period_ns_,
-                                                [this, alive = alive_] {
-                                                  if (!*alive) return;
-                                                  tick();
-                                                });
+  tick_ = manager_.system().sim().schedule_after(period_ns_, [this] { tick(); }, this);
 }
 
 void ProactiveScheduler::stop() {
@@ -41,11 +37,7 @@ void ProactiveScheduler::tick() {
     manager_.recover_now(domain, rank);
     break;
   }
-  tick_ = manager_.system().sim().schedule_after(period_ns_,
-                                                 [this, alive = alive_] {
-                                                   if (!*alive) return;
-                                                   tick();
-                                                 });
+  tick_ = manager_.system().sim().schedule_after(period_ns_, [this] { tick(); }, this);
 }
 
 }  // namespace itdos::recovery

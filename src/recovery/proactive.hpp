@@ -50,9 +50,6 @@ class ProactiveScheduler {
   bool running_ = false;
   net::EventHandle tick_{};
   std::uint64_t initiated_ = 0;
-
-  // Same lifetime guard as the manager: pending ticks outlive stop()/dtor.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace itdos::recovery
