@@ -71,6 +71,28 @@ TEST_P(CodecOrderTest, AlignmentPadsFromBufferStart) {
   EXPECT_EQ(dec.read_uint64().value(), 9u);
 }
 
+TEST_P(CodecOrderTest, EncapsulationInPlaceMatchesWriteBytesOfItsOwnEncoding) {
+  // The nested body starts at 12, which is not 8-aligned: its u64 must
+  // align from the body's first byte (at 20), as it would in a buffer of
+  // its own, not from the outer buffer's start (at 16).
+  Encoder inner(GetParam());
+  inner.write_octet(2);
+  inner.write_uint64(3);
+  Encoder separate(GetParam());
+  separate.write_uint64(1);
+  separate.write_bytes(inner.buffer());
+  separate.write_uint16(4);
+
+  Encoder in_place(GetParam());
+  in_place.write_uint64(1);
+  const Encoder::Encapsulation body = in_place.begin_encapsulation();
+  in_place.write_octet(2);
+  in_place.write_uint64(3);
+  in_place.end_encapsulation(body);
+  in_place.write_uint16(4);
+  EXPECT_EQ(in_place.buffer(), separate.buffer());
+}
+
 TEST_P(CodecOrderTest, EmptyStringHasNulOnly) {
   Encoder enc(GetParam());
   enc.write_string("");
