@@ -28,6 +28,11 @@ void BM_E9PayloadSweep(benchmark::State& state) {
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
   const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
+  // The ordered entries the client's party sends: the sealed GIOP, not the
+  // plaintext payload, is what max_entry_bytes splits.
+  const std::string entries_sent =
+      telemetry::metric_name("smiop", client.smiop_node(), "request_entries_sent");
+  const std::uint64_t entries_before = reg.counter_value(entries_sent);
   for (auto _ : state) {
     const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
@@ -46,8 +51,8 @@ void BM_E9PayloadSweep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(total_sim_ns) / 1e3 / iters);
   state.counters["pkts_per_call"] =
       benchmark::Counter(static_cast<double>(total_packets) / iters);
-  state.counters["fragments"] = benchmark::Counter(static_cast<double>(
-      (payload + options.timing.max_entry_bytes - 1) / options.timing.max_entry_bytes));
+  state.counters["fragments"] = benchmark::Counter(
+      static_cast<double>(reg.counter_value(entries_sent) - entries_before) / iters);
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * payload));
   BenchReport::instance().harvest(system.sim());

@@ -17,16 +17,20 @@ BASE_SEED = 1
 ITERATIONS = 40
 
 # Known violations, as (scenario, seed): runs that fail today and are
-# tracked in ROADMAP.md ("The fault sweep already fails"). All three are
+# tracked in ROADMAP.md ("The fault sweep already fails"). Both are
 # drop_storm liveness failures ("never completed after faults healed"):
 # agreement messages the storm drops are never retransmitted, so a slot
 # that loses them waits on view changes that lose them again. A change that
 # moves the shared RNG stream may move a failure into or out of this range:
 # edit the list, with its ROADMAP entry, rather than loosening the gate.
+# Outside the gated range, `fault_scenario_tool sweep` fails 11 runs at
+# seeds 41-240 and 73 at seeds 241-1040, all liveness (86 over 1-1040:
+# drop_storm 69, adaptive_adversary_overload 16, delay_spike 1). The
+# client's measured retransmission timeout moved the list from drop_storm
+# 10, 16 and 24 (3, 16 and 75 failing runs before).
 KNOWN_FAILURES = {
-    ("drop_storm", 10),
-    ("drop_storm", 16),
-    ("drop_storm", 24),
+    ("drop_storm", 11),
+    ("drop_storm", 15),
 }
 
 LINE = re.compile(r"^(\S+) seed=(\d+) .* violations=(\d+)$")

@@ -1,14 +1,17 @@
 #include "bft/client.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "common/counters.hpp"
 #include "crypto/sha256.hpp"
 
 namespace itdos::bft {
 
-std::optional<Bytes> MatchingReplyCollector::add(NodeId replica, const Bytes& result) {
-  auto& voters = votes_[result];
+std::optional<Bytes> MatchingReplyCollector::add(NodeId replica, ByteView result) {
+  auto& [value, voters] = *votes_.try_emplace(Bytes(result.begin(), result.end())).first;
   voters.insert(replica);
-  if (static_cast<int>(voters.size()) >= f_ + 1) return result;
+  if (static_cast<int>(voters.size()) >= f_ + 1) return value;
   return std::nullopt;
 }
 
@@ -16,7 +19,9 @@ Client::Client(net::Network& net, NodeId id, BftConfig config, const SessionKeys
     : Process(net, id),
       config_(std::move(config)),
       keys_(keys),
-      request_tags_(config_.replicas.size()) {
+      request_tags_(config_.replicas.size()),
+      retransmissions_(&net.sim().telemetry().metrics().counter(
+          telemetry::metric_name("bft", id, "retransmissions"))) {
   collector_factory_ = [](int f) { return std::make_unique<MatchingReplyCollector>(f); };
 }
 
@@ -44,12 +49,37 @@ void Client::pump() {
     fl.payload_digest = crypto::sha256(ByteView(fl.payload));
     fl.done = std::move(next.done);
     fl.collector = collector_factory_(config_.f);
+    fl.sent_at = now();
+    fl.retry_at = now() + rto_ns();
     send_request(timestamp, fl, /*broadcast=*/false);
   }
-  if (!inflight_.empty() && !retry_timer_armed_) {
-    retry_timer_armed_ = true;
-    retry_timer_ = set_timer(config_.client_retry_ns, [this] { on_retry_timeout(); });
+  arm_retry_timer();
+}
+
+std::int64_t Client::rto_ns() const {
+  if (srtt_ns_ == 0) return config_.client_retry_ns;
+  return std::min(std::max(srtt_ns_ + 4 * rttvar_ns_, 2 * srtt_ns_), config_.client_retry_ns);
+}
+
+void Client::sample_round_trip(std::int64_t rtt_ns) {
+  if (srtt_ns_ == 0) {
+    srtt_ns_ = rtt_ns;
+    rttvar_ns_ = rtt_ns / 2;
+    return;
   }
+  rttvar_ns_ = (3 * rttvar_ns_ + std::abs(srtt_ns_ - rtt_ns)) / 4;
+  srtt_ns_ = (7 * srtt_ns_ + rtt_ns) / 8;
+}
+
+void Client::arm_retry_timer() {
+  std::optional<SimTime> due;
+  for (const auto& [timestamp, fl] : inflight_) {
+    if (!due || fl.retry_at < *due) due = fl.retry_at;
+  }
+  if (due == retry_timer_due_) return;
+  if (retry_timer_due_) cancel_timer(retry_timer_);
+  retry_timer_due_ = due;
+  if (due) retry_timer_ = set_timer(*due - now(), [this] { on_retry_timeout(); });
 }
 
 void Client::send_request(std::uint64_t timestamp, const Inflight& fl, bool broadcast) {
@@ -81,15 +111,17 @@ const std::vector<const crypto::CmacKey*>& Client::replica_keys() {
 }
 
 void Client::on_retry_timeout() {
-  retry_timer_armed_ = false;
-  if (inflight_.empty()) return;
-  ++retransmissions_;
-  // Suspect the primary; tell everyone about every outstanding request.
-  for (const auto& [timestamp, fl] : inflight_) {
+  retry_timer_due_.reset();
+  // Suspect the primary; tell every replica about each request past its
+  // own deadline. Later retries keep the fixed client_retry_ns cadence.
+  for (auto& [timestamp, fl] : inflight_) {
+    if (fl.retry_at > now()) continue;
     send_request(timestamp, fl, /*broadcast=*/true);
+    fl.retransmitted = true;
+    fl.retry_at = now() + config_.client_retry_ns;
+    retransmissions_->inc();
   }
-  retry_timer_armed_ = true;
-  retry_timer_ = set_timer(config_.client_retry_ns, [this] { on_retry_timeout(); });
+  arm_retry_timer();
 }
 
 void Client::on_packet(const net::Packet& packet) {
@@ -126,14 +158,13 @@ void Client::on_packet(const net::Packet& packet) {
 void Client::finish(std::uint64_t timestamp, Result<Bytes> result) {
   const auto it = inflight_.find(timestamp);
   if (it == inflight_.end()) return;
+  // Karn's rule: a retransmitted request's replies may answer any of its
+  // sends, so only a request sent once times the round trip.
+  if (!it->second.retransmitted) sample_round_trip(now() - it->second.sent_at);
   const Completion done = std::move(it->second.done);
   inflight_.erase(it);
-  if (inflight_.empty() && retry_timer_armed_) {
-    cancel_timer(retry_timer_);
-    retry_timer_armed_ = false;
-  }
   done(std::move(result));
-  pump();
+  pump();  // re-arms the retry timer
 }
 
 }  // namespace itdos::bft

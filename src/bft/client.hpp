@@ -5,12 +5,19 @@
 // with the same result" — byte equality, which §3.6 shows cannot work across
 // heterogeneous replicas. ITDOS swaps in its unmarshalled voter by providing
 // a different ReplyCollector.
+//
+// A request goes to the primary first. It is broadcast to every replica
+// one RTO after it was sent, and again every client_retry_ns until it
+// completes; the RTO follows the client's measured send-to-quorum time
+// (RFC 6298 smoothing, Karn's rule), so a dead primary is noticed within
+// a few round trips (DESIGN.md §4b).
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "bft/config.hpp"
@@ -26,14 +33,14 @@ class ReplyCollector {
   virtual ~ReplyCollector() = default;
 
   /// Feeds one reply; returns the decided result once sufficient.
-  virtual std::optional<Bytes> add(NodeId replica, const Bytes& result) = 0;
+  virtual std::optional<Bytes> add(NodeId replica, ByteView result) = 0;
 };
 
 /// Stock Castro-Liskov rule: f+1 byte-identical results.
 class MatchingReplyCollector : public ReplyCollector {
  public:
   explicit MatchingReplyCollector(int f) : f_(f) {}
-  std::optional<Bytes> add(NodeId replica, const Bytes& result) override;
+  std::optional<Bytes> add(NodeId replica, ByteView result) override;
 
  private:
   int f_;
@@ -64,7 +71,14 @@ class Client : public net::Process {
   /// Number of requests submitted so far (== last timestamp used).
   std::uint64_t timestamps_used() const { return next_timestamp_ - 1; }
 
-  std::uint64_t retransmissions() const { return retransmissions_; }
+  /// Smoothed send-to-quorum time of requests that were never
+  /// retransmitted; 0 before the first such request completes.
+  std::int64_t srtt_ns() const { return srtt_ns_; }
+
+  /// How long after its first send a request is broadcast to every
+  /// replica: max(srtt + 4 * rttvar, 2 * srtt), at most client_retry_ns,
+  /// and client_retry_ns itself before the first sample.
+  std::int64_t rto_ns() const;
 
   /// Requests currently awaiting a reply quorum.
   std::size_t inflight() const { return inflight_.size(); }
@@ -85,12 +99,20 @@ class Client : public net::Process {
     Completion done;
     std::unique_ptr<ReplyCollector> collector;
     std::set<NodeId> replied;  // replicas already counted
+    SimTime sent_at;           // first send: the round-trip sample's start
+    SimTime retry_at;          // when it is next broadcast
+    bool retransmitted = false;  // Karn's rule: then it gives no sample
   };
 
   /// Dispatches queued requests into the pipeline window.
   void pump();
   void send_request(std::uint64_t timestamp, const Inflight& request, bool broadcast);
   void on_retry_timeout();
+  /// Arms the one retry timer for the earliest deadline in flight, or
+  /// disarms it when nothing is in flight. pump() ends with it.
+  void arm_retry_timer();
+  /// Folds one send-to-quorum time into srtt/rttvar (RFC 6298 §2).
+  void sample_round_trip(std::int64_t rtt_ns);
   void finish(std::uint64_t timestamp, Result<Bytes> result);
   /// The MAC key shared with each replica, by rank, looked up on first use.
   const std::vector<const crypto::CmacKey*>& replica_keys();
@@ -102,13 +124,15 @@ class Client : public net::Process {
   CollectorFactory collector_factory_;
 
   std::uint64_t next_timestamp_ = 1;
-  std::uint64_t retransmissions_ = 0;
+  telemetry::Counter* retransmissions_;  // bft.<client>.retransmissions, per request
+  std::int64_t srtt_ns_ = 0;
+  std::int64_t rttvar_ns_ = 0;
   ViewId view_estimate_;  // updated from replies; guides who we call primary
 
   std::deque<PendingRequest> queue_;
   std::map<std::uint64_t, Inflight> inflight_;  // timestamp -> state
   net::EventHandle retry_timer_{};
-  bool retry_timer_armed_ = false;
+  std::optional<SimTime> retry_timer_due_;  // set while retry_timer_ is armed
 };
 
 }  // namespace itdos::bft

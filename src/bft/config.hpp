@@ -33,7 +33,10 @@ struct BftConfig {
   /// Checkpoint every K executed requests; watermark window is 2K.
   std::int64_t checkpoint_interval = 16;
 
-  /// Client resends its request (to all replicas) after this long.
+  /// Client retransmission (bft::Client): the RTO before the client's
+  /// first round-trip sample, the cap on its measured RTO, and the
+  /// interval between later broadcasts of the same request. A request is
+  /// first broadcast to all replicas one RTO after it was sent.
   std::int64_t client_retry_ns = millis(40);
 
   /// Backup starts a view change this long after accepting a request whose

@@ -18,7 +18,7 @@ struct ClusterOptions {
   std::uint64_t seed = 1;
   net::NetConfig net_config;
   std::int64_t checkpoint_interval = 16;
-  std::int64_t client_retry_ns = millis(40);
+  std::int64_t client_retry_ns = millis(40);  // initial RTO and its cap; later retries' interval
   std::int64_t view_change_timeout_ns = millis(60);
   /// Batch formation caps (src/batch); default off (one request per slot).
   batch::Policy batch;

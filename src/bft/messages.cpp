@@ -218,7 +218,7 @@ void ReplyMsg::write(cdr::Encoder& enc) const {
   enc.write_bytes(result);
 }
 
-Result<ReplyMsg> ReplyMsg::decode(ByteView data) {
+Result<ReplyMsg> ReplyMsg::decode(const BufView& data) {
   cdr::Decoder dec(data, kWire);
   ReplyMsg msg;
   ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
@@ -228,7 +228,7 @@ Result<ReplyMsg> ReplyMsg::decode(ByteView data) {
   msg.client = NodeId(client);
   ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
   msg.replica = NodeId(replica);
-  ITDOS_ASSIGN_OR_RETURN(msg.result, dec.read_bytes());
+  ITDOS_ASSIGN_OR_RETURN(msg.result, dec.read_bytes_view());
   ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "REPLY"));
   return msg;
 }

@@ -179,12 +179,12 @@ struct ReplyMsg {
   std::uint64_t timestamp = 0;
   NodeId client;
   NodeId replica;
-  Bytes result;
+  BufView result;  // a replica lends its cached result; decode slices the body
 
   bool operator==(const ReplyMsg&) const = default;
   std::size_t size_hint() const;
   void write(cdr::Encoder& enc) const;
-  static Result<ReplyMsg> decode(ByteView data);
+  static Result<ReplyMsg> decode(const BufView& data);
 };
 
 struct CheckpointMsg {

@@ -818,12 +818,12 @@ void Replica::execute_request(const RequestMsg& request, std::uint64_t seq) {
       // replicated state, so every correct replica skips identically.
       return;
     }
-    const Bytes result = app_->execute(request.payload, request.client, SeqNum(seq));
+    record.replies[request.timestamp] =
+        app_->execute(request.payload, request.client, SeqNum(seq));
     record.executed.insert(request.timestamp);
     if (counters::after(request.timestamp, record.last_timestamp)) {
       record.last_timestamp = request.timestamp;
     }
-    record.replies[request.timestamp] = result;
     while (record.replies.size() > 2 * static_cast<std::size_t>(config_.pipeline_depth)) {
       record.replies.erase(record.replies.begin());
     }
@@ -848,7 +848,8 @@ void Replica::send_reply(ClientRecord& record, const RequestMsg& request,
   reply.timestamp = request.timestamp;
   reply.client = request.client;
   reply.replica = id();
-  reply.result = result;
+  // The frame copies the cached bytes in; the borrow ends with this call.
+  reply.result = BufView::borrow(result);
   if (record.reply_key == nullptr) record.reply_key = &keys_.mac_key(id(), request.client);
   send_authenticated(request.client, reply, *record.reply_key);
   metrics_.replies_sent->inc();

@@ -134,6 +134,7 @@ SmiopParty::SmiopParty(net::Network& net,
   metrics_.faults_detected = counter("faults_detected");
   metrics_.change_requests_sent = counter("change_requests_sent");
   metrics_.fragmented_requests = counter("fragmented_requests");
+  metrics_.request_entries_sent = counter("request_entries_sent");
   metrics_.overloads_observed = counter("overloads_observed");
   metrics_.request_latency_ns = &reg.histogram("smiop.request_latency_ns");
   metrics_.connect_latency_ns = &reg.histogram("smiop.connect_latency_ns");
@@ -328,6 +329,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
           ? 1
           : static_cast<std::uint32_t>(
                 (ordered.sealed_giop.size() + max_entry - 1) / max_entry);
+  metrics_.request_entries_sent->inc(fragments);
   tel_->trace(telemetry::TraceKind::kSmiopRequestSent, config_.smiop_node,
               telemetry::trace_id(state.conn, rid), ordered.sealed_giop.size(),
               fragments);
@@ -355,7 +357,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
   state.round = std::move(round);
 
   bft::Client& transport = target_client(state.target);
-  if (ordered.sealed_giop.size() <= max_entry) {
+  if (fragments == 1) {
     const BufView frame = ordered.encode_into(net_.sim().arena());
     // Compromised-client hooks: a replayed stale frame carries an already
     // executed rid, a duplicate carries the current one twice — every
@@ -382,9 +384,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
   // so fragments arrive in order. Each chunk is a slice of the one sealed
   // buffer — fragmentation itself copies nothing.
   const BufView& sealed = ordered.sealed_giop;
-  const auto total = static_cast<std::uint32_t>(
-      (sealed.size() + max_entry - 1) / max_entry);
-  for (std::uint32_t i = 0; i < total; ++i) {
+  for (std::uint32_t i = 0; i < fragments; ++i) {
     FragmentMsg fragment;
     fragment.conn = ordered.conn;
     fragment.rid = ordered.rid;
@@ -392,7 +392,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
     fragment.origin_domain = ordered.origin_domain;
     fragment.epoch = ordered.epoch;
     fragment.index = i;
-    fragment.total = total;
+    fragment.total = fragments;
     const std::size_t begin = i * max_entry;
     const std::size_t end = std::min(sealed.size(), begin + max_entry);
     fragment.chunk = sealed.slice(begin, end - begin);

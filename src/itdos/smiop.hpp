@@ -180,6 +180,7 @@ class SmiopParty {
     telemetry::Counter* faults_detected;       // dissenting elements observed
     telemetry::Counter* change_requests_sent;
     telemetry::Counter* fragmented_requests;   // large requests split (§4)
+    telemetry::Counter* request_entries_sent;  // ordered entries: 1, or 1 per fragment
     telemetry::Counter* overloads_observed;    // voted OVERLOAD replies (§6f sheds)
     telemetry::Histogram* request_latency_ns;  // send_on -> voted reply
     telemetry::Histogram* connect_latency_ns;  // connect_to -> key installed

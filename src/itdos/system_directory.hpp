@@ -41,7 +41,7 @@ struct ElementInfo {
 
 struct ProtocolTiming {
   std::int64_t checkpoint_interval = 16;
-  std::int64_t client_retry_ns = millis(40);
+  std::int64_t client_retry_ns = millis(40);  // initial RTO and its cap; later retries' interval
   std::int64_t view_change_timeout_ns = millis(60);
   std::int64_t reply_vote_timeout_ns = millis(500);  // voter gives up (§3.6 GC)
   std::uint64_t ack_interval = 8;  // consumer entries between queue acks

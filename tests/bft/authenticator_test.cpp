@@ -194,7 +194,9 @@ TEST(AuthenticatorTest, ClientTagBadForOneBackupStillExecutesEverywhere) {
   EXPECT_EQ(to_string(result.value()), "VAL:5");
   cluster.settle();
 
-  EXPECT_EQ(client.retransmissions(), 0u);
+  EXPECT_EQ(cluster.sim().telemetry().metrics().counter_value(
+                telemetry::metric_name("bft", client.id(), "retransmissions")),
+            0u);
   for (int rank = 0; rank < cluster.n(); ++rank) {
     const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(rank).app());
     EXPECT_EQ(app.value(), 5) << "rank " << rank;

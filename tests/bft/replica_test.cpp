@@ -403,7 +403,9 @@ TEST(BftClusterTest, ClientRetransmitsAgainstSilentPrimary) {
   const Result<Bytes> result =
       cluster.invoke_sync(client, to_bytes("add:2"), seconds(10));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_GE(client.retransmissions(), 1u);
+  EXPECT_GE(cluster.sim().telemetry().metrics().counter_value(
+                telemetry::metric_name("bft", client.id(), "retransmissions")),
+            1u);
 }
 
 /// Makes every replica drop, on delivery, each packet whose envelope `env`

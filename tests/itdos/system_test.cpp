@@ -257,6 +257,31 @@ TEST_F(ItdosSystemTest, ToleratesCrashedElement) {
   EXPECT_EQ(result.value().as_int64(), 42);
 }
 
+TEST_F(ItdosSystemTest, PrimaryCrashOutageIsOneViewChangeTimeout) {
+  // The client's transport broadcasts the lost request one measured RTO
+  // after sending it, not a fixed client_retry_ns (40 ms) later, so the
+  // first voted reply after the crash waits on the backups' 60 ms
+  // view-change timer and a few round trips only.
+  ItdosSystem system(fast_options());
+  const DomainId domain = add_calculator_domain(system);
+  ItdosClient& client = system.add_client();
+  const orb::ObjectRef ref =
+      system.object_ref(domain, ObjectId(1), "IDL:itdos/Calculator:1.0");
+  for (int i = 1; i <= 20; ++i) {
+    ASSERT_TRUE(system.invoke_sync(client, ref, "add", int_args({i, i})).is_ok()) << i;
+  }
+  system.settle();
+
+  system.crash_element(domain, 0);  // rank 0 leads view 0
+  const SimTime crashed = system.sim().now();
+  const Result<Value> result =
+      system.invoke_sync(client, ref, "add", int_args({20, 22}), seconds(1));
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().as_int64(), 42);
+  EXPECT_LT(system.sim().now() - crashed, millis(70));
+  EXPECT_GE(system.element(domain, 1).replica().view().value, 1u);
+}
+
 TEST_F(ItdosSystemTest, ByzantineElementOutvotedDetectedAndExpelled) {
   ItdosSystem system(fast_options());
   const DomainId domain = add_calculator_domain(system);
