@@ -92,10 +92,9 @@ void BM_A2AckInterval(benchmark::State& state) {
     msg.origin = NodeId(9);
     msg.epoch = KeyEpoch(1);
     msg.sealed_giop = Bytes(128, 0x5a);
-    Arena arena;
     for (int i = 1; i <= 512; ++i) {
       msg.rid = RequestId(static_cast<std::uint64_t>(i));
-      queue.execute(msg.encode_into(arena), NodeId(9), SeqNum(++seq));
+      queue.execute(msg.encode(), NodeId(9), SeqNum(++seq));
       (void)queue.next();
       if (++consumed_since_ack >= interval) {
         consumed_since_ack = 0;
@@ -104,7 +103,7 @@ void BM_A2AckInterval(benchmark::State& state) {
         for (int e = 1; e <= 4; ++e) {
           queue.execute(core::QueueAckMsg{NodeId(static_cast<std::uint64_t>(e)),
                                           queue.consumed_index()}
-                            .encode_into(arena),
+                            .encode(),
                         NodeId(9), SeqNum(++seq));
         }
       }
@@ -124,8 +123,7 @@ BENCHMARK(BM_A2AckInterval)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 void BM_A3FirewallAdmitValid(benchmark::State& state) {
   telemetry::MetricsRegistry registry;
   core::FirewallProxy proxy(registry, DomainId(1));
-  Arena arena;
-  bft::Frame frame(arena, bft::MsgType::kPrepare, NodeId(1),
+  bft::Frame frame(bft::MsgType::kPrepare, NodeId(1),
                    Bytes(static_cast<std::size_t>(state.range(0)), 0x5a),
                    bft::Frame::trailer_bound(0, false));
   const net::Packet packet{NodeId(1), NodeId(2), std::nullopt, frame.seal_entries({})};

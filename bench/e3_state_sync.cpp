@@ -55,10 +55,9 @@ core::QueueStateMachine loaded_queue(int entries) {
   msg.origin = NodeId(1);
   msg.epoch = KeyEpoch(1);
   msg.sealed_giop = Bytes(256, 0x5a);
-  Arena arena;
   for (int i = 1; i <= entries; ++i) {
     msg.rid = RequestId(static_cast<std::uint64_t>(i));
-    queue.execute(msg.encode_into(arena), NodeId(9), SeqNum(static_cast<std::uint64_t>(i)));
+    queue.execute(msg.encode(), NodeId(9), SeqNum(static_cast<std::uint64_t>(i)));
   }
   return queue;
 }

@@ -168,18 +168,17 @@ void BM_Layer_QueueManagement(benchmark::State& state) {
   auto& reg = BenchReport::instance().registry();
   telemetry::Histogram& hist = reg.histogram("fig2.queue_append_ns");
   telemetry::Counter& ops = reg.counter("fig2.queue_append_ops");
-  Arena arena;
   std::uint64_t rid = 0;
   std::uint64_t seq = 0;
   for (auto _ : state) {
     ScopedHostTimer timer(hist);
     ops.inc();
     msg.rid = RequestId(++rid);
-    queue.execute(msg.encode_into(arena), NodeId(9), SeqNum(++seq));
+    queue.execute(msg.encode(), NodeId(9), SeqNum(++seq));
     benchmark::DoNotOptimize(queue.next());
     if (rid % 8 == 0) {
       for (int e = 1; e <= 3; ++e) {
-        queue.execute(core::QueueAckMsg{NodeId(100 + e), rid}.encode_into(arena), NodeId(9),
+        queue.execute(core::QueueAckMsg{NodeId(100 + e), rid}.encode(), NodeId(9),
                       SeqNum(++seq));
       }
     }

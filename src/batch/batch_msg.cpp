@@ -8,12 +8,14 @@ constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
 
 }  // namespace
 
-BufView BatchMsg::encode_into(Arena& arena) const {
-  // Entry count, then per entry at most 3 pad + 4 length + the request,
-  // 3 pad + 4 count and 7 pad + the authenticators.
+std::size_t BatchMsg::size_hint() const {
   std::size_t bound = 4;
   for (const BatchEntry& entry : entries) bound += 21 + entry.request.size() + entry.auth.size();
-  cdr::Encoder enc(kWire, &arena, bound);
+  return bound;
+}
+
+BufView BatchMsg::encode() const {
+  cdr::Encoder enc(kWire, size_hint());
   enc.write_uint32(static_cast<std::uint32_t>(entries.size()));
   for (const BatchEntry& entry : entries) {
     enc.write_bytes(entry.request);

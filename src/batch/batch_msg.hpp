@@ -3,10 +3,10 @@
 // A batch is a counted sequence of entries, each an encoded
 // bft::RequestMsg frame and the authenticator entries its client sent
 // with it, so every backup can check that the client asked for it. The
-// primary marshals it ONCE into the arena (each entry's bytes are written
-// into the shared chunk); everything downstream — MAC'ing, multicast, the
-// replicas' logs, view-change re-proposal and execution — holds views into
-// that sealed chunk. decode() hands back zero-copy sub-views per entry.
+// primary marshals it ONCE into one chunk sized to it (each entry's bytes
+// are written into that chunk); everything downstream — MAC'ing,
+// multicast, the replicas' logs, view-change re-proposal and execution —
+// holds views into that sealed chunk. decode() hands back zero-copy sub-views per entry.
 //
 // The batch commits or is re-proposed as a unit: the pre-prepare digest
 // covers every entry (bft::proposal_digest), so no partial entry can
@@ -46,8 +46,13 @@ struct BatchMsg {
 
   bool operator==(const BatchMsg&) const = default;
 
-  /// One marshal into a recycled arena chunk.
-  BufView encode_into(Arena& arena) const;
+  /// Upper bound on the encoded size: the entry count, then per entry at
+  /// most 3 pad + 4 length + the request, 3 pad + 4 count and 7 pad + the
+  /// authenticators.
+  std::size_t size_hint() const;
+
+  /// One marshal into a chunk of size_hint() bytes.
+  BufView encode() const;
 
   /// Zero-copy: every request and authenticator view shares `data`'s
   /// chunk. Rejects hostile counts (entry or authenticator counts the

@@ -9,7 +9,11 @@
 namespace itdos::bft {
 
 std::optional<Bytes> MatchingReplyCollector::add(NodeId replica, ByteView result) {
-  auto& [value, voters] = *votes_.try_emplace(Bytes(result.begin(), result.end())).first;
+  auto it = votes_.find(result);
+  if (it == votes_.end()) {
+    it = votes_.emplace(Bytes(result.begin(), result.end()), std::set<NodeId>{}).first;
+  }
+  auto& [value, voters] = *it;
   voters.insert(replica);
   if (static_cast<int>(voters.size()) >= f_ + 1) return value;
   return std::nullopt;
@@ -87,7 +91,7 @@ void Client::send_request(std::uint64_t timestamp, const Inflight& fl, bool broa
   request.client = id();
   request.timestamp = timestamp;
   request.payload = fl.payload;
-  Frame frame(arena(), id(), request, Frame::trailer_bound(config_.replicas.size(), false));
+  Frame frame(id(), request, Frame::trailer_bound(config_.replicas.size(), false));
   // The request is authenticated to every replica so any of them can relay
   // it to the primary, and check it inside the primary's batch, without
   // weakening authenticity. The tags cover the header and the payload's

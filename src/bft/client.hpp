@@ -13,6 +13,7 @@
 // a few round trips (DESIGN.md §4b).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -43,8 +44,17 @@ class MatchingReplyCollector : public ReplyCollector {
   std::optional<Bytes> add(NodeId replica, ByteView result) override;
 
  private:
+  /// Orders results by their bytes; transparent, so a reply finds its
+  /// result by view and only a result not seen before builds a key.
+  struct ByteLess {
+    using is_transparent = void;
+    bool operator()(ByteView a, ByteView b) const {
+      return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+    }
+  };
+
   int f_;
-  std::map<Bytes, std::set<NodeId>> votes_;
+  std::map<Bytes, std::set<NodeId>, ByteLess> votes_;
 };
 
 class Client : public net::Process {

@@ -491,14 +491,14 @@ Result<Envelope> Envelope::decode(const BufView& data) {
   return env;
 }
 
-Frame::Frame(Arena& arena, MsgType type, NodeId sender, std::size_t bound)
-    : enc_(kWire, &arena, kEnvelopeBodyAt + bound), type_(type) {
+Frame::Frame(MsgType type, NodeId sender, std::size_t bound)
+    : enc_(kWire, kEnvelopeBodyAt + bound), type_(type) {
   enc_.write_octet(static_cast<std::uint8_t>(type));
   enc_.write_uint64(sender.value);
 }
 
-Frame::Frame(Arena& arena, MsgType type, NodeId sender, ByteView body, std::size_t trailer)
-    : Frame(arena, type, sender, body.size() + trailer) {
+Frame::Frame(MsgType type, NodeId sender, ByteView body, std::size_t trailer)
+    : Frame(type, sender, body.size() + trailer) {
   enc_.write_bytes(body);
   body_size_ = body.size();
 }

@@ -337,9 +337,9 @@ struct Envelope {
   std::optional<crypto::MacTag> tag_for(NodeId receiver) const { return auth.find(receiver); }
 };
 
-/// A sender's envelope frame, written once into one arena chunk sized to
-/// it: the header, the body (written in place by its write(), or copied
-/// when it is already encoded), then the authenticator entries or the
+/// A sender's envelope frame, written once into one chunk sized to it:
+/// the header, the body (written in place by its write(), or copied when
+/// it is already encoded), then the authenticator entries or the
 /// signature. body() is the body in place, for the MACs or the signature
 /// to cover before the frame is sealed.
 class Frame {
@@ -355,8 +355,8 @@ class Frame {
   /// A frame of `msg`, sent by `sender`, with room for `trailer` bytes
   /// after the body (trailer_bound).
   template <typename Msg>
-  Frame(Arena& arena, NodeId sender, const Msg& msg, std::size_t trailer)
-      : Frame(arena, Msg::kType, sender, msg.size_hint() + trailer) {
+  Frame(NodeId sender, const Msg& msg, std::size_t trailer)
+      : Frame(Msg::kType, sender, msg.size_hint() + trailer) {
     const cdr::Encoder::Encapsulation body = enc_.begin_encapsulation();
     msg.write(enc_);
     enc_.end_encapsulation(body);
@@ -364,7 +364,7 @@ class Frame {
   }
 
   /// A frame whose body is the already-encoded `body`.
-  Frame(Arena& arena, MsgType type, NodeId sender, ByteView body, std::size_t trailer);
+  Frame(MsgType type, NodeId sender, ByteView body, std::size_t trailer);
 
   /// The frame's type; MAC inputs point at it (mac_input).
   const MsgType& type() const { return type_; }
@@ -386,7 +386,7 @@ class Frame {
 
  private:
   /// Writes the header up to the body length; `bound` covers the rest.
-  Frame(Arena& arena, MsgType type, NodeId sender, std::size_t bound);
+  Frame(MsgType type, NodeId sender, std::size_t bound);
   /// Writes the authenticator count and the pad before `count` entries.
   void begin_entries(std::size_t count);
   /// Writes the signature flag and `signature`, if any, and seals.

@@ -382,7 +382,7 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = SeqNum(seq);
-  pp.request = batch.encode_into(arena());  // the one marshal of the batch
+  pp.request = batch.encode();  // the one marshal of the batch
   pp.req_digest = digest.finish();
 
   LogEntry& entry = entry_at(seq);
@@ -414,12 +414,12 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
       Bytes lie_payload = lie_request.payload.clone_bytes();  // copy-on-write
       lie_payload.push_back(0x5a);
       lie_request.payload = BufView(std::move(lie_payload));
-      cdr::Encoder lie_entry(cdr::ByteOrder::kLittleEndian, &arena(), lie_request.size_hint());
+      cdr::Encoder lie_entry(cdr::ByteOrder::kLittleEndian, lie_request.size_hint());
       lie_request.write(lie_entry);
       lie_batch.entries.front().request = lie_entry.take_view();
     }
     PrePrepareMsg lie = pp;
-    lie.request = lie_batch.encode_into(arena());
+    lie.request = lie_batch.encode();
     lie.req_digest = proposal_digest(lie_batch);
     for (int rank = 0; rank < config_.n(); ++rank) {
       const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
@@ -1255,7 +1255,7 @@ void Replica::start_view_change(ViewId new_view) {
   }
   // Signed in place; this replica's own entry keeps the signed body as a
   // view of the frame it sends.
-  Frame frame(arena(), id(), msg, Frame::trailer_bound(0, true));
+  Frame frame(id(), msg, Frame::trailer_bound(0, true));
   const std::size_t body_size = frame.body().size();
   SignedViewChange svc;
   svc.signature = signing_key_.sign(frame.body());
@@ -1403,7 +1403,7 @@ void Replica::process_view_change_quorum(ViewId new_view) {
       compute_new_view_pre_prepares(new_view, msg.view_changes, &min_s, &max_s);
 
   if (!byz_.silent) {
-    Frame frame(arena(), id(), msg, Frame::trailer_bound(0, true));
+    Frame frame(id(), msg, Frame::trailer_bound(0, true));
     multicast_to(config_.group, frame.seal_signature(signing_key_.sign(frame.body())));
   }
   metrics_.new_views_sent->inc();
@@ -1579,7 +1579,7 @@ void Replica::hand_over_former() {
     if (record.executed.contains(request.value().timestamp)) continue;
     // The REQUEST as its client sent it (handle_request checked the client
     // is the sender): the same bytes, rebuilt from the parked entry.
-    Frame frame(arena(), MsgType::kRequest, request.value().client, entry.encoded,
+    Frame frame(MsgType::kRequest, request.value().client, entry.encoded,
                 Frame::trailer_bound(entry.auth.size() / AuthVector::kEntrySize, false));
     hold_request(record, request.value().timestamp, frame.seal_entries(entry.auth));
   }

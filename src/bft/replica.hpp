@@ -291,7 +291,7 @@ class Replica : public net::Process {
   /// Writes `msg` into a frame, tags it for every peer and multicasts it.
   template <typename Msg>
   void multicast_authenticated(const Msg& msg) {
-    Frame frame(arena(), id(), msg, Frame::trailer_bound(peers_.size(), false));
+    Frame frame(id(), msg, Frame::trailer_bound(peers_.size(), false));
     multicast_frame(frame);
   }
   /// Writes `msg` into a frame and sends it to `to` with one authenticator,
@@ -303,7 +303,7 @@ class Replica : public net::Process {
   /// As above, under `key` (a reply's cached client key).
   template <typename Msg>
   void send_authenticated(NodeId to, const Msg& msg, const crypto::CmacKey& key) {
-    Frame frame(arena(), id(), msg, Frame::trailer_bound(1, false));
+    Frame frame(id(), msg, Frame::trailer_bound(1, false));
     send_frame(to, frame, key);
   }
   void multicast_frame(Frame& frame);

@@ -84,23 +84,13 @@ class Encoder {
   /// messages, such as a GIOP call with a few scalar arguments, never regrow.
   static constexpr std::size_t kDefaultCapacity = 128;
 
-  /// With an arena, the marshal buffer is a recycled chunk and take_view()
-  /// seals it back into that arena — the single-marshal-step discipline.
   /// `size_hint`, when non-zero, is an upper bound on the encoded size: the
-  /// buffer is sized to it, so the encode never reallocates and a small
-  /// message does not pin a large chunk.
-  explicit Encoder(ByteOrder order = native_byte_order(), Arena* arena = nullptr,
-                   std::size_t size_hint = 0)
-      : order_(order), arena_(arena) {
-    if (arena_) {
-      buffer_ = arena_->acquire(size_hint);
-    } else {
-      buffer_.reserve(size_hint != 0 ? size_hint : kDefaultCapacity);
-    }
+  /// buffer is reserved to exactly it, so the encode never reallocates and
+  /// the sealed chunk is no larger than the message needs.
+  explicit Encoder(ByteOrder order = native_byte_order(), std::size_t size_hint = 0)
+      : order_(order) {
+    buffer_.reserve(size_hint != 0 ? size_hint : kDefaultCapacity);
   }
-
-  /// A heap-buffered encoder whose encoded size is at most `size_hint`.
-  Encoder(ByteOrder order, std::size_t size_hint) : Encoder(order, nullptr, size_hint) {}
 
   ByteOrder order() const { return order_; }
 
@@ -159,9 +149,7 @@ class Encoder {
   Bytes take() { return std::move(buffer_); }
 
   /// Seals the marshalled bytes into an immutable view without copying.
-  BufView take_view() {
-    return arena_ ? arena_->seal(std::move(buffer_)) : BufView(std::move(buffer_));
-  }
+  BufView take_view() { return BufView(std::move(buffer_)); }
 
   std::size_t size() const { return buffer_.size(); }
 
@@ -182,7 +170,6 @@ class Encoder {
   }
 
   ByteOrder order_;
-  Arena* arena_;
   Bytes buffer_;
   std::size_t origin_ = 0;  // where the innermost encapsulation starts
 };

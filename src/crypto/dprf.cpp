@@ -63,9 +63,10 @@ DprfShare DprfElement::evaluate(ByteView input) const {
   return share;
 }
 
-BufView DprfShare::encode_into(Arena& arena) const {
+BufView DprfShare::encode() const {
   // Element octet and entry count, then per entry its subset id and digest.
-  Bytes out = arena.acquire(5 + evaluations.size() * (4 + kDigestSize));
+  Bytes out;
+  out.reserve(5 + evaluations.size() * (4 + kDigestSize));
   out.push_back(static_cast<std::uint8_t>(element));
   const auto count = static_cast<std::uint32_t>(evaluations.size());
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(count >> (i * 8)));
@@ -74,7 +75,7 @@ BufView DprfShare::encode_into(Arena& arena) const {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(uid >> (i * 8)));
     append(out, digest_view(digest));
   }
-  return arena.seal(std::move(out));
+  return BufView(std::move(out));
 }
 
 Result<DprfShare> DprfShare::decode(ByteView data) {

@@ -64,8 +64,8 @@ struct DprfShare {
   std::map<int, Digest> evaluations;         // subset id -> HMAC(k_A, x)
 
   /// Wire encoding (shares travel inside sealed GM messages): the one
-  /// marshal, into a chunk of `arena` sized to the share.
-  BufView encode_into(Arena& arena) const;
+  /// marshal, into a chunk sized to the share.
+  BufView encode() const;
   static Result<DprfShare> decode(ByteView data);
 };
 

@@ -447,7 +447,7 @@ void DomainElement::seal_and_send_reply(ConnectionId conn, RequestId rid,
       *key, crypto::make_nonce(info_.smiop_node.value, rid.value), aad, plain);
   // One wire frame, shared by every recipient (the fan-out below bumps the
   // refcount, it does not copy).
-  const BufView wire = direct.encode_into(net_.sim().arena());
+  const BufView wire = direct.encode();
 
   // Send to the requesting party: the singleton client, or every element of
   // the calling domain (each votes independently).
@@ -506,8 +506,7 @@ void DomainElement::maybe_send_ack() {
   if (consumed_since_ack_ < directory_->timing().ack_interval) return;
   consumed_since_ack_ = 0;
   metrics_.acks_sent->inc();
-  self_client_->invoke(queue_->make_ack(info_.smiop_node).encode_into(net_.sim().arena()),
-                       [](Result<Bytes>) {});
+  self_client_->invoke(queue_->make_ack(info_.smiop_node).encode(), [](Result<Bytes>) {});
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +525,7 @@ void DomainElement::begin_replacement() {
 void DomainElement::submit_sync_point() {
   SyncPointMsg sync;
   sync.requester = info_.smiop_node;
-  self_client_->invoke(sync.encode_into(net_.sim().arena()), [](Result<Bytes>) {});
+  self_client_->invoke(sync.encode(), [](Result<Bytes>) {});
 }
 
 Result<Bytes> DomainElement::make_bundle_plain() const {
@@ -657,7 +656,7 @@ void DomainElement::send_state_bundle(NodeId requester) {
   msg.sealed_bundle =
       crypto::seal(channel, crypto::make_nonce(info_.smiop_node.value, msg.consumed_index),
                    /*aad=*/{}, plain_bytes);
-  net_.send(info_.smiop_node, requester, msg.encode_into(net_.sim().arena()));
+  net_.send(info_.smiop_node, requester, msg.encode());
   metrics_.bundles_sent->inc();
 }
 

@@ -716,7 +716,7 @@ class GmElement::Distributor : public ShareDistributor {
     if (corrupt_) {
       for (auto& [id, digest] : share.evaluations) digest[0] ^= 0xff;
     }
-    const BufView share_wire = share.encode_into(net_.sim().arena());
+    const BufView share_wire = share.encode();
     for (NodeId recipient : recipients) {
       KeyShareMsg msg;
       msg.conn = record.conn;
@@ -731,7 +731,7 @@ class GmElement::Distributor : public ShareDistributor {
       msg.sealed_share = crypto::seal(channel_key,
                                       crypto::make_nonce(my_node.value, nonce_ctr_++),
                                       /*aad=*/msg.framing_aad(), share_wire);
-      net_.send(my_node, recipient, msg.encode_into(net_.sim().arena()));
+      net_.send(my_node, recipient, msg.encode());
     }
   }
 

@@ -358,7 +358,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
 
   bft::Client& transport = target_client(state.target);
   if (fragments == 1) {
-    const BufView frame = ordered.encode_into(net_.sim().arena());
+    const BufView frame = ordered.encode();
     // Compromised-client hooks: a replayed stale frame carries an already
     // executed rid, a duplicate carries the current one twice — every
     // element's last_rid_ check must discard both identically.
@@ -396,7 +396,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
     const std::size_t begin = i * max_entry;
     const std::size_t end = std::min(sealed.size(), begin + max_entry);
     fragment.chunk = sealed.slice(begin, end - begin);
-    transport.invoke(fragment.encode_into(net_.sim().arena()), [](Result<Bytes>) {});
+    transport.invoke(fragment.encode(), [](Result<Bytes>) {});
   }
   metrics_.fragmented_requests->inc();
 }
@@ -474,8 +474,8 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
 
   Ballot ballot;
   ballot.source = msg.element;
-  ballot.raw = plain.value();
   ballot.value = reply_ballot_value(plain.value(), msg.rid);
+  ballot.raw = std::move(plain).take();  // the proof entry keeps its own copy
 
   const std::optional<VoteDecision> decision =
       state.voter->submit(msg.rid, std::move(ballot));

@@ -34,8 +34,8 @@ Result<QueueEntryKind> queue_entry_kind(ByteView data) {
   return static_cast<QueueEntryKind>(data[0]);
 }
 
-BufView FragmentMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 60 + chunk.size());
+BufView FragmentMsg::encode() const {
+  cdr::Encoder enc(kWire, 60 + chunk.size());
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kFragment));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -75,8 +75,8 @@ Result<FragmentMsg> FragmentMsg::decode(const BufView& data) {
   return msg;
 }
 
-BufView SyncPointMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 16);
+BufView SyncPointMsg::encode() const {
+  cdr::Encoder enc(kWire, 16);
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kSyncPoint));
   enc.write_uint64(requester.value);
   return enc.take_view();
@@ -95,8 +95,8 @@ Result<SyncPointMsg> SyncPointMsg::decode(ByteView data) {
   return msg;
 }
 
-BufView OrderedMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 52 + sealed_giop.size());
+BufView OrderedMsg::encode() const {
+  cdr::Encoder enc(kWire, 52 + sealed_giop.size());
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kRequest));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -129,8 +129,8 @@ Result<OrderedMsg> OrderedMsg::decode(const BufView& data) {
   return msg;
 }
 
-BufView QueueAckMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 24);
+BufView QueueAckMsg::encode() const {
+  cdr::Encoder enc(kWire, 24);
   enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kAck));
   enc.write_uint64(element.value);
   enc.write_uint64(consumed_index);
@@ -179,8 +179,8 @@ bool parses_as_smiop(ByteView data) {
   return false;
 }
 
-BufView StateBundleMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 36 + sealed_bundle.size());
+BufView StateBundleMsg::encode() const {
+  cdr::Encoder enc(kWire, 36 + sealed_bundle.size());
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kStateBundle));
   enc.write_uint64(domain.value);
   enc.write_uint64(element.value);
@@ -217,8 +217,8 @@ Bytes DirectReplyMsg::signed_region(ConnectionId conn, RequestId rid, NodeId ele
   return enc.take();
 }
 
-BufView DirectReplyMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 44 + sealed_giop.size() + crypto::kSignatureSize);
+BufView DirectReplyMsg::encode() const {
+  cdr::Encoder enc(kWire, 44 + sealed_giop.size() + crypto::kSignatureSize);
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kDirectReply));
   enc.write_uint64(conn.value);
   enc.write_uint64(rid.value);
@@ -250,8 +250,8 @@ Result<DirectReplyMsg> DirectReplyMsg::decode(const BufView& data) {
   return msg;
 }
 
-BufView KeyShareMsg::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena, 68 + sealed_share.size());
+BufView KeyShareMsg::encode() const {
+  cdr::Encoder enc(kWire, 68 + sealed_share.size());
   enc.write_octet(static_cast<std::uint8_t>(SmiopType::kKeyShare));
   enc.write_uint64(conn.value);
   enc.write_uint64(epoch.value);

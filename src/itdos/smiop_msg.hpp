@@ -21,8 +21,8 @@
 // the reporter reveals the disputed plaintexts; signatures bind them to
 // their senders).
 //
-// Each message marshals once, with encode_into(Arena&), into a chunk of the
-// arena sized to it: the chunk it is sent, ordered or sealed from.
+// Each message marshals once, with encode(), into a chunk sized to it: the
+// chunk it is sent, ordered or sealed from.
 #pragma once
 
 #include <optional>
@@ -69,7 +69,7 @@ struct OrderedMsg {
   BufView sealed_giop;
 
   bool operator==(const OrderedMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the QueueEntryKind tag
+  BufView encode() const;  // includes the QueueEntryKind tag
   /// Zero-copy: `sealed_giop` is a sub-view sharing `data`'s chunk.
   static Result<OrderedMsg> decode(const BufView& data);
 };
@@ -93,7 +93,7 @@ struct FragmentMsg {
   BufView chunk;             // slice of the sealed payload (shared chunk)
 
   bool operator==(const FragmentMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the QueueEntryKind tag
+  BufView encode() const;  // includes the QueueEntryKind tag
   static Result<FragmentMsg> decode(const BufView& data);
 };
 
@@ -106,7 +106,7 @@ struct QueueAckMsg {
   std::uint64_t consumed_index = 0;
 
   bool operator==(const QueueAckMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the QueueEntryKind tag
+  BufView encode() const;  // includes the QueueEntryKind tag
   static Result<QueueAckMsg> decode(ByteView data);
 };
 
@@ -129,7 +129,7 @@ struct DirectReplyMsg {
                              KeyEpoch epoch, const crypto::Digest& plain_digest);
 
   bool operator==(const DirectReplyMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the SmiopType tag
+  BufView encode() const;  // includes the SmiopType tag
   static Result<DirectReplyMsg> decode(const BufView& data);
 };
 
@@ -147,7 +147,7 @@ struct KeyShareMsg {
   BufView sealed_share;     // crypto::seal(pairwise key, a DprfShare's bytes)
 
   bool operator==(const KeyShareMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the SmiopType tag
+  BufView encode() const;  // includes the SmiopType tag
   /// AAD binding the framing fields into the share's seal: a share sealed
   /// for one (conn, epoch, domain, sender) context cannot be replayed under
   /// spliced framing, because open() then fails authentication.
@@ -162,7 +162,7 @@ struct SyncPointMsg {
   NodeId requester;  // SMIOP node of the replacement element
 
   bool operator==(const SyncPointMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the QueueEntryKind tag
+  BufView encode() const;  // includes the QueueEntryKind tag
   static Result<SyncPointMsg> decode(ByteView data);
 };
 
@@ -177,7 +177,7 @@ struct StateBundleMsg {
   BufView sealed_bundle;
 
   bool operator==(const StateBundleMsg&) const = default;
-  BufView encode_into(Arena& arena) const;  // includes the SmiopType tag
+  BufView encode() const;  // includes the SmiopType tag
   static Result<StateBundleMsg> decode(const BufView& data);
 };
 

@@ -36,11 +36,6 @@ class Process {
 
   void send_to(NodeId to, BufView payload) { net_.send(id_, to, std::move(payload)); }
 
-  /// The deployment-wide marshal arena — frames and messages are written
-  /// into chunks acquired here, so sealed-chunk capacity recycles once the
-  /// net queue and protocol logs drop their views.
-  Arena& arena() { return net_.sim().arena(); }
-
   void multicast_to(McastGroupId group, BufView payload) {
     net_.multicast(id_, group, std::move(payload));
   }

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/buffer.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "telemetry/telemetry.hpp"
@@ -43,10 +42,6 @@ class Simulator {
   /// The telemetry seam every component instruments through.
   telemetry::Hub& telemetry() { return telemetry_; }
   const telemetry::Hub& telemetry() const { return telemetry_; }
-
-  /// The deployment-wide message arena: marshal buffers are acquired here
-  /// and their capacity returns when the last in-flight view drops.
-  Arena& arena() { return arena_; }
 
   /// Schedules `fn` at absolute time `t` (clamped to now if in the past).
   /// Events at equal times fire in scheduling order (stable FIFO). The
@@ -136,7 +131,6 @@ class Simulator {
   SimTime now_;
   Rng rng_;
   telemetry::Hub telemetry_;
-  Arena arena_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;

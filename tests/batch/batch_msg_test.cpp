@@ -1,4 +1,4 @@
-// BatchMsg wire tests: round trips, the arena single-marshal path, and the
+// BatchMsg wire tests: round trips, the single-marshal path, and the
 // hostile-input guards (forged entry and authenticator counts, empty batch,
 // non-zero pads, trailing bytes).
 #include "batch/batch_msg.hpp"
@@ -25,8 +25,7 @@ BatchMsg sample() {
 
 /// The batch's wire bytes, as a mutable copy.
 Bytes wire_bytes(const BatchMsg& batch) {
-  Arena arena;
-  return batch.encode_into(arena).clone_bytes();
+  return batch.encode().clone_bytes();
 }
 
 TEST(BatchMsgTest, RoundTrip) {
@@ -36,10 +35,9 @@ TEST(BatchMsgTest, RoundTrip) {
   EXPECT_EQ(decoded.value(), batch);
 }
 
-TEST(BatchMsgTest, EncodeIntoArenaRoundTripsAndSharesChunk) {
-  Arena arena;
+TEST(BatchMsgTest, EncodeRoundTripsAndSharesChunk) {
   const BatchMsg batch = sample();
-  const BufView wire = batch.encode_into(arena);
+  const BufView wire = batch.encode();
   // Little-endian CDR: the entry count, then each entry as a 4-aligned
   // length and its bytes, a 4-aligned authenticator count and, 8-aligned,
   // the authenticator entries.

@@ -87,8 +87,7 @@ TEST(AuthenticatorTest, PrepareRelabelledAsCommitIsNoCommitVote) {
   pp.seq = SeqNum(1);
   batch::BatchMsg batch;
   batch.entries.push_back(client_entry(cluster.keys(), cluster.config(), body_of(request)));
-  Arena arena;
-  pp.request = batch.encode_into(arena);
+  pp.request = batch.encode();
   pp.req_digest = proposal_digest(batch);
   primary.send(target, MsgType::kPrePrepare, body_of(pp));
 
@@ -296,8 +295,7 @@ TEST(AuthenticatorTest, RelayOfAProposedRequestIsDroppedBeforeItsMac) {
   next.sender = client.id();
   next.body = BufView(encode_request(client.id().value, 2, to_bytes("add:1")));
   next.auth = client_tags(cluster.keys(), cluster.config(), client.id(), next.body);
-  Arena arena;
-  const BufView wire = wire_of(next, arena);
+  const BufView wire = wire_of(next);
   cluster.network().send(backup, primary, BufView(corrupt_tag_for(wire, primary)));
   cluster.sim().run_for(millis(1));
   EXPECT_EQ(replica_count(cluster, 0, "auth_failures"), failures + 1);

@@ -179,9 +179,8 @@ bool check_mutant(const Bytes& mutant) {
     EXPECT_EQ(entries[i].request, ref->requests[i]) << "entry " << i;
     EXPECT_EQ(entries[i].auth, ref->auths[i]) << "entry " << i;
   }
-  Arena arena;
-  EXPECT_EQ(got->batch.encode_into(arena).clone_bytes(), got->pp.request.clone_bytes());
-  EXPECT_EQ(wire_of(got->env, arena).clone_bytes(), mutant) << hex_encode(mutant);
+  EXPECT_EQ(got->batch.encode().clone_bytes(), got->pp.request.clone_bytes());
+  EXPECT_EQ(wire_of(got->env).clone_bytes(), mutant) << hex_encode(mutant);
   return true;
 }
 
@@ -215,11 +214,10 @@ std::vector<Bytes> captured_proposals() {
     for (std::size_t i = 0; i < shape.size(); ++i) {
       batch.entries.push_back(make_entry(i, shape[i].first, shape[i].second));
     }
-    Arena arena;
     PrePrepareMsg pp;
     pp.view = ViewId(1);
     pp.seq = SeqNum(9);
-    pp.request = batch.encode_into(arena);
+    pp.request = batch.encode();
     pp.req_digest = proposal_digest(batch);
     Envelope env;
     env.type = MsgType::kPrePrepare;
@@ -232,7 +230,7 @@ std::vector<Bytes> captured_proposals() {
       add_entry(entries, NodeId(node), tag);
     }
     env.auth = AuthVector(BufView(std::move(entries)));
-    out.push_back(wire_of(env, arena).clone_bytes());
+    out.push_back(wire_of(env).clone_bytes());
   }
   return out;
 }

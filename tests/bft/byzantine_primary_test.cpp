@@ -70,7 +70,7 @@ class RoguePrimary : public net::Process {
     env.sender = id();
     env.body = BufView(body_of(pp));
     env.signature = key.sign(env.body);
-    send_to(cluster_.replica_id(rank), wire_of(env, arena_));
+    send_to(cluster_.replica_id(rank), wire_of(env));
   }
 
   void send_commit(int rank, SeqNum seq, const Digest& digest) {
@@ -97,11 +97,10 @@ class RoguePrimary : public net::Process {
     env.auth = AuthVector(BufView(std::move(entry)));
     if (tamper) tamper(body_bytes);
     env.body = BufView(std::move(body_bytes));
-    send_to(to, wire_of(env, arena_));
+    send_to(to, wire_of(env));
   }
 
   Cluster& cluster_;
-  Arena arena_;
 };
 
 /// `requests` as one batch, each entry tagged by its client for every
@@ -119,8 +118,7 @@ PrePrepareMsg proposal(std::uint64_t seq, const batch::BatchMsg& batch) {
   PrePrepareMsg pp;
   pp.view = ViewId(0);
   pp.seq = SeqNum(seq);
-  Arena arena;
-  pp.request = batch.encode_into(arena);
+  pp.request = batch.encode();
   pp.req_digest = proposal_digest(batch);
   return pp;
 }
@@ -135,8 +133,7 @@ batch::BatchMsg make_dual_decodable(const Cluster& cluster) {
   const auto with_first_ts = [&](std::uint64_t ts) {
     return tagged_batch(cluster, {encode_request(7, ts), encode_request(7, ts + 1)});
   };
-  Arena arena;
-  const std::size_t size = with_first_ts(0).encode_into(arena).size();
+  const std::size_t size = with_first_ts(0).encode().size();
   return with_first_ts(size - kRequestHeaderSize);
 }
 

@@ -81,8 +81,7 @@ std::optional<RefEnvelope> reference_decode(const Bytes& wire) {
 }
 
 Bytes frame_bytes(const Envelope& env) {
-  Arena arena;
-  return wire_of(env, arena).clone_bytes();
+  return wire_of(env).clone_bytes();
 }
 
 /// A body of each message type, encoded by its own codec.

@@ -37,16 +37,16 @@ crypto::MacTag tag_for(const Frame& frame, std::size_t receiver) {
 
 /// `msg` from `sender`, MAC'd for nodes 2 and 3.
 template <typename Msg>
-BufView mac_frame(Arena& arena, const Msg& msg, NodeId sender = NodeId(1)) {
-  Frame frame(arena, sender, msg, Frame::trailer_bound(kReceivers.size(), false));
+BufView mac_frame(const Msg& msg, NodeId sender = NodeId(1)) {
+  Frame frame(sender, msg, Frame::trailer_bound(kReceivers.size(), false));
   const std::array<crypto::MacTag, 2> tags{tag_for(frame, 0), tag_for(frame, 1)};
   return frame.seal_tags(kReceivers, tags);
 }
 
 /// `msg` from `sender`, signed.
 template <typename Msg>
-BufView signed_frame(Arena& arena, const Msg& msg, NodeId sender = NodeId(1)) {
-  Frame frame(arena, sender, msg, Frame::trailer_bound(0, true));
+BufView signed_frame(const Msg& msg, NodeId sender = NodeId(1)) {
+  Frame frame(sender, msg, Frame::trailer_bound(0, true));
   const crypto::SigningKey key(sender, Bytes(32, 0x22));
   return frame.seal_signature(key.sign(frame.body()));
 }
@@ -66,41 +66,41 @@ RequestMsg request(std::uint64_t timestamp) {
 }
 
 /// Two client requests, each with its client's tags for nodes 2 and 3.
-batch::BatchMsg two_entry_batch(Arena& arena) {
+batch::BatchMsg two_entry_batch() {
   batch::BatchMsg batch;
   for (std::uint64_t ts : {7, 8}) {
-    const Envelope env = decoded(mac_frame(arena, request(ts), NodeId(1000)));
+    const Envelope env = decoded(mac_frame(request(ts), NodeId(1000)));
     batch.entries.push_back(batch::BatchEntry{env.body, env.auth.wire()});
   }
   return batch;
 }
 
-PrePrepareMsg pre_prepare(Arena& arena) {
-  const batch::BatchMsg batch = two_entry_batch(arena);
+PrePrepareMsg pre_prepare() {
+  const batch::BatchMsg batch = two_entry_batch();
   PrePrepareMsg msg;
   msg.view = ViewId(2);
   msg.seq = SeqNum(17);
   msg.req_digest = proposal_digest(batch);
-  msg.request = batch.encode_into(arena);
+  msg.request = batch.encode();
   return msg;
 }
 
-ViewChangeMsg view_change(Arena& arena, NodeId replica, bool with_proof) {
+ViewChangeMsg view_change(NodeId replica, bool with_proof) {
   ViewChangeMsg msg;
   msg.new_view = ViewId(3);
   msg.stable_seq = SeqNum(16);
   msg.stable_digest = filled(0x5d);
   msg.replica = replica;
   if (with_proof) {
-    const PrePrepareMsg pp = pre_prepare(arena);
+    const PrePrepareMsg pp = pre_prepare();
     msg.prepared.push_back(PreparedProof{pp.view, pp.seq, pp.req_digest, pp.request});
   }
   return msg;
 }
 
-SignedViewChange signed_view_change(Arena& arena, NodeId replica, bool with_proof) {
+SignedViewChange signed_view_change(NodeId replica, bool with_proof) {
   const Envelope env =
-      decoded(signed_frame(arena, view_change(arena, replica, with_proof), replica));
+      decoded(signed_frame(view_change(replica, with_proof), replica));
   SignedViewChange svc;
   Result<ViewChangeMsg> msg = ViewChangeMsg::decode(env.body);
   EXPECT_TRUE(msg.is_ok());
@@ -110,13 +110,13 @@ SignedViewChange signed_view_change(Arena& arena, NodeId replica, bool with_proo
   return svc;
 }
 
-NewViewMsg new_view(Arena& arena) {
+NewViewMsg new_view() {
   NewViewMsg msg;
   msg.view = ViewId(3);
   msg.primary = NodeId(4);
-  msg.view_changes.push_back(signed_view_change(arena, NodeId(2), true));
-  msg.view_changes.push_back(signed_view_change(arena, NodeId(4), false));
-  PrePrepareMsg carried = pre_prepare(arena);
+  msg.view_changes.push_back(signed_view_change(NodeId(2), true));
+  msg.view_changes.push_back(signed_view_change(NodeId(4), false));
+  PrePrepareMsg carried = pre_prepare();
   carried.view = ViewId(3);
   msg.pre_prepares.push_back(carried);
   PrePrepareMsg null_request;
@@ -127,51 +127,51 @@ NewViewMsg new_view(Arena& arena) {
 }
 
 /// Each body MAC'd and signed, by name.
-std::vector<std::pair<std::string, BufView>> bft_frames(Arena& arena) {
+std::vector<std::pair<std::string, BufView>> bft_frames() {
   std::vector<std::pair<std::string, BufView>> out;
   const auto add = [&](const std::string& name, const auto& msg) {
-    out.emplace_back(name + ".mac", mac_frame(arena, msg));
-    out.emplace_back(name + ".signed", signed_frame(arena, msg));
+    out.emplace_back(name + ".mac", mac_frame(msg));
+    out.emplace_back(name + ".signed", signed_frame(msg));
   };
   add("request", request(7));
-  add("pre_prepare", pre_prepare(arena));
+  add("pre_prepare", pre_prepare());
   add("prepare", PrepareMsg{ViewId(2), SeqNum(17), filled(0xd1), NodeId(3)});
   add("commit", CommitMsg{ViewId(2), SeqNum(17), filled(0xc1), NodeId(3)});
   add("reply", ReplyMsg{ViewId(2), 7, NodeId(1000), NodeId(3), to_bytes("OK:1")});
   add("checkpoint", CheckpointMsg{SeqNum(16), filled(0xcc), NodeId(2)});
-  add("view_change", view_change(arena, NodeId(1), true));
-  add("new_view", new_view(arena));
+  add("view_change", view_change(NodeId(1), true));
+  add("new_view", new_view());
   add("state_request", StateRequestMsg{SeqNum(17), NodeId(2)});
   add("state_response",
       StateResponseMsg{SeqNum(16), filled(0x5e), to_bytes("snapshot"), NodeId(3), ViewId(2)});
   return out;
 }
 
-std::vector<std::pair<std::string, BufView>> smiop_frames(Arena& arena) {
+std::vector<std::pair<std::string, BufView>> smiop_frames() {
   using namespace core;
   std::vector<std::pair<std::string, BufView>> out;
   out.emplace_back("ordered", OrderedMsg{ConnectionId(5), RequestId(6), NodeId(1000),
                                          DomainId(0), KeyEpoch(1), to_bytes("sealed-giop")}
-                                  .encode_into(arena));
+                                  .encode());
   out.emplace_back("fragment",
                    FragmentMsg{ConnectionId(5), RequestId(6), NodeId(1000), DomainId(0),
                                KeyEpoch(1), 1, 3, to_bytes("chunk")}
-                       .encode_into(arena));
-  out.emplace_back("queue_ack", QueueAckMsg{NodeId(101), 42}.encode_into(arena));
+                       .encode());
+  out.emplace_back("queue_ack", QueueAckMsg{NodeId(101), 42}.encode());
   crypto::Signature signature;
   signature.fill(0x5f);
   out.emplace_back("direct_reply", DirectReplyMsg{ConnectionId(5), RequestId(6), NodeId(101),
                                                   KeyEpoch(1), to_bytes("sealed-reply"),
                                                   signature}
-                                       .encode_into(arena));
+                                       .encode());
   out.emplace_back("key_share",
                    KeyShareMsg{ConnectionId(5), KeyEpoch(1), DomainId(2), NodeId(1000),
                                DomainId(0), 1, 3, to_bytes("sealed-share")}
-                       .encode_into(arena));
-  out.emplace_back("sync_point", SyncPointMsg{NodeId(105)}.encode_into(arena));
+                       .encode());
+  out.emplace_back("sync_point", SyncPointMsg{NodeId(105)}.encode());
   out.emplace_back("state_bundle",
                    StateBundleMsg{DomainId(2), NodeId(101), 42, to_bytes("sealed-bundle")}
-                       .encode_into(arena));
+                       .encode());
   cdr::Encoder result(cdr::ByteOrder::kLittleEndian);
   GmCommandResult{true, ConnectionId(5), KeyEpoch(1), "ok"}.write(result);
   out.emplace_back("gm_result", BufView(result.take()));
@@ -179,7 +179,7 @@ std::vector<std::pair<std::string, BufView>> smiop_frames(Arena& arena) {
   share.element = 2;
   share.evaluations[1] = filled(0x31);
   share.evaluations[4] = filled(0x34);
-  out.emplace_back("dprf_share", share.encode_into(arena));
+  out.emplace_back("dprf_share", share.encode());
   ChangeRequestMsg change{NodeId(1000), DomainId(0), DomainId(2), NodeId(101),
                           ConnectionId(5), RequestId(6), {}};
   change.proof.push_back(ProofEntry{NodeId(101), KeyEpoch(1), to_bytes("plain"), signature});
@@ -207,8 +207,7 @@ void expect_golden(const std::vector<std::pair<std::string, BufView>>& frames,
 }
 
 TEST(GoldenFramesTest, BftFramesMatchPinnedBytes) {
-  Arena arena;
-  expect_golden(bft_frames(arena), {
+  expect_golden(bft_frames(), {
       {"request.mac",
        "0100000000000000010000000000000024000000e803000000000000070000000000000010000000"
        "676f6c64656e2d7061796c6f61642d37020000000000000002000000000000007fb5059740e55a21"
@@ -359,8 +358,7 @@ TEST(GoldenFramesTest, BftFramesMatchPinnedBytes) {
 }
 
 TEST(GoldenFramesTest, SmiopMessagesMatchPinnedBytes) {
-  Arena arena;
-  expect_golden(smiop_frames(arena), {
+  expect_golden(smiop_frames(), {
       {"ordered",
        "010000000000000005000000000000000600000000000000e8030000000000000000000000000000"
        "01000000000000000b0000007365616c65642d67696f70"},

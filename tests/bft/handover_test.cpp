@@ -190,7 +190,7 @@ TEST(HandoverTest, HeldRequestsStayWithinTheClientSpanAndLeaveOnExecution) {
     env.sender = client;
     env.body = BufView(body_of(request));
     env.auth = client_tags(cluster.keys(), cluster.config(), client, env.body);
-    const BufView wire = wire_of(env, cluster.sim().arena());
+    const BufView wire = wire_of(env);
     for (int rank = 1; rank < cluster.n(); ++rank) {
       cluster.network().send(client, cluster.replica_id(rank), wire);
     }
@@ -236,7 +236,7 @@ TEST(HandoverTest, NextViewBufferKeepsOnePerTypeSeqAndSenderInsideTheWindow) {
     Bytes entry;
     add_entry(entry, target, cluster.keys().tag(from, target, mac_input(env.type, env.body)));
     env.auth = AuthVector(BufView(std::move(entry)));
-    cluster.network().send(from, target, wire_of(env, cluster.sim().arena()));
+    cluster.network().send(from, target, wire_of(env));
   };
   const auto window = static_cast<std::uint64_t>(cluster.config().watermark_window());
   const NodeId primary = cluster.replica_id(1);

@@ -41,7 +41,7 @@ class Impostor : public net::Process {
       env.auth = AuthVector(BufView(std::move(entry)));
     }
     env.body = BufView(std::move(body));
-    send_to(to, wire_of(env, arena_));
+    send_to(to, wire_of(env));
   }
 
   /// Sends `body` as an honest `type` message.
@@ -72,7 +72,6 @@ class Impostor : public net::Process {
 
   const SessionKeys& keys_;
   BftConfig config_;
-  Arena arena_;
   std::vector<Received> received_;
 };
 

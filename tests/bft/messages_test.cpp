@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +23,7 @@ Digest digest_of(std::uint8_t fill) {
 
 /// The envelope's wire bytes, as a mutable copy.
 Bytes wire_bytes(const Envelope& env) {
-  Arena arena;
-  return wire_of(env, arena).clone_bytes();
+  return wire_of(env).clone_bytes();
 }
 
 TEST(BftMessagesTest, RequestRoundTrip) {
@@ -509,34 +509,14 @@ TEST(BftMessagesTest, FuzzedEnvelopesNeverCrash) {
   }
 }
 
-// Pools one fresh chunk of `capacity` bytes; returns its storage address.
-const std::uint8_t* pool_chunk(Arena& arena, std::size_t capacity) {
-  Bytes chunk = arena.acquire(capacity);
-  const std::uint8_t* data = chunk.data();
-  (void)arena.seal(std::move(chunk));  // the view drops at once: chunk pooled
-  return data;
-}
-
-// An arena encode must size its chunk to the message: at least the encoded
-// size, so the encode never reallocates, and at most size + 128, so a small
-// message does not pin a large chunk. Probed through the pool: a chunk of
-// size + 128 is taken and written in place (same data pointer); a chunk of
-// size - 1 is passed over (it is still pooled while the encoded view lives).
-template <typename EncodeInto>
-void expect_chunk_fits(const EncodeInto& encode_into, std::size_t size) {
-  {
-    Arena arena;
-    const std::uint8_t* roomy = pool_chunk(arena, size + 128);
-    const BufView wire = encode_into(arena);
-    EXPECT_EQ(wire.size(), size);
-    EXPECT_EQ(wire.data(), roomy) << "hint above size + 128, or the encode reallocated";
-  }
-  {
-    Arena arena;
-    (void)pool_chunk(arena, size - 1);
-    const BufView wire = encode_into(arena);
-    EXPECT_EQ(arena.pooled(), 1u) << "hint below the encoded size";
-  }
+// An encode must size its chunk to the message's bound: at least the
+// encoded size, so the encode never reallocates (the chunk's capacity is
+// still exactly the bound), and at most size + 128, so a small message does
+// not hold a large chunk.
+void expect_chunk_fits(const BufView& wire, std::size_t bound) {
+  EXPECT_EQ(wire.chunk_capacity(), bound) << "the encode reallocated";
+  EXPECT_GE(bound, wire.size()) << "bound below the encoded size";
+  EXPECT_LE(bound, wire.size() + 128) << "bound above size + 128";
 }
 
 TEST(BftMessagesTest, EnvelopeEncodeIntoSizesItsChunk) {
@@ -558,8 +538,9 @@ TEST(BftMessagesTest, EnvelopeEncodeIntoSizesItsChunk) {
           if (signed_env) env.signature = crypto::Signature{};
           SCOPED_TRACE(testing::Message() << msg_type_name(env.type) << " body=" << body_size
                                           << " auth=" << auth_count << " signed=" << signed_env);
-          expect_chunk_fits([&env](Arena& arena) { return wire_of(env, arena); },
-                            wire_bytes(env).size());
+          expect_chunk_fits(wire_of(env),
+                            kEnvelopeBodyAt + body_size +
+                                Frame::trailer_bound(auth_count, signed_env));
         }
       }
     }
@@ -571,9 +552,16 @@ TEST(BftMessagesTest, BatchEncodeIntoSizesItsChunk) {
   for (const std::size_t entry_size : {1u, 2u, 3u, 300u, 5u, 64u}) {
     batch.entries.push_back({BufView(Bytes(entry_size, 0x3c)),
                              BufView(Bytes(entry_size % 5 * batch::kAuthEntrySize, 0x3d))});
-    Arena sizing;
-    expect_chunk_fits([&batch](Arena& arena) { return batch.encode_into(arena); },
-                      batch.encode_into(sizing).size());
+    SCOPED_TRACE(testing::Message() << "entries=" << batch.entries.size());
+    expect_chunk_fits(batch.encode(), batch.size_hint());
+    // The PRE-PREPARE frame that carries it, tagged for three backups.
+    PrePrepareMsg pp;
+    pp.request = batch.encode();
+    Frame frame(NodeId(1), pp, Frame::trailer_bound(3, false));
+    const std::array<NodeId, 3> receivers{NodeId(2), NodeId(3), NodeId(4)};
+    const std::array<crypto::MacTag, 3> tags{};
+    expect_chunk_fits(frame.seal_tags(receivers, tags),
+                      kEnvelopeBodyAt + pp.size_hint() + Frame::trailer_bound(3, false));
   }
 }
 

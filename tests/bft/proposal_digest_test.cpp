@@ -161,8 +161,7 @@ TEST(ProposalDigestTest, PrimaryFromCachedDigestsEqualsBackupFromTheWire) {
       EXPECT_EQ(cached, payload_digest(entry.request));
       primary.add(entry.request, cached);
     }
-    Arena arena;
-    const Result<batch::BatchMsg> wire = batch::BatchMsg::decode(batch.encode_into(arena));
+    const Result<batch::BatchMsg> wire = batch::BatchMsg::decode(batch.encode());
     ASSERT_TRUE(wire.is_ok());
     EXPECT_EQ(primary.finish(), proposal_digest(wire.value()));
   }

@@ -25,8 +25,8 @@ inline void add_entry(Bytes& entries, NodeId receiver, const crypto::MacTag& tag
 
 /// The frame a sender of `env` puts on the wire: its body, then its
 /// authenticator entries and its signature, whichever it has.
-inline BufView wire_of(const Envelope& env, Arena& arena) {
-  Frame frame(arena, env.type, env.sender, env.body,
+inline BufView wire_of(const Envelope& env) {
+  Frame frame(env.type, env.sender, env.body,
               Frame::trailer_bound(env.auth.size(), env.signature.has_value()));
   return frame.seal_entries(env.auth.bytes(), env.signature);
 }

@@ -25,6 +25,18 @@ TEST_F(BufferTest, AdoptingAnRvalueIsNotACountedCopy) {
   EXPECT_EQ(BufStats::copies, 0u);
 }
 
+TEST_F(BufferTest, AdoptingKeepsTheStorageAndItsCapacity) {
+  Bytes storage;
+  storage.reserve(64);
+  append(storage, to_bytes("message"));
+  const std::uint8_t* block = storage.data();
+  const BufView view(std::move(storage));
+  EXPECT_EQ(view.data(), block);  // the vector's heap block is the chunk
+  EXPECT_EQ(view.chunk_capacity(), 64u);
+  EXPECT_EQ(view.slice(1, 3).chunk_capacity(), 64u);
+  EXPECT_EQ(BufView::borrow(view).chunk_capacity(), 0u);
+}
+
 TEST_F(BufferTest, CopyingAViewBumpsTheRefcountNotTheBytes) {
   const BufView a(to_bytes("shared"));
   const BufView b = a;
@@ -105,75 +117,6 @@ TEST_F(BufferTest, SliceClampsToBounds) {
   const BufView view(to_bytes("12345"));
   EXPECT_EQ(view.slice(3, 100).size(), 2u);
   EXPECT_TRUE(view.slice(100, 5).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Arena pooling.
-// ---------------------------------------------------------------------------
-
-TEST_F(BufferTest, ChunkCapacityReturnsToThePoolWhenLastViewDrops) {
-  Arena arena(/*chunk_reserve=*/128, /*max_pooled=*/8);
-  {
-    Bytes chunk = arena.acquire();
-    append(chunk, to_bytes("message"));
-    const BufView view = arena.seal(std::move(chunk));
-    EXPECT_EQ(arena.pooled(), 0u);  // still held by the view
-  }
-  EXPECT_EQ(arena.pooled(), 1u);  // capacity recycled on last-view drop
-}
-
-TEST_F(BufferTest, AcquireReusesPooledChunks) {
-  Arena arena(128, 8);
-  { (void)arena.seal(arena.acquire()); }  // one chunk through the cycle
-  ASSERT_EQ(arena.pooled(), 1u);
-  const Bytes chunk = arena.acquire();
-  EXPECT_EQ(arena.pooled(), 0u);
-  EXPECT_GE(chunk.capacity(), 128u);
-  EXPECT_TRUE(chunk.empty());  // recycled chunks come back cleared
-  EXPECT_EQ(arena.reuses(), 1u);
-}
-
-TEST_F(BufferTest, PoolIsLifo) {
-  // Determinism depends on recycle order being stack-like, not
-  // address- or hash-ordered.
-  Arena arena(16, 8);
-  Bytes first = arena.acquire(100);
-  Bytes second = arena.acquire(200);
-  const std::size_t first_cap = first.capacity();
-  const std::size_t second_cap = second.capacity();
-  (void)arena.seal(std::move(first));   // pooled first
-  (void)arena.seal(std::move(second));  // pooled second (top of stack)
-  // Both fit a 100-byte request (neither is more than twice its size).
-  EXPECT_EQ(arena.acquire(100).capacity(), second_cap);
-  EXPECT_EQ(arena.acquire(100).capacity(), first_cap);
-}
-
-TEST_F(BufferTest, AcquireLeavesAFarLargerChunkPooled) {
-  // A small message must not pin a large pooled chunk for its lifetime.
-  Arena arena(16, 8);
-  (void)arena.seal(arena.acquire(16384));
-  EXPECT_EQ(arena.acquire(150).capacity(), 150u);
-  EXPECT_EQ(arena.pooled(), 1u);
-  EXPECT_EQ(arena.acquire(16000).capacity(), 16384u);
-}
-
-TEST_F(BufferTest, ViewsOutliveTheArena) {
-  BufView survivor;
-  {
-    Arena arena(64, 4);
-    Bytes chunk = arena.acquire();
-    append(chunk, to_bytes("outlives"));
-    survivor = arena.seal(std::move(chunk));
-  }
-  EXPECT_EQ(to_string(survivor), "outlives");  // pool state is refcounted
-}
-
-TEST_F(BufferTest, PoolRetentionIsBounded) {
-  Arena arena(16, /*max_pooled=*/2);
-  std::vector<BufView> views;
-  for (int i = 0; i < 5; ++i) views.push_back(arena.seal(arena.acquire()));
-  views.clear();
-  EXPECT_LE(arena.pooled(), 2u);
 }
 
 }  // namespace

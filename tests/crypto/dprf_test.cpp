@@ -150,8 +150,7 @@ TEST(DprfShareTest, EncodeDecodeRoundTrip) {
   Rng rng(5);
   const auto keys = dprf_deal(params, rng);
   const DprfShare share = DprfElement(params, keys[2]).evaluate(to_bytes("input"));
-  Arena arena;
-  const BufView wire = share.encode_into(arena);
+  const BufView wire = share.encode();
   const auto decoded = DprfShare::decode(wire);
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().element, share.element);
@@ -162,8 +161,7 @@ TEST(DprfShareTest, DecodeRejectsTruncation) {
   const DprfParams params = params_for(1);
   Rng rng(5);
   const auto keys = dprf_deal(params, rng);
-  Arena arena;
-  const BufView wire = DprfElement(params, keys[0]).evaluate(to_bytes("i")).encode_into(arena);
+  const BufView wire = DprfElement(params, keys[0]).evaluate(to_bytes("i")).encode();
   for (std::size_t cut : {0u, 3u, 10u}) {
     const ByteView truncated(wire.data(), std::min(cut, wire.size()));
     if (truncated.size() == wire.size()) continue;

@@ -4,7 +4,6 @@
 
 #include "bft/client.hpp"
 #include "itdos/system.hpp"
-#include "encoded.hpp"
 
 namespace itdos::core {
 namespace {
@@ -124,14 +123,14 @@ TEST_F(FragmentTest, HostileFragmentsDiscardedWithoutDesync) {
   hostile.index = 0;
   hostile.total = 4;
   hostile.chunk = to_bytes("junk");
-  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
+  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
   hostile.total = 7;  // inconsistent with the buffered total
   hostile.index = 1;
-  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
+  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
   hostile.rid = RequestId(1);  // stale
   hostile.total = 2;
   hostile.index = 0;
-  rogue.invoke(encoded(hostile), [](Result<Bytes>) {});
+  rogue.invoke(hostile.encode(), [](Result<Bytes>) {});
   system_->settle();
   // Service unaffected; every element discarded identically.
   const Result<Value> after = send_blob("size", 20000);
@@ -143,7 +142,7 @@ TEST_F(FragmentTest, HostileFragmentsDiscardedWithoutDesync) {
 
 TEST(FragmentDeterminism, SameSeedLargeMessageTraceIsByteStable) {
   // Two same-seed runs of a fragmented large-message invocation must export
-  // byte-identical traces: the arena pool, view slicing and fragment
+  // byte-identical traces: chunk allocation, view slicing and fragment
   // reassembly introduce no address- or allocation-order dependence.
   auto run_once = [] {
     SystemOptions options;
@@ -179,8 +178,8 @@ TEST(FragmentMsgTest, RoundTrip) {
   msg.index = 1;
   msg.total = 3;
   msg.chunk = to_bytes("chunk-bytes");
-  EXPECT_EQ(FragmentMsg::decode(encoded(msg)).value(), msg);
-  EXPECT_EQ(queue_entry_kind(encoded(msg)).value(), QueueEntryKind::kFragment);
+  EXPECT_EQ(FragmentMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(queue_entry_kind(msg.encode()).value(), QueueEntryKind::kFragment);
 }
 
 TEST(FragmentMsgTest, RejectsBadIndices) {
@@ -192,13 +191,13 @@ TEST(FragmentMsgTest, RejectsBadIndices) {
   msg.chunk = to_bytes("c");
   msg.index = 0;
   msg.total = 0;  // zero total
-  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
   msg.total = 2;
   msg.index = 2;  // index >= total
-  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
   msg.index = 0;
   msg.total = kMaxFragments + 1;  // over cap
-  EXPECT_FALSE(FragmentMsg::decode(encoded(msg)).is_ok());
+  EXPECT_FALSE(FragmentMsg::decode(msg.encode()).is_ok());
 }
 
 TEST(ObjectRefTest, CorbalocRoundTrip) {

@@ -7,7 +7,6 @@
 
 #include "cdr/giop.hpp"
 #include "itdos/key_agent.hpp"
-#include "encoded.hpp"
 
 namespace itdos::core {
 namespace {
@@ -663,7 +662,7 @@ class KeyAgentTest : public GmStateMachineTest {
     const auto channel = crypto::SymmetricKey::from_bytes(
         session_keys_->key_for(gm_node, recipient));
     msg.sealed_share = crypto::seal(channel, crypto::make_nonce(gm_node.value, nonce_++),
-                                    msg.framing_aad(), encoded(share));
+                                    msg.framing_aad(), share.encode());
     return msg;
   }
 

@@ -5,7 +5,6 @@
 
 #include "bft/client.hpp"
 #include "itdos/system.hpp"
-#include "encoded.hpp"
 
 namespace itdos::core {
 namespace {
@@ -100,7 +99,7 @@ TEST_F(HostileTest, BogusConnectionIdResolvedViaGmAndDiscarded) {
   bogus.origin = NodeId(777777);
   bogus.epoch = KeyEpoch(1);
   bogus.sealed_giop = to_bytes("sealed-with-a-key-nobody-has");
-  rogue().invoke(encoded(bogus), [](Result<Bytes>) {});
+  rogue().invoke(bogus.encode(), [](Result<Bytes>) {});
   system_.settle();
   const Result<Value> after = echo(2);
   ASSERT_TRUE(after.is_ok()) << after.status().to_string();
@@ -121,7 +120,7 @@ TEST_F(HostileTest, ReplayedOrderedRequestDiscarded) {
   replay.origin = client_.smiop_node();
   replay.epoch = KeyEpoch(1);
   replay.sealed_giop = to_bytes("forged");
-  rogue().invoke(encoded(replay), [](Result<Bytes>) {});
+  rogue().invoke(replay.encode(), [](Result<Bytes>) {});
   system_.settle();
   EXPECT_EQ(element_count(0, "requests_executed"), executed_before);
   ASSERT_TRUE(echo(2).is_ok());
@@ -135,7 +134,7 @@ TEST_F(HostileTest, ForgedSealWithValidConnDiscarded) {
   forged.origin = client_.smiop_node();
   forged.epoch = KeyEpoch(1);        // real epoch
   forged.sealed_giop = to_bytes("attacker does not know the key");
-  rogue().invoke(encoded(forged), [](Result<Bytes>) {});
+  rogue().invoke(forged.encode(), [](Result<Bytes>) {});
   system_.settle();
   const std::uint64_t discarded = element_count(0, "entries_discarded");
   EXPECT_GE(discarded, 1u);
@@ -157,7 +156,7 @@ TEST_F(HostileTest, SpoofedDirectReplyRejectedByClient) {
   spoof.sealed_giop = to_bytes("not sealed with the real key");
   spoof.plain_signature.fill(0xaa);
   const std::uint64_t rejected_before = client_count("replies_rejected");
-  system_.network().send(NodeId(777777), client_.smiop_node(), encoded(spoof));
+  system_.network().send(NodeId(777777), client_.smiop_node(), spoof.encode());
   system_.settle();
   EXPECT_GT(client_count("replies_rejected"), rejected_before);
   ASSERT_TRUE(echo(2).is_ok());
@@ -183,7 +182,7 @@ TEST_F(HostileTest, LateDirectReplyDiscardedBeforeAnyCrypto) {
   late.plain_signature.fill(0xaa);
   const std::uint64_t discarded_before = discarded.value();
   const std::uint64_t rejected_before = client_count("replies_rejected");
-  system_.network().send(NodeId(777777), client_.smiop_node(), encoded(late));
+  system_.network().send(NodeId(777777), client_.smiop_node(), late.encode());
   system_.settle();
   EXPECT_EQ(discarded.value(), discarded_before + 1);
   EXPECT_EQ(client_count("replies_rejected"), rejected_before);
@@ -191,7 +190,7 @@ TEST_F(HostileTest, LateDirectReplyDiscardedBeforeAnyCrypto) {
   // A reply for a future rid still goes through every check.
   DirectReplyMsg future = late;
   future.rid = RequestId(3);
-  system_.network().send(NodeId(777777), client_.smiop_node(), encoded(future));
+  system_.network().send(NodeId(777777), client_.smiop_node(), future.encode());
   system_.settle();
   EXPECT_EQ(client_count("replies_rejected"), rejected_before + 1);
   EXPECT_EQ(discarded.value(), discarded_before + 1);
@@ -233,7 +232,7 @@ TEST_F(HostileTest, QueueManagementSurvivesRogueAcks) {
   // never reach the floor rule (ForgedMemberAcksCannotBreakTheDomain covers
   // acks that name real members). Verify service continuity.
   for (int i = 0; i < 10; ++i) {
-    rogue().invoke(encoded(QueueAckMsg{NodeId(888800 + i), 1000000}),
+    rogue().invoke(QueueAckMsg{NodeId(888800 + i), 1000000}.encode(),
                    [](Result<Bytes>) {});
   }
   system_.settle();
@@ -248,7 +247,7 @@ TEST_F(HostileTest, ForgedMemberAcksCannotBreakTheDomain) {
   // elements' self-clients: had they counted, GC would pass every
   // element's cursor and break the whole domain at once.
   for (const ElementInfo& element : system_.directory().find_domain(domain_)->elements) {
-    rogue().invoke(encoded(QueueAckMsg{element.smiop_node, 1000000}), [](Result<Bytes>) {});
+    rogue().invoke(QueueAckMsg{element.smiop_node, 1000000}.encode(), [](Result<Bytes>) {});
   }
   system_.settle();
   for (int rank = 0; rank < 4; ++rank) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "bft/messages.hpp"
-#include "encoded.hpp"
 #include "itdos/smiop_msg.hpp"
 
 namespace itdos::core {
@@ -14,8 +13,7 @@ net::Packet packet(Bytes payload) {
 }
 
 Bytes valid_bft_envelope() {
-  Arena arena;
-  bft::Frame frame(arena, bft::MsgType::kPrepare, NodeId(3), to_bytes("body"),
+  bft::Frame frame(bft::MsgType::kPrepare, NodeId(3), to_bytes("body"),
                    bft::Frame::trailer_bound(0, false));
   return frame.seal_entries({}).clone_bytes();
 }
@@ -27,7 +25,7 @@ Bytes valid_smiop_message() {
   msg.element = NodeId(5);
   msg.epoch = KeyEpoch(1);
   msg.sealed_giop = to_bytes("sealed");
-  return encoded(msg).clone_bytes();
+  return msg.encode().clone_bytes();
 }
 
 constexpr DomainId kDomain{7};

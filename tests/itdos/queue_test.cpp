@@ -1,5 +1,4 @@
 #include "itdos/queue.hpp"
-#include "encoded.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,11 +20,11 @@ BufView data_entry(std::uint64_t conn, std::uint64_t rid) {
   msg.origin = NodeId(100);
   msg.epoch = KeyEpoch(1);
   msg.sealed_giop = to_bytes("sealed");
-  return encoded(msg);
+  return msg.encode();
 }
 
 BufView ack_entry(std::uint64_t element, std::uint64_t index) {
-  return encoded(QueueAckMsg{NodeId(element), index});
+  return QueueAckMsg{NodeId(element), index}.encode();
 }
 
 TEST(QueueTest, AppendsAndConsumesInOrder) {
@@ -268,7 +267,7 @@ TEST(QueueTest, FormationClasses) {
   QueueStateMachine queue(options_4_1());
   EXPECT_EQ(queue.classify(data_entry(1, 1)), batch::EntryClass::kClient);
   EXPECT_EQ(queue.classify(ack_entry(1, 0)), batch::EntryClass::kRider);
-  EXPECT_EQ(queue.classify(encoded(SyncPointMsg{NodeId(1)})), batch::EntryClass::kUrgent);
+  EXPECT_EQ(queue.classify(SyncPointMsg{NodeId(1)}.encode()), batch::EntryClass::kUrgent);
   EXPECT_EQ(queue.classify(to_bytes("\x7fgarbage")), batch::EntryClass::kClient);
 }
 

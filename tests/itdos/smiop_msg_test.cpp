@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "itdos/smiop.hpp"  // seal_aad
-#include "encoded.hpp"
 
 namespace itdos::core {
 namespace {
@@ -18,30 +17,30 @@ TEST(SmiopMsgTest, OrderedRoundTrip) {
   msg.origin_domain = DomainId(20);
   msg.epoch = KeyEpoch(2);
   msg.sealed_giop = to_bytes("sealed-bytes");
-  const auto back = OrderedMsg::decode(encoded(msg));
+  const auto back = OrderedMsg::decode(msg.encode());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), msg);
-  EXPECT_EQ(queue_entry_kind(encoded(msg)).value(), QueueEntryKind::kRequest);
+  EXPECT_EQ(queue_entry_kind(msg.encode()).value(), QueueEntryKind::kRequest);
 }
 
 TEST(SmiopMsgTest, QueueAckRoundTrip) {
   const QueueAckMsg msg{NodeId(4), 123};
-  EXPECT_EQ(QueueAckMsg::decode(encoded(msg)).value(), msg);
-  EXPECT_EQ(queue_entry_kind(encoded(msg)).value(), QueueEntryKind::kAck);
+  EXPECT_EQ(QueueAckMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(queue_entry_kind(msg.encode()).value(), QueueEntryKind::kAck);
 }
 
 TEST(SmiopMsgTest, SyncPointRoundTrip) {
   const SyncPointMsg msg{NodeId(55)};
-  EXPECT_EQ(SyncPointMsg::decode(encoded(msg)).value(), msg);
-  EXPECT_EQ(queue_entry_kind(encoded(msg)).value(), QueueEntryKind::kSyncPoint);
+  EXPECT_EQ(SyncPointMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(queue_entry_kind(msg.encode()).value(), QueueEntryKind::kSyncPoint);
 }
 
 TEST(SmiopMsgTest, CrossKindDecodeRejected) {
   const OrderedMsg ordered{ConnectionId(1), RequestId(1), NodeId(1), DomainId(0),
                            KeyEpoch(1), to_bytes("x")};
-  EXPECT_FALSE(QueueAckMsg::decode(encoded(ordered)).is_ok());
-  EXPECT_FALSE(SyncPointMsg::decode(encoded(ordered)).is_ok());
-  EXPECT_FALSE(OrderedMsg::decode(encoded(QueueAckMsg{NodeId(1), 0})).is_ok());
+  EXPECT_FALSE(QueueAckMsg::decode(ordered.encode()).is_ok());
+  EXPECT_FALSE(SyncPointMsg::decode(ordered.encode()).is_ok());
+  EXPECT_FALSE(OrderedMsg::decode(QueueAckMsg{NodeId(1), 0}.encode()).is_ok());
 }
 
 TEST(SmiopMsgTest, DirectReplyRoundTrip) {
@@ -52,10 +51,10 @@ TEST(SmiopMsgTest, DirectReplyRoundTrip) {
   msg.epoch = KeyEpoch(1);
   msg.sealed_giop = to_bytes("sealed-reply");
   msg.plain_signature.fill(0xbe);
-  const auto back = DirectReplyMsg::decode(encoded(msg));
+  const auto back = DirectReplyMsg::decode(msg.encode());
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), msg);
-  EXPECT_EQ(smiop_type(encoded(msg)).value(), SmiopType::kDirectReply);
+  EXPECT_EQ(smiop_type(msg.encode()).value(), SmiopType::kDirectReply);
 }
 
 TEST(SmiopMsgTest, SignedRegionBindsAllFields) {
@@ -84,8 +83,8 @@ TEST(SmiopMsgTest, KeyShareRoundTrip) {
   msg.client_domain = DomainId(0);
   msg.gm_index = 2;
   msg.sealed_share = to_bytes("sealed-share");
-  EXPECT_EQ(KeyShareMsg::decode(encoded(msg)).value(), msg);
-  EXPECT_EQ(smiop_type(encoded(msg)).value(), SmiopType::kKeyShare);
+  EXPECT_EQ(KeyShareMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(smiop_type(msg.encode()).value(), SmiopType::kKeyShare);
 }
 
 TEST(SmiopMsgTest, StateBundleRoundTrip) {
@@ -94,8 +93,8 @@ TEST(SmiopMsgTest, StateBundleRoundTrip) {
   msg.element = NodeId(42);
   msg.consumed_index = 77;
   msg.sealed_bundle = to_bytes("sealed-bundle");
-  EXPECT_EQ(StateBundleMsg::decode(encoded(msg)).value(), msg);
-  EXPECT_EQ(smiop_type(encoded(msg)).value(), SmiopType::kStateBundle);
+  EXPECT_EQ(StateBundleMsg::decode(msg.encode()).value(), msg);
+  EXPECT_EQ(smiop_type(msg.encode()).value(), SmiopType::kStateBundle);
 }
 
 TEST(SmiopMsgTest, ParsesAsSmiopRejectsBftEnvelopeTags) {
@@ -108,7 +107,7 @@ TEST(SmiopMsgTest, ParsesAsSmiopRejectsBftEnvelopeTags) {
   real.domain = DomainId(1);
   real.element = NodeId(1);
   real.sealed_bundle = to_bytes("x");
-  EXPECT_TRUE(parses_as_smiop(encoded(real)));
+  EXPECT_TRUE(parses_as_smiop(real.encode()));
 }
 
 TEST(SmiopMsgTest, GmCommandRoundTrips) {
@@ -170,7 +169,7 @@ TEST(SmiopMsgTest, FuzzedMessagesNeverCrash) {
   reply.element = NodeId(1);
   reply.epoch = KeyEpoch(1);
   reply.sealed_giop = to_bytes("reply-bytes");
-  const std::vector<Bytes> bases = {encoded(ordered).clone_bytes(), encoded(reply).clone_bytes(),
+  const std::vector<Bytes> bases = {ordered.encode().clone_bytes(), reply.encode().clone_bytes(),
                                     encode_gm_command(GmCommand(OpenRequestMsg{}))};
   Rng rng(404);
   for (const Bytes& base : bases) {

@@ -1,4 +1,4 @@
-// BUF-002 fixture: the safe patterns — scoped borrows, Arena-sealed views.
+// BUF-002 fixture: the safe patterns — scoped borrows, owning views.
 #include <cstdint>
 
 namespace fixture {
@@ -9,16 +9,16 @@ bool parses(ByteView wire) {
   return Decoder(scoped).is_ok();
 }
 
-// ok: sealing through the Arena refcounts the storage; holding is safe.
-void Cache::hold(Arena& arena, ByteView wire) {
-  BufView sealed = arena.seal(wire);
-  held_ = sealed;
+// ok: an owning copy refcounts the storage; holding is safe.
+void Cache::hold(ByteView wire) {
+  BufView owned = BufView::copy_of(wire);
+  held_ = owned;
 }
 
 // ok: returning a sealed view transfers a refcount, not an alias.
-BufView roundtrip(Arena& arena) {
+BufView roundtrip() {
   Bytes local = encode_something();
-  BufView sealed = arena.seal(local);
+  BufView sealed(std::move(local));
   return sealed;
 }
 

@@ -127,8 +127,8 @@ def check_proto003(program) -> list:
 
 # ---------------------------------------------------------------------------
 # BUF-002: a borrowed (non-owning) BufView escaping its storage's scope.
-# The zero-copy contract (common/buffer.hpp): Arena-sealed views are
-# refcounted and safe to hold; BufView::borrow() views alias storage the
+# The zero-copy contract (common/buffer.hpp): owning views (adopted
+# storage, copy_of) are refcounted and safe to hold; BufView::borrow() views alias storage the
 # caller must keep alive and must never be returned off a local or stored
 # into a member.
 # ---------------------------------------------------------------------------
@@ -174,8 +174,8 @@ def check_buf002(program) -> list:
                     out.append(Finding(
                         "BUF-002", func.path, t.line,
                         f"returning a borrowed view of local `{src}`; the "
-                        "storage dies with this frame — seal through an "
-                        "Arena instead", function=func.qual_name))
+                        "storage dies with this frame — adopt owned "
+                        "storage into a BufView instead", function=func.qual_name))
 
             # Member store of a borrowed view: `member_ = bv;` or
             # `member_.push_back(bv)`.
@@ -201,8 +201,8 @@ def check_buf002(program) -> list:
                                 "BUF-002", func.path, t.line,
                                 f"storing a borrowed view into member "
                                 f"`{t.text}`; borrows must not outlive the "
-                                "call — seal into an Arena-backed BufView "
-                                "instead", function=func.qual_name))
+                                "call — hold an owning BufView (adopted "
+                                "storage or copy_of) instead", function=func.qual_name))
                             break
 
             # Returning a var that borrows from a local.
@@ -214,7 +214,7 @@ def check_buf002(program) -> list:
                     "BUF-002", func.path, nxt.line,
                     f"returning `{nxt.text}`, a borrowed view of local "
                     f"`{borrowed[nxt.text]}`; the storage dies with this "
-                    "frame — seal through an Arena instead",
+                    "frame — adopt owned storage into a BufView instead",
                     function=func.qual_name))
     return out
 
