@@ -7,6 +7,7 @@
 //   * a4: element replacement end-to-end time (§4 extension).
 #include "bench_util.hpp"
 
+#include "bft/harness.hpp"
 #include "itdos/proxy.hpp"
 #include "itdos/queue.hpp"
 
@@ -94,17 +95,16 @@ void BM_A2AckInterval(benchmark::State& state) {
     msg.sealed_giop = Bytes(128, 0x5a);
     for (int i = 1; i <= 512; ++i) {
       msg.rid = RequestId(static_cast<std::uint64_t>(i));
-      queue.execute(msg.encode(), NodeId(9), SeqNum(++seq));
+      bft::execute_with_digest(queue, msg.encode(), NodeId(9), SeqNum(++seq));
       (void)queue.next();
       if (++consumed_since_ack >= interval) {
         consumed_since_ack = 0;
         ++acks;
         // All four elements ack in lockstep (the best case for GC).
         for (int e = 1; e <= 4; ++e) {
-          queue.execute(core::QueueAckMsg{NodeId(static_cast<std::uint64_t>(e)),
-                                          queue.consumed_index()}
-                            .encode(),
-                        NodeId(9), SeqNum(++seq));
+          const core::QueueAckMsg ack{NodeId(static_cast<std::uint64_t>(e)),
+                                      queue.consumed_index()};
+          bft::execute_with_digest(queue, ack.encode(), NodeId(9), SeqNum(++seq));
         }
       }
       max_window = std::max(max_window, queue.size());

@@ -9,6 +9,7 @@
 
 #include <array>
 
+#include "bft/harness.hpp"
 #include "recovery/recovery_manager.hpp"
 
 namespace itdos::bench {
@@ -184,8 +185,8 @@ void BM_E10MembershipUpdate(benchmark::State& state) {
   core::OpenRequestMsg open;
   open.client_node = NodeId(9000);
   open.target = DomainId(10);
-  (void)machine.execute(core::encode_gm_command(core::GmCommand(open)),
-                        NodeId(9000), SeqNum(1));
+  (void)bft::execute_with_digest(machine, core::encode_gm_command(core::GmCommand(open)),
+                                 NodeId(9000), SeqNum(1));
 
   auto& reg = BenchReport::instance().registry();
   telemetry::Histogram& hist = reg.histogram("e10.membership_update_ns");
@@ -210,7 +211,7 @@ void BM_E10MembershipUpdate(benchmark::State& state) {
     const BufView command = core::encode_gm_command(core::GmCommand(update));
     ScopedHostTimer timer(hist);
     ops.inc();
-    const Bytes reply = machine.execute(command, authority, SeqNum(++seq));
+    const Bytes reply = bft::execute_with_digest(machine, command, authority, SeqNum(++seq));
     benchmark::DoNotOptimize(reply);
   }
   state.counters["elements"] = benchmark::Counter(3.0 * f + 1);

@@ -28,22 +28,29 @@ class FatStateMachine : public bft::StateMachine {
  public:
   explicit FatStateMachine(std::size_t state_bytes) : state_(state_bytes, 0x7a) {}
 
-  Bytes execute(const BufView& request, NodeId, SeqNum) override {
+  Bytes execute(const BufView& request, const crypto::Digest&, NodeId, SeqNum) override {
     // Touch a few bytes so execution isn't free.
     for (std::size_t i = 0; i < std::min<std::size_t>(request.size(), 16); ++i) {
       state_[i % state_.size()] ^= request[i];
     }
     return to_bytes("OK");
   }
-  Bytes snapshot() const override { return state_; }
-  Status restore(ByteView snapshot) override {
-    state_.assign(snapshot.begin(), snapshot.end());
+  bft::AppSnapshot snapshot() const override { return {state_, {}}; }
+  Status restore(const bft::AppSnapshot& snapshot) override {
+    state_ = snapshot.state;
     return Status::ok();
   }
 
  private:
   Bytes state_;
 };
+
+/// The bytes a snapshot takes on the wire: its state and every held entry.
+std::size_t wire_size(const bft::AppSnapshot& snapshot) {
+  std::size_t size = snapshot.state.size();
+  for (const bft::HeldBytes& held : snapshot.held) size += held.bytes.size();
+  return size;
+}
 
 core::QueueStateMachine loaded_queue(int entries) {
   core::QueueOptions options;
@@ -57,7 +64,7 @@ core::QueueStateMachine loaded_queue(int entries) {
   msg.sealed_giop = Bytes(256, 0x5a);
   for (int i = 1; i <= entries; ++i) {
     msg.rid = RequestId(static_cast<std::uint64_t>(i));
-    queue.execute(msg.encode(), NodeId(9), SeqNum(static_cast<std::uint64_t>(i)));
+    bft::execute_with_digest(queue, msg.encode(), NodeId(9), SeqNum(static_cast<std::uint64_t>(i)));
   }
   return queue;
 }
@@ -72,8 +79,8 @@ void BM_E3SnapshotStateTransfer(benchmark::State& state) {
   for (auto _ : state) {
     ScopedHostTimer timer(hist);
     ops.inc();
-    const Bytes snap = app.snapshot();
-    snapshot_size = snap.size();
+    const bft::AppSnapshot snap = app.snapshot();
+    snapshot_size = wire_size(snap);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["snapshot_kb"] =
@@ -97,8 +104,8 @@ void BM_E3SnapshotMessageQueue(benchmark::State& state) {
   for (auto _ : state) {
     ScopedHostTimer timer(hist);
     ops.inc();
-    const Bytes snap = queue.snapshot();
-    snapshot_size = snap.size();
+    const bft::AppSnapshot snap = queue.snapshot();
+    snapshot_size = wire_size(snap);
     benchmark::DoNotOptimize(snap);
     benchmark::DoNotOptimize(servant_state.data());
   }
@@ -113,8 +120,8 @@ void BM_E3QueueSnapshotVsWindow(benchmark::State& state) {
   core::QueueStateMachine queue = loaded_queue(static_cast<int>(state.range(0)));
   std::size_t snapshot_size = 0;
   for (auto _ : state) {
-    const Bytes snap = queue.snapshot();
-    snapshot_size = snap.size();
+    const bft::AppSnapshot snap = queue.snapshot();
+    snapshot_size = wire_size(snap);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["snapshot_kb"] =

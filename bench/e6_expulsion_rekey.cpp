@@ -4,6 +4,7 @@
 // micro-benchmarks of proof verification and the domain-quorum path.
 #include "bench_util.hpp"
 
+#include "bft/harness.hpp"
 #include "cdr/giop.hpp"
 
 namespace itdos::bench {
@@ -94,8 +95,8 @@ void BM_E6ProofVerification(benchmark::State& state) {
   core::OpenRequestMsg open;
   open.client_node = NodeId(9000);
   open.target = DomainId(10);
-  (void)machine.execute(core::encode_gm_command(core::GmCommand(open)), NodeId(9000),
-                        SeqNum(1));
+  (void)bft::execute_with_digest(machine, core::encode_gm_command(core::GmCommand(open)),
+                                 NodeId(9000), SeqNum(1));
 
   // Build a (valid-signature, honest-majority) proof with 2f+1 replies; the
   // accused agrees, so the request is verified and then REJECTED — pure
@@ -131,7 +132,7 @@ void BM_E6ProofVerification(benchmark::State& state) {
   for (auto _ : state) {
     ScopedHostTimer timer(hist);
     ops.inc();
-    const Bytes reply = machine.execute(command, NodeId(9000), SeqNum(++seq));
+    const Bytes reply = bft::execute_with_digest(machine, command, NodeId(9000), SeqNum(++seq));
     benchmark::DoNotOptimize(reply);
   }
   state.counters["proof_entries"] = benchmark::Counter(2.0 * f + 1);

@@ -1,8 +1,8 @@
 // E9 — §4 large messages: "While signing and voting on individual messages
 // when they are of 'small' size can be a reasonable performance sacrifice
 // for security, doing so on large ... objects could pose a significant
-// problem." Sweep the request payload size through the fragmentation
-// threshold and measure the full-stack cost.
+// problem." Sweep the request payload size and measure the full-stack cost;
+// every request is one ordered entry, however large.
 #include "bench_util.hpp"
 
 namespace itdos::bench {
@@ -12,7 +12,6 @@ void BM_E9PayloadSweep(benchmark::State& state) {
   const std::size_t payload = static_cast<std::size_t>(state.range(0));
   core::SystemOptions options;
   options.seed = 91;
-  options.timing.max_entry_bytes = 16384;
   options.timing.reply_vote_timeout_ns = seconds(2);
   core::ItdosSystem system(options);
   const DomainId domain =
@@ -28,11 +27,6 @@ void BM_E9PayloadSweep(benchmark::State& state) {
   std::int64_t total_sim_ns = 0;
   std::uint64_t total_packets = 0;
   const telemetry::MetricsRegistry& reg = system.sim().telemetry().metrics();
-  // The ordered entries the client's party sends: the sealed GIOP, not the
-  // plaintext payload, is what max_entry_bytes splits.
-  const std::string entries_sent =
-      telemetry::metric_name("smiop", client.smiop_node(), "request_entries_sent");
-  const std::uint64_t entries_before = reg.counter_value(entries_sent);
   for (auto _ : state) {
     const std::uint64_t packets_before = reg.counter_value("net.packets_delivered");
     const SimTime before = system.sim().now();
@@ -51,8 +45,6 @@ void BM_E9PayloadSweep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(total_sim_ns) / 1e3 / iters);
   state.counters["pkts_per_call"] =
       benchmark::Counter(static_cast<double>(total_packets) / iters);
-  state.counters["fragments"] = benchmark::Counter(
-      static_cast<double>(reg.counter_value(entries_sent) - entries_before) / iters);
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * payload));
   BenchReport::instance().harvest(system.sim());

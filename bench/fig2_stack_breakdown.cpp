@@ -79,7 +79,7 @@ void BM_Layer_Seal(benchmark::State& state) {
   const Bytes plain = cdr::encode_giop(
       cdr::GiopMessage(request_of_size(static_cast<std::size_t>(state.range(0)))));
   const auto key = crypto::SymmetricKey::from_bytes(Bytes(crypto::kSymmetricKeySize, 0x42));
-  const Bytes aad = core::seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
+  const core::SealAad aad = core::seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
   auto& reg = BenchReport::instance().registry();
   telemetry::Histogram& hist = reg.histogram("fig2.seal_ns");
   telemetry::Counter& ops = reg.counter("fig2.seal_ops");
@@ -98,7 +98,7 @@ void BM_Layer_Unseal(benchmark::State& state) {
   const Bytes plain = cdr::encode_giop(
       cdr::GiopMessage(request_of_size(static_cast<std::size_t>(state.range(0)))));
   const auto key = crypto::SymmetricKey::from_bytes(Bytes(crypto::kSymmetricKeySize, 0x42));
-  const Bytes aad = core::seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
+  const core::SealAad aad = core::seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
   const Bytes sealed = crypto::seal(key, crypto::make_nonce(1, 1), aad, plain);
   auto& reg = BenchReport::instance().registry();
   telemetry::Histogram& hist = reg.histogram("fig2.unseal_ns");
@@ -174,12 +174,12 @@ void BM_Layer_QueueManagement(benchmark::State& state) {
     ScopedHostTimer timer(hist);
     ops.inc();
     msg.rid = RequestId(++rid);
-    queue.execute(msg.encode(), NodeId(9), SeqNum(++seq));
+    bft::execute_with_digest(queue, msg.encode(), NodeId(9), SeqNum(++seq));
     benchmark::DoNotOptimize(queue.next());
     if (rid % 8 == 0) {
       for (int e = 1; e <= 3; ++e) {
-        queue.execute(core::QueueAckMsg{NodeId(100 + e), rid}.encode(), NodeId(9),
-                      SeqNum(++seq));
+        bft::execute_with_digest(queue, core::QueueAckMsg{NodeId(100 + e), rid}.encode(), NodeId(9),
+                                 SeqNum(++seq));
       }
     }
   }

@@ -68,12 +68,13 @@ MTTR_HISTOGRAM = "recovery.mttr_ns"
 DEFAULT_MTTR_CEILING_NS = 6_200_000_000
 
 # Advisory zero-copy budget: counted copies per e9 invocation. The converted
-# message path makes a bounded number of explicit copies per call (fragment
-# gather, unseal output, checkpoint snapshots, and legacy read_raw sites for
-# small fixed fields in per-packet envelope decode); the e9 sweep measures
-# ~1050 such copies per invocation averaged over its payload ladder. The
-# ceiling leaves ~40% headroom: a by-value buffer parameter regressing back
-# into the per-hop path roughly doubles the figure.
+# message path makes a bounded number of explicit copies per call (unseal
+# output, and read_raw/read_into sites for small fixed fields such as MAC
+# tags and digests in per-packet decode); the e9 sweep measures ~80 such
+# copies per invocation averaged over its payload ladder, since every
+# request is one ordered entry (~1050 when large requests were fragmented
+# and gathered). A by-value buffer parameter regressing back into the
+# per-hop path multiplies the figure.
 COPIES_COUNTER = "buf.copies"
 BYTES_COPIED_COUNTER = "buf.bytes_copied"
 OPS_COUNTER = "e9.ops"

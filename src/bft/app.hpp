@@ -4,30 +4,59 @@
 // makes f+1 matching replies meaningful.
 #pragma once
 
+#include <vector>
+
 #include "batch/former.hpp"
 #include "common/buffer.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/result.hpp"
+#include "crypto/sha256.hpp"
 
 namespace itdos::bft {
+
+/// Bytes an application state holds by reference (the ITDOS queue's
+/// entries), with the SHA-256 the replica computed when it ordered them.
+struct HeldBytes {
+  BufView bytes;
+  crypto::Digest digest{};
+
+  bool operator==(const HeldBytes&) const = default;
+};
+
+/// A checkpoint of the application state. The checkpoint digest covers
+/// `state` and each held entry's digest, never the held bytes, so a
+/// checkpoint costs per entry, not per byte. Held entries are views: taking
+/// a snapshot copies none of them. A replica that receives a snapshot in a
+/// state transfer hashes every held entry again before restore() sees it.
+struct AppSnapshot {
+  Bytes state;
+  std::vector<HeldBytes> held;
+
+  bool operator==(const AppSnapshot&) const = default;
+};
 
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
 
   /// Executes one totally-ordered request and returns the reply payload.
-  /// `seq` is the agreed sequence number (deterministic across replicas).
-  /// The request is a refcounted view: implementations that log requests
-  /// (e.g. the ITDOS message queue) retain it without copying.
-  virtual Bytes execute(const BufView& request, NodeId client, SeqNum seq) = 0;
+  /// `digest` is the request's SHA-256, computed once by the replica when it
+  /// verified the request (bft::payload_digest); `seq` is the agreed
+  /// sequence number (deterministic across replicas). The request is a
+  /// refcounted view: implementations that log requests (e.g. the ITDOS
+  /// message queue) retain it, and its digest, without copying or hashing.
+  virtual Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                        SeqNum seq) = 0;
 
-  /// Serializes the full application state (Castro-Liskov keeps state "in a
-  /// contiguous block of memory"; this is our equivalent).
-  virtual Bytes snapshot() const = 0;
+  /// The full application state (Castro-Liskov keeps state "in a contiguous
+  /// block of memory"; this is our equivalent, with large retained entries
+  /// held by reference).
+  virtual AppSnapshot snapshot() const = 0;
 
   /// Replaces the application state with a snapshot from a correct replica.
-  virtual Status restore(ByteView snapshot) = 0;
+  /// Every held entry's bytes match its digest.
+  virtual Status restore(const AppSnapshot& snapshot) = 0;
 
   /// Telemetry hook: the request-scoped trace id carried by an application
   /// payload (0 = untraced). Lets the BFT layer tag its ordering events with

@@ -8,14 +8,22 @@
 
 namespace itdos::bft {
 
+MatchingReplyCollector::MatchingReplyCollector(int f) : f_(f) {
+  voters_.reserve(static_cast<std::size_t>(3 * f + 1));
+}
+
 std::optional<Bytes> MatchingReplyCollector::add(NodeId replica, ByteView result) {
-  auto it = votes_.find(result);
-  if (it == votes_.end()) {
-    it = votes_.emplace(Bytes(result.begin(), result.end()), std::set<NodeId>{}).first;
+  if (std::find(voters_.begin(), voters_.end(), replica) != voters_.end()) {
+    return std::nullopt;  // one vote per replica
   }
-  auto& [value, voters] = *it;
-  voters.insert(replica);
-  if (static_cast<int>(voters.size()) >= f_ + 1) return value;
+  voters_.push_back(replica);
+  auto it = std::find_if(tallies_.begin(), tallies_.end(), [result](const Tally& tally) {
+    return std::equal(tally.result.begin(), tally.result.end(), result.begin(), result.end());
+  });
+  if (it == tallies_.end()) {
+    it = tallies_.insert(tallies_.end(), Tally{Bytes(result.begin(), result.end())});
+  }
+  if (++it->votes >= f_ + 1) return std::move(it->result);
   return std::nullopt;
 }
 
@@ -152,8 +160,6 @@ void Client::on_packet(const net::Packet& packet) {
   const auto it = inflight_.find(msg.timestamp);
   if (it == inflight_.end()) return;  // late/duplicate
   Inflight& fl = it->second;
-  if (!fl.replied.insert(msg.replica).second) return;  // one vote per replica
-
   if (std::optional<Bytes> result = fl.collector->add(msg.replica, msg.result)) {
     finish(msg.timestamp, std::move(*result));
   }

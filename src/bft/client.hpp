@@ -13,13 +13,12 @@
 // a few round trips (DESIGN.md §4b).
 #pragma once
 
-#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "bft/config.hpp"
 #include "bft/messages.hpp"
@@ -33,28 +32,28 @@ class ReplyCollector {
  public:
   virtual ~ReplyCollector() = default;
 
-  /// Feeds one reply; returns the decided result once sufficient.
+  /// Feeds one authenticated reply; returns the decided result once
+  /// sufficient. The client feeds every reply, so a collector counts each
+  /// replica once. The client drops the collector once it decides.
   virtual std::optional<Bytes> add(NodeId replica, ByteView result) = 0;
 };
 
 /// Stock Castro-Liskov rule: f+1 byte-identical results.
 class MatchingReplyCollector : public ReplyCollector {
  public:
-  explicit MatchingReplyCollector(int f) : f_(f) {}
+  explicit MatchingReplyCollector(int f);
+  /// The decided result is moved out: the collector is spent.
   std::optional<Bytes> add(NodeId replica, ByteView result) override;
 
  private:
-  /// Orders results by their bytes; transparent, so a reply finds its
-  /// result by view and only a result not seen before builds a key.
-  struct ByteLess {
-    using is_transparent = void;
-    bool operator()(ByteView a, ByteView b) const {
-      return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-    }
+  struct Tally {
+    Bytes result;
+    int votes = 0;
   };
 
   int f_;
-  std::map<Bytes, std::set<NodeId>, ByteLess> votes_;
+  std::vector<NodeId> voters_;  // replicas counted, at most n = 3f + 1
+  std::vector<Tally> tallies_;  // distinct results, in arrival order
 };
 
 class Client : public net::Process {
@@ -107,8 +106,7 @@ class Client : public net::Process {
     BufView payload;
     Digest payload_digest{};  // what its authenticators cover of the payload
     Completion done;
-    std::unique_ptr<ReplyCollector> collector;
-    std::set<NodeId> replied;  // replicas already counted
+    std::unique_ptr<ReplyCollector> collector;  // counts each replica once
     SimTime sent_at;           // first send: the round-trip sample's start
     SimTime retry_at;          // when it is next broadcast
     bool retransmitted = false;  // Karn's rule: then it gives no sample

@@ -69,28 +69,31 @@ Result<Bytes> Cluster::invoke_sync(Client& client, BufView payload,
   return std::move(**outcome);
 }
 
+Bytes execute_with_digest(StateMachine& app, const BufView& request, NodeId client,
+                          SeqNum seq) {
+  return app.execute(request, crypto::sha256(request), client, seq);
+}
+
 // ---------------------------------------------------------------------------
 // Sample state machines
 // ---------------------------------------------------------------------------
 
-Bytes LogStateMachine::execute(const BufView& request, NodeId client, SeqNum seq) {
-  (void)client;
-  (void)seq;
+Bytes LogStateMachine::execute(const BufView& request, const crypto::Digest&, NodeId, SeqNum) {
   entries_.push_back(request.clone_bytes());
   return to_bytes("OK:" + std::to_string(entries_.size()));
 }
 
-Bytes LogStateMachine::snapshot() const {
+AppSnapshot LogStateMachine::snapshot() const {
   std::size_t bound = 4;  // the count, then each entry padded and counted
   for (const Bytes& e : entries_) bound += 3 + 4 + e.size();
   cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
   enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));
   for (const Bytes& e : entries_) enc.write_bytes(e);
-  return enc.take();
+  return {enc.take(), {}};
 }
 
-Status LogStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
+Status LogStateMachine::restore(const AppSnapshot& snapshot) {
+  cdr::Decoder dec(snapshot.state, cdr::ByteOrder::kLittleEndian);
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t count, dec.read_uint32());
   if (count > dec.remaining()) {
     return error(Errc::kMalformedMessage, "hostile snapshot entry count");
@@ -105,9 +108,8 @@ Status LogStateMachine::restore(ByteView snapshot) {
   return Status::ok();
 }
 
-Bytes CounterStateMachine::execute(const BufView& request, NodeId client, SeqNum seq) {
-  (void)client;
-  (void)seq;
+Bytes CounterStateMachine::execute(const BufView& request, const crypto::Digest&, NodeId,
+                                   SeqNum) {
   const std::string cmd = to_string(request);
   if (cmd.rfind("add:", 0) == 0) {
     std::int64_t delta = 0;
@@ -125,14 +127,14 @@ Bytes CounterStateMachine::execute(const BufView& request, NodeId client, SeqNum
   return to_bytes("ERR:unknown-command");
 }
 
-Bytes CounterStateMachine::snapshot() const {
+AppSnapshot CounterStateMachine::snapshot() const {
   cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
   enc.write_int64(value_);
-  return enc.take();
+  return {enc.take(), {}};
 }
 
-Status CounterStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
+Status CounterStateMachine::restore(const AppSnapshot& snapshot) {
+  cdr::Decoder dec(snapshot.state, cdr::ByteOrder::kLittleEndian);
   ITDOS_ASSIGN_OR_RETURN(value_, dec.read_int64());
   return Status::ok();
 }

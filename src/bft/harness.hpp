@@ -75,14 +75,20 @@ class Cluster {
   std::uint64_t next_client_id_ = 1000;
 };
 
+/// Executes `request` on `app` with the payload digest a replica would pass
+/// (tests and benches that drive a state machine without a replica).
+Bytes execute_with_digest(StateMachine& app, const BufView& request, NodeId client,
+                          SeqNum seq);
+
 /// Simple deterministic state machines for tests, benches and examples.
 
 /// Appends commands to a log and replies "OK:<count>".
 class LogStateMachine : public StateMachine {
  public:
-  Bytes execute(const BufView& request, NodeId client, SeqNum seq) override;
-  Bytes snapshot() const override;
-  Status restore(ByteView snapshot) override;
+  Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                SeqNum seq) override;
+  AppSnapshot snapshot() const override;
+  Status restore(const AppSnapshot& snapshot) override;
 
   const std::vector<Bytes>& entries() const { return entries_; }
 
@@ -93,9 +99,10 @@ class LogStateMachine : public StateMachine {
 /// A replicated counter: request "add:<n>" adds, "get" reads.
 class CounterStateMachine : public StateMachine {
  public:
-  Bytes execute(const BufView& request, NodeId client, SeqNum seq) override;
-  Bytes snapshot() const override;
-  Status restore(ByteView snapshot) override;
+  Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                SeqNum seq) override;
+  AppSnapshot snapshot() const override;
+  Status restore(const AppSnapshot& snapshot) override;
 
   std::int64_t value() const { return value_; }
 

@@ -15,11 +15,11 @@ namespace {
 
 constexpr std::string_view kLog = "bft.replica";
 
-/// Digest binding a snapshot to its sequence number.
-Digest checkpoint_digest(std::uint64_t seq, ByteView snapshot) {
+/// Digest binding a checkpoint's state to its sequence number.
+Digest checkpoint_digest(std::uint64_t seq, ByteView state) {
   std::uint8_t seq_bytes[8];
   for (int i = 0; i < 8; ++i) seq_bytes[i] = static_cast<std::uint8_t>(seq >> (i * 8));
-  return crypto::Sha256().update(ByteView(seq_bytes, 8)).update(snapshot).finish();
+  return crypto::Sha256().update(ByteView(seq_bytes, 8)).update(state).finish();
 }
 
 /// Timestamps a correct client could currently be using: clients number
@@ -87,8 +87,7 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
   join(config_.group);
   // The state at seq 0 is the genesis snapshot; it seeds state transfer for
   // replicas that fall behind before the first checkpoint.
-  stable_snapshot_ = make_snapshot();
-  stable_digest_ = checkpoint_digest(0, stable_snapshot_);
+  stable_ = make_checkpoint(0);
   // Open the view-0 span: forensics segment a replica's timeline on
   // view.start / view.end pairs (see enter_view).
   tel_->trace(telemetry::TraceKind::kViewStart, id, 0, view_.value);
@@ -387,6 +386,8 @@ void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
 
   LogEntry& entry = entry_at(seq);
   entry.pre_prepare = pp;
+  entry.payload_digests.clear();
+  for (const batch::PendingEntry& e : entries) entry.payload_digests.push_back(e.payload_digest);
   entry.first_seen = now();
   if (counters::after(seq, top_logged_)) top_logged_ = seq;
   // The batch metrics count the entries the caps count: riders leave
@@ -468,6 +469,8 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   // envelope was authenticated, and a mismatch counts like a bad MAC.
   std::uint64_t trace = 0;
   bool authentic = true;  // every entry carries a valid tag for this replica
+  std::vector<Digest>& payloads = checked_digests_;  // each entry's, for execution
+  payloads.clear();
   if (pp.is_null_request()) {
     if (pp.req_digest != Digest{}) {
       metrics_.auth_failures->inc();
@@ -511,14 +514,15 @@ void Replica::handle_pre_prepare(const Envelope& env) {
       metrics_.malformed->inc();
       return;
     }
-    // One pass over each payload: its digest feeds both the proposal digest
-    // and this replica's check of the client's tag. (Decoded above; decoding
-    // again, views only, is cheaper than keeping every request.)
+    // One pass over each payload: its digest feeds the proposal digest,
+    // this replica's check of the client's tag and, at execution, the
+    // application. (Decoded above; decoding again, views only, is cheaper
+    // than keeping every request.)
     ProposalDigest digest(entries.size());
     for (const batch::BatchEntry& entry_bytes : entries) {
       const RequestMsg request = RequestMsg::decode(entry_bytes.request).take();
       if (trace == 0) trace = app_->trace_of(request.payload);
-      const Digest payload = payload_digest(entry_bytes.request);
+      const Digest& payload = payloads.emplace_back(payload_digest(entry_bytes.request));
       digest.add(entry_bytes.request, payload);
       authentic = authentic && entry_authentic(request.client, entry_bytes, payload);
     }
@@ -562,6 +566,7 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   }
   if (entry.pre_prepare) return;  // duplicate
   entry.pre_prepare = pp;
+  entry.payload_digests.assign(payloads.begin(), payloads.end());
   entry.trace = trace;
   entry.first_seen = now();
   if (counters::after(seq, top_logged_)) top_logged_ = seq;
@@ -635,6 +640,7 @@ Replica::LogEntry& Replica::entry_at(std::uint64_t seq) {
 void Replica::clear_entry(LogEntry& entry, std::uint64_t seq) const {
   entry.seq = seq;
   entry.pre_prepare.reset();
+  entry.payload_digests.clear();
   entry.votes.assign(config_.replicas.size(), RankVotes{});
   entry.votes_view = view_;
   entry.prepared.reset();
@@ -650,6 +656,7 @@ void Replica::truncate_log() {
   for (LogEntry& entry : log_) {
     if (counters::before_eq(entry.seq, stable_seq_)) {
       entry.pre_prepare.reset();
+      entry.payload_digests.clear();
       entry.prepared.reset();
     }
   }
@@ -795,9 +802,12 @@ void Replica::execute_entry(std::uint64_t seq, LogEntry& entry) {
     // would mean the digest check was bypassed, so just skip.)
     Result<batch::BatchMsg> batch = batch::BatchMsg::decode(entry.pre_prepare->request);
     if (batch.is_ok()) {
-      for (const batch::BatchEntry& entry_bytes : batch.value().entries) {
-        Result<RequestMsg> decoded = RequestMsg::decode(entry_bytes.request);
-        if (decoded.is_ok()) execute_request(decoded.value(), seq);
+      const std::vector<batch::BatchEntry>& entries = batch.value().entries;
+      // Every path that logs a proposal records its entries' digests.
+      assert(entry.payload_digests.size() == entries.size());
+      for (std::size_t i = 0; i < entries.size() && i < entry.payload_digests.size(); ++i) {
+        Result<RequestMsg> decoded = RequestMsg::decode(entries[i].request);
+        if (decoded.is_ok()) execute_request(decoded.value(), entry.payload_digests[i], seq);
       }
     }
   }
@@ -807,7 +817,8 @@ void Replica::execute_entry(std::uint64_t seq, LogEntry& entry) {
   }
 }
 
-void Replica::execute_request(const RequestMsg& request, std::uint64_t seq) {
+void Replica::execute_request(const RequestMsg& request, const Digest& digest,
+                              std::uint64_t seq) {
   ClientRecord& record = clients_[request.client];
   if (!record.executed.contains(request.timestamp)) {
     if (!plausible_timestamp(record.executed, request.timestamp)) {
@@ -819,7 +830,7 @@ void Replica::execute_request(const RequestMsg& request, std::uint64_t seq) {
       return;
     }
     record.replies[request.timestamp] =
-        app_->execute(request.payload, request.client, SeqNum(seq));
+        app_->execute(request.payload, digest, request.client, SeqNum(seq));
     record.executed.insert(request.timestamp);
     if (counters::after(request.timestamp, record.last_timestamp)) {
       record.last_timestamp = request.timestamp;
@@ -859,16 +870,17 @@ void Replica::send_reply(ClientRecord& record, const RequestMsg& request,
 // Checkpoints and state transfer
 // ---------------------------------------------------------------------------
 
-Bytes Replica::make_snapshot() const {
-  // Snapshot = client table + application state. The client table must be
+Replica::Checkpoint Replica::make_checkpoint(std::uint64_t seq) const {
+  // State = client table + application state. The client table must be
   // part of the checkpointed state or a recovering replica would re-execute
   // retransmitted requests. The executed window (floor + sparse set) and
   // the reply cache are replicated state: every correct replica executes
   // the same requests in the same order, so the encodings agree byte-wise.
-  const Bytes app = app_->snapshot();
+  // The application's held entries enter by their digests only.
+  const AppSnapshot app = app_->snapshot();
   // Each client record's fixed fields and pads fit in 48 bytes; each cached
   // reply is at most pad, timestamp, length and its bytes.
-  std::size_t bound = 4 + 7 + app.size();
+  std::size_t bound = 4 + 7 + app.state.size() + 7 + 4 + crypto::kDigestSize * app.held.size();
   for (const auto& [client, record] : clients_) {
     bound += 48 + 8 * record.executed.sparse().size();
     for (const auto& [ts, reply] : record.replies) bound += 7 + 8 + 4 + reply.size();
@@ -887,15 +899,31 @@ Bytes Replica::make_snapshot() const {
       enc.write_bytes(reply);
     }
   }
-  enc.write_bytes(app);
+  enc.write_bytes(app.state);
+  enc.write_uint32(static_cast<std::uint32_t>(app.held.size()));
+  Checkpoint checkpoint;
+  checkpoint.held.reserve(app.held.size());
+  for (const HeldBytes& held : app.held) {
+    enc.write_raw(crypto::digest_view(held.digest));
+    checkpoint.held.push_back(held.bytes);
+  }
+  checkpoint.state = enc.take();
+  checkpoint.digest = checkpoint_digest(seq, checkpoint.state);
+  return checkpoint;
+}
+
+Bytes Replica::serialize(const Checkpoint& checkpoint) {
+  // `state` leads, so every field keeps the alignment it was written at.
+  std::size_t bound = checkpoint.state.size();
+  for (const BufView& held : checkpoint.held) bound += 3 + 4 + held.size();
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
+  enc.write_raw(checkpoint.state);
+  for (const BufView& held : checkpoint.held) enc.write_bytes(held);
   return enc.take();
 }
 
 Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
-                                 ByteView snapshot) {
-  if (checkpoint_digest(seq, snapshot) != digest) {
-    return error(Errc::kAuthFailure, "snapshot does not match checkpoint digest");
-  }
+                                 const BufView& snapshot) {
   cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t client_count, dec.read_uint32());
   if (client_count > dec.remaining()) {
@@ -928,8 +956,29 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
     record.forwarded = record.executed;
     clients[NodeId(client)] = record;
   }
-  ITDOS_ASSIGN_OR_RETURN(Bytes app_state, dec.read_bytes());
-  ITDOS_RETURN_IF_ERROR(app_->restore(app_state));
+  AppSnapshot app;
+  ITDOS_ASSIGN_OR_RETURN(app.state, dec.read_bytes());
+  ITDOS_ASSIGN_OR_RETURN(std::uint32_t held_count, dec.read_uint32());
+  if (held_count > dec.remaining() / crypto::kDigestSize) {
+    return error(Errc::kMalformedMessage, "hostile snapshot held count");
+  }
+  app.held.resize(held_count);
+  for (HeldBytes& held : app.held) {
+    ITDOS_ASSIGN_OR_RETURN(held.digest, dec.read_array<crypto::kDigestSize>());
+  }
+  // The digest covers everything up to here: the state, held digests
+  // included. Each held entry must then match its digest.
+  const ByteView state = snapshot.bytes().first(dec.offset());
+  if (checkpoint_digest(seq, state) != digest) {
+    return error(Errc::kAuthFailure, "snapshot does not match checkpoint digest");
+  }
+  for (HeldBytes& held : app.held) {
+    ITDOS_ASSIGN_OR_RETURN(held.bytes, dec.read_bytes_view());
+    if (crypto::sha256(held.bytes) != held.digest) {
+      return error(Errc::kAuthFailure, "held snapshot entry does not match its digest");
+    }
+  }
+  ITDOS_RETURN_IF_ERROR(app_->restore(app));
 
   // Held requests the installed state has not executed stay held. (Only
   // for clients the snapshot names: a record this replica alone made would
@@ -946,13 +995,15 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
   clients_ = std::move(clients);
   last_executed_ = seq;
   stable_seq_ = seq;
-  stable_digest_ = digest;
-  stable_snapshot_ = Bytes(snapshot.begin(), snapshot.end());
+  stable_.state = Bytes(state.begin(), state.end());
+  stable_.held.clear();
+  for (HeldBytes& held : app.held) stable_.held.push_back(std::move(held.bytes));
+  stable_.digest = digest;
   // Drop everything at or below the installed checkpoint.
   truncate_log();
   checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.upper_bound(seq));
-  pending_snapshots_.erase(pending_snapshots_.begin(),
-                           pending_snapshots_.upper_bound(seq));
+  pending_checkpoints_.erase(pending_checkpoints_.begin(),
+                             pending_checkpoints_.upper_bound(seq));
   metrics_.state_transfers->inc();
   tel_->trace(telemetry::TraceKind::kBftStateTransfer, id(), 0, seq);
   try_execute();
@@ -960,12 +1011,10 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
 }
 
 void Replica::take_checkpoint(std::uint64_t seq) {
-  Bytes snapshot = make_snapshot();
-  const Digest digest = checkpoint_digest(seq, snapshot);
-  pending_snapshots_[seq] = PendingSnapshot{std::move(snapshot), digest};
+  Checkpoint& checkpoint = pending_checkpoints_[seq] = make_checkpoint(seq);
   CheckpointMsg msg;
   msg.seq = SeqNum(seq);
-  msg.state_digest = digest;
+  msg.state_digest = checkpoint.digest;
   msg.replica = id();
   multicast_authenticated(msg);
   metrics_.checkpoints_sent->inc();
@@ -986,15 +1035,22 @@ void Replica::handle_checkpoint(const Envelope& env) {
   process_checkpoint_vote(msg);
 }
 
+int Replica::checkpoint_support(std::uint64_t seq, const Digest& digest) const {
+  const auto votes = checkpoint_votes_.find(seq);
+  if (votes == checkpoint_votes_.end()) return 0;
+  return static_cast<int>(std::count(votes->second.begin(), votes->second.end(), digest));
+}
+
 void Replica::process_checkpoint_vote(const CheckpointMsg& msg) {
-  auto& votes = checkpoint_votes_[msg.seq.value][msg.state_digest];
-  votes.insert(msg.replica);
-  if (static_cast<int>(votes.size()) < config_.quorum()) return;
+  auto& votes = checkpoint_votes_[msg.seq.value];
+  votes.resize(config_.replicas.size());
+  votes[static_cast<std::size_t>(config_.rank_of(msg.replica))] = msg.state_digest;
+  if (checkpoint_support(msg.seq.value, msg.state_digest) < config_.quorum()) return;
   if (counters::before_eq(msg.seq.value, stable_seq_)) return;
 
-  const auto local = pending_snapshots_.find(msg.seq.value);
-  if (local != pending_snapshots_.end() && local->second.digest == msg.state_digest) {
-    make_stable(msg.seq.value, msg.state_digest);
+  const auto local = pending_checkpoints_.find(msg.seq.value);
+  if (local != pending_checkpoints_.end() && local->second.digest == msg.state_digest) {
+    make_stable(msg.seq.value);
   } else {
     // We have not reached (or disagree with) this checkpoint: fetch state
     // from a replica in the certificate.
@@ -1002,33 +1058,33 @@ void Replica::process_checkpoint_vote(const CheckpointMsg& msg) {
   }
 }
 
-void Replica::make_stable(std::uint64_t seq, const Digest& digest) {
+void Replica::make_stable(std::uint64_t seq) {
   stable_seq_ = seq;
-  stable_digest_ = digest;
-  stable_snapshot_ = std::move(pending_snapshots_[seq].snapshot);
+  stable_ = std::move(pending_checkpoints_[seq]);
   truncate_log();
   checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.upper_bound(seq));
-  pending_snapshots_.erase(pending_snapshots_.begin(),
-                           pending_snapshots_.upper_bound(seq));
+  pending_checkpoints_.erase(pending_checkpoints_.begin(),
+                             pending_checkpoints_.upper_bound(seq));
   pump_former();  // the window moved: parked requests may take slots now
 }
 
 void Replica::request_state_transfer(std::uint64_t seq, const Digest& digest) {
   if (state_transfer_target_ && counters::after_eq(state_transfer_target_->first, seq)) return;
   state_transfer_target_ = {seq, digest};
-  // Ask a replica that vouched for this checkpoint.
+  // Ask the lowest-numbered other replica that vouched for this checkpoint.
   const auto votes = checkpoint_votes_.find(seq);
   if (votes == checkpoint_votes_.end()) return;
-  const auto digest_votes = votes->second.find(digest);
-  if (digest_votes == votes->second.end()) return;
-  for (NodeId replica : digest_votes->second) {
-    if (replica == id()) continue;
-    StateRequestMsg msg;
-    msg.seq = SeqNum(seq);
-    msg.requester = id();
-    send_authenticated(replica, msg);
-    break;
+  std::optional<NodeId> voucher;
+  for (std::size_t rank = 0; rank < votes->second.size(); ++rank) {
+    const NodeId replica = config_.replicas[rank];
+    if (replica == id() || votes->second[rank] != digest) continue;
+    if (!voucher || replica < *voucher) voucher = replica;
   }
+  if (!voucher) return;
+  StateRequestMsg msg;
+  msg.seq = SeqNum(seq);
+  msg.requester = id();
+  send_authenticated(*voucher, msg);
 }
 
 void Replica::handle_state_request(const Envelope& env) {
@@ -1043,19 +1099,20 @@ void Replica::handle_state_request(const Envelope& env) {
   StateResponseMsg response;
   response.replica = id();
   response.view = view_;
-  if (counters::after_eq(stable_seq_, msg.seq.value) && !stable_snapshot_.empty()) {
+  if (counters::after_eq(stable_seq_, msg.seq.value)) {
     // Prefer the stable checkpoint: identical across correct replicas, so
     // requesters assemble the f+1 weak certificate immediately.
     response.seq = SeqNum(stable_seq_);
-    response.state_digest = stable_digest_;
-    response.snapshot = stable_snapshot_;
+    response.state_digest = stable_.digest;
+    response.snapshot = serialize(stable_);
   } else if (counters::after_eq(last_executed_, msg.seq.value)) {
     // Catch-up beyond the last stable checkpoint: a fresh snapshot of the
     // current execution point (peers at the same point produce identical
     // bytes, so the weak certificate still forms).
+    const Checkpoint current = make_checkpoint(last_executed_);
     response.seq = SeqNum(last_executed_);
-    response.snapshot = make_snapshot();
-    response.state_digest = checkpoint_digest(last_executed_, response.snapshot);
+    response.snapshot = serialize(current);
+    response.state_digest = current.digest;
   } else {
     return;  // cannot help
   }
@@ -1094,9 +1151,10 @@ void Replica::help_laggard(NodeId laggard) {
   StateResponseMsg response;
   response.replica = id();
   response.view = view_;
+  const Checkpoint current = make_checkpoint(last_executed_);
   response.seq = SeqNum(last_executed_);
-  response.snapshot = make_snapshot();
-  response.state_digest = checkpoint_digest(last_executed_, response.snapshot);
+  response.snapshot = serialize(current);
+  response.state_digest = current.digest;
   send_authenticated(laggard, response);
 }
 
@@ -1138,7 +1196,7 @@ void Replica::handle_state_response(const Envelope& env) {
     metrics_.malformed->inc();
     return;
   }
-  const StateResponseMsg msg = std::move(decoded).take();
+  StateResponseMsg msg = std::move(decoded).take();
   if (counters::before(msg.seq.value, last_executed_)) return;  // nothing new
   if (msg.seq.value == last_executed_ && !in_view_change_) return;
   // seq == last_executed_ while in a view change is the "stuck but current"
@@ -1153,12 +1211,7 @@ void Replica::handle_state_response(const Envelope& env) {
       msg.state_digest == state_transfer_target_->second) {
     certified = true;
   } else {
-    const auto votes = checkpoint_votes_.find(msg.seq.value);
-    if (votes != checkpoint_votes_.end()) {
-      const auto digest_votes = votes->second.find(msg.state_digest);
-      certified = digest_votes != votes->second.end() &&
-                  static_cast<int>(digest_votes->second.size()) >= config_.quorum();
-    }
+    certified = checkpoint_support(msg.seq.value, msg.state_digest) >= config_.quorum();
   }
   if (!certified) {
     // Weak certificate: f+1 distinct replicas offering the same snapshot
@@ -1170,24 +1223,27 @@ void Replica::handle_state_response(const Envelope& env) {
     }
     auto& per_seq = state_offers_[msg.seq.value];
     if (per_seq.size() >= 8 && !per_seq.contains(msg.state_digest)) return;
-    StateOffer& offer = per_seq[msg.state_digest];
-    offer.senders.insert(env.sender);
-    offer.snapshot = msg.snapshot;
-    certified = static_cast<int>(offer.senders.size()) >= config_.f + 1;
+    std::set<NodeId>& senders = per_seq[msg.state_digest];
+    senders.insert(env.sender);
+    certified = static_cast<int>(senders.size()) >= config_.f + 1;
   }
   if (!certified) return;
   if (msg.seq.value == last_executed_) {
     // Rejoin-without-install: verify the attested state matches what we
     // already executed, then simply resume in the peers' view.
-    const Bytes own = make_snapshot();
-    if (checkpoint_digest(last_executed_, own) == msg.state_digest) {
+    if (make_checkpoint(last_executed_).digest == msg.state_digest) {
       after_install(msg.view);
     }
     return;
   }
-  if (install_snapshot(msg.seq.value, msg.state_digest, msg.snapshot).is_ok()) {
-    after_install(msg.view);
+  // Held entries stay views into the one received buffer.
+  if (const Status s =
+          install_snapshot(msg.seq.value, msg.state_digest, BufView(std::move(msg.snapshot)));
+      !s.is_ok()) {
+    reject(env, s);
+    return;
   }
+  after_install(msg.view);
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,7 +1292,7 @@ void Replica::start_view_change(ViewId new_view) {
   ViewChangeMsg msg;
   msg.new_view = new_view;
   msg.stable_seq = SeqNum(stable_seq_);
-  msg.stable_digest = stable_digest_;
+  msg.stable_digest = stable_.digest;
   msg.replica = id();
   const auto add_if_prepared = [&](const LogEntry& entry) {
     if (!entry.prepared) return;
@@ -1491,9 +1547,11 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     // restored entry-by-entry — but proposed as the original whole. (A null
     // request's empty bytes decode to no batch.)
     std::uint64_t trace = 0;
+    std::vector<Digest> payloads;  // taken on the certificate: hashed here
     if (Result<batch::BatchMsg> carried_batch = batch::BatchMsg::decode(pp.request);
         carried_batch.is_ok()) {
       for (const batch::BatchEntry& entry_bytes : carried_batch.value().entries) {
+        payloads.push_back(payload_digest(entry_bytes.request));
         Result<RequestMsg> carried = RequestMsg::decode(entry_bytes.request);
         if (!carried.is_ok()) continue;
         if (trace == 0) trace = app_->trace_of(carried.value().payload);
@@ -1510,6 +1568,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     LogEntry& entry = entry_at(seq);
     // Old-view prepares/commits must not count toward the new view.
     entry.pre_prepare = pp;
+    entry.payload_digests = std::move(payloads);
     for (RankVotes& votes : entry.votes) votes = RankVotes{};
     entry.votes_view = view_;
     entry.committed = false;

@@ -5,7 +5,9 @@
 //     REPLY, with quorum 2f+1 out of n = 3f+1;
 //   * checkpointing: every K executions a snapshot is hashed and announced;
 //     2f+1 matching CHECKPOINTs make it stable and advance the low
-//     watermark h (log entries <= h are garbage collected);
+//     watermark h (log entries <= h are garbage collected). The digest
+//     covers the application's held entries by their digests, and the
+//     checkpoint holds them by reference (StateMachine::snapshot);
 //   * view change: backups that see a request stall past the timeout move to
 //     view v+1 (VIEW-CHANGE with the prepared set P, signed); the new
 //     primary assembles 2f+1 of them into NEW-VIEW with re-proposals O;
@@ -15,7 +17,8 @@
 //     NEW-VIEW wait until it is adopted;
 //   * state transfer: a replica that learns of a stable checkpoint beyond
 //     its own execution point fetches and verifies a snapshot (digest must
-//     match the 2f+1 checkpoint certificate), then resumes.
+//     match the 2f+1 checkpoint certificate, and every held entry its own
+//     digest), then resumes.
 //
 // Authentication: pairwise MACs for normal-case messages (the authenticator
 // vector optimization [8]); signatures on VIEW-CHANGE so certificates can be
@@ -174,6 +177,10 @@ class Replica : public net::Process {
   struct LogEntry {
     std::uint64_t seq = 0;         // the sequence number the entry holds
     std::optional<PrePrepareMsg> pre_prepare;
+    // The SHA-256 of each batch entry's payload, in batch order: computed
+    // once, when the proposal was checked (the primary's while it verified
+    // each REQUEST), and handed to StateMachine::execute.
+    std::vector<Digest> payload_digests;
     std::vector<RankVotes> votes;  // by replica rank, sized to n on first use
     ViewId votes_view;             // the view every vote in `votes` was cast in
     // The proposal this slot last prepared, in the view it prepared in: what
@@ -232,8 +239,9 @@ class Replica : public net::Process {
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   void execute_entry(std::uint64_t seq, LogEntry& entry);
-  /// Executes one request of a committed slot (dedup, reply cache, REPLY).
-  void execute_request(const RequestMsg& request, std::uint64_t seq);
+  /// Executes one request of a committed slot (dedup, reply cache, REPLY);
+  /// `digest` is its payload's.
+  void execute_request(const RequestMsg& request, const Digest& digest, std::uint64_t seq);
   void update_inflight_gauge();
   /// Keeps `envelope` (client `record`'s request `ts`) for the next view,
   /// within the held-set bound.
@@ -269,9 +277,28 @@ class Replica : public net::Process {
   // --- checkpoints & state transfer ---
   void take_checkpoint(std::uint64_t seq);
   void process_checkpoint_vote(const CheckpointMsg& msg);
-  void make_stable(std::uint64_t seq, const Digest& digest);
-  Bytes make_snapshot() const;
-  Status install_snapshot(std::uint64_t seq, const Digest& digest, ByteView snapshot);
+  /// Ranks whose latest CHECKPOINT for `seq` announced `digest`.
+  int checkpoint_support(std::uint64_t seq, const Digest& digest) const;
+  /// Makes the pending checkpoint at `seq` stable (its certificate formed).
+  void make_stable(std::uint64_t seq);
+
+  /// The replicated state at one execution point. `state` is the client
+  /// table, the application state and the digests of the entries the
+  /// application holds by reference in `held`; `digest` binds `state` to
+  /// the point's sequence number and covers no held byte.
+  struct Checkpoint {
+    Bytes state;
+    std::vector<BufView> held;
+    Digest digest{};
+  };
+  /// The state at `seq` (the current execution point); copies no held entry.
+  Checkpoint make_checkpoint(std::uint64_t seq) const;
+  /// The snapshot a STATE-RESPONSE carries: `state`, then each held entry.
+  static Bytes serialize(const Checkpoint& checkpoint);
+  /// Installs a received snapshot after checking `state` against `digest`
+  /// and every held entry against its own digest; held entries stay views
+  /// into `snapshot`.
+  Status install_snapshot(std::uint64_t seq, const Digest& digest, const BufView& snapshot);
   void request_state_transfer(std::uint64_t seq, const Digest& digest);
   void after_install(ViewId sender_view);
   void help_laggard(NodeId laggard);
@@ -339,6 +366,7 @@ class Replica : public net::Process {
   int self_rank_;  // config_.rank_of(id())
   std::vector<NodeId> peers_;              // every replica but this one
   std::vector<crypto::MacTag> peer_tags_;  // multicast authenticators, by peer
+  std::vector<Digest> checked_digests_;    // a PRE-PREPARE's payload digests, in its check
   const SessionKeys& keys_;
   ReplicaKeys replica_keys_;  // see replica_keys()
   crypto::SigningKey signing_key_;
@@ -374,8 +402,7 @@ class Replica : public net::Process {
   std::uint64_t next_seq_ = 0;       // primary: last assigned seq
   std::uint64_t last_executed_ = 0;
   std::uint64_t stable_seq_ = 0;     // h
-  Digest stable_digest_{};
-  Bytes stable_snapshot_;            // snapshot at h (for state transfer)
+  Checkpoint stable_;                // the checkpoint at h (for state transfer)
   // The agreement log: a ring of watermark_window() entries, sequence
   // number s in log_[s % window] while s is inside the window. An entry
   // whose seq is not s is from an earlier lap and reads as empty.
@@ -386,14 +413,10 @@ class Replica : public net::Process {
   std::map<std::uint64_t, LogEntry> log_ahead_;
   std::uint64_t top_logged_ = 0;     // highest seq an entry got a pre-prepare for
   std::map<NodeId, ClientRecord> clients_;
-  std::map<std::uint64_t, std::map<Digest, std::set<NodeId>>> checkpoint_votes_;
-  // Checkpoints taken but not yet stable: the snapshot and the digest
-  // take_checkpoint computed over it, so certifying it hashes nothing.
-  struct PendingSnapshot {
-    Bytes snapshot;
-    Digest digest;
-  };
-  std::map<std::uint64_t, PendingSnapshot> pending_snapshots_;
+  // seq -> each rank's latest CHECKPOINT digest for it (by rank, sized n).
+  std::map<std::uint64_t, std::vector<std::optional<Digest>>> checkpoint_votes_;
+  // Checkpoints taken but not yet stable, so certifying one hashes nothing.
+  std::map<std::uint64_t, Checkpoint> pending_checkpoints_;
 
   // Batch formation (primary only): every client request reaches a slot
   // through here; at max_entries = 1 each client entry is cut on arrival,
@@ -424,11 +447,7 @@ class Replica : public net::Process {
   // Weak state certificates: unsolicited STATE-RESPONSEs (e.g. peers helping
   // a laggard whose VIEW-CHANGE revealed it is behind). f+1 distinct senders
   // offering the same (seq, digest) certify it (at least one is correct).
-  struct StateOffer {
-    std::set<NodeId> senders;
-    Bytes snapshot;
-  };
-  std::map<std::uint64_t, std::map<Digest, StateOffer>> state_offers_;
+  std::map<std::uint64_t, std::map<Digest, std::set<NodeId>>> state_offers_;
 
   // Liveness timer (backup: request pending too long -> view change).
   net::EventHandle request_timer_{};

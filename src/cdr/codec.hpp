@@ -68,6 +68,11 @@ inline std::uint64_t load_le64(ByteView data, std::size_t at) {
   return v;
 }
 
+/// Writes `v` little-endian at `out` (fixed layouts built on the stack).
+inline void store_le64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// Whether the alignment pad data[from, to) is all zero bytes.
 inline bool zero_pad(ByteView data, std::size_t from, std::size_t to) {
   for (std::size_t at = from; at < to; ++at) {

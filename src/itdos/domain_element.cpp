@@ -96,7 +96,6 @@ DomainElement::DomainElement(net::Network& net,
   metrics_.acks_sent = counter("acks_sent");
   metrics_.bundles_sent = counter("bundles_sent");
   metrics_.bundles_received = counter("bundles_received");
-  metrics_.requests_reassembled = counter("requests_reassembled");
   metrics_.requests_shed = counter("requests_shed");
 
   PartyConfig party_config;
@@ -203,11 +202,6 @@ bool DomainElement::process_head(const BufView& entry) {
     return true;
   }
 
-  if (const Result<QueueEntryKind> kind = queue_entry_kind(entry);
-      kind.is_ok() && kind.value() == QueueEntryKind::kFragment) {
-    return process_fragment(entry);
-  }
-
   Result<OrderedMsg> decoded = OrderedMsg::decode(entry);
   if (!decoded.is_ok()) {
     // Deterministic discard: every element sees the same bytes.
@@ -242,8 +236,7 @@ bool DomainElement::process_head(const BufView& entry) {
   return process_sealed_request(msg);
 }
 
-/// Processes a complete (possibly reassembled) sealed request whose queue
-/// entry/entries have already been consumed.
+/// Processes a sealed request whose queue entry has already been consumed.
 bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
   const crypto::SymmetricKey* key = party_->conn_table().key_for(msg.conn, msg.epoch);
   if (key == nullptr) {
@@ -256,7 +249,7 @@ bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
     return true;
   }
 
-  const Bytes aad = seal_aad(msg.conn, msg.rid, msg.epoch, /*is_reply=*/false);
+  const SealAad aad = seal_aad(msg.conn, msg.rid, msg.epoch, /*is_reply=*/false);
   Result<Bytes> plain = crypto::open(*key, aad, msg.sealed_giop);
   if (!plain.is_ok()) {
     metrics_.entries_discarded->inc();
@@ -314,77 +307,6 @@ bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
   return !executing_;  // continue only if the upcall completed synchronously
 }
 
-bool DomainElement::process_fragment(const BufView& entry) {
-  Result<FragmentMsg> decoded = FragmentMsg::decode(entry);
-  if (!decoded.is_ok()) {
-    queue_->pop();
-    metrics_.entries_discarded->inc();
-    return true;
-  }
-  const FragmentMsg fragment = std::move(decoded).take();
-  // Like whole requests, fragments stall (deterministically) until the
-  // connection key exists — the resend/reject path resolves bogus conns.
-  if (party_->conn_table().key_for(fragment.conn, fragment.epoch) == nullptr) {
-    begin_key_wait(fragment.conn);
-    return false;
-  }
-  queue_->pop();
-  metrics_.entries_consumed->inc();
-  ++consumed_since_ack_;
-  maybe_send_ack();
-
-  const auto buffer_key =
-      std::make_tuple(fragment.conn.value, fragment.origin.value, fragment.rid.value);
-  if (counters::before_eq(fragment.rid.value, last_rid_[fragment.conn.value])) {
-    fragment_buffers_.erase(buffer_key);
-    metrics_.entries_discarded->inc();  // stale request id
-    return true;
-  }
-  // Bound buffered reassembly state (hostile senders): deterministic
-  // eviction of the lowest-keyed buffer keeps elements in lockstep.
-  if (!fragment_buffers_.contains(buffer_key) &&
-      fragment_buffers_.size() >= kMaxFragmentBuffers) {
-    fragment_buffers_.erase(fragment_buffers_.begin());
-  }
-  FragmentBuffer& buffer = fragment_buffers_[buffer_key];
-  if (buffer.total != 0 && buffer.total != fragment.total) {
-    // Inconsistent totals: hostile; drop the whole buffer.
-    fragment_buffers_.erase(buffer_key);
-    metrics_.entries_discarded->inc();
-    return true;
-  }
-  buffer.total = fragment.total;
-  if (!buffer.chunks.emplace(fragment.index, fragment.chunk).second) {
-    metrics_.entries_discarded->inc();  // duplicate index
-    return true;
-  }
-  if (buffer.chunks.size() < buffer.total) return true;  // keep collecting
-
-  // Reassemble and process as one sealed request.
-  OrderedMsg whole;
-  whole.conn = fragment.conn;
-  whole.rid = fragment.rid;
-  whole.origin = fragment.origin;
-  whole.origin_domain = fragment.origin_domain;
-  whole.epoch = fragment.epoch;
-  if (buffer.total == 1) {
-    whole.sealed_giop = buffer.chunks.begin()->second;  // already whole
-  } else {
-    // The one unavoidable copy of the fragment path: gathering the chunks
-    // into a contiguous buffer for the seal check.
-    std::size_t total_len = 0;
-    for (const auto& [index, chunk] : buffer.chunks) total_len += chunk.size();
-    Bytes gather;
-    gather.reserve(total_len);
-    for (const auto& [index, chunk] : buffer.chunks) append(gather, chunk);
-    BufStats::note_copy(total_len);
-    whole.sealed_giop = BufView(std::move(gather));
-  }
-  fragment_buffers_.erase(buffer_key);
-  metrics_.requests_reassembled->inc();
-  return process_sealed_request(whole);
-}
-
 void DomainElement::begin_key_wait(ConnectionId conn) {
   if (waiting_key_) return;
   waiting_key_ = conn;
@@ -438,7 +360,7 @@ void DomainElement::seal_and_send_reply(ConnectionId conn, RequestId rid,
   direct.epoch = epoch;
   direct.plain_signature = smiop_key_.sign(DirectReplyMsg::signed_region(
       conn, rid, info_.smiop_node, epoch, digest));
-  const Bytes aad = seal_aad(conn, rid, epoch, /*is_reply=*/true);
+  const SealAad aad = seal_aad(conn, rid, epoch, /*is_reply=*/true);
   // The nonce is a function of (element, rid), never a counter: this element
   // seals one reply per rid under a (conn, epoch) key, and a replacement that
   // keeps its identity and the connection's key must not restart a sequence
@@ -473,33 +395,14 @@ void DomainElement::handle_shed(const BufView& entry) {
   // are value-identical across the domain and the requester's voter reaches
   // its f+1 matching exception ballots — overload is an explicit, observable
   // outcome, not a timeout.
-  ConnectionId conn;
-  RequestId rid;
-  KeyEpoch epoch;
-  const Result<QueueEntryKind> kind = queue_entry_kind(entry);
-  if (!kind.is_ok()) return;
-  if (kind.value() == QueueEntryKind::kRequest) {
-    const Result<OrderedMsg> msg = OrderedMsg::decode(entry);
-    if (!msg.is_ok()) return;
-    conn = msg.value().conn;
-    rid = msg.value().rid;
-    epoch = msg.value().epoch;
-  } else if (kind.value() == QueueEntryKind::kFragment) {
-    const Result<FragmentMsg> msg = FragmentMsg::decode(entry);
-    if (!msg.is_ok()) return;
-    if (msg.value().index != 0) return;  // one OVERLOAD per shed message
-    conn = msg.value().conn;
-    rid = msg.value().rid;
-    epoch = msg.value().epoch;
-  } else {
-    return;
-  }
+  const Result<OrderedMsg> msg = OrderedMsg::decode(entry);
+  if (!msg.is_ok()) return;
   metrics_.requests_shed->inc();
   cdr::ReplyMessage reply;
-  reply.request_id = rid;
+  reply.request_id = msg.value().rid;
   reply.status = cdr::ReplyStatus::kSystemException;
   reply.exception_detail = "ITDOS-OVERLOAD: admission control shed the request";
-  seal_and_send_reply(conn, rid, epoch, std::move(reply));
+  seal_and_send_reply(msg.value().conn, msg.value().rid, msg.value().epoch, std::move(reply));
 }
 
 void DomainElement::maybe_send_ack() {

@@ -78,7 +78,6 @@ class DomainElement {
   /// advanced (continue consuming), false if consumption must stall.
   bool process_head(const BufView& entry);
   bool process_sealed_request(const OrderedMsg& msg);
-  bool process_fragment(const BufView& entry);
   void execute_request(const OrderedMsg& meta, cdr::RequestMessage request);
   void finish_request(OrderedMsg meta, cdr::ReplyMessage reply);
   /// Seals `reply`, signs its digest and sends the DirectReplyMsg back to the
@@ -129,7 +128,6 @@ class DomainElement {
     telemetry::Counter* acks_sent;
     telemetry::Counter* bundles_sent;          // replacement sync bundles produced
     telemetry::Counter* bundles_received;
-    telemetry::Counter* requests_reassembled;  // large requests rebuilt (§4)
     telemetry::Counter* requests_shed;         // admission control sheds (§6f)
   } metrics_{};
   std::function<cdr::ReplyMessage(cdr::ReplyMessage)> reply_mutator_;
@@ -150,17 +148,6 @@ class DomainElement {
   };
   std::map<std::pair<std::uint64_t, crypto::Digest>, BundleOffer> bundle_offers_;
   std::optional<std::pair<std::uint64_t, Bytes>> pending_install_;  // awaiting queue
-
-  // Large-message reassembly (§4): buffers keyed (conn, origin, rid). Each
-  // buffered chunk is a view retaining its queue entry's chunk — buffering
-  // copies nothing; only the final gather materializes the payload.
-  struct FragmentBuffer {
-    std::uint32_t total = 0;
-    std::map<std::uint32_t, BufView> chunks;
-  };
-  static constexpr std::size_t kMaxFragmentBuffers = 64;
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, FragmentBuffer>
-      fragment_buffers_;
 };
 
 }  // namespace itdos::core

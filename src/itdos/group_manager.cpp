@@ -137,8 +137,8 @@ std::vector<NodeId> GmStateMachine::recipients_for(const ConnRecord& record) con
   return recipients;
 }
 
-Bytes GmStateMachine::execute(const BufView& request, NodeId client, SeqNum seq) {
-  (void)seq;
+Bytes GmStateMachine::execute(const BufView& request, const crypto::Digest&, NodeId client,
+                              SeqNum) {
   ensure_views_seeded();
   const Result<GmCommand> command = decode_gm_command(request);
   GmCommandResult result;
@@ -278,7 +278,7 @@ Status GmStateMachine::verify_proof(const ChangeRequestMsg& msg) const {
     // Signature binds the plaintext to the element, with conn + rid serving
     // as the sequence-number replay protection the paper calls for.
     const crypto::Digest plain_digest = crypto::sha256(ByteView(entry.plain_giop));
-    const Bytes region = DirectReplyMsg::signed_region(msg.conn, msg.rid, entry.element,
+    const auto region = DirectReplyMsg::signed_region(msg.conn, msg.rid, entry.element,
                                                        entry.epoch, plain_digest);
     ITDOS_RETURN_IF_ERROR(keystore_->verify(entry.element, region, entry.signature));
 
@@ -527,7 +527,7 @@ void GmStateMachine::expel(DomainId domain, NodeId element_smiop) {
   rekey_domain(domain);
 }
 
-Bytes GmStateMachine::snapshot() const {
+bft::AppSnapshot GmStateMachine::snapshot() const {
   cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
   enc.write_uint64(next_conn_);
   enc.write_uint64(expulsions_);
@@ -576,11 +576,11 @@ Bytes GmStateMachine::snapshot() const {
     enc.write_uint64(element.value);
     enc.write_uint64(strikes);
   }
-  return enc.take();
+  return {enc.take(), {}};
 }
 
-Status GmStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
+Status GmStateMachine::restore(const bft::AppSnapshot& snapshot) {
+  cdr::Decoder dec(snapshot.state, cdr::ByteOrder::kLittleEndian);
   GmStateMachine fresh(directory_, keystore_, distributor_);
   ITDOS_ASSIGN_OR_RETURN(fresh.next_conn_, dec.read_uint64());
   ITDOS_ASSIGN_OR_RETURN(fresh.expulsions_, dec.read_uint64());

@@ -98,9 +98,10 @@ class GmStateMachine : public bft::StateMachine {
                  ShareDistributor* distributor,
                  telemetry::Hub* telemetry = nullptr, NodeId self = {});
 
-  Bytes execute(const BufView& request, NodeId client, SeqNum seq) override;
-  Bytes snapshot() const override;
-  Status restore(ByteView snapshot) override;
+  Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                SeqNum seq) override;
+  bft::AppSnapshot snapshot() const override;
+  Status restore(const bft::AppSnapshot& snapshot) override;
 
   // Observers.
   bool is_expelled(DomainId domain, NodeId element_smiop) const;

@@ -12,11 +12,6 @@ const Bytes kAckReply = to_bytes("ITDOS-ACK");  // the paper's "static reply"
 // every correct element, so the submitting BFT client still gets its f+1
 // matching replies and does not retry a shed entry.
 const Bytes kShedReply = to_bytes("ITDOS-SHED");
-
-/// Composite fragment-stream key for the shed set.
-std::uint64_t stream_key(ConnectionId conn, RequestId rid) {
-  return (conn.value << 32) | (rid.value & 0xFFFFFFFFULL);
-}
 }  // namespace
 
 QueueStateMachine::QueueStateMachine(QueueOptions options) : options_(std::move(options)) {
@@ -40,16 +35,10 @@ void QueueStateMachine::update_depth() const {
 
 std::uint64_t QueueStateMachine::trace_of(ByteView request) const {
   const Result<QueueEntryKind> kind = queue_entry_kind(request);
-  if (!kind.is_ok()) return 0;
-  const BufView scoped = BufView::borrow(request);  // ids only; nothing retained
-  if (kind.value() == QueueEntryKind::kRequest) {
-    const Result<OrderedMsg> msg = OrderedMsg::decode(scoped);
-    if (msg.is_ok()) return telemetry::trace_id(msg.value().conn, msg.value().rid);
-  } else if (kind.value() == QueueEntryKind::kFragment) {
-    const Result<FragmentMsg> msg = FragmentMsg::decode(scoped);
-    if (msg.is_ok()) return telemetry::trace_id(msg.value().conn, msg.value().rid);
-  }
-  return 0;
+  if (!kind.is_ok() || kind.value() != QueueEntryKind::kRequest) return 0;
+  // Ids only; nothing retained.
+  const Result<OrderedMsg> msg = OrderedMsg::decode(BufView::borrow(request));
+  return msg.is_ok() ? telemetry::trace_id(msg.value().conn, msg.value().rid) : 0;
 }
 
 batch::EntryClass QueueStateMachine::classify(ByteView request) const {
@@ -61,14 +50,13 @@ batch::EntryClass QueueStateMachine::classify(ByteView request) const {
     case QueueEntryKind::kSyncPoint:
       return batch::EntryClass::kUrgent;
     case QueueEntryKind::kRequest:
-    case QueueEntryKind::kFragment:
       break;
   }
   return batch::EntryClass::kClient;
 }
 
-Bytes QueueStateMachine::execute(const BufView& request, NodeId client, SeqNum seq) {
-  (void)seq;
+Bytes QueueStateMachine::execute(const BufView& request, const crypto::Digest& digest,
+                                 NodeId client, SeqNum) {
   const Result<QueueEntryKind> kind = queue_entry_kind(request);
   if (!kind.is_ok()) return to_bytes("ITDOS-REJECT");  // deterministic rejection
 
@@ -93,9 +81,8 @@ Bytes QueueStateMachine::execute(const BufView& request, NodeId client, SeqNum s
   // decision reads only replicated state + static config, so every correct
   // element sheds the same entries and checkpoint digests keep agreeing.
   // Sync points are never shed (recovery must make progress under overload).
-  if ((kind.value() == QueueEntryKind::kRequest ||
-       kind.value() == QueueEntryKind::kFragment) &&
-      should_shed(request, kind.value())) {
+  if (kind.value() == QueueEntryKind::kRequest && options_.max_depth > 0 &&
+      size() >= options_.max_depth) {
     ++sheds_;
     if (shed_gauge_ != nullptr) shed_gauge_->set(static_cast<std::int64_t>(sheds_));
     trace(telemetry::TraceKind::kAdmissionShed, trace_of(request), size(), options_.max_depth);
@@ -105,33 +92,14 @@ Bytes QueueStateMachine::execute(const BufView& request, NodeId client, SeqNum s
 
   // kRequest and kSyncPoint entries are both delivered to the consumer (the
   // sync point marks the exact queue position peers snapshot at). The entry
-  // is a view into the BFT wire buffer — retained, not copied.
-  entries_[next_index_++] = request;
+  // is a view into the BFT wire buffer — retained, not copied — kept with
+  // the digest the replica already computed.
+  entries_.push_back(bft::HeldBytes{request, digest});
+  ++next_index_;
   trace(telemetry::TraceKind::kQueueAppend, trace_of(request), next_index_ - 1);
   update_depth();
   if (on_delivery_) on_delivery_();
   return kAckReply;
-}
-
-bool QueueStateMachine::should_shed(const BufView& request, QueueEntryKind kind) {
-  const bool over = options_.max_depth > 0 && size() >= options_.max_depth;
-  if (kind == QueueEntryKind::kRequest) return over;
-
-  // Fragments: admission is per message, decided at the first fragment. A
-  // shed stream's continuations shed too (otherwise reassembly would stall
-  // forever on a hole); an admitted stream's continuations are always
-  // admitted so the already-queued fragments can complete.
-  const Result<FragmentMsg> msg = FragmentMsg::decode(request);
-  if (!msg.is_ok()) return false;  // malformed; let the consumer discard it
-  const std::uint64_t key = stream_key(msg.value().conn, msg.value().rid);
-  const bool last = msg.value().index + 1 >= msg.value().total;
-  if (shed_streams_.contains(key)) {
-    if (last) shed_streams_.erase(key);
-    return true;
-  }
-  if (msg.value().index != 0 || !over) return false;
-  if (!last) shed_streams_.insert(key);
-  return true;
 }
 
 void QueueStateMachine::advance_base() {
@@ -165,7 +133,7 @@ void QueueStateMachine::advance_base() {
   }
   if (floor <= base_) return;
   const std::uint64_t collected = floor - base_;
-  entries_.erase(entries_.begin(), entries_.lower_bound(floor));
+  entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(collected));
   base_ = floor;
   trace(telemetry::TraceKind::kQueueGc, 0, base_, collected);
   if (collected_counter_ != nullptr) collected_counter_->inc(collected);
@@ -208,15 +176,13 @@ std::optional<BufView> QueueStateMachine::next() {
 }
 
 std::optional<BufView> QueueStateMachine::peek() const {
-  if (!has_next()) return std::nullopt;
-  const auto it = entries_.find(consumed_);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  if (!has_next() || consumed_ < base_) return std::nullopt;
+  return entries_[consumed_ - base_].bytes;
 }
 
 void QueueStateMachine::pop() {
   if (!has_next()) return;
-  if (!entries_.contains(consumed_)) {
+  if (consumed_ < base_) {
     // Entry below base (collected) — cannot happen while !broken_, but keep
     // the invariant check defensive.
     broken_ = true;
@@ -225,45 +191,26 @@ void QueueStateMachine::pop() {
   ++consumed_;
 }
 
-Bytes QueueStateMachine::snapshot() const {
-  // The fixed fields and their worst-case pads fit in 64 bytes; each entry
-  // is at most pad, index, length and its bytes.
-  std::size_t bound = 64 + 16 * acks_.size() + 8 * shed_streams_.size();
-  for (const auto& [index, data] : entries_) bound += 7 + 8 + 4 + data.size();
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, bound);
+bft::AppSnapshot QueueStateMachine::snapshot() const {
+  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian, 24 + 16 * acks_.size());
   enc.write_uint64(base_);
   enc.write_uint64(next_index_);
-  enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [index, data] : entries_) {
-    enc.write_uint64(index);
-    enc.write_bytes(data);
-  }
   enc.write_uint32(static_cast<std::uint32_t>(acks_.size()));
   for (const auto& [element, index] : acks_) {
     enc.write_uint64(element.value);
     enc.write_uint64(index);
   }
-  enc.write_uint32(static_cast<std::uint32_t>(shed_streams_.size()));
-  for (const std::uint64_t key : shed_streams_) enc.write_uint64(key);
-  return enc.take();
+  return {enc.take(), {entries_.begin(), entries_.end()}};
 }
 
-Status QueueStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
+Status QueueStateMachine::restore(const bft::AppSnapshot& snapshot) {
+  cdr::Decoder dec(snapshot.state, cdr::ByteOrder::kLittleEndian);
   std::uint64_t base = 0;
   std::uint64_t next = 0;
   ITDOS_ASSIGN_OR_RETURN(base, dec.read_uint64());
   ITDOS_ASSIGN_OR_RETURN(next, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t entry_count, dec.read_uint32());
-  if (entry_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile queue entry count");
-  }
-  std::map<std::uint64_t, BufView> entries;
-  for (std::uint32_t i = 0; i < entry_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t index, dec.read_uint64());
-    // Snapshots arrive as borrowed ByteViews; entries must own their bytes.
-    ITDOS_ASSIGN_OR_RETURN(Bytes data, dec.read_bytes());
-    entries[index] = BufView(std::move(data));
+  if (next < base || next - base != snapshot.held.size()) {
+    return error(Errc::kMalformedMessage, "queue window does not match its entries");
   }
   ITDOS_ASSIGN_OR_RETURN(std::uint32_t ack_count, dec.read_uint32());
   if (ack_count > dec.remaining()) {
@@ -274,15 +221,6 @@ Status QueueStateMachine::restore(ByteView snapshot) {
     ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
     ITDOS_ASSIGN_OR_RETURN(std::uint64_t index, dec.read_uint64());
     acks[NodeId(element)] = index;
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t shed_count, dec.read_uint32());
-  if (shed_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile queue shed count");
-  }
-  std::set<std::uint64_t> shed_streams;
-  for (std::uint32_t i = 0; i < shed_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t key, dec.read_uint64());
-    shed_streams.insert(key);
   }
 
   // Virtual synchrony: we can only adopt the queue if our consumption point
@@ -297,11 +235,10 @@ Status QueueStateMachine::restore(ByteView snapshot) {
                  "queue GC passed this element's consumption point; element "
                  "must be expelled (virtual synchrony)");
   }
-  entries_ = std::move(entries);
+  entries_.assign(snapshot.held.begin(), snapshot.held.end());
   base_ = base;
   next_index_ = next;
   acks_ = std::move(acks);
-  shed_streams_ = std::move(shed_streams);
   update_depth();
   if (bootstrap_ && consumed_ < base_) consumed_ = base_;  // placeholder cursor
   if (on_delivery_ && has_next()) on_delivery_();

@@ -19,13 +19,16 @@
 //
 // The paper's scalability claim (E3) lives here: snapshots carry the queue
 // window, never the servant state, so synchronization cost is independent of
-// how large the hosted objects are.
+// how large the hosted objects are. Each entry is kept with the digest the
+// BFT replica computed when it ordered it; a checkpoint holds the entries by
+// reference and its digest covers theirs, so taking one neither copies nor
+// hashes an entry's bytes.
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "bft/app.hpp"
@@ -95,9 +98,12 @@ class QueueStateMachine : public bft::StateMachine {
   std::uint64_t sheds() const { return sheds_; }
 
   // --- bft::StateMachine (deterministic, identical on every element) ---
-  Bytes execute(const BufView& request, NodeId client, SeqNum seq) override;
-  Bytes snapshot() const override;
-  Status restore(ByteView snapshot) override;
+  Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                SeqNum seq) override;
+  /// `state` is the base and next index and the acks; `held` is the
+  /// retained entries in index order, each with its digest.
+  bft::AppSnapshot snapshot() const override;
+  Status restore(const bft::AppSnapshot& snapshot) override;
   /// Derives the request-scoped trace id from an ordered queue entry (the
   /// BFT layer tags its pre-prepare/prepare/commit events with it).
   std::uint64_t trace_of(ByteView request) const override;
@@ -148,9 +154,6 @@ class QueueStateMachine : public bft::StateMachine {
   void trace(telemetry::TraceKind kind, std::uint64_t trace_id, std::uint64_t a = 0,
              std::uint64_t b = 0) const;
   void update_depth() const;
-  /// Replicated shed decision for a data entry (kRequest / kFragment).
-  /// Mutates shed_streams_ so every fragment of a shed message sheds.
-  bool should_shed(const BufView& request, QueueEntryKind kind);
 
   QueueOptions options_;
   telemetry::Gauge* depth_gauge_ = nullptr;        // queue.<self>.depth
@@ -162,13 +165,10 @@ class QueueStateMachine : public bft::StateMachine {
   std::uint64_t sheds_ = 0;  // element-local mirror of the shed gauge
 
   // Ordered (replicated) state:
-  std::map<std::uint64_t, BufView> entries_;  // index -> data entry (retained view)
-  std::uint64_t next_index_ = 0;            // next index to assign
-  std::uint64_t base_ = 0;                  // lowest retained index (GC floor)
-  std::map<NodeId, std::uint64_t> acks_;    // element -> consumed index
-  // Fragment streams whose first fragment was shed: continuations shed too
-  // (key = conn << 32 | rid). Part of replicated state (snapshot/restore).
-  std::set<std::uint64_t> shed_streams_;
+  std::deque<bft::HeldBytes> entries_;    // indices [base_, next_index_), retained views
+  std::uint64_t next_index_ = 0;          // next index to assign
+  std::uint64_t base_ = 0;                // lowest retained index (GC floor)
+  std::map<NodeId, std::uint64_t> acks_;  // element -> consumed index
 
   // Element-local state:
   std::uint64_t consumed_ = 0;

@@ -55,13 +55,13 @@ const crypto::SymmetricKey* ConnTable::key_for(ConnectionId conn,
   return it == entry->keys.end() ? nullptr : &it->second;
 }
 
-Bytes seal_aad(ConnectionId conn, RequestId rid, KeyEpoch epoch, bool is_reply) {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(epoch.value);
-  enc.write_boolean(is_reply);
-  return enc.take();
+SealAad seal_aad(ConnectionId conn, RequestId rid, KeyEpoch epoch, bool is_reply) {
+  SealAad aad;
+  cdr::detail::store_le64(aad.bytes.data(), conn.value);
+  cdr::detail::store_le64(aad.bytes.data() + 8, rid.value);
+  cdr::detail::store_le64(aad.bytes.data() + 16, epoch.value);
+  aad.bytes[24] = is_reply ? 1 : 0;
+  return aad;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,8 +133,6 @@ SmiopParty::SmiopParty(net::Network& net,
   metrics_.discarded = counter("discarded");
   metrics_.faults_detected = counter("faults_detected");
   metrics_.change_requests_sent = counter("change_requests_sent");
-  metrics_.fragmented_requests = counter("fragmented_requests");
-  metrics_.request_entries_sent = counter("request_entries_sent");
   metrics_.overloads_observed = counter("overloads_observed");
   metrics_.request_latency_ns = &reg.histogram("smiop.request_latency_ns");
   metrics_.connect_latency_ns = &reg.histogram("smiop.connect_latency_ns");
@@ -312,7 +310,7 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
 
   const Bytes plain = cdr::encode_giop(cdr::GiopMessage(std::move(request)),
                                        config_.byte_order);
-  const Bytes aad = seal_aad(state.conn, rid, epoch, /*is_reply=*/false);
+  const SealAad aad = seal_aad(state.conn, rid, epoch, /*is_reply=*/false);
   OrderedMsg ordered;
   ordered.conn = state.conn;
   ordered.rid = rid;
@@ -323,16 +321,10 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
       crypto::seal(key, crypto::make_nonce(config_.smiop_node.value, rid.value), aad,
                    plain);
   metrics_.requests_sent->inc();
-  const std::size_t max_entry = directory_->timing().max_entry_bytes;
-  const std::uint32_t fragments =
-      ordered.sealed_giop.size() <= max_entry
-          ? 1
-          : static_cast<std::uint32_t>(
-                (ordered.sealed_giop.size() + max_entry - 1) / max_entry);
-  metrics_.request_entries_sent->inc(fragments);
+  // §4 large messages: one ordered entry whatever the size. The seal spans
+  // the whole payload, and agreement orders it in one round.
   tel_->trace(telemetry::TraceKind::kSmiopRequestSent, config_.smiop_node,
-              telemetry::trace_id(state.conn, rid), ordered.sealed_giop.size(),
-              fragments);
+              telemetry::trace_id(state.conn, rid), ordered.sealed_giop.size(), 1);
 
   // One outstanding request per connection (§3.6): the Orb guarantees this;
   // opening the new round garbage-collects the previous one's voter state.
@@ -357,48 +349,24 @@ void SmiopParty::send_on(ConnState& state, cdr::RequestMessage request,
   state.round = std::move(round);
 
   bft::Client& transport = target_client(state.target);
-  if (fragments == 1) {
-    const BufView frame = ordered.encode();
-    // Compromised-client hooks: a replayed stale frame carries an already
-    // executed rid, a duplicate carries the current one twice — every
-    // element's last_rid_ check must discard both identically.
-    if (replay_stale_frames_ && !last_sealed_frame_.empty()) {
-      target_client(last_frame_target_).invoke(last_sealed_frame_, [](Result<Bytes>) {});
-    }
-    transport.invoke(frame, [](Result<Bytes>) {
-      // The BFT-level reply is the static ordering ACK (§3.1); the real
-      // CORBA reply arrives as DirectReply messages and is voted there.
-    });
-    if (duplicate_submits_) {
-      transport.invoke(frame, [](Result<Bytes>) {});
-    }
-    if (replay_stale_frames_) {
-      last_sealed_frame_ = frame;
-      last_frame_target_ = state.target;
-    }
-    return;
+  const BufView frame = ordered.encode();
+  // Compromised-client hooks: a replayed stale frame carries an already
+  // executed rid, a duplicate carries the current one twice — every
+  // element's last_rid_ check must discard both identically.
+  if (replay_stale_frames_ && !last_sealed_frame_.empty()) {
+    target_client(last_frame_target_).invoke(last_sealed_frame_, [](Result<Bytes>) {});
   }
-  // §4 large messages: split the sealed payload into fragments, each an
-  // ordered entry. The seal spans the whole payload, so integrity and
-  // confidentiality remain end-to-end; the BFT client serializes its queue,
-  // so fragments arrive in order. Each chunk is a slice of the one sealed
-  // buffer — fragmentation itself copies nothing.
-  const BufView& sealed = ordered.sealed_giop;
-  for (std::uint32_t i = 0; i < fragments; ++i) {
-    FragmentMsg fragment;
-    fragment.conn = ordered.conn;
-    fragment.rid = ordered.rid;
-    fragment.origin = ordered.origin;
-    fragment.origin_domain = ordered.origin_domain;
-    fragment.epoch = ordered.epoch;
-    fragment.index = i;
-    fragment.total = fragments;
-    const std::size_t begin = i * max_entry;
-    const std::size_t end = std::min(sealed.size(), begin + max_entry);
-    fragment.chunk = sealed.slice(begin, end - begin);
-    transport.invoke(fragment.encode(), [](Result<Bytes>) {});
+  transport.invoke(frame, [](Result<Bytes>) {
+    // The BFT-level reply is the static ordering ACK (§3.1); the real
+    // CORBA reply arrives as DirectReply messages and is voted there.
+  });
+  if (duplicate_submits_) {
+    transport.invoke(frame, [](Result<Bytes>) {});
   }
-  metrics_.fragmented_requests->inc();
+  if (replay_stale_frames_) {
+    last_sealed_frame_ = frame;
+    last_frame_target_ = state.target;
+  }
 }
 
 void SmiopParty::handle_smiop_packet(const BufView& payload) {
@@ -443,7 +411,7 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
     metrics_.replies_rejected->inc();
     return;
   }
-  const Bytes aad = seal_aad(msg.conn, msg.rid, msg.epoch, /*is_reply=*/true);
+  const SealAad aad = seal_aad(msg.conn, msg.rid, msg.epoch, /*is_reply=*/true);
   Result<Bytes> plain = crypto::open(*key, aad, msg.sealed_giop);
   if (!plain.is_ok()) {
     metrics_.replies_rejected->inc();
@@ -452,7 +420,7 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
   // Verify the element's signature over the plaintext digest — this is what
   // later makes the reply usable as change_request proof (§3.6).
   const crypto::Digest digest = crypto::sha256(ByteView(plain.value()));
-  const Bytes region =
+  const DirectReplyMsg::SignedRegion region =
       DirectReplyMsg::signed_region(msg.conn, msg.rid, msg.element, msg.epoch, digest);
   if (!keystore_->verify(msg.element, region, msg.plain_signature).is_ok()) {
     metrics_.replies_rejected->inc();

@@ -5,6 +5,7 @@
 // the paper's architecture implies.
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "bft/client.hpp"
@@ -37,8 +38,17 @@ class ConnTable {
 
 /// Additional authenticated data binding sealed GIOP payloads to their
 /// connection, request and direction (prevents cross-connection splicing and
-/// request/reply reflection).
-Bytes seal_aad(ConnectionId conn, RequestId rid, KeyEpoch epoch, bool is_reply);
+/// request/reply reflection): the little-endian CDR of conn | rid | epoch |
+/// is_reply, built on the stack.
+struct SealAad {
+  std::array<std::uint8_t, 25> bytes{};
+
+  operator ByteView() const { return bytes; }  // NOLINT(google-explicit-constructor)
+  /// A heap copy, for a caller that keeps the AAD.
+  operator Bytes() const { return Bytes(bytes.begin(), bytes.end()); }  // NOLINT
+  bool operator==(const SealAad&) const = default;
+};
+SealAad seal_aad(ConnectionId conn, RequestId rid, KeyEpoch epoch, bool is_reply);
 
 struct PartyConfig {
   NodeId smiop_node;            // where shares and replies arrive
@@ -179,8 +189,6 @@ class SmiopParty {
     telemetry::Counter* discarded;             // wrong-request-id messages (§3.6)
     telemetry::Counter* faults_detected;       // dissenting elements observed
     telemetry::Counter* change_requests_sent;
-    telemetry::Counter* fragmented_requests;   // large requests split (§4)
-    telemetry::Counter* request_entries_sent;  // ordered entries: 1, or 1 per fragment
     telemetry::Counter* overloads_observed;    // voted OVERLOAD replies (§6f sheds)
     telemetry::Histogram* request_latency_ns;  // send_on -> voted reply
     telemetry::Histogram* connect_latency_ns;  // connect_to -> key installed

@@ -28,51 +28,10 @@ Status check_exhausted(const cdr::Decoder& dec, const char* what) {
 Result<QueueEntryKind> queue_entry_kind(ByteView data) {
   if (data.empty()) return error(Errc::kMalformedMessage, "empty queue entry");
   if (data[0] < static_cast<std::uint8_t>(QueueEntryKind::kRequest) ||
-      data[0] > static_cast<std::uint8_t>(QueueEntryKind::kFragment)) {
+      data[0] > static_cast<std::uint8_t>(QueueEntryKind::kSyncPoint)) {
     return error(Errc::kMalformedMessage, "unknown queue entry kind");
   }
   return static_cast<QueueEntryKind>(data[0]);
-}
-
-BufView FragmentMsg::encode() const {
-  cdr::Encoder enc(kWire, 60 + chunk.size());
-  enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kFragment));
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(origin.value);
-  enc.write_uint64(origin_domain.value);
-  enc.write_uint64(epoch.value);
-  enc.write_uint32(index);
-  enc.write_uint32(total);
-  enc.write_bytes(chunk);
-  return enc.take_view();
-}
-
-Result<FragmentMsg> FragmentMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t kind, dec.read_octet());
-  if (kind != static_cast<std::uint8_t>(QueueEntryKind::kFragment)) {
-    return error(Errc::kMalformedMessage, "not a fragment entry");
-  }
-  FragmentMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  msg.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-  msg.rid = RequestId(rid);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin, dec.read_uint64());
-  msg.origin = NodeId(origin);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin_domain, dec.read_uint64());
-  msg.origin_domain = DomainId(origin_domain);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  msg.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(msg.index, dec.read_uint32());
-  ITDOS_ASSIGN_OR_RETURN(msg.total, dec.read_uint32());
-  if (msg.total == 0 || msg.total > kMaxFragments || msg.index >= msg.total) {
-    return error(Errc::kMalformedMessage, "fragment indices out of range");
-  }
-  ITDOS_ASSIGN_OR_RETURN(msg.chunk, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "FragmentMsg"));
-  return msg;
 }
 
 BufView SyncPointMsg::encode() const {
@@ -206,15 +165,16 @@ Result<StateBundleMsg> StateBundleMsg::decode(const BufView& data) {
   return msg;
 }
 
-Bytes DirectReplyMsg::signed_region(ConnectionId conn, RequestId rid, NodeId element,
-                                    KeyEpoch epoch, const crypto::Digest& plain_digest) {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(element.value);
-  enc.write_uint64(epoch.value);
-  enc.write_raw(crypto::digest_view(plain_digest));
-  return enc.take();
+DirectReplyMsg::SignedRegion DirectReplyMsg::signed_region(ConnectionId conn, RequestId rid,
+                                                           NodeId element, KeyEpoch epoch,
+                                                           const crypto::Digest& plain_digest) {
+  SignedRegion region;
+  cdr::detail::store_le64(region.data(), conn.value);
+  cdr::detail::store_le64(region.data() + 8, rid.value);
+  cdr::detail::store_le64(region.data() + 16, element.value);
+  cdr::detail::store_le64(region.data() + 24, epoch.value);
+  std::copy(plain_digest.begin(), plain_digest.end(), region.begin() + 32);
+  return region;
 }
 
 BufView DirectReplyMsg::encode() const {

@@ -25,6 +25,7 @@
 // chunk it is sent, ordered or sealed from.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -56,10 +57,10 @@ enum class QueueEntryKind : std::uint8_t {
   kRequest = 1,    // a (sealed) GIOP request on some connection
   kAck = 2,        // queue-management ack (virtual-synchrony GC, §3.1)
   kSyncPoint = 3,  // replacement sync point: peers snapshot here (§4)
-  kFragment = 4,   // one piece of a large sealed request (§4 large messages)
 };
 
-/// A request entry ordered into a server domain's queue.
+/// A request entry ordered into a server domain's queue: one entry per
+/// request, whatever its size (§4 large messages).
 struct OrderedMsg {
   ConnectionId conn;
   RequestId rid;
@@ -73,32 +74,6 @@ struct OrderedMsg {
   /// Zero-copy: `sealed_giop` is a sub-view sharing `data`'s chunk.
   static Result<OrderedMsg> decode(const BufView& data);
 };
-
-/// One fragment of a large sealed request (§4: "we must find an efficient
-/// way of moving larger messages through the system"). The sealed GIOP
-/// payload of an OrderedMsg is split into chunks that are ordered
-/// individually; elements reassemble deterministically (fragments of one
-/// request are totally ordered like everything else) and then process the
-/// whole as if it had arrived as one kRequest entry. Authentication and
-/// confidentiality are end-to-end: the seal covers the complete payload, so
-/// a dropped/forged fragment surfaces as a seal failure on reassembly.
-struct FragmentMsg {
-  ConnectionId conn;
-  RequestId rid;
-  NodeId origin;
-  DomainId origin_domain;
-  KeyEpoch epoch;
-  std::uint32_t index = 0;   // 0-based fragment number
-  std::uint32_t total = 0;   // fragments in this request
-  BufView chunk;             // slice of the sealed payload (shared chunk)
-
-  bool operator==(const FragmentMsg&) const = default;
-  BufView encode() const;  // includes the QueueEntryKind tag
-  static Result<FragmentMsg> decode(const BufView& data);
-};
-
-/// Upper bound on fragments per request (bounds hostile memory use).
-inline constexpr std::uint32_t kMaxFragments = 4096;
 
 /// A queue-management ack: "element has consumed entries up to `index`".
 struct QueueAckMsg {
@@ -123,10 +98,12 @@ struct DirectReplyMsg {
   crypto::Signature plain_signature{};  // over signed_region(plain_digest)
 
   /// The byte string plain_signature covers: conn | rid | element | epoch |
-  /// sha256(plaintext GIOP). Request id + connection id double as the replay
-  /// protection the paper requires of proof messages.
-  static Bytes signed_region(ConnectionId conn, RequestId rid, NodeId element,
-                             KeyEpoch epoch, const crypto::Digest& plain_digest);
+  /// sha256(plaintext GIOP), the ids little-endian, built on the stack.
+  /// Request id + connection id double as the replay protection the paper
+  /// requires of proof messages.
+  using SignedRegion = std::array<std::uint8_t, 32 + crypto::kDigestSize>;
+  static SignedRegion signed_region(ConnectionId conn, RequestId rid, NodeId element,
+                                    KeyEpoch epoch, const crypto::Digest& plain_digest);
 
   bool operator==(const DirectReplyMsg&) const = default;
   BufView encode() const;  // includes the SmiopType tag

@@ -46,11 +46,6 @@ struct ProtocolTiming {
   std::int64_t reply_vote_timeout_ns = millis(500);  // voter gives up (§3.6 GC)
   std::uint64_t ack_interval = 8;  // consumer entries between queue acks
 
-  /// Sealed requests larger than this are fragmented across multiple
-  /// ordered entries (§4 large messages) and reassembled deterministically
-  /// at the elements.
-  std::size_t max_entry_bytes = 16384;
-
   /// Recovery watchdog: a replacement must be serving again within this long
   /// of being started, else the recovery manager aborts and retries with
   /// another fresh identity (DESIGN.md §6d).

@@ -33,7 +33,7 @@ enum class TraceKind : std::uint8_t {
   // SMIOP virtual connections and epochs (src/itdos/smiop.cpp).
   kSmiopConnectStart,  // a=target domain
   kSmiopConnectOpen,   // a=connection, b=key epoch
-  kSmiopRequestSent,   // a=sealed bytes, b=fragments
+  kSmiopRequestSent,   // a=sealed bytes, b=ordered entries (always 1)
   kSmiopReplyDecided,  // a=round latency ns
   kSmiopEpochAdvance,  // a=connection, b=new key epoch
   kSmiopFault,         // a=suspected element node

@@ -153,10 +153,6 @@ std::vector<std::pair<std::string, BufView>> smiop_frames() {
   out.emplace_back("ordered", OrderedMsg{ConnectionId(5), RequestId(6), NodeId(1000),
                                          DomainId(0), KeyEpoch(1), to_bytes("sealed-giop")}
                                   .encode());
-  out.emplace_back("fragment",
-                   FragmentMsg{ConnectionId(5), RequestId(6), NodeId(1000), DomainId(0),
-                               KeyEpoch(1), 1, 3, to_bytes("chunk")}
-                       .encode());
   out.emplace_back("queue_ack", QueueAckMsg{NodeId(101), 42}.encode());
   crypto::Signature signature;
   signature.fill(0x5f);
@@ -362,9 +358,6 @@ TEST(GoldenFramesTest, SmiopMessagesMatchPinnedBytes) {
       {"ordered",
        "010000000000000005000000000000000600000000000000e8030000000000000000000000000000"
        "01000000000000000b0000007365616c65642d67696f70"},
-      {"fragment",
-       "040000000000000005000000000000000600000000000000e8030000000000000000000000000000"
-       "01000000000000000100000003000000050000006368756e6b"},
       {"queue_ack",
        "020000000000000065000000000000002a00000000000000"},
       {"direct_reply",

@@ -219,8 +219,9 @@ TEST(BftClusterTest, ByzantineConsistentLieOutvoted) {
   // state machine. f+1 matching correct replies still win.
   class LyingCounter : public CounterStateMachine {
    public:
-    Bytes execute(const BufView& request, NodeId client, SeqNum seq) override {
-      (void)CounterStateMachine::execute(request, client, seq);
+    Bytes execute(const BufView& request, const crypto::Digest& digest, NodeId client,
+                  SeqNum seq) override {
+      (void)CounterStateMachine::execute(request, digest, client, seq);
       return to_bytes("VAL:666");  // always lies
     }
   };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bft/harness.hpp"
 #include "cdr/giop.hpp"
 #include "itdos/key_agent.hpp"
 
@@ -59,7 +60,8 @@ class GmStateMachineTest : public ::testing::Test {
   }
 
   GmCommandResult run(const GmCommand& cmd, NodeId submitter = NodeId(9000)) {
-    const Bytes reply = gm_->execute(encode_gm_command(cmd), submitter, SeqNum(seq_++));
+    const Bytes reply = bft::execute_with_digest(*gm_, encode_gm_command(cmd), submitter,
+                                                 SeqNum(seq_++));
     auto decoded = GmCommandResult::decode(reply);
     EXPECT_TRUE(decoded.is_ok());
     return decoded.value_or(GmCommandResult{});
@@ -155,8 +157,8 @@ TEST_F(GmStateMachineTest, ReplicatedCallersShareOneConnection) {
   std::set<std::uint64_t> conns;
   for (int i = 0; i < 4; ++i) {
     open.client_node = caller.elements[i].smiop_node;
-    const Bytes reply = gm.execute(encode_gm_command(GmCommand(open)),
-                                   caller.elements[i].gm_client_node, SeqNum(i + 1));
+    const Bytes reply = bft::execute_with_digest(gm, encode_gm_command(GmCommand(open)),
+                                                 caller.elements[i].gm_client_node, SeqNum(i + 1));
     conns.insert(GmCommandResult::decode(reply).value().conn.value);
   }
   EXPECT_EQ(conns.size(), 1u);
@@ -164,7 +166,7 @@ TEST_F(GmStateMachineTest, ReplicatedCallersShareOneConnection) {
 }
 
 TEST_F(GmStateMachineTest, MalformedCommandRejectedNotFatal) {
-  const Bytes reply = gm_->execute(to_bytes("junk"), NodeId(1), SeqNum(1));
+  const Bytes reply = bft::execute_with_digest(*gm_, to_bytes("junk"), NodeId(1), SeqNum(1));
   const auto result = GmCommandResult::decode(reply);
   ASSERT_TRUE(result.is_ok());
   EXPECT_FALSE(result.value().accepted);
@@ -349,7 +351,7 @@ TEST_F(GmStateMachineTest, SnapshotRestoreRoundTrip) {
   const GmCommandResult open = open_singleton();
   const NodeId accused = directory_->find_domain(DomainId(10))->elements[1].smiop_node;
   (void)run(GmCommand(make_proof_change(open.conn, accused)));
-  const Bytes snap = gm_->snapshot();
+  const bft::AppSnapshot snap = gm_->snapshot();
 
   GmStateMachine restored(directory_, keystore_, nullptr);
   ASSERT_TRUE(restored.restore(snap).is_ok());
@@ -370,8 +372,8 @@ TEST_F(GmStateMachineTest, DeterministicAcrossInstances) {
     msg.target = DomainId(10);
     return msg;
   }());
-  const Bytes r1 = gm_->execute(encode_gm_command(open), NodeId(9000), SeqNum(1));
-  const Bytes r2 = gm2.execute(encode_gm_command(open), NodeId(9000), SeqNum(1));
+  const Bytes r1 = bft::execute_with_digest(*gm_, encode_gm_command(open), NodeId(9000), SeqNum(1));
+  const Bytes r2 = bft::execute_with_digest(gm2, encode_gm_command(open), NodeId(9000), SeqNum(1));
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(gm_->snapshot(), gm2.snapshot());
 }
@@ -396,8 +398,8 @@ TEST_F(GmStateMachineTest, ExpulsionRekeysConnectionsWhereDomainIsClient) {
   open.client_node = caller.elements[0].smiop_node;
   open.client_domain = DomainId(20);
   open.target = DomainId(10);
-  const Bytes reply = gm.execute(encode_gm_command(GmCommand(open)),
-                                 caller.elements[0].gm_client_node, SeqNum(1));
+  const Bytes reply = bft::execute_with_digest(gm, encode_gm_command(GmCommand(open)),
+                                               caller.elements[0].gm_client_node, SeqNum(1));
   const auto open_result = GmCommandResult::decode(reply);
   ASSERT_TRUE(open_result.is_ok() && open_result.value().accepted);
   distributor.calls.clear();
@@ -412,9 +414,9 @@ TEST_F(GmStateMachineTest, ExpulsionRekeysConnectionsWhereDomainIsClient) {
     change.accused_element = accused;
     change.conn = ConnectionId(0);
     change.rid = RequestId(3);
-    (void)gm.execute(encode_gm_command(GmCommand(change)),
-                     caller.elements[reporter].gm_client_node,
-                     SeqNum(static_cast<std::uint64_t>(10 + reporter)));
+    (void)bft::execute_with_digest(gm, encode_gm_command(GmCommand(change)),
+                                   caller.elements[reporter].gm_client_node,
+                                   SeqNum(static_cast<std::uint64_t>(10 + reporter)));
   }
   ASSERT_TRUE(gm.is_expelled(DomainId(20), accused));
   // The client-side connection was rekeyed, excluding the expelled element.
@@ -443,7 +445,7 @@ TEST_F(GmStateMachineTest, ProofVoteUsesAccusedDomainsPolicy) {
   OpenRequestMsg open;
   open.client_node = NodeId(9000);
   open.target = DomainId(30);
-  (void)gm.execute(encode_gm_command(GmCommand(open)), NodeId(9000), SeqNum(1));
+  (void)bft::execute_with_digest(gm, encode_gm_command(GmCommand(open)), NodeId(9000), SeqNum(1));
 
   ChangeRequestMsg change;
   change.reporter = NodeId(9000);
@@ -469,8 +471,8 @@ TEST_F(GmStateMachineTest, ProofVoteUsesAccusedDomainsPolicy) {
         crypto::sha256(ByteView(entry.plain_giop))));
     change.proof.push_back(std::move(entry));
   }
-  const Bytes reply = gm.execute(encode_gm_command(GmCommand(change)), NodeId(9000),
-                                 SeqNum(5));
+  const Bytes reply = bft::execute_with_digest(gm, encode_gm_command(GmCommand(change)),
+                                               NodeId(9000), SeqNum(5));
   const auto result = GmCommandResult::decode(reply);
   ASSERT_TRUE(result.is_ok());
   EXPECT_FALSE(result.value().accepted);  // jitter is not a fault here
@@ -622,7 +624,7 @@ TEST_F(MembershipUpdateTest, ResendServesEveryRetainedEpochToTheAdmitted) {
 TEST_F(MembershipUpdateTest, SnapshotRoundTripCarriesViewsAndEpochHistory) {
   (void)open_singleton();
   ASSERT_TRUE(run(GmCommand(make_update(1)), NodeId(8000)).accepted);
-  const Bytes snap = gm_->snapshot();
+  const bft::AppSnapshot snap = gm_->snapshot();
 
   GmStateMachine restored(directory_, keystore_, nullptr);
   ASSERT_TRUE(restored.restore(snap).is_ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bft/harness.hpp"
+
 namespace itdos::core {
 namespace {
 
@@ -30,8 +32,8 @@ BufView ack_entry(std::uint64_t element, std::uint64_t index) {
 TEST(QueueTest, AppendsAndConsumesInOrder) {
   QueueStateMachine queue(options_4_1());
   EXPECT_FALSE(queue.has_next());
-  queue.execute(data_entry(1, 1), NodeId(9), SeqNum(1));
-  queue.execute(data_entry(1, 2), NodeId(9), SeqNum(2));
+  bft::execute_with_digest(queue, data_entry(1, 1), NodeId(9), SeqNum(1));
+  bft::execute_with_digest(queue, data_entry(1, 2), NodeId(9), SeqNum(2));
   ASSERT_TRUE(queue.has_next());
   EXPECT_EQ(queue.next().value(), data_entry(1, 1));
   EXPECT_EQ(queue.next().value(), data_entry(1, 2));
@@ -45,20 +47,21 @@ TEST(QueueTest, ExecuteReturnsStaticAck) {
   // client's f+1 rule trivially passes.
   QueueStateMachine a(options_4_1());
   QueueStateMachine b(options_4_1());
-  EXPECT_EQ(a.execute(data_entry(1, 1), NodeId(1), SeqNum(1)),
-            b.execute(data_entry(1, 1), NodeId(2), SeqNum(1)));
+  EXPECT_EQ(bft::execute_with_digest(a, data_entry(1, 1), NodeId(1), SeqNum(1)),
+            bft::execute_with_digest(b, data_entry(1, 1), NodeId(2), SeqNum(1)));
 }
 
 TEST(QueueTest, MalformedEntryRejectedDeterministically) {
   QueueStateMachine queue(options_4_1());
-  const Bytes reply = queue.execute(to_bytes("\x7fgarbage"), NodeId(1), SeqNum(1));
+  const Bytes reply = bft::execute_with_digest(queue, to_bytes("\x7fgarbage"), NodeId(1),
+                                               SeqNum(1));
   EXPECT_EQ(to_string(reply), "ITDOS-REJECT");
   EXPECT_FALSE(queue.has_next());
 }
 
 TEST(QueueTest, PeekDoesNotAdvance) {
   QueueStateMachine queue(options_4_1());
-  queue.execute(data_entry(1, 1), NodeId(9), SeqNum(1));
+  bft::execute_with_digest(queue, data_entry(1, 1), NodeId(9), SeqNum(1));
   EXPECT_EQ(queue.peek().value(), data_entry(1, 1));
   EXPECT_EQ(queue.peek().value(), data_entry(1, 1));
   EXPECT_EQ(queue.consumed_index(), 0u);
@@ -70,33 +73,35 @@ TEST(QueueTest, DeliveryHookFires) {
   QueueStateMachine queue(options_4_1());
   int fired = 0;
   queue.set_delivery_hook([&] { ++fired; });
-  queue.execute(data_entry(1, 1), NodeId(9), SeqNum(1));
-  queue.execute(ack_entry(1, 0), NodeId(9), SeqNum(2));  // acks don't deliver
+  bft::execute_with_digest(queue, data_entry(1, 1), NodeId(9), SeqNum(1));
+  bft::execute_with_digest(queue, ack_entry(1, 0), NodeId(9), SeqNum(2));  // acks don't deliver
   EXPECT_EQ(fired, 1);
 }
 
 TEST(QueueTest, GcAdvancesAtNMinusFAcks) {
   QueueStateMachine queue(options_4_1());
-  for (int i = 1; i <= 6; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   while (queue.has_next()) queue.next();
   EXPECT_EQ(queue.base_index(), 0u);
   // Acks from elements 1 and 2: not enough (need n-f = 3).
-  queue.execute(ack_entry(1, 6), NodeId(1), SeqNum(7));
-  queue.execute(ack_entry(2, 6), NodeId(2), SeqNum(8));
+  bft::execute_with_digest(queue, ack_entry(1, 6), NodeId(1), SeqNum(7));
+  bft::execute_with_digest(queue, ack_entry(2, 6), NodeId(2), SeqNum(8));
   EXPECT_EQ(queue.base_index(), 0u);
-  queue.execute(ack_entry(3, 6), NodeId(3), SeqNum(9));
+  bft::execute_with_digest(queue, ack_entry(3, 6), NodeId(3), SeqNum(9));
   EXPECT_EQ(queue.base_index(), 6u);
   EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(QueueTest, GcFloorIsNMinusFthHighest) {
   QueueStateMachine queue(options_4_1());
-  for (int i = 1; i <= 10; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 10; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                         SeqNum(i));
   while (queue.has_next()) queue.next();
-  queue.execute(ack_entry(1, 10), NodeId(1), SeqNum(11));
-  queue.execute(ack_entry(2, 8), NodeId(2), SeqNum(12));
-  queue.execute(ack_entry(3, 5), NodeId(3), SeqNum(13));
-  queue.execute(ack_entry(4, 2), NodeId(4), SeqNum(14));
+  bft::execute_with_digest(queue, ack_entry(1, 10), NodeId(1), SeqNum(11));
+  bft::execute_with_digest(queue, ack_entry(2, 8), NodeId(2), SeqNum(12));
+  bft::execute_with_digest(queue, ack_entry(3, 5), NodeId(3), SeqNum(13));
+  bft::execute_with_digest(queue, ack_entry(4, 2), NodeId(4), SeqNum(14));
   // Sorted desc: 10, 8, 5, 2; (n-f)=3rd highest = 5.
   EXPECT_EQ(queue.base_index(), 5u);
 }
@@ -107,12 +112,13 @@ TEST(QueueTest, LaggardFlagged) {
   QueueStateMachine queue(opts);
   std::vector<NodeId> laggards;
   queue.set_laggard_hook([&](NodeId n) { laggards.push_back(n); });
-  for (int i = 1; i <= 10; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 10; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                         SeqNum(i));
   while (queue.has_next()) queue.next();
-  queue.execute(ack_entry(1, 10), NodeId(1), SeqNum(11));
-  queue.execute(ack_entry(2, 10), NodeId(2), SeqNum(12));
-  queue.execute(ack_entry(4, 0), NodeId(4), SeqNum(13));
-  queue.execute(ack_entry(3, 10), NodeId(3), SeqNum(14));  // base -> 10
+  bft::execute_with_digest(queue, ack_entry(1, 10), NodeId(1), SeqNum(11));
+  bft::execute_with_digest(queue, ack_entry(2, 10), NodeId(2), SeqNum(12));
+  bft::execute_with_digest(queue, ack_entry(4, 0), NodeId(4), SeqNum(13));
+  bft::execute_with_digest(queue, ack_entry(3, 10), NodeId(3), SeqNum(14));  // base -> 10
   // Element 4 acked 0, base 10, window 2: flagged.
   ASSERT_FALSE(laggards.empty());
   EXPECT_EQ(laggards.back(), NodeId(4));
@@ -122,20 +128,22 @@ TEST(QueueTest, BrokenWhenGcPassesLocalCursor) {
   // This element stopped consuming; when GC passes its cursor it is broken
   // (virtual synchrony: it must be expelled).
   QueueStateMachine queue(options_4_1());
-  for (int i = 1; i <= 4; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 4; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   // Local consumption: nothing. Other elements ack 4.
-  queue.execute(ack_entry(1, 4), NodeId(1), SeqNum(5));
-  queue.execute(ack_entry(2, 4), NodeId(2), SeqNum(6));
-  queue.execute(ack_entry(3, 4), NodeId(3), SeqNum(7));
+  bft::execute_with_digest(queue, ack_entry(1, 4), NodeId(1), SeqNum(5));
+  bft::execute_with_digest(queue, ack_entry(2, 4), NodeId(2), SeqNum(6));
+  bft::execute_with_digest(queue, ack_entry(3, 4), NodeId(3), SeqNum(7));
   EXPECT_TRUE(queue.broken());
   EXPECT_FALSE(queue.has_next());
 }
 
 TEST(QueueTest, SnapshotRestoreRoundTrip) {
   QueueStateMachine source(options_4_1());
-  for (int i = 1; i <= 5; ++i) source.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-  source.execute(ack_entry(1, 3), NodeId(1), SeqNum(6));
-  const Bytes snap = source.snapshot();
+  for (int i = 1; i <= 5; ++i) bft::execute_with_digest(source, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
+  bft::execute_with_digest(source, ack_entry(1, 3), NodeId(1), SeqNum(6));
+  const bft::AppSnapshot snap = source.snapshot();
 
   QueueStateMachine target(options_4_1());
   ASSERT_TRUE(target.restore(snap).is_ok());
@@ -155,12 +163,13 @@ TEST(QueueTest, RestoreRefusedWhenBehindGcFloor) {
   // A recovering element whose cursor is below the snapshot's base cannot
   // converge — the entries it needs are gone (paper: it must be expelled).
   QueueStateMachine source(options_4_1());
-  for (int i = 1; i <= 6; ++i) source.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-  source.execute(ack_entry(1, 6), NodeId(1), SeqNum(7));
-  source.execute(ack_entry(2, 6), NodeId(2), SeqNum(8));
-  source.execute(ack_entry(3, 6), NodeId(3), SeqNum(9));
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(source, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
+  bft::execute_with_digest(source, ack_entry(1, 6), NodeId(1), SeqNum(7));
+  bft::execute_with_digest(source, ack_entry(2, 6), NodeId(2), SeqNum(8));
+  bft::execute_with_digest(source, ack_entry(3, 6), NodeId(3), SeqNum(9));
   ASSERT_EQ(source.base_index(), 6u);
-  const Bytes snap = source.snapshot();
+  const bft::AppSnapshot snap = source.snapshot();
 
   QueueStateMachine behind(options_4_1());
   const Status s = behind.restore(snap);
@@ -170,13 +179,14 @@ TEST(QueueTest, RestoreRefusedWhenBehindGcFloor) {
 
 TEST(QueueTest, RestoreAcceptedWhenCursorInsideWindow) {
   QueueStateMachine source(options_4_1());
-  for (int i = 1; i <= 6; ++i) source.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-  const Bytes snap = source.snapshot();  // base still 0
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(source, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
+  const bft::AppSnapshot snap = source.snapshot();  // base still 0
 
   QueueStateMachine lagging(options_4_1());
   // It consumed 2 entries previously (simulate by feeding and consuming).
-  lagging.execute(data_entry(1, 1), NodeId(9), SeqNum(1));
-  lagging.execute(data_entry(1, 2), NodeId(9), SeqNum(2));
+  bft::execute_with_digest(lagging, data_entry(1, 1), NodeId(9), SeqNum(1));
+  bft::execute_with_digest(lagging, data_entry(1, 2), NodeId(9), SeqNum(2));
   lagging.next();
   lagging.next();
   ASSERT_TRUE(lagging.restore(snap).is_ok());
@@ -190,8 +200,8 @@ TEST(QueueTest, SnapshotIsDeterministicAcrossElements) {
   QueueStateMachine a(options_4_1());
   QueueStateMachine b(options_4_1());
   for (int i = 1; i <= 5; ++i) {
-    a.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-    b.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+    bft::execute_with_digest(a, data_entry(1, i), NodeId(9), SeqNum(i));
+    bft::execute_with_digest(b, data_entry(1, i), NodeId(9), SeqNum(i));
   }
   a.next();
   a.next();  // a consumed 2, b consumed 0
@@ -204,21 +214,24 @@ TEST(QueueTest, NonMemberAcksIgnored) {
   opts.lag_window = 2;  // member 4 (silent) counts as dead beyond 2x this
   opts.members = {NodeId(1), NodeId(2), NodeId(3), NodeId(4)};
   QueueStateMachine queue(opts);
-  for (int i = 1; i <= 6; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   // Three rogue acks claiming full consumption from non-member ids.
   for (int rogue = 100; rogue < 103; ++rogue) {
-    const Bytes reply = queue.execute(ack_entry(static_cast<std::uint64_t>(rogue), 6),
-                                      NodeId(9), SeqNum(static_cast<std::uint64_t>(rogue)));
+    const Bytes reply = bft::execute_with_digest(queue,
+                                                 ack_entry(static_cast<std::uint64_t>(rogue), 6),
+                                                 NodeId(9),
+                                                 SeqNum(static_cast<std::uint64_t>(rogue)));
     EXPECT_EQ(to_string(reply), "ITDOS-REJECT");
   }
   EXPECT_EQ(queue.base_index(), 0u);
   EXPECT_FALSE(queue.broken());
   // Genuine member acks still work (member 4 stays silent long enough to be
   // declared dead, so it stops constraining GC).
-  queue.execute(ack_entry(1, 6), NodeId(1), SeqNum(200));
-  queue.execute(ack_entry(2, 6), NodeId(2), SeqNum(201));
+  bft::execute_with_digest(queue, ack_entry(1, 6), NodeId(1), SeqNum(200));
+  bft::execute_with_digest(queue, ack_entry(2, 6), NodeId(2), SeqNum(201));
   while (queue.has_next()) queue.next();
-  queue.execute(ack_entry(3, 6), NodeId(3), SeqNum(202));
+  bft::execute_with_digest(queue, ack_entry(3, 6), NodeId(3), SeqNum(202));
   EXPECT_EQ(queue.base_index(), 6u);
 }
 
@@ -231,18 +244,21 @@ TEST(QueueTest, AckOrderedByAnotherClientIgnored) {
     return client.value == element.value + 100;
   };
   QueueStateMachine queue(opts);
-  for (int i = 1; i <= 6; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   while (queue.has_next()) queue.next();
   for (std::uint64_t element = 1; element <= 3; ++element) {
     for (const std::uint64_t client : {std::uint64_t{9}, element + 101}) {
-      const Bytes reply = queue.execute(ack_entry(element, 6), NodeId(client), SeqNum(10));
+      const Bytes reply = bft::execute_with_digest(queue, ack_entry(element, 6), NodeId(client),
+                                                   SeqNum(10));
       EXPECT_EQ(to_string(reply), "ITDOS-REJECT") << element << " via " << client;
     }
   }
   EXPECT_EQ(queue.base_index(), 0u);
   for (std::uint64_t element = 1; element <= 4; ++element) {
     const Bytes reply =
-        queue.execute(ack_entry(element, 6), NodeId(element + 100), SeqNum(20 + element));
+        bft::execute_with_digest(queue, ack_entry(element, 6), NodeId(element + 100),
+                                 SeqNum(20 + element));
     EXPECT_EQ(to_string(reply), "ITDOS-ACK");
   }
   EXPECT_EQ(queue.base_index(), 6u);
@@ -252,14 +268,16 @@ TEST(QueueTest, AckPastTheLastEntryIsClampedToIt) {
   // No element can have consumed past the last entry: acks claiming more
   // count as consuming exactly that far, so GC never passes next_index.
   QueueStateMachine queue(options_4_1());
-  for (int i = 1; i <= 4; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 4; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   while (queue.has_next()) queue.next();
   for (std::uint64_t element = 1; element <= 3; ++element) {
-    queue.execute(ack_entry(element, 1000000), NodeId(element), SeqNum(4 + element));
+    bft::execute_with_digest(queue, ack_entry(element, 1000000), NodeId(element),
+                             SeqNum(4 + element));
   }
   EXPECT_EQ(queue.base_index(), 4u);
   EXPECT_FALSE(queue.broken());
-  queue.execute(data_entry(1, 5), NodeId(9), SeqNum(8));
+  bft::execute_with_digest(queue, data_entry(1, 5), NodeId(9), SeqNum(8));
   EXPECT_EQ(queue.next().value(), data_entry(1, 5));
 }
 
@@ -278,14 +296,15 @@ TEST(QueueTest, GcWaitsForLiveSlowMember) {
   opts.lag_window = 16;
   opts.members = {NodeId(1), NodeId(2), NodeId(3), NodeId(4)};
   QueueStateMachine queue(opts);
-  for (int i = 1; i <= 10; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-  queue.execute(ack_entry(1, 10), NodeId(1), SeqNum(20));
-  queue.execute(ack_entry(2, 10), NodeId(2), SeqNum(21));
-  queue.execute(ack_entry(3, 10), NodeId(3), SeqNum(22));
-  queue.execute(ack_entry(4, 3), NodeId(4), SeqNum(23));  // slow but live
+  for (int i = 1; i <= 10; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                         SeqNum(i));
+  bft::execute_with_digest(queue, ack_entry(1, 10), NodeId(1), SeqNum(20));
+  bft::execute_with_digest(queue, ack_entry(2, 10), NodeId(2), SeqNum(21));
+  bft::execute_with_digest(queue, ack_entry(3, 10), NodeId(3), SeqNum(22));
+  bft::execute_with_digest(queue, ack_entry(4, 3), NodeId(4), SeqNum(23));  // slow but live
   EXPECT_EQ(queue.base_index(), 3u);  // clamped to the slow member's ack
   // Once the slow member catches up, GC proceeds.
-  queue.execute(ack_entry(4, 10), NodeId(4), SeqNum(24));
+  bft::execute_with_digest(queue, ack_entry(4, 10), NodeId(4), SeqNum(24));
   while (queue.has_next()) queue.next();
   EXPECT_EQ(queue.base_index(), 10u);
 }
@@ -294,7 +313,8 @@ TEST(QueueTest, BootstrapModeDefersConsumptionUntilComplete) {
   QueueStateMachine queue(options_4_1());
   queue.begin_bootstrap();
   EXPECT_TRUE(queue.bootstrapping());
-  for (int i = 1; i <= 5; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
+  for (int i = 1; i <= 5; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
   EXPECT_FALSE(queue.has_next());  // held until peer state installs
   // Sync point at index 2: servant state covers entries 0..2.
   ASSERT_TRUE(queue.complete_bootstrap(3).is_ok());
@@ -305,7 +325,7 @@ TEST(QueueTest, BootstrapModeDefersConsumptionUntilComplete) {
 TEST(QueueTest, CompleteBootstrapAheadOfQueueIsUnavailable) {
   QueueStateMachine queue(options_4_1());
   queue.begin_bootstrap();
-  queue.execute(data_entry(1, 1), NodeId(9), SeqNum(1));
+  bft::execute_with_digest(queue, data_entry(1, 1), NodeId(9), SeqNum(1));
   EXPECT_EQ(queue.complete_bootstrap(5).code(), Errc::kUnavailable);
   EXPECT_TRUE(queue.bootstrapping());  // still waiting
 }
@@ -313,10 +333,11 @@ TEST(QueueTest, CompleteBootstrapAheadOfQueueIsUnavailable) {
 TEST(QueueTest, CompleteBootstrapBehindGcFails) {
   QueueStateMachine queue(options_4_1());
   queue.begin_bootstrap();
-  for (int i = 1; i <= 6; ++i) queue.execute(data_entry(1, i), NodeId(9), SeqNum(i));
-  queue.execute(ack_entry(1, 6), NodeId(1), SeqNum(7));
-  queue.execute(ack_entry(2, 6), NodeId(2), SeqNum(8));
-  queue.execute(ack_entry(3, 6), NodeId(3), SeqNum(9));
+  for (int i = 1; i <= 6; ++i) bft::execute_with_digest(queue, data_entry(1, i), NodeId(9),
+                                                        SeqNum(i));
+  bft::execute_with_digest(queue, ack_entry(1, 6), NodeId(1), SeqNum(7));
+  bft::execute_with_digest(queue, ack_entry(2, 6), NodeId(2), SeqNum(8));
+  bft::execute_with_digest(queue, ack_entry(3, 6), NodeId(3), SeqNum(9));
   ASSERT_EQ(queue.base_index(), 6u);
   EXPECT_EQ(queue.complete_bootstrap(3).code(), Errc::kFailedPrecondition);
   EXPECT_FALSE(queue.broken());  // bootstrap failure is recoverable (re-sync)

@@ -59,7 +59,7 @@ TEST(SmiopMsgTest, DirectReplyRoundTrip) {
 
 TEST(SmiopMsgTest, SignedRegionBindsAllFields) {
   const crypto::Digest digest = crypto::sha256("plain");
-  const Bytes base = DirectReplyMsg::signed_region(ConnectionId(1), RequestId(2),
+  const auto base = DirectReplyMsg::signed_region(ConnectionId(1), RequestId(2),
                                                    NodeId(3), KeyEpoch(4), digest);
   EXPECT_NE(base, DirectReplyMsg::signed_region(ConnectionId(9), RequestId(2),
                                                 NodeId(3), KeyEpoch(4), digest));
@@ -188,12 +188,38 @@ TEST(SmiopMsgTest, FuzzedMessagesNeverCrash) {
 }
 
 TEST(SmiopMsgTest, SealAadDirectionality) {
-  const Bytes request_aad = seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
-  const Bytes reply_aad = seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), true);
+  const SealAad request_aad = seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), false);
+  const SealAad reply_aad = seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(1), true);
   EXPECT_NE(request_aad, reply_aad);  // reflection protection
   EXPECT_NE(request_aad, seal_aad(ConnectionId(2), RequestId(1), KeyEpoch(1), false));
   EXPECT_NE(request_aad, seal_aad(ConnectionId(1), RequestId(2), KeyEpoch(1), false));
   EXPECT_NE(request_aad, seal_aad(ConnectionId(1), RequestId(1), KeyEpoch(2), false));
+}
+
+TEST(SmiopMsgTest, StackLayoutsAreTheirCdrEncodings) {
+  // The AAD and the signed region are built on the stack; their bytes are
+  // the little-endian CDR of their fields, as every sealed frame and reply
+  // signature so far was computed over.
+  cdr::Encoder aad(cdr::ByteOrder::kLittleEndian);
+  aad.write_uint64(0x0102030405060708);
+  aad.write_uint64(0x1112131415161718);
+  aad.write_uint64(0x2122232425262728);
+  aad.write_boolean(true);
+  const SealAad stack_aad = seal_aad(ConnectionId(0x0102030405060708),
+                                     RequestId(0x1112131415161718),
+                                     KeyEpoch(0x2122232425262728), true);
+  EXPECT_EQ(Bytes(stack_aad), aad.take());
+
+  const crypto::Digest digest = crypto::sha256("plain");
+  cdr::Encoder region(cdr::ByteOrder::kLittleEndian);
+  region.write_uint64(1);
+  region.write_uint64(0x0a0b0c0d0e0f1011);
+  region.write_uint64(3);
+  region.write_uint64(4);
+  region.write_raw(crypto::digest_view(digest));
+  const auto stack_region = DirectReplyMsg::signed_region(
+      ConnectionId(1), RequestId(0x0a0b0c0d0e0f1011), NodeId(3), KeyEpoch(4), digest);
+  EXPECT_EQ(Bytes(stack_region.begin(), stack_region.end()), region.take());
 }
 
 }  // namespace

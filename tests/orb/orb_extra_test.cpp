@@ -117,5 +117,24 @@ TEST_F(OrbReconnectFixture, QueuedInvokesFailFastOnConnectError) {
   EXPECT_EQ(orb_count(NodeId(3), "connect_failures"), 3u);
 }
 
+TEST(ObjectRefTest, CorbalocRoundTrip) {
+  ObjectRef ref;
+  ref.domain = DomainId(12);
+  ref.key = ObjectId(7);
+  ref.interface_name = "IDL:bank/Ledger:1.0";
+  const auto parsed = ObjectRef::from_string(ref.to_string());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value(), ref);
+}
+
+TEST(ObjectRefTest, CorbalocRejectsMalformed) {
+  EXPECT_FALSE(ObjectRef::from_string("").is_ok());
+  EXPECT_FALSE(ObjectRef::from_string("corbaloc:iiop:1/2#x").is_ok());
+  EXPECT_FALSE(ObjectRef::from_string("corbaloc:itdos:12#x").is_ok());    // no '/'
+  EXPECT_FALSE(ObjectRef::from_string("corbaloc:itdos:12/7").is_ok());    // no '#'
+  EXPECT_FALSE(ObjectRef::from_string("corbaloc:itdos:ab/7#x").is_ok());  // bad num
+  EXPECT_FALSE(ObjectRef::from_string("corbaloc:itdos:12/7#").is_ok());   // empty if
+}
+
 }  // namespace
 }  // namespace itdos::orb
