@@ -12,8 +12,8 @@
 //                   that buffer as its chunk. Copying a BufView bumps a
 //                   refcount; slicing shares the chunk. This is what the
 //                   network delivers, what BFT logs and re-broadcasts, and
-//                   what fragmentation splits. The chunk is freed when the
-//                   last view over it drops.
+//                   what the queue and its checkpoints hold. The chunk is
+//                   freed when the last view over it drops.
 //
 // Ownership model (DESIGN.md §6e has the long form):
 //   - The SENDER marshals into its own buffer and seals it into a view.
