@@ -33,7 +33,9 @@ Client::Client(net::Network& net, NodeId id, BftConfig config, const SessionKeys
       keys_(keys),
       request_tags_(config_.replicas.size()),
       retransmissions_(&net.sim().telemetry().metrics().counter(
-          telemetry::metric_name("bft", id, "retransmissions"))) {
+          telemetry::metric_name("bft", id, "retransmissions"))),
+      late_replies_(&net.sim().telemetry().metrics().counter(
+          telemetry::metric_name("bft", id, "late_replies"))) {
   collector_factory_ = [](int f) { return std::make_unique<MatchingReplyCollector>(f); };
 }
 
@@ -143,6 +145,15 @@ void Client::on_packet(const net::Packet& packet) {
   if (env.type != MsgType::kReply) return;
   const int rank = config_.rank_of(env.sender);
   if (rank < 0) return;
+  // A reply for a request not in flight (decided already, or never sent)
+  // changes nothing, so it is dropped before its MAC is checked or its body
+  // decoded. Its view is then never read: only an authenticated reply for
+  // a request in flight moves view_estimate_.
+  if (const std::optional<std::uint64_t> ts = peek_reply_timestamp(env.body);
+      ts && !inflight_.contains(*ts)) {
+    late_replies_->inc();
+    return;
+  }
   const std::optional<crypto::MacTag> tag = env.tag_for(id());
   if (!tag || !replica_keys()[static_cast<std::size_t>(rank)]->verify(
                   mac_input(env.type, env.body), *tag)) {
@@ -158,7 +169,7 @@ void Client::on_packet(const net::Packet& packet) {
   if (counters::after(msg.view.value, view_estimate_.value)) view_estimate_ = msg.view;
 
   const auto it = inflight_.find(msg.timestamp);
-  if (it == inflight_.end()) return;  // late/duplicate
+  if (it == inflight_.end()) return;
   Inflight& fl = it->second;
   if (std::optional<Bytes> result = fl.collector->add(msg.replica, msg.result)) {
     finish(msg.timestamp, std::move(*result));

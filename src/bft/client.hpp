@@ -133,6 +133,7 @@ class Client : public net::Process {
 
   std::uint64_t next_timestamp_ = 1;
   telemetry::Counter* retransmissions_;  // bft.<client>.retransmissions, per request
+  telemetry::Counter* late_replies_;     // bft.<client>.late_replies, dropped unverified
   std::int64_t srtt_ns_ = 0;
   std::int64_t rttvar_ns_ = 0;
   ViewId view_estimate_;  // updated from replies; guides who we call primary

@@ -257,6 +257,21 @@ Result<CheckpointMsg> CheckpointMsg::decode(ByteView data) {
   return msg;
 }
 
+std::optional<PhaseSlot> peek_phase_slot(ByteView body) {
+  if (body.size() != kPhaseSize) return std::nullopt;
+  return PhaseSlot{ViewId(load_le64(body, 0)), SeqNum(load_le64(body, 8))};
+}
+
+std::optional<SeqNum> peek_checkpoint_seq(ByteView body) {
+  if (body.size() != kCheckpointSize) return std::nullopt;
+  return SeqNum(load_le64(body, 0));
+}
+
+std::optional<std::uint64_t> peek_reply_timestamp(ByteView body) {
+  if (body.size() < 16) return std::nullopt;
+  return load_le64(body, 8);
+}
+
 namespace {
 void write_prepared_proof(cdr::Encoder& enc, const PreparedProof& p) {
   enc.write_uint64(p.view.value);

@@ -200,6 +200,24 @@ struct CheckpointMsg {
   static Result<CheckpointMsg> decode(ByteView data);
 };
 
+/// A PREPARE's or COMMIT's slot, read at its fixed offsets (view at 0, seq
+/// at 8) without decoding or authenticating the body: what a receiver
+/// needs to see that a vote can no longer change its state and drop it
+/// before the MAC check. nullopt unless `body` is a phase body's size.
+struct PhaseSlot {
+  ViewId view;
+  SeqNum seq;
+};
+std::optional<PhaseSlot> peek_phase_slot(ByteView body);
+
+/// A CHECKPOINT body's seq (at 0), read the same way; nullopt unless `body`
+/// is a CHECKPOINT body's size.
+std::optional<SeqNum> peek_checkpoint_seq(ByteView body);
+
+/// A REPLY body's timestamp (at 8), read the same way; nullopt if `body`
+/// is too short to hold one.
+std::optional<std::uint64_t> peek_reply_timestamp(ByteView body);
+
 /// Evidence that a request prepared at (view, seq) — an entry of the P set
 /// in a VIEW-CHANGE. (Simplified: the digest stands for the pre-prepare plus
 /// 2f prepares; the view-change carrying it is signed.)

@@ -79,6 +79,7 @@ Replica::Replica(net::Network& net, NodeId id, BftConfig config,
   metrics_.state_transfers = counter("state_transfers");
   metrics_.auth_failures = counter("auth_failures");
   metrics_.malformed = counter("malformed");
+  metrics_.stale_drops = counter("stale_drops");
   metrics_.macs_computed = counter("macs_computed");
   metrics_.inflight = &reg.gauge(telemetry::metric_name("bft", id, "inflight"));
   metrics_.exec_latency_ns = &reg.histogram("bft.exec_latency_ns");
@@ -111,6 +112,10 @@ void Replica::on_packet(const net::Packet& packet) {
     handle_request(env, packet.payload);
     return;
   }
+  if (stale(env)) {
+    metrics_.stale_drops->inc();
+    return;
+  }
   if (const Status s = verify_envelope(env); !s.is_ok()) {
     reject(env, s);
     return;
@@ -127,6 +132,28 @@ void Replica::on_packet(const net::Packet& packet) {
     case MsgType::kStateResponse: handle_state_response(env); break;
     case MsgType::kReply: break;  // replicas do not consume replies
   }
+}
+
+bool Replica::stale(const Envelope& env) const {
+  // During a view change this view's votes are buffered for its NEW-VIEW,
+  // and what a slot holds is about to be replaced: nothing is judged.
+  if (in_view_change_) return false;
+  if (env.type == MsgType::kCheckpoint) {
+    const std::optional<SeqNum> seq = peek_checkpoint_seq(env.body);
+    return seq && counters::before_eq(seq->value, stable_seq_);
+  }
+  if (env.type != MsgType::kPrepare && env.type != MsgType::kCommit) return false;
+  const std::optional<PhaseSlot> slot = peek_phase_slot(env.body);
+  if (!slot) return false;  // malformed: the verify and decode count it
+  if (slot->view != view_) return true;
+  if (counters::before_eq(slot->seq.value, last_executed_)) return true;
+  const LogEntry* entry = find_entry(slot->seq.value);
+  if (entry == nullptr || entry->votes_view != view_) return false;
+  if (env.type == MsgType::kCommit) return entry->committed;
+  // A PREPARE only counts toward this replica's own COMMIT. Keyed on that
+  // COMMIT in this view, not on `committed` or `prepared`: a slot a new
+  // view re-proposes still needs this replica's vote there.
+  return entry->votes[static_cast<std::size_t>(self_rank_)].commit.has_value();
 }
 
 void Replica::reject(const Envelope& env, const Status& why) {
@@ -286,8 +313,9 @@ void Replica::handle_request(const Envelope& env, const BufView& wire) {
     // Duplicate of an executed request: retransmit the cached reply (the
     // cache is windowed; requests older than it get nothing — the client
     // has long moved on).
-    const auto cached = record.replies.find(request.timestamp);
-    if (cached != record.replies.end()) send_reply(record, request, cached->second);
+    if (const Bytes* cached = cached_reply(record, request.timestamp)) {
+      send_reply(record, request, *cached);
+    }
     return;
   }
   if (in_view_change_) {
@@ -616,9 +644,9 @@ void Replica::handle_prepare(const Envelope& env) {
   maybe_send_commit(msg.seq.value);
 }
 
-Replica::LogEntry* Replica::find_entry(std::uint64_t seq) {
+const Replica::LogEntry* Replica::find_entry(std::uint64_t seq) const {
   if (in_window(seq)) {
-    LogEntry& entry = log_[seq % log_.size()];
+    const LogEntry& entry = log_[seq % log_.size()];
     return entry.seq == seq ? &entry : nullptr;
   }
   const auto it = log_ahead_.find(seq);
@@ -829,14 +857,11 @@ void Replica::execute_request(const RequestMsg& request, const Digest& digest,
       // replicated state, so every correct replica skips identically.
       return;
     }
-    record.replies[request.timestamp] =
-        app_->execute(request.payload, digest, request.client, SeqNum(seq));
+    cache_reply(record, request.timestamp,
+                app_->execute(request.payload, digest, request.client, SeqNum(seq)));
     record.executed.insert(request.timestamp);
     if (counters::after(request.timestamp, record.last_timestamp)) {
       record.last_timestamp = request.timestamp;
-    }
-    while (record.replies.size() > 2 * static_cast<std::size_t>(config_.pipeline_depth)) {
-      record.replies.erase(record.replies.begin());
     }
     if (!record.held.empty()) {
       std::erase_if(record.held,
@@ -848,8 +873,31 @@ void Replica::execute_request(const RequestMsg& request, const Digest& digest,
   // nothing (like the handle_request retransmit path): correct replicas
   // evict identically, so answering with an empty placeholder would let
   // f+1 of them form a bogus quorum at a client still awaiting the result.
-  const auto cached = record.replies.find(request.timestamp);
-  if (cached != record.replies.end()) send_reply(record, request, cached->second);
+  if (const Bytes* cached = cached_reply(record, request.timestamp)) {
+    send_reply(record, request, *cached);
+  }
+}
+
+const Bytes* Replica::cached_reply(const ClientRecord& record, std::uint64_t ts) {
+  for (const auto& [cached_ts, reply] : record.replies) {
+    if (cached_ts == ts) return &reply;
+  }
+  return nullptr;
+}
+
+void Replica::cache_reply(ClientRecord& record, std::uint64_t ts, Bytes&& result) const {
+  auto at = std::lower_bound(record.replies.begin(), record.replies.end(), ts,
+                             [](const auto& cached, std::uint64_t t) { return cached.first < t; });
+  if (at != record.replies.end() && at->first == ts) {
+    at->second = std::move(result);
+  } else {
+    record.replies.emplace(at, ts, std::move(result));
+  }
+  const auto bound = 2 * static_cast<std::size_t>(config_.pipeline_depth);
+  if (record.replies.size() > bound) {
+    record.replies.erase(record.replies.begin(),
+                         record.replies.end() - static_cast<std::ptrdiff_t>(bound));
+  }
 }
 
 void Replica::send_reply(ClientRecord& record, const RequestMsg& request,
@@ -950,7 +998,12 @@ Status Replica::install_snapshot(std::uint64_t seq, const Digest& digest,
     }
     for (std::uint32_t j = 0; j < reply_count; ++j) {
       ITDOS_ASSIGN_OR_RETURN(std::uint64_t ts, dec.read_uint64());
-      ITDOS_ASSIGN_OR_RETURN(record.replies[ts], dec.read_bytes());
+      ITDOS_ASSIGN_OR_RETURN(Bytes reply, dec.read_bytes());
+      // A correct replica writes its cache in ascending timestamp order.
+      if (!record.replies.empty() && record.replies.back().first >= ts) {
+        return error(Errc::kMalformedMessage, "snapshot reply cache out of order");
+      }
+      record.replies.emplace_back(ts, std::move(reply));
     }
     record.proposed = record.executed;
     record.forwarded = record.executed;

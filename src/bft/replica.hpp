@@ -31,6 +31,8 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "batch/former.hpp"
 #include "bft/app.hpp"
@@ -198,13 +200,14 @@ class Replica : public net::Process {
     TsWindow proposed;   // primary: timestamps already in the pipeline
     TsWindow forwarded;  // backup: timestamps already relayed
     std::uint64_t last_timestamp = 0;        // highest executed timestamp
-    // Recent ts -> cached reply, for the newest 2 * pipeline_depth executed
-    // timestamps. A correct client keeps the timestamps it has in flight
-    // within 2 * pipeline_depth of its oldest undecided one (Client::pump),
-    // so every timestamp it can still retransmit is among its newest
-    // 2 * pipeline_depth executed ones and is answered from cache. The
-    // config is replicated, so every correct replica evicts identically.
-    std::map<std::uint64_t, Bytes> replies;
+    // (ts, cached reply) for the newest 2 * pipeline_depth executed
+    // timestamps, in ascending ts order. A correct client keeps the
+    // timestamps it has in flight within 2 * pipeline_depth of its oldest
+    // undecided one (Client::pump), so every timestamp it can still
+    // retransmit is among its newest 2 * pipeline_depth executed ones and
+    // is answered from cache. The config is replicated, so every correct
+    // replica evicts identically. Flat: a few entries, no node per reply.
+    std::vector<std::pair<std::uint64_t, Bytes>> replies;
     // The MAC key shared with the client, looked up on the first reply.
     const crypto::CmacKey* reply_key = nullptr;
     // ts -> the client-authenticated REQUEST envelope, for requests this
@@ -255,10 +258,18 @@ class Replica : public net::Process {
   /// Keeps `env`, an agreement message for `seq` in the view being
   /// changed to, in next_view_msgs_.
   void buffer_for_next_view(const Envelope& env, std::uint64_t seq);
+  /// `record`'s cached reply for `ts`, or nullptr if the cache holds none.
+  static const Bytes* cached_reply(const ClientRecord& record, std::uint64_t ts);
+  /// Caches `result` as `record`'s reply for `ts`, evicting the lowest
+  /// timestamps beyond the cache bound.
+  void cache_reply(ClientRecord& record, std::uint64_t ts, Bytes&& result) const;
   /// Sends `result` to `request`'s client from `record`'s reply cache.
   void send_reply(ClientRecord& record, const RequestMsg& request, const Bytes& result);
   /// The log entry for `seq`, or nullptr if the log holds none.
-  LogEntry* find_entry(std::uint64_t seq);
+  const LogEntry* find_entry(std::uint64_t seq) const;
+  LogEntry* find_entry(std::uint64_t seq) {
+    return const_cast<LogEntry*>(std::as_const(*this).find_entry(seq));
+  }
   /// The log entry for `seq`, made empty first if none is held. `seq` must
   /// be above the low watermark.
   LogEntry& entry_at(std::uint64_t seq);
@@ -349,6 +360,11 @@ class Replica : public net::Process {
   /// it hashes the payload once and stores that payload_digest in
   /// `*request_digest` (if given).
   Status verify_envelope(const Envelope& env, Digest* request_digest = nullptr);
+  /// Whether `env`, not yet authenticated, is a vote or CHECKPOINT that can
+  /// no longer change this replica's state (DESIGN.md §6k): judged from
+  /// its fixed-offset fields with read-only lookups, so it is dropped
+  /// before its MAC is checked or its body decoded.
+  bool stale(const Envelope& env) const;
   /// Counts and logs a message that failed verification.
   void reject(const Envelope& env, const Status& why);
   /// Whether batch entry `entry`, a request from `client` whose
@@ -389,6 +405,7 @@ class Replica : public net::Process {
     telemetry::Counter* state_transfers;
     telemetry::Counter* auth_failures;
     telemetry::Counter* malformed;
+    telemetry::Counter* stale_drops;        // dropped unauthenticated (stale())
     telemetry::Counter* macs_computed;      // pairwise MAC tags produced
     telemetry::Gauge* inflight;             // agreement instances in flight
     telemetry::Histogram* exec_latency_ns;  // pre-prepare logged -> executed

@@ -255,6 +255,22 @@ class AnalyzerRuleFires(unittest.TestCase):
         self.assertEqual(code_ok, 0,
                          f"read-only relay drop must be clean: {findings_ok}")
 
+    def test_taint002_decided_drop_before_mac(self):
+        # A replica drops a vote for an already-decided slot before its MAC
+        # check. find_entry, find and contains there are fine; a subscript
+        # of the log ring is not (it names the agreement log, which is
+        # protocol state, not a logger).
+        code, findings = run_analyze(
+            fixture("analyze", "itdos", "taint002_decided_drop_bad.cpp"))
+        self.assertEqual(code, 1, findings)
+        hits = [f for f in findings if f["rule"] == "TAINT-002"]
+        self.assertEqual(len(hits), 1, hits)
+        self.assertIn("`log_`", hits[0]["message"])
+        code_ok, findings_ok = run_analyze(
+            fixture("analyze", "itdos", "taint002_decided_drop_ok.cpp"))
+        self.assertEqual(code_ok, 0,
+                         f"read-only decided-slot drop must be clean: {findings_ok}")
+
     def test_proto003_fires_with_and_without_default(self):
         hits = self.assert_triplet(
             "PROTO-003", "proto003_bad.cpp", "proto003_ok.cpp",

@@ -22,9 +22,10 @@ _MSG_PARAM_RE = re.compile(r"\b(Envelope|Packet)\b")
 _VERIFY_CALL_NAMES = {"verify", "verify_envelope", "verify_sig", "open",
                       "authenticate", "check_auth", "tag_for", "unseal"}
 # Mutating telemetry before verify is fine — counting malformed/rejected
-# input is the point of those members.
+# input is the point of those members. A logger is telemetry; the
+# agreement log (log_, log_ahead_, top_logged_) is protocol state.
 _TELEMETRY_MEMBER_RE = re.compile(
-    r"(metrics|stats|tel_|telemetry|trace|tracer|log|counter|gauge|hist"
+    r"(metrics|stats|tel_|telemetry|trace|tracer|logger|counter|gauge|hist"
     r"|rejected|accepted|dropped|discarded|malformed|overload|clock|now)")
 _MUTATOR_METHODS = {"push_back", "push_front", "insert", "emplace",
                     "emplace_back", "erase", "clear", "pop_front",
