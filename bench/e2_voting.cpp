@@ -114,7 +114,7 @@ void BM_E2ByteByByte_Homogeneous(benchmark::State& state) {
   std::vector<Value> elems;
   for (std::int64_t k = 0; k < state.range(0); ++k) elems.push_back(Value::int64(k));
   const Value value = Value::sequence(std::move(elems));
-  const Bytes wire = value.encode(cdr::ByteOrder::kLittleEndian);
+  const BufView wire = value.encode(cdr::ByteOrder::kLittleEndian);
   std::uint64_t decided = 0;
   for (auto _ : state) {
     Vote vote(f, VotePolicy::byte_by_byte());

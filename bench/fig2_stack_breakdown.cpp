@@ -188,7 +188,7 @@ BENCHMARK(BM_Layer_QueueManagement)->Arg(64)->Arg(16384);
 
 void BM_Layer_Vote(benchmark::State& state) {
   // One complete vote: 2f+1 = 3 ballots of the given payload size.
-  const Bytes plain = cdr::encode_giop(
+  const BufView plain = cdr::encode_giop(
       cdr::GiopMessage(request_of_size(static_cast<std::size_t>(state.range(0)))));
   const auto parsed = cdr::parse_giop(plain);
   const auto& req = std::get<cdr::RequestMessage>(parsed.value());

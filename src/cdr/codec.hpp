@@ -120,7 +120,11 @@ class Encoder {
   }
 
   /// Raw bytes, no length prefix, no alignment (already-encoded blobs).
-  void write_raw(ByteView b) { append(buffer_, b); }
+  /// Counts as one copy in BufStats, as Decoder::read_raw does.
+  void write_raw(ByteView b) {
+    BufStats::note_copy(b.size());
+    append(buffer_, b);
+  }
 
   /// Pads with zeros to `alignment` (power of two) from encapsulation start.
   void align(std::size_t alignment) { buffer_.resize(aligned(alignment)); }

@@ -9,7 +9,7 @@
 //   sealed = nonce || ciphertext || tag,
 //            (ciphertext, tag) = AES-256-GCM(k_enc, nonce, aad, plaintext)
 // with GCM's 96-bit-nonce counter blocks (J0 = nonce || 0^31 || 1) and a
-// 16-byte tag. The key caches the AES round keys and H, H^2, H^3, H^4, so
+// 16-byte tag. The key caches the AES round keys and H, H^2, ..., H^16, so
 // sealing and opening pay only for the message's own bytes. `open` checks
 // the tag before it decrypts. A nonce must never repeat under one key,
 // across element incarnations too: under GCM a repeated nonce reveals the

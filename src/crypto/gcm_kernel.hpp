@@ -8,8 +8,11 @@
 // byte-wise state, the spec's bitwise GF(2^128) multiply) runs everywhere
 // and is the test reference. On x86-64 the AES-NI kernel (AES, PCLMULQDQ,
 // SSSE3, SSE4.1) runs CTR eight blocks at a time and GHASH four blocks per
-// reduction. One kernel is picked at static initialisation from CPUID, and
-// selected_gcm_kernel() returns it (DESIGN.md §6j).
+// reduction, and the VAES kernel (AVX-512 VAES and VPCLMULQDQ) runs CTR 32
+// blocks at a time in eight zmm registers and GHASH sixteen blocks per
+// reduction, handing shorter tails to the AES-NI kernel. One kernel is
+// picked at static initialisation from CPUID, and selected_gcm_kernel()
+// returns it (DESIGN.md §6j).
 #pragma once
 
 #include <array>
@@ -33,10 +36,10 @@ using AesBlock = std::array<std::uint8_t, kAesBlockSize>;
 
 /// What one GCM key caches: the AES-256 round keys in FIPS-197 byte order
 /// (round r at bytes 16r..16r+15, which is also the order AES-NI loads),
-/// and H, H^2, H^3, H^4 in GCM's byte order.
+/// and H, H^2, ..., H^16 in GCM's byte order.
 struct GcmKey {
   alignas(16) std::array<std::uint8_t, (kAes256Rounds + 1) * kAesBlockSize> round_keys{};
-  std::array<AesBlock, 4> h_powers{};
+  std::array<AesBlock, 16> h_powers{};
 };
 
 /// Expands a 32-byte AES key (FIPS-197 KeyExpansion) into the
@@ -70,12 +73,23 @@ extern const GcmKernel kGcmPortable;
 #if ITDOS_AES_NI_KERNEL
 /// AES-NI CTR and PCLMULQDQ GHASH. Use it only when aes_ni_available().
 extern const GcmKernel kGcmAesNi;
+
+/// VAES CTR and VPCLMULQDQ GHASH on zmm registers, over kGcmAesNi for what
+/// is shorter than one wide step. Use it only when vaes_available().
+extern const GcmKernel kGcmVaes;
 #endif
 
 /// Whether this CPU runs kGcmAesNi: CPUID leaf 1 ECX bits 25 (AES), 1
 /// (PCLMULQDQ), 9 (SSSE3) and 19 (SSE4.1). Always false on builds without
 /// the kernel.
 bool aes_ni_available();
+
+/// Whether this CPU runs kGcmVaes: aes_ni_available(), CPUID leaf 7 EBX
+/// bits 16 (AVX512F), 30 (AVX512BW) and 31 (AVX512VL) and ECX bits 9
+/// (VAES) and 10 (VPCLMULQDQ), and an OS that saves the zmm state (leaf 1
+/// ECX bit 27, OSXSAVE, then XCR0 bits 1, 2, 5, 6 and 7). Always false on
+/// builds without the kernel.
+bool vaes_available();
 
 /// The kernel seal and open run on: the portable one until gcm.cpp's
 /// static initialisation has run, then the fastest this CPU supports.

@@ -287,13 +287,13 @@ bool DomainElement::process_sealed_request(const OrderedMsg& msg) {
         caller->vote_policy);
     Ballot ballot;
     ballot.source = msg.origin;
-    ballot.raw = plain.value();
+    ballot.raw = std::move(plain).take();
     ballot.value = request_ballot_value(request);
     metrics_.request_vote_copies->inc();
-    const std::optional<VoteDecision> decision = it->second.add(std::move(ballot));
+    const DecisionRef decision = it->second.add(std::move(ballot));
     if (!decision) return true;  // keep consuming copies
-    request_votes_.erase(it);
     Result<cdr::GiopMessage> winner = cdr::parse_giop(decision->winner.raw);
+    request_votes_.erase(it);  // the decision goes with it
     if (!winner.is_ok() ||
         !std::holds_alternative<cdr::RequestMessage>(winner.value())) {
       metrics_.entries_discarded->inc();

@@ -15,13 +15,16 @@ constexpr std::string_view kLog = "itdos.smiop";
 std::optional<cdr::Value> reply_ballot_value(ByteView plain_giop, RequestId rid) {
   Result<cdr::GiopMessage> parsed = cdr::parse_giop(plain_giop);
   if (!parsed.is_ok()) return std::nullopt;
-  if (!std::holds_alternative<cdr::ReplyMessage>(parsed.value())) return std::nullopt;
-  const auto& reply = std::get<cdr::ReplyMessage>(parsed.value());
-  if (reply.request_id != rid) return std::nullopt;
-  return cdr::Value::structure(
-      {cdr::Field("status", cdr::Value::octet(static_cast<std::uint8_t>(reply.status))),
-       cdr::Field("result", reply.result),
-       cdr::Field("exception", cdr::Value::string(reply.exception_detail))});
+  auto* reply = std::get_if<cdr::ReplyMessage>(&parsed.value());
+  if (reply == nullptr || reply->request_id != rid) return std::nullopt;
+  // The fields move out of the parsed reply; an initializer list would
+  // copy each of them, the result once more.
+  std::vector<cdr::Field> fields;
+  fields.reserve(3);
+  fields.emplace_back("status", cdr::Value::octet(static_cast<std::uint8_t>(reply->status)));
+  fields.emplace_back("result", std::move(reply->result));
+  fields.emplace_back("exception", cdr::Value::string(std::move(reply->exception_detail)));
+  return cdr::Value::structure(std::move(fields));
 }
 
 }  // namespace
@@ -427,11 +430,16 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
     return;
   }
 
+  Ballot ballot;
+  ballot.source = msg.element;
+  ballot.value = reply_ballot_value(plain.value(), msg.rid);
+  ballot.raw = std::move(plain).take();
+
   if (state.round && msg.rid == state.round->rid) {
     ProofEntry entry;
     entry.element = msg.element;
     entry.epoch = msg.epoch;
-    entry.plain_giop = plain.value();
+    entry.plain_giop = ballot.raw;  // shares the ballot's buffer
     entry.signature = msg.plain_signature;
     // One proof entry per element per round.
     const bool seen = std::any_of(
@@ -440,13 +448,7 @@ void SmiopParty::handle_direct_reply(const DirectReplyMsg& msg) {
     if (!seen) state.round->proof.push_back(std::move(entry));
   }
 
-  Ballot ballot;
-  ballot.source = msg.element;
-  ballot.value = reply_ballot_value(plain.value(), msg.rid);
-  ballot.raw = std::move(plain).take();  // the proof entry keeps its own copy
-
-  const std::optional<VoteDecision> decision =
-      state.voter->submit(msg.rid, std::move(ballot));
+  const DecisionRef decision = state.voter->submit(msg.rid, std::move(ballot));
   if (!state.round) return;
   if (decision) {
     metrics_.votes_decided->inc();

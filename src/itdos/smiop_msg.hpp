@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cdr/codec.hpp"
+#include "common/buffer.hpp"
 #include "common/ids.hpp"
 #include "crypto/signing.hpp"
 #include "itdos/voting.hpp"
@@ -180,11 +181,12 @@ struct OpenRequestMsg {
 };
 
 /// One entry of a change_request proof: a disputed plaintext reply plus the
-/// signature that binds it to its sender.
+/// signature that binds it to its sender. The reporter's entry shares its
+/// plaintext with the reply's ballot.
 struct ProofEntry {
   NodeId element;
   KeyEpoch epoch;
-  Bytes plain_giop;
+  BufView plain_giop;
   crypto::Signature signature{};
 
   bool operator==(const ProofEntry&) const = default;

@@ -63,34 +63,34 @@ bool Vote::equivalent_at(const Ballot& a, const Ballot& b, double epsilon) const
   return values_equivalent(*a.value, *b.value, effective);
 }
 
-std::optional<VoteDecision> Vote::try_decide(double epsilon) {
+DecisionRef Vote::try_decide(double epsilon) {
   // Approval counting: support of a ballot = ballots equivalent to it.
   // Inexact equivalence is non-transitive, so support is counted per ballot
   // (Parhami's approval voting [31]), not per equivalence class.
-  for (const Ballot& candidate : ballots_) {
+  for (std::size_t i = 0; i < ballots_.size(); ++i) {
     int support = 0;
     for (const Ballot& other : ballots_) {
-      if (equivalent_at(candidate, other, epsilon)) ++support;
+      if (equivalent_at(ballots_[i], other, epsilon)) ++support;
     }
     if (support >= f_ + 1) {
-      VoteDecision decision;
-      decision.winner = candidate;
+      VoteDecision& decision = decided_.emplace();
+      decision.winner = std::move(ballots_[i]);
       decision.support = support;
       decision.epsilon_used = epsilon;
-      decided_ = std::move(decision);
-      decided_->dissenters = dissenters();
-      return decided_;
+      winner_ = i;
+      decision.dissenters = dissenters();
+      return DecisionRef(decision);
     }
   }
-  return std::nullopt;
+  return {};
 }
 
-std::optional<VoteDecision> Vote::add(Ballot ballot) {
-  if (!sources_.insert(ballot.source).second) return std::nullopt;  // one per source
+DecisionRef Vote::add(Ballot ballot) {
+  if (!sources_.insert(ballot.source).second) return {};  // one per source
   ballots_.push_back(std::move(ballot));
-  if (decided_) return std::nullopt;  // late arrival; dissenters() sees it
+  if (decided_) return {};  // late arrival; dissenters() sees it
 
-  if (auto decision = try_decide(policy_.epsilon)) return decision;
+  if (const DecisionRef decision = try_decide(policy_.epsilon)) return decision;
 
   // Adaptive voting (§4, [32]): once the voter has enough ballots that a
   // decision *should* exist (2f+1, so at most f faulty among them), relax
@@ -103,21 +103,24 @@ std::optional<VoteDecision> Vote::add(Ballot ballot) {
     for (int step = 0; step < 16; ++step) {
       epsilon = epsilon == 0.0 ? policy_.max_epsilon / 65536.0 : epsilon * 4.0;
       if (epsilon > policy_.max_epsilon) epsilon = policy_.max_epsilon;
-      if (auto decision = try_decide(epsilon)) return decision;
+      if (const DecisionRef decision = try_decide(epsilon)) return decision;
       if (epsilon >= policy_.max_epsilon) break;
     }
   }
-  return std::nullopt;
+  return {};
 }
 
 std::vector<NodeId> Vote::dissenters() const {
   std::vector<NodeId> out;
   if (!decided_) return out;
-  for (const Ballot& ballot : ballots_) {
+  for (std::size_t i = 0; i < ballots_.size(); ++i) {
+    // The winner's slot was moved from. A winner always matches itself: a
+    // value that does not (one holding a NaN) matches nothing, so never wins.
+    if (i == winner_) continue;
     // Compare at the epsilon that decided: a correct-but-jittery reply that
     // an adaptive vote accepted must not be flagged as faulty.
-    if (!equivalent_at(decided_->winner, ballot, decided_->epsilon_used)) {
-      out.push_back(ballot.source);
+    if (!equivalent_at(decided_->winner, ballots_[i], decided_->epsilon_used)) {
+      out.push_back(ballots_[i].source);
     }
   }
   return out;
@@ -142,17 +145,16 @@ void ConnectionVoter::expect(RequestId request_id) {
   }
 }
 
-std::optional<VoteDecision> ConnectionVoter::submit(RequestId request_id,
-                                                    Ballot ballot) {
+DecisionRef ConnectionVoter::submit(RequestId request_id, Ballot ballot) {
   if (!vote_ || request_id != expected_) {
     // "A discarded message could be from a Byzantine process, or it could be
     // a late-coming reply from an earlier request" — indistinguishable, so
     // neither used nor penalized.
     ++discarded_;
     if (discarded_counter_ != nullptr) discarded_counter_->inc();
-    return std::nullopt;
+    return {};
   }
-  std::optional<VoteDecision> decision = vote_->add(std::move(ballot));
+  const DecisionRef decision = vote_->add(std::move(ballot));
   if (decision && tel_ != nullptr) {
     const std::uint64_t trace = telemetry::trace_id(conn_, request_id);
     tel_->trace(telemetry::TraceKind::kVoteDecide, self_, trace,

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cdr/value.hpp"
+#include "common/buffer.hpp"
 #include "common/ids.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -56,10 +57,16 @@ bool values_equivalent(const cdr::Value& a, const cdr::Value& b,
                        const VotePolicy& policy);
 
 /// One candidate: the raw bytes as received plus (unless byte-by-byte) the
-/// unmarshalled value.
+/// unmarshalled value. `raw` is a view, so a proof entry can share it.
 struct Ballot {
+  Ballot() = default;
+  /// Copies `raw` into a view of its own, counted in BufStats. A caller
+  /// that no longer needs its buffer assigns `raw` an rvalue instead.
+  Ballot(NodeId source, const Bytes& raw, std::optional<cdr::Value> value)
+      : source(source), raw(BufView::copy_of(raw)), value(std::move(value)) {}
+
   NodeId source;
-  Bytes raw;
+  BufView raw;
   std::optional<cdr::Value> value;  // nullopt for kByteByByte
 };
 
@@ -72,6 +79,24 @@ struct VoteDecision {
   double epsilon_used = 0.0;        // kAdaptive: the precision that decided
 };
 
+/// A completed vote's decision by reference, or nothing: what Vote::add and
+/// ConnectionVoter::submit return. It reads like std::optional<VoteDecision>
+/// without copying the winning ballot, and refers into the Vote, so it is
+/// valid only as long as that Vote is.
+class DecisionRef {
+ public:
+  DecisionRef() = default;
+  explicit DecisionRef(const VoteDecision& decision) : decision_(&decision) {}
+
+  bool has_value() const { return decision_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  const VoteDecision& operator*() const { return *decision_; }
+  const VoteDecision* operator->() const { return decision_; }
+
+ private:
+  const VoteDecision* decision_ = nullptr;
+};
+
 /// Collates ballots for ONE request id and decides per the paper's rule.
 class Vote {
  public:
@@ -79,9 +104,11 @@ class Vote {
   Vote(int f, VotePolicy policy) : f_(f), policy_(policy) {}
 
   /// Adds a ballot (one per source; duplicates ignored). Returns the
-  /// decision once f+1 equivalent ballots exist. Ballots arriving after the
-  /// decision update the dissenter list via `late_dissenters`.
-  std::optional<VoteDecision> add(Ballot ballot);
+  /// decision, which this Vote keeps, when this ballot brings f+1
+  /// equivalent ballots; nothing otherwise, also for every ballot after the
+  /// decision (those show in `dissenters()`). The winning ballot moves into
+  /// the decision; nothing is copied.
+  DecisionRef add(Ballot ballot);
 
   bool decided() const { return decided_.has_value(); }
   const std::optional<VoteDecision>& decision() const { return decided_; }
@@ -97,11 +124,12 @@ class Vote {
     return equivalent_at(a, b, policy_.epsilon);
   }
   bool equivalent_at(const Ballot& a, const Ballot& b, double epsilon) const;
-  std::optional<VoteDecision> try_decide(double epsilon);
+  DecisionRef try_decide(double epsilon);
 
   int f_;
   VotePolicy policy_;
   std::vector<Ballot> ballots_;
+  std::size_t winner_ = 0;  // ballots_ index the decision's winner moved from
   std::set<NodeId> sources_;
   std::optional<VoteDecision> decided_;
 };
@@ -134,9 +162,10 @@ class ConnectionVoter {
   void expect(RequestId request_id);
 
   /// Feeds a message for `request_id` from `source`. Messages for other ids
-  /// are discarded (counted, not penalized). Returns a decision when the
-  /// outstanding vote completes.
-  std::optional<VoteDecision> submit(RequestId request_id, Ballot ballot);
+  /// are discarded (counted, not penalized). Returns the outstanding vote's
+  /// decision when this message completes it; the decision lives until the
+  /// next expect().
+  DecisionRef submit(RequestId request_id, Ballot ballot);
 
   RequestId expected() const { return expected_; }
   bool has_outstanding() const { return vote_.has_value(); }

@@ -247,6 +247,22 @@ TEST(CodecTest, ReadArrayExactOverflowAndCopyCount) {
   BufStats::reset();
 }
 
+TEST(CodecTest, EncoderRawWritesCountOneCopy) {
+  // A blob copied into a frame counts as a copy, as reading it back out
+  // does; the length prefix of write_bytes does not.
+  Encoder enc(ByteOrder::kLittleEndian);
+  BufStats::reset();
+  enc.write_raw(to_bytes("abc"));
+  EXPECT_EQ(BufStats::copies, 1u);
+  EXPECT_EQ(BufStats::bytes_copied, 3u);
+  enc.write_bytes(to_bytes("defgh"));
+  EXPECT_EQ(BufStats::copies, 2u);
+  EXPECT_EQ(BufStats::bytes_copied, 8u);
+  enc.write_uint32(7);
+  EXPECT_EQ(BufStats::copies, 2u);
+  BufStats::reset();
+}
+
 TEST(CodecTest, TruncatedPaddingRejected) {
   const Bytes raw{0x01};  // octet then nothing: aligning to 4 runs out
   Decoder dec(raw, ByteOrder::kLittleEndian);

@@ -1,9 +1,11 @@
 // The AES-256-GCM kernels against each other and against FIPS-197. The
 // portable kernel is the reference: its AES block is pinned by the FIPS-197
 // C.3 vector here, and its seals by the Python-computed known answers in
-// cipher_test. The AES-NI kernel must then give the same ciphertext and tag
-// for every checked length, in place and out of place. The AES-NI half
-// skips on CPUs without AES-NI and PCLMULQDQ.
+// cipher_test. Every other kernel must then give the same ciphertext and
+// tag for every checked length, in place and out of place, the same CTR
+// keystream across an inc32 wrap and the same GHASH on either side of its
+// wide steps. The AES-NI tests skip on CPUs without AES-NI and PCLMULQDQ,
+// the VAES tests on CPUs without AVX-512 VAES and VPCLMULQDQ.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -60,10 +62,12 @@ Sealed seal_on(const GcmKernel& kernel, const SymmetricKey& key, const Nonce& no
   return sealed;
 }
 
-/// Plaintext lengths 0-300 (every AAD length 0-40 in turn) and 16384 +- 1
-/// (every AAD length): each input sealed on `kernel` and on the portable
-/// reference must agree, and decrypting must give the plaintext back.
-void expect_matches_portable(const GcmKernel& kernel, const std::string& name) {
+/// Plaintext lengths 0-300 (every AAD length 0-40 in turn), the lengths
+/// either side of the wide kernels' steps (512-byte CTR steps, 16-block
+/// GHASH steps) and 16384 +- 1 (every AAD length): each input sealed on
+/// `kernel` and on the portable reference must agree, and decrypting must
+/// give the plaintext back.
+void expect_seals_match_portable(const GcmKernel& kernel, const std::string& name) {
   Rng rng(0x6c6d);
   const SymmetricKey key = SymmetricKey::from_bytes(rng.next_bytes(kSymmetricKeySize));
   const Nonce nonce = make_nonce(23, 0x0102030405060708ULL);
@@ -85,9 +89,46 @@ void expect_matches_portable(const GcmKernel& kernel, const std::string& name) {
         << name << " round trip, size " << size;
   };
   for (std::size_t size = 0; size <= 300; ++size) check(size, size % (kLongestAad + 1));
+  for (const std::size_t size : {496, 511, 512, 513, 528, 1023, 1024, 1025}) {
+    check(size, size % (kLongestAad + 1));
+  }
   for (const std::size_t size : {std::size_t{16383}, std::size_t{16384}, kLongest}) {
     for (std::size_t aad_size = 0; aad_size <= kLongestAad; ++aad_size) check(size, aad_size);
   }
+}
+
+/// `kernel.ctr` from a counter whose last word is 0xfffffff8, so the
+/// counter wraps to 0 eight blocks in, inside the first wide step, must
+/// give the portable keystream; so must `kernel.ghash` over 15-17 and
+/// 31-33 blocks, either side of one and two 16-block steps.
+void expect_primitives_match_portable(const GcmKernel& kernel, const std::string& name) {
+  Rng rng(0x7772);
+  const detail::GcmKey key = detail::make_gcm_key(rng.next_bytes(detail::kAes256KeySize));
+  const Bytes message = rng.next_bytes(2048 + 37);
+  detail::AesBlock counter{};
+  const Bytes prefix = rng.next_bytes(12);
+  std::copy(prefix.begin(), prefix.end(), counter.begin());
+  for (std::size_t i = 12; i < 16; ++i) counter[i] = i == 15 ? 0xf8 : 0xff;
+  for (const std::size_t size : {std::size_t{1024}, std::size_t{1024 + 37}, message.size()}) {
+    Bytes expected(size);
+    Bytes got(size);
+    detail::kGcmPortable.ctr(key, counter, message.data(), expected.data(), size);
+    kernel.ctr(key, counter, message.data(), got.data(), size);
+    EXPECT_EQ(got, expected) << name << " ctr across the inc32 wrap, size " << size;
+  }
+  const detail::AesBlock start = {0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef};
+  for (const std::size_t blocks : {15, 16, 17, 31, 32, 33}) {
+    detail::AesBlock expected = start;
+    detail::AesBlock got = start;
+    detail::kGcmPortable.ghash(key, expected, message.data(), blocks);
+    kernel.ghash(key, got, message.data(), blocks);
+    EXPECT_EQ(got, expected) << name << " ghash, " << blocks << " blocks";
+  }
+}
+
+void expect_matches_portable(const GcmKernel& kernel, const std::string& name) {
+  expect_seals_match_portable(kernel, name);
+  expect_primitives_match_portable(kernel, name);
 }
 
 TEST(GcmKernelTest, PortableAesMatchesFips197) {
@@ -112,10 +153,35 @@ TEST(GcmKernelTest, AesNiKernelMatchesPortable) {
 #endif
 }
 
+TEST(GcmKernelTest, VaesAesMatchesFips197) {
+#if ITDOS_AES_NI_KERNEL
+  if (!detail::vaes_available()) GTEST_SKIP() << "CPU lacks AVX-512 VAES or VPCLMULQDQ";
+  expect_fips197_c3(detail::kGcmVaes, "vaes");
+#else
+  GTEST_SKIP() << "no VAES kernel on this architecture";
+#endif
+}
+
+TEST(GcmKernelTest, VaesKernelMatchesPortable) {
+#if ITDOS_AES_NI_KERNEL
+  if (!detail::vaes_available()) GTEST_SKIP() << "CPU lacks AVX-512 VAES or VPCLMULQDQ";
+  expect_matches_portable(detail::kGcmVaes, "vaes");
+#else
+  GTEST_SKIP() << "no VAES kernel on this architecture";
+#endif
+}
+
+// The choice follows CPUID alone: VAES where AVX-512 VAES, VPCLMULQDQ and
+// the zmm state are there, else AES-NI where AES-NI and PCLMULQDQ are, else
+// the portable kernel.
 TEST(GcmKernelTest, SelectedKernelIsTheFastestAvailable) {
 #if ITDOS_AES_NI_KERNEL
-  const GcmKernel& fastest =
-      detail::aes_ni_available() ? detail::kGcmAesNi : detail::kGcmPortable;
+  const GcmKernel& fastest = detail::vaes_available()     ? detail::kGcmVaes
+                             : detail::aes_ni_available() ? detail::kGcmAesNi
+                                                          : detail::kGcmPortable;
+  if (detail::vaes_available()) {
+    EXPECT_TRUE(detail::aes_ni_available());
+  }
 #else
   const GcmKernel& fastest = detail::kGcmPortable;
 #endif

@@ -214,7 +214,9 @@ TEST_F(GmStateMachineTest, ProofWithTamperedPlaintextRejected) {
   const GmCommandResult open = open_singleton();
   const NodeId accused = directory_->find_domain(DomainId(10))->elements[1].smiop_node;
   ChangeRequestMsg change = make_proof_change(open.conn, accused);
-  change.proof[0].plain_giop[20] ^= 0x01;
+  Bytes tampered = change.proof[0].plain_giop.clone_bytes();
+  tampered[20] ^= 0x01;
+  change.proof[0].plain_giop = std::move(tampered);
   const GmCommandResult result = run(GmCommand(change));
   EXPECT_FALSE(result.accepted);
 }

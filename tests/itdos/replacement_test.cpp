@@ -364,8 +364,8 @@ TEST(AdaptiveVoteTest, RelaxesWhenDispersedButDecidable) {
   Vote fixed(1, VotePolicy::inexact(1e-9));
   Vote adaptive(1, VotePolicy::adaptive(1e-9, 1e-2));
   const double values[3] = {1.000, 1.0004, 1.0008};
-  std::optional<VoteDecision> fixed_decision;
-  std::optional<VoteDecision> adaptive_decision;
+  DecisionRef fixed_decision;
+  DecisionRef adaptive_decision;
   for (int i = 0; i < 3; ++i) {
     if (!fixed_decision) fixed_decision = fixed.add(float_ballot(i + 1, values[i]));
     if (!adaptive_decision) {
